@@ -58,6 +58,11 @@ from .quiverrep import (
     subrep,
 )
 
+SEARCH_BUDGET = 200_000  # subspace tuples one exhaustive submodule search may visit
+DIM_CAP = 12  # largest total dimension the submodule searches accept
+ISO_TRIES = 30  # random Hom combinations is_isomorphic tries
+SPLIT_TRIES = 40  # candidate endomorphisms decompose tries per module
+
 # ---------------------------------------------------------------------------
 # transpose and translates
 
@@ -96,7 +101,7 @@ def tau_minus(M: QuiverRep) -> QuiverRep:
 # isomorphism testing and decomposition
 
 
-def is_isomorphic(M: QuiverRep, N: QuiverRep, seed: int = 0, tries: int = 30) -> bool:
+def is_isomorphic(M: QuiverRep, N: QuiverRep, seed: int = 0) -> bool:
     """Test isomorphism by hunting for an invertible element of the
     morphism space: structured candidates first, then seeded random
     combinations.  A positive answer is certified; a negative answer is
@@ -127,7 +132,7 @@ def is_isomorphic(M: QuiverRep, N: QuiverRep, seed: int = 0, tries: int = 30) ->
         draw = lambda: field.coerce(rng.randrange(field.p))
     else:
         draw = lambda: field.coerce(rng.randrange(-5, 6))
-    for _ in range(tries):
+    for _ in range(ISO_TRIES):
         cand = basis[0].scale(draw())
         for f in basis[1:]:
             cand = cand + f.scale(draw())
@@ -200,7 +205,7 @@ def _evaluate_poly(f: RepMap, coeffs: list) -> RepMap:
             acc = acc + power.scale(c)
             power = power @ f.maps[v]
         maps.append(acc)
-    return RepMap(f.source, f.source, maps, check=False)
+    return RepMap(f.source, f.source, maps)
 
 
 def _matrix_power(m: Matrix, e: int) -> Matrix:
@@ -210,20 +215,23 @@ def _matrix_power(m: Matrix, e: int) -> Matrix:
     return out
 
 
-def _split_once(M: QuiverRep, endos: list[RepMap], rng: random.Random, tries: int) -> list[QuiverRep] | None:
+def _split_once(M: QuiverRep, endos: list[RepMap], rng: random.Random) -> list[QuiverRep] | None:
     """Try to split ``M`` along the primary decomposition of a candidate
     endomorphism; ``None`` when no candidate yields two pieces."""
     field = M.field
     saw_nonsplit = False
     candidates = iter(endos)
 
+    def draw():
+        return field.coerce(rng.randrange(field.p) if isinstance(field, PrimeField) else rng.randrange(-4, 5))
+
     def random_endo():
-        cand = endos[0].scale(field.coerce(rng.randrange(field.p) if isinstance(field, PrimeField) else rng.randrange(-4, 5)))
+        cand = endos[0].scale(draw())
         for f in endos[1:]:
-            cand = cand + f.scale(field.coerce(rng.randrange(field.p) if isinstance(field, PrimeField) else rng.randrange(-4, 5)))
+            cand = cand + f.scale(draw())
         return cand
 
-    for attempt in range(tries):
+    for _ in range(SPLIT_TRIES):
         phi = next(candidates, None)
         if phi is None:
             phi = random_endo()
@@ -246,7 +254,7 @@ def _split_once(M: QuiverRep, endos: list[RepMap], rng: random.Random, tries: in
     return None
 
 
-def decompose(M: QuiverRep, seed: int = 0, tries: int = 40) -> list[tuple[QuiverRep, int]]:
+def decompose(M: QuiverRep, seed: int = 0) -> list[tuple[QuiverRep, int]]:
     """Decompose into indecomposables with multiplicities.
 
     Splitting is found through the primary decomposition of candidate
@@ -265,7 +273,7 @@ def decompose(M: QuiverRep, seed: int = 0, tries: int = 40) -> list[tuple[Quiver
         if len(endos) == 1:
             indecs.append(X)
             continue
-        pieces = _split_once(X, endos, rng, tries)
+        pieces = _split_once(X, endos, rng)
         if pieces is None:
             indecs.append(X)
         else:
@@ -363,12 +371,12 @@ def is_full(alpha: RepMap, df: DefectFunction, seed: int = 0) -> bool:
     return is_regular(coker, df, seed=seed)
 
 
-def is_atomic_full(alpha: RepMap, df: DefectFunction, seed: int = 0, dim_cap: int = 12) -> bool:
+def is_atomic_full(alpha: RepMap, df: DefectFunction, seed: int = 0) -> bool:
     """Full with simple regular cokernel."""
     if not is_full(alpha, df, seed=seed):
         return False
     coker, _ = cokernel(alpha)
-    return is_simple_regular(coker, df, seed=seed, dim_cap=dim_cap)
+    return is_simple_regular(coker, df, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +419,19 @@ def _subspace_count(p: int, dim: int) -> int:
     return total
 
 
-def all_submodules(M: QuiverRep, budget: int = 200_000):
+def all_submodules(M: QuiverRep):
     """Yield the vertex-wise bases of every subrepresentation of ``M``
     (including zero and ``M``).  Exhaustive; raises
     :class:`SearchBudgetExceeded` when the subspace-tuple count exceeds
-    the budget."""
+    :data:`SEARCH_BUDGET`."""
     field = M.field
     if not isinstance(field, PrimeField):
         raise SearchBudgetExceeded("exhaustive submodule search requires a finite field")
     count = 1
     for d in M.dims:
         count *= _subspace_count(field.p, d)
-        if count > budget:
-            raise SearchBudgetExceeded(f"about {count} subspace tuples exceed budget {budget}")
+        if count > SEARCH_BUDGET:
+            raise SearchBudgetExceeded(f"about {count} subspace tuples exceed budget {SEARCH_BUDGET}")
     per_vertex = [_all_subspaces(field, d) for d in M.dims]
     for combo in itertools.product(*per_vertex):
         stable = True
@@ -436,20 +444,19 @@ def all_submodules(M: QuiverRep, budget: int = 200_000):
             yield list(combo)
 
 
-def is_simple_regular(M: QuiverRep, df: DefectFunction, seed: int = 0, dim_cap: int = 12,
-                      budget: int = 200_000) -> bool:
+def is_simple_regular(M: QuiverRep, df: DefectFunction, seed: int = 0) -> bool:
     """Regular, indecomposable, and without a proper nonzero regular
     subrepresentation (checked by exhaustive submodule search)."""
     if M.is_zero():
         return False
-    if M.total_dim() > dim_cap:
-        raise SearchBudgetExceeded(f"module dimension {M.total_dim()} exceeds cap {dim_cap}")
+    if M.total_dim() > DIM_CAP:
+        raise SearchBudgetExceeded(f"module dimension {M.total_dim()} exceeds cap {DIM_CAP}")
     parts = decompose(M, seed=seed)
     if len(parts) != 1 or parts[0][1] != 1:
         return False
     if defect(df, M.dims) != 0:
         return False
-    for bases in all_submodules(M, budget=budget):
+    for bases in all_submodules(M):
         sdims = tuple(B.ncols for B in bases)
         if sum(sdims) in (0, M.total_dim()):
             continue
@@ -497,7 +504,7 @@ def build_extension(C: QuiverRep, A: QuiverRep, class_index: int = 0) -> QuiverR
     maps = []
     for v in range(A.quiver.nvertices):
         maps.append(g.maps[v].vstack(-pres.alpha.maps[v]))
-    h = RepMap(pres.P.rep, target, maps, check=False)
+    h = RepMap(pres.P.rep, target, maps)
     middle, _ = cokernel(h)
     assert middle.dims == tuple(a + c for a, c in zip(A.dims, C.dims))
     return middle
@@ -555,8 +562,7 @@ class Filtration:
         return tuple(B.ncols for B in self.chain[-1]) == N.dims
 
 
-def u_filtration(N: QuiverRep, members, dim_cap: int = 12, seed: int = 0,
-                 budget: int = 200_000) -> Filtration | None:
+def u_filtration(N: QuiverRep, members, dim_cap: int = DIM_CAP, seed: int = 0) -> Filtration | None:
     """Search for a finite chain of submodules of ``N`` whose successive
     factors are isomorphic to the given bound modules; ``None`` when the
     exhaustive search finds no chain."""
@@ -571,7 +577,7 @@ def u_filtration(N: QuiverRep, members, dim_cap: int = 12, seed: int = 0,
         if X.is_zero():
             return [], []
         candidates = []
-        for bases in all_submodules(X, budget=budget):
+        for bases in all_submodules(X):
             sdims = tuple(B.ncols for B in bases)
             if sum(sdims) == 0:
                 continue

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from .artheory import (
     BoundSet,
@@ -19,7 +18,6 @@ from .artheory import (
     defect,
     defect_function,
     is_isomorphic,
-    strip_projective_summands,
     tube_catalog,
     u_filtration,
 )
@@ -31,7 +29,7 @@ from .dedekind import (
     universal_localization_eq,
 )
 from .errors import ParseError, TiltlabError, UnsupportedFamily
-from .exactlin import Matrix, PrimeField
+from .exactlin import PrimeField
 from .freegrp import (
     FreeWord,
     envelope_value,
@@ -44,55 +42,15 @@ from .freegrp import (
 from .parsefmt import parse_input
 from .perpcat import class_compare, is_divisible, perp_conditions
 from .quiverrep import (
-    QuiverRep,
     ext1_dim,
     euler_form,
     hom_dim,
     hom_ext_dims,
-    injective,
-    projective,
+    random_rep,
     regular_dims,
     socle,
 )
 from .report import Report
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A named scenario with validated parameters."""
-
-    kind: str
-    params: dict
-
-    _KINDS = ("tube_demo", "dedekind_classify", "free_envelope", "perp_check", "custom")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-
-    def run(self) -> Report:
-        runner = {
-            "tube_demo": run_tube_demo,
-            "dedekind_classify": run_dedekind_classify,
-            "free_envelope": run_free_envelope,
-            "perp_check": run_perp_check,
-            "custom": run_custom,
-        }[self.kind]
-        return runner(**self.params)
-
-
-def _rand_rep(q, fieldp, rng, dim_cap):
-    dims = [rng.randrange(0, dim_cap + 1) for _ in range(q.nvertices)]
-    maps = []
-    for a in q.arrows:
-        maps.append(
-            Matrix(
-                fieldp,
-                [[rng.randrange(fieldp.p) for _ in range(dims[a.source])] for _ in range(dims[a.target])],
-                dims[a.source],
-            )
-        )
-    return QuiverRep(q, fieldp, dims, maps, check=False)
 
 
 def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0, dim_cap: int = 12) -> Report:
@@ -206,7 +164,7 @@ def run_dedekind_classify(primes=(2, 3, 5), ore_sets=(), random_ore: int = 0, se
 
 
 def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
-                      trials: int = 100, words=(), dim: int = 2, max_word_len: int = 16) -> Report:
+                      trials: int = 100, words=(), dim: int = 2) -> Report:
     """Exercise the inductive extension of a vector along reduced words on
     a module with invertible generator actions."""
     report = Report(
@@ -251,7 +209,7 @@ def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
     )
 
     for text in words:
-        w = parse_reduce(text, alphabet, max_len=max_word_len)
+        w = parse_reduce(text, alphabet)
         value = envelope_value(base, w, module)
         report.add(
             f"envelope value of {str(w)!r}",
@@ -290,7 +248,7 @@ def run_perp_check(family: str = "kronecker", field_char: int = 5, trials: int =
     disagreements = 0
     members = 0
     for _ in range(trials):
-        M = _rand_rep(q, field, rng, dim_cap)
+        M = random_rep(q, field, rng, dim_cap)
         U = pool[rng.randrange(len(pool))]
         rep = perp_conditions(M, U)
         if not rep.consistent:
@@ -306,8 +264,8 @@ def run_perp_check(family: str = "kronecker", field_char: int = 5, trials: int =
 
     euler_fail = 0
     for _ in range(trials):
-        M = _rand_rep(q, field, rng, dim_cap)
-        N = _rand_rep(q, field, rng, dim_cap)
+        M = random_rep(q, field, rng, dim_cap)
+        N = random_rep(q, field, rng, dim_cap)
         h, e = hom_ext_dims(M, N)
         if euler_form(q, M.dims, N.dims) != h - e or h != hom_dim(M, N):
             euler_fail += 1
@@ -373,6 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="a31")
     p.add_argument("--field", type=int, default=5)
     p.add_argument("--dim-cap", type=int, default=12)
+    p.set_defaults(run=lambda a: run_tube_demo(
+        family=a.family, field_char=a.field, seed=a.seed, dim_cap=a.dim_cap))
 
     p = sub.add_parser("dedekind", help="classify divisibility classes over a prime universe")
     common(p)
@@ -380,6 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ore", action="append", default=[],
                    help="comma-separated generators of a multiplicative set (repeatable)")
     p.add_argument("--random-ore", type=int, default=0, help="number of random generator sets to cross-check")
+    p.set_defaults(run=lambda a: run_dedekind_classify(
+        primes=tuple(int(x) for x in a.primes.split(",") if x.strip()),
+        ore_sets=tuple(tuple(int(g) for g in s.split(",") if g.strip()) for s in a.ore),
+        random_ore=a.random_ore, seed=a.seed))
 
     p = sub.add_parser("free-envelope", help="inductive extension along free-group words")
     common(p)
@@ -388,6 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--word", action="append", default=[], help="word to evaluate (repeatable)")
+    p.set_defaults(run=lambda a: run_free_envelope(
+        alphabet=tuple(s for s in a.alphabet.split(",") if s), field_char=a.field, seed=a.seed,
+        trials=a.trials, words=tuple(a.word), dim=a.dim))
 
     p = sub.add_parser("perp-check", help="sampled agreement of perpendicular-membership conditions")
     common(p)
@@ -395,50 +362,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, default=5)
     p.add_argument("--trials", type=int, default=40)
     p.add_argument("--dim-cap", type=int, default=4)
+    p.set_defaults(run=lambda a: run_perp_check(
+        family=a.family, field_char=a.field, trials=a.trials, seed=a.seed, dim_cap=a.dim_cap))
 
     p = sub.add_parser("custom", help="parse and validate a fixture file")
     common(p)
     p.add_argument("path")
+    p.set_defaults(run=lambda a: run_custom(path=a.path, seed=a.seed))
 
     return parser
 
 
-def _scenario_from_args(args) -> Scenario:
-    if args.command == "tube-demo":
-        return Scenario("tube_demo", {"family": args.family, "field_char": args.field,
-                                      "seed": args.seed, "dim_cap": args.dim_cap})
-    if args.command == "dedekind":
-        primes = tuple(int(x) for x in args.primes.split(",") if x.strip())
-        ore_sets = tuple(tuple(int(g) for g in s.split(",") if g.strip()) for s in args.ore)
-        return Scenario("dedekind_classify", {"primes": primes, "ore_sets": ore_sets,
-                                              "random_ore": args.random_ore, "seed": args.seed})
-    if args.command == "free-envelope":
-        alphabet = tuple(s for s in args.alphabet.split(",") if s)
-        return Scenario("free_envelope", {"alphabet": alphabet, "field_char": args.field,
-                                          "seed": args.seed, "trials": args.trials,
-                                          "words": tuple(args.word), "dim": args.dim})
-    if args.command == "perp-check":
-        return Scenario("perp_check", {"family": args.family, "field_char": args.field,
-                                       "trials": args.trials, "seed": args.seed,
-                                       "dim_cap": args.dim_cap})
-    if args.command == "custom":
-        return Scenario("custom", {"path": args.path, "seed": args.seed})
-    raise ValueError(f"unhandled command {args.command!r}")
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        scenario = _scenario_from_args(args)
-        report = scenario.run()
+        report = args.run(args)
     except ParseError as exc:
         print(f"tiltlab: input error: {exc}", file=sys.stderr)
         return 2
-    except TiltlabError as exc:
-        print(f"tiltlab: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (TiltlabError, ValueError, OSError) as exc:
         print(f"tiltlab: {exc}", file=sys.stderr)
         return 2
     rendered = report.to_json() if args.format == "json" else report.to_text()

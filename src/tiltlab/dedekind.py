@@ -65,9 +65,6 @@ class FgZModule:
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
-    def is_torsion(self) -> bool:
-        return self.free_rank == 0
-
     def order(self) -> int | None:
         """Number of elements, or ``None`` when infinite."""
         if self.free_rank:

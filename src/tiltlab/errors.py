@@ -27,7 +27,7 @@ class NoExtension(TiltlabError):
 
 
 class SearchBudgetExceeded(TiltlabError):
-    """Submodule enumeration would exceed the configured budget."""
+    """Submodule enumeration would exceed its fixed budget."""
 
 
 class UnsupportedFamily(TiltlabError):

@@ -144,9 +144,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [row[:] for row in self.rows], self.ncols)
-
     def column(self, j: int) -> list:
         return [row[j] for row in self.rows]
 
@@ -206,16 +203,6 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         field = self.field
-        if isinstance(field, PrimeField):
-            p = field.p
-            bt = list(zip(*other.rows)) if other.rows else []
-            if not bt:
-                return Matrix.zeros(field, self.nrows, other.ncols)
-            out = [
-                [sum(a * b for a, b in zip(row, col)) % p for col in bt]
-                for row in self.rows
-            ]
-            return Matrix(field, out, other.ncols)
         bt = list(zip(*other.rows)) if other.rows else []
         if not bt:
             return Matrix.zeros(field, self.nrows, other.ncols)
@@ -333,10 +320,9 @@ class Matrix:
     def inverse(self) -> "Matrix | None":
         if self.nrows != self.ncols:
             return None
-        X = self.solve_matrix(Matrix.identity(self.field, self.nrows))
-        if X is None or not (self @ X == Matrix.identity(self.field, self.nrows)):
-            return None
-        return X
+        # a square system has a solution for every right-hand side exactly
+        # when A has full rank, and then the solution is A^-1
+        return self.solve_matrix(Matrix.identity(self.field, self.nrows))
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -356,20 +342,13 @@ class Matrix:
 
 def extend_to_basis(field, cols: list[list], dim: int) -> list[list]:
     """Complete linearly independent columns to a basis of ``field^dim`` by
-    greedily appending standard unit vectors.  Returns only the appended
-    vectors, in ascending coordinate order."""
-    base = Matrix.from_columns(field, cols, dim)
-    added: list[list] = []
-    for i in range(dim):
-        if base.rank() == dim:
-            break
-        e = [field.zero] * dim
-        e[i] = field.one
-        cand = base.hstack(Matrix.from_columns(field, [e], dim))
-        if cand.rank() > base.rank():
-            base = cand
-            added.append(e)
-    return added
+    appending standard unit vectors: ``e_i`` is appended when it lies
+    outside the span of the columns and of ``e_0, ..., e_{i-1}``, which
+    makes it a pivot column of ``[B | I]`` with ``B`` the given columns.
+    Returns only the appended vectors, in ascending coordinate order."""
+    identity = Matrix.identity(field, dim)
+    _, pivots = Matrix.from_columns(field, cols, dim).hstack(identity).rref()
+    return [identity.column(c - len(cols)) for c in pivots if c >= len(cols)]
 
 
 class IntMatrix:
@@ -401,9 +380,6 @@ class IntMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.rows], self.ncols)
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.shape == other.shape and self.rows == other.rows

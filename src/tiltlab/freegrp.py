@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .errors import ParseError, SameGenerator
 from .exactlin import Matrix
 
+MAX_WORD_LEN = 16  # longest reduced word parse_reduce accepts
+
 
 @dataclass(frozen=True)
 class FreeWord:
@@ -63,10 +65,10 @@ def word(sym: str, e: int = 1) -> FreeWord:
     return FreeWord(((sym, e),))
 
 
-def parse_reduce(text: str, alphabet, max_len: int = 16) -> FreeWord:
+def parse_reduce(text: str, alphabet) -> FreeWord:
     """Parse a whitespace-separated word (tokens ``x`` or ``x^-1``) and
     return its reduced form.  Rejects unknown symbols and reduced words
-    longer than ``max_len``."""
+    longer than :data:`MAX_WORD_LEN`."""
     alphabet = tuple(alphabet)
     letters = []
     for token in text.split():
@@ -80,8 +82,8 @@ def parse_reduce(text: str, alphabet, max_len: int = 16) -> FreeWord:
             raise ParseError(1, f"unknown generator {sym!r}")
         letters.append((sym, e))
     reduced = reduce_letters(letters)
-    if len(reduced) > max_len:
-        raise ParseError(1, f"reduced word length {len(reduced)} exceeds cap {max_len}")
+    if len(reduced) > MAX_WORD_LEN:
+        raise ParseError(1, f"reduced word length {len(reduced)} exceeds cap {MAX_WORD_LEN}")
     return FreeWord(reduced)
 
 
@@ -152,9 +154,6 @@ class GroupAlgElem:
     __repr__ = __str__
 
 
-ga_mul = GroupAlgElem.__mul__
-
-
 class XDivModule:
     """Finite-dimensional right module on which every generator acts by an
     invertible matrix (so right division by a generator is possible and
@@ -192,18 +191,15 @@ class XDivModule:
 def envelope_value(m0, g: FreeWord, M: XDivModule) -> tuple:
     """Value at ``g`` of the extension of ``1 -> m0`` along the embedding
     of the free monoid algebra into the group algebra, by induction on the
-    word length: strip the last letter, extend the shorter word, then act
-    (positive letter) or divide (negative letter, unique because the
-    action is invertible)."""
-    m0 = tuple(M.field.coerce(x) for x in m0)
-    if len(m0) != M.dim:
+    word length: the value at a word is the value at the word without its
+    last letter, acted on by that letter (positive letter) or divided by it
+    (negative letter, unique because the action is invertible)."""
+    value = tuple(M.field.coerce(x) for x in m0)
+    if len(value) != M.dim:
         raise ValueError("base vector has wrong length")
-    if not g.letters:
-        return m0
-    head = FreeWord(g.letters[:-1])
-    sym, e = g.letters[-1]
-    prev = envelope_value(m0, head, M)
-    return M.act(prev, sym, e)
+    for sym, e in g.letters:
+        value = M.act(value, sym, e)
+    return value
 
 
 def envelope_value_alg(m0, elem: GroupAlgElem, M: XDivModule) -> tuple:

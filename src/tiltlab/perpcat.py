@@ -2,18 +2,22 @@
 classes of bound modules.
 
 For a bound module ``U`` with presentation ``0 -> P -> Q -> U -> 0`` and a
-test module ``M``, three independently computed conditions are equivalent:
+test module ``M``, three conditions are equivalent:
 
-* the map ``M (x) Q* -> M (x) P*`` induced by the dualized presentation is
-  invertible,
-* ``Tor_1(M, Tr U)`` and ``M (x) Tr U`` both vanish,
-* ``Hom(U, M)`` and ``Ext^1(U, M)`` both vanish.
+* (i) the map ``M (x) Q* -> M (x) P*`` induced by the dualized
+  presentation is invertible,
+* (ii) ``Tor_1(M, Tr U)`` and ``M (x) Tr U`` both vanish,
+* (iii) ``Hom(U, M)`` and ``Ext^1(U, M)`` both vanish.
 
 The equivalence is used as an oracle: :func:`perp_conditions` computes all
-three from scratch and reports whether they agree.  Divisibility classes
-(vanishing of ``Ext^1(U, -)``) stand in for the tilting classes of the
-localizations attached to sets of bound modules, restricted to
-finite-dimensional modules.
+three and reports whether they agree.  Only route (ii) and the
+commuting-square ``Hom`` of route (iii) are computed independently; route
+(i) and the ``Ext^1`` half of route (iii) are both read off the same
+``presentation_hom_matrix``, so a fault in that matrix reaches both.
+
+Divisibility classes (vanishing of ``Ext^1(U, -)``) stand in for the
+tilting classes of the localizations attached to sets of bound modules,
+restricted to finite-dimensional modules.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from .quiverrep import (
 
 @dataclass(frozen=True)
 class PerpReport:
-    """The three membership conditions, each computed independently, and
-    their agreement flag."""
+    """The three membership conditions and their agreement flag.  Route
+    (ii) and the ``Hom`` half of route (iii) are independent computations;
+    route (i) and the ``Ext^1`` half of route (iii) share one matrix."""
 
     cond_invert: bool
     cond_tor: bool
@@ -181,7 +186,7 @@ def extension_closure_sample(U, pool, seed: int = 0, trials: int = 100) -> Closu
     return ClosureSampleResult(True, done, None)
 
 
-def divisible_radical(M: QuiverRep, U, budget: int = 200_000) -> tuple[QuiverRep, list[Matrix]]:
+def divisible_radical(M: QuiverRep, U) -> tuple[QuiverRep, list[Matrix]]:
     """Largest subrepresentation of ``M`` lying in the divisibility class
     of ``U`` (the class is closed under images, sums and extensions, so the
     sum of all such subrepresentations is again one).  Exhaustive over the
@@ -189,7 +194,7 @@ def divisible_radical(M: QuiverRep, U, budget: int = 200_000) -> tuple[QuiverRep
     members = _members(U)
     field = M.field
     cols: list[list[list]] = [[] for _ in range(M.quiver.nvertices)]
-    for bases in all_submodules(M, budget=budget):
+    for bases in all_submodules(M):
         sub, _ = subrep(M, bases)
         if is_divisible(sub, members):
             for v in range(M.quiver.nvertices):

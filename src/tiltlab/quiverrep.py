@@ -199,6 +199,19 @@ class QuiverRep:
         return f"QuiverRep(dims={self.dims})"
 
 
+def random_rep(q: Quiver, field, rng, dim_cap: int = 3) -> QuiverRep:
+    """Representation over a prime field with dimensions uniform in
+    ``0..dim_cap`` and uniform matrix entries, drawn from ``rng`` in this
+    order: the dimension vector, then each arrow's matrix row by row."""
+    dims = [rng.randrange(0, dim_cap + 1) for _ in range(q.nvertices)]
+    maps = [
+        Matrix(field, [[rng.randrange(field.p) for _ in range(dims[a.source])] for _ in range(dims[a.target])],
+               dims[a.source])
+        for a in q.arrows
+    ]
+    return QuiverRep(q, field, dims, maps, check=False)
+
+
 def _require_parallel(M: QuiverRep, N: QuiverRep):
     if M.quiver != N.quiver or M.field != N.field:
         raise QuiverMismatch("representations live over different quivers or fields")
@@ -206,29 +219,20 @@ def _require_parallel(M: QuiverRep, N: QuiverRep):
 
 class RepMap:
     """Morphism of representations: one matrix per vertex, commuting with
-    all arrow maps."""
+    all arrow maps.  The constructor trusts its caller; :meth:`is_valid`
+    checks the commuting squares."""
 
     __slots__ = ("source", "target", "maps")
 
-    def __init__(self, source: QuiverRep, target: QuiverRep, maps, check: bool = True):
+    def __init__(self, source: QuiverRep, target: QuiverRep, maps):
         _require_parallel(source, target)
         self.source = source
         self.target = target
         self.maps = tuple(maps)
-        if check:
-            for v in range(source.quiver.nvertices):
-                if self.maps[v].shape != (target.dims[v], source.dims[v]):
-                    raise ValueError(f"vertex {v}: map has wrong shape")
-            if not self.is_valid():
-                raise ValueError("vertex maps do not commute with the arrow maps")
 
     @classmethod
     def identity(cls, M: QuiverRep) -> "RepMap":
-        return cls(M, M, [Matrix.identity(M.field, d) for d in M.dims], check=False)
-
-    @classmethod
-    def zero(cls, M: QuiverRep, N: QuiverRep) -> "RepMap":
-        return cls(M, N, [Matrix.zeros(M.field, N.dims[v], M.dims[v]) for v in range(len(M.dims))], check=False)
+        return cls(M, M, [Matrix.identity(M.field, d) for d in M.dims])
 
     def is_valid(self) -> bool:
         for k, a in enumerate(self.source.quiver.arrows):
@@ -238,31 +242,17 @@ class RepMap:
                 return False
         return True
 
-    def compose(self, inner: "RepMap") -> "RepMap":
-        """Returns ``self after inner``."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition mismatch")
-        return RepMap(
-            inner.source,
-            self.target,
-            [a @ b for a, b in zip(self.maps, inner.maps)],
-            check=False,
-        )
-
     def __add__(self, other: "RepMap") -> "RepMap":
-        return RepMap(self.source, self.target, [a + b for a, b in zip(self.maps, other.maps)], check=False)
+        return RepMap(self.source, self.target, [a + b for a, b in zip(self.maps, other.maps)])
 
     def scale(self, c) -> "RepMap":
-        return RepMap(self.source, self.target, [m.scale(c) for m in self.maps], check=False)
+        return RepMap(self.source, self.target, [m.scale(c) for m in self.maps])
 
     def is_injective(self) -> bool:
-        return all(m.kernel_basis().ncols == 0 for m in self.maps)
+        return all(m.rank() == m.ncols for m in self.maps)
 
     def is_surjective(self) -> bool:
         return all(m.rank() == m.nrows for m in self.maps)
-
-    def is_isomorphism(self) -> bool:
-        return all(m.is_invertible() for m in self.maps)
 
     def __repr__(self):
         return f"RepMap({self.source.dims} -> {self.target.dims})"
@@ -294,7 +284,7 @@ def subrep(M: QuiverRep, bases: list[Matrix]) -> tuple[QuiverRep, RepMap]:
             raise NotInvariant(f"subspaces not stable under arrow {a.name}")
         maps.append(induced)
     S = QuiverRep(M.quiver, field, dims, maps, check=False)
-    incl = RepMap(S, M, bases, check=False)
+    incl = RepMap(S, M, bases)
     return S, incl
 
 
@@ -318,7 +308,7 @@ def quotient_by(M: QuiverRep, sub_bases: list[Matrix]) -> tuple[QuiverRep, RepMa
     for k, a in enumerate(M.quiver.arrows):
         maps.append(proj_maps[a.target] @ M.maps[k] @ sections[a.source])
     Qr = QuiverRep(M.quiver, field, dims, maps, check=False)
-    proj = RepMap(M, Qr, proj_maps, check=False)
+    proj = RepMap(M, Qr, proj_maps)
     return Qr, proj
 
 
@@ -373,10 +363,6 @@ def radical_bases(M: QuiverRep) -> list[Matrix]:
             cols.extend(M.maps[k].columns())
         out.append(Matrix.from_columns(field, cols, M.dims[v]).column_space_basis())
     return out
-
-
-def top_dims(M: QuiverRep) -> tuple[int, ...]:
-    return tuple(M.dims[v] - B.ncols for v, B in enumerate(radical_bases(M)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +455,7 @@ def extend_generators(ps: ProjSum, target: QuiverRep, gen_images: list[list]) ->
             act = target.path_action(ps.summands[p], path)
             cols.append(act.apply(gen_images[p]))
         maps.append(Matrix.from_columns(field, cols, target.dims[v]))
-    return RepMap(ps.rep, target, maps, check=False)
+    return RepMap(ps.rep, target, maps)
 
 
 def generator_images(ps: ProjSum, f: RepMap) -> list[list]:
@@ -592,7 +578,7 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> list[RepMap]:
                     M.dims[v],
                 )
             )
-        basis.append(RepMap(M, N, maps, check=False))
+        basis.append(RepMap(M, N, maps))
     return basis
 
 

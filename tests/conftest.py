@@ -1,22 +1,5 @@
-import random
-
-from tiltlab.exactlin import Matrix, PrimeField
+from tiltlab.exactlin import Matrix
 from tiltlab.quiverrep import QuiverRep
-
-
-def rand_rep(q, field, rng, dim_cap=3):
-    """Random representation with uniform entries and dims up to the cap."""
-    dims = [rng.randrange(0, dim_cap + 1) for _ in range(q.nvertices)]
-    maps = []
-    for a in q.arrows:
-        maps.append(
-            Matrix(
-                field,
-                [[rng.randrange(field.p) for _ in range(dims[a.source])] for _ in range(dims[a.target])],
-                dims[a.source],
-            )
-        )
-    return QuiverRep(q, field, dims, maps, check=False)
 
 
 def random_basis_change(M, rng):

@@ -1,11 +1,12 @@
 """Independent resolution-based computations used to cross-check the
 closed-form module arithmetic.  Everything here works from presentation
-matrices through Smith normal form, never through gcd shortcuts."""
+matrices through Smith normal form, never through gcd shortcuts.  The
+greedy basis completion is the reference for ``extend_to_basis``."""
 
 from fractions import Fraction
 
 from tiltlab.dedekind import FgZModule, classify, from_pieces
-from tiltlab.exactlin import IntMatrix, snf
+from tiltlab.exactlin import IntMatrix, Matrix, snf
 
 
 def _int_kernel(A: IntMatrix) -> IntMatrix:
@@ -96,3 +97,18 @@ def rand_fgz(rng, max_rank=2, max_factors=3, max_val=1000) -> FgZModule:
     free = rng.randrange(0, max_rank + 1)
     torsion = [rng.randrange(2, max_val + 1) for _ in range(rng.randrange(0, max_factors + 1))]
     return from_pieces(free, torsion)
+
+
+def greedy_basis_completion(field, cols, dim: int) -> list[list]:
+    """Walk the unit vectors ``e_0, e_1, ...`` in order and keep each one
+    that raises the rank of the columns kept so far."""
+    kept = [list(c) for c in cols]
+    rank = Matrix.from_columns(field, kept, dim).rank()
+    added = []
+    for i in range(dim):
+        e = [field.one if j == i else field.zero for j in range(dim)]
+        if Matrix.from_columns(field, kept + [e], dim).rank() > rank:
+            kept.append(e)
+            added.append(e)
+            rank += 1
+    return added

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from conftest import rand_rep
 from oracles import ext_oracle, hom_oracle, rand_fgz, tor_oracle
 
 from tiltlab.artheory import (
@@ -49,6 +48,7 @@ from tiltlab.quiverrep import (
     hom_ext_dims,
     kronecker,
     projective,
+    random_rep,
     regular_dims,
 )
 
@@ -104,7 +104,7 @@ def test_c2_membership_conditions_oracle():
             field = PrimeField(5)
             _, pool = bound_pool(family, field)
             for _ in range(100):
-                M = rand_rep(q, field, rng, dim_cap=4)
+                M = random_rep(q, field, rng, dim_cap=4)
                 U = pool[rng.randrange(len(pool))]
                 assert perp_conditions(M, U).consistent
                 checked += 1
@@ -118,8 +118,8 @@ def test_c3_euler_identity_and_ar_formula():
         pairs = 0
         for q in (KRON, A3):
             for _ in range(200):
-                M = rand_rep(q, field, rng, dim_cap=3)
-                N = rand_rep(q, field, rng, dim_cap=3)
+                M = random_rep(q, field, rng, dim_cap=3)
+                N = random_rep(q, field, rng, dim_cap=3)
                 h, e = hom_ext_dims(M, N)
                 assert h == hom_dim(M, N)
                 assert euler_form(q, M.dims, N.dims) == h - e
@@ -128,10 +128,10 @@ def test_c3_euler_identity_and_ar_formula():
         ar_pairs = 0
         while ar_pairs < 100:
             q = KRON if ar_pairs % 2 == 0 else A3
-            M = strip_projective_summands(rand_rep(q, field, rng, dim_cap=2), seed=ar_pairs)
+            M = strip_projective_summands(random_rep(q, field, rng, dim_cap=2), seed=ar_pairs)
             if M.is_zero():
                 continue
-            N = rand_rep(q, field, rng, dim_cap=2)
+            N = random_rep(q, field, rng, dim_cap=2)
             assert ext1_dim(M, N) == hom_dim(N, tau(M))
             ar_pairs += 1
 
@@ -146,7 +146,7 @@ def test_c4_transpose_duality():
             pools[family] = bound_pool(family, field)[1]
             for _ in range(50):
                 U = pools[family][rng.randrange(len(pools[family]))]
-                X = rand_rep(q.opposite(), field, rng, dim_cap=3)
+                X = random_rep(q.opposite(), field, rng, dim_cap=3)
                 tor_dim, hom_dim_tr = transpose_duality_check(U, X)
                 assert tor_dim == hom_dim_tr
                 done += 1

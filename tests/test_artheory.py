@@ -37,6 +37,7 @@ from tiltlab.quiverrep import (
     kronecker,
     proj_presentation,
     projective,
+    random_rep,
     regular_dims,
     socle,
     tor1_dim,
@@ -49,14 +50,6 @@ A3 = affine_a3_cycle()
 
 def tube_simple(lam):
     return QuiverRep.from_entries(KRON, F5, (1, 1), {"a": [[1]], "b": [[lam]]})
-
-
-def rand_rep(q, rng, dim_cap=3):
-    dims = [rng.randrange(0, dim_cap + 1) for _ in range(q.nvertices)]
-    maps = {}
-    for a in q.arrows:
-        maps[a.name] = [[rng.randrange(5) for _ in range(dims[a.source])] for _ in range(dims[a.target])]
-    return QuiverRep.from_entries(q, F5, dims, maps)
 
 
 # -- transpose ---------------------------------------------------------------
@@ -111,7 +104,7 @@ def test_tau_round_trips():
     rng = random.Random(11)
     checked = 0
     while checked < 8:
-        M = strip_projective_summands(rand_rep(KRON, rng, dim_cap=2))
+        M = strip_projective_summands(random_rep(KRON, F5, rng, dim_cap=2))
         if M.is_zero():
             continue
         assert is_isomorphic(tau_minus(tau(M)), M)
@@ -126,7 +119,7 @@ def test_tau_minus_round_trips():
     rng = random.Random(14)
     checked = 0
     while checked < 8:
-        M = strip_injective_summands(rand_rep(KRON, rng, dim_cap=2))
+        M = strip_injective_summands(random_rep(KRON, F5, rng, dim_cap=2))
         if M.is_zero():
             continue
         assert is_isomorphic(tau(tau_minus(M)), M)
@@ -137,8 +130,8 @@ def test_ar_formula_sampled():
     rng = random.Random(12)
     checked = 0
     while checked < 12:
-        M = strip_projective_summands(rand_rep(KRON, rng, dim_cap=2))
-        N = rand_rep(KRON, rng, dim_cap=2)
+        M = strip_projective_summands(random_rep(KRON, F5, rng, dim_cap=2))
+        N = random_rep(KRON, F5, rng, dim_cap=2)
         if M.is_zero():
             continue
         assert ext1_dim(M, N) == hom_dim(N, tau(M))

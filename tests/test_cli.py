@@ -4,7 +4,6 @@ import os
 import pytest
 
 from tiltlab.cli import (
-    Scenario,
     main,
     run_dedekind_classify,
     run_free_envelope,
@@ -15,6 +14,7 @@ from tiltlab.errors import ParseError
 from tiltlab.parsefmt import parse_input
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def fixture(name):
@@ -60,9 +60,32 @@ def test_parse_error_on_cyclic_quiver(tmp_path):
         parse_input(str(bad))
 
 
-def test_scenario_kind_validation():
-    with pytest.raises(ValueError):
-        Scenario("bogus", {})
+def test_unknown_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["bogus"])
+    assert info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+GOLDEN_ARGS = {
+    "tube-demo": [],
+    "dedekind": [],
+    "free-envelope": [],
+    "perp-check": [],
+    "custom": ["tests/fixtures/kronecker.txt"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
+def test_report_matches_golden(command, fmt, capsys, monkeypatch):
+    # golden files hold each subcommand's report at default flags; the
+    # custom report names its fixture path, so run from the repo root
+    monkeypatch.chdir(REPO_ROOT)
+    assert main([command, *GOLDEN_ARGS[command], "--format", fmt]) == 0
+    golden = fixture(os.path.join("golden", f"{command}.{'txt' if fmt == 'text' else 'json'}"))
+    with open(golden, encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_tube_demo_report_passes():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import greedy_basis_completion
 
-from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, snf
+from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, extend_to_basis, snf
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -178,3 +179,16 @@ def test_snf_on_200_random_integer_matrices():
 def test_prime_field_rejects_composites():
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_extend_to_basis_matches_greedy_reference(field):
+    rng = random.Random(11)
+    draw = (lambda: rng.randrange(field.p)) if field != QQ else (lambda: rng.randrange(-3, 4))
+    for _ in range(60):
+        dim = rng.randrange(0, 7)
+        raw = [[draw() for _ in range(dim)] for _ in range(rng.randrange(0, dim + 2))]
+        cols = Matrix.from_columns(field, raw, dim).column_space_basis().columns()
+        added = extend_to_basis(field, cols, dim)
+        assert added == greedy_basis_completion(field, cols, dim)
+        assert Matrix.from_columns(field, cols + added, dim).is_invertible()

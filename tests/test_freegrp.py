@@ -40,6 +40,22 @@ def test_parse_unknown_symbol():
         parse_reduce("x z", AB)
 
 
+def test_envelope_value_on_a_long_word():
+    # far beyond the interpreter's recursion limit; checked against the
+    # letter-by-letter action
+    module = random_xdiv_module(AB, F7, 2, seed=4)
+    rng = random.Random(4)
+    letters = []
+    while len(letters) < 2000:
+        letter = (rng.choice(AB), rng.choice((1, -1)))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    expected = (1, 2)
+    for sym, e in letters:
+        expected = module.act(expected, sym, e)
+    assert envelope_value((1, 2), FreeWord(tuple(letters)), module) == expected
+
+
 def test_parse_length_cap():
     with pytest.raises(ParseError):
         parse_reduce(" ".join(["x"] * 17), AB)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import rand_rep, random_basis_change
+from conftest import random_basis_change
 
 from tiltlab.artheory import (
     BoundSet,
@@ -33,6 +33,7 @@ from tiltlab.quiverrep import (
     kronecker,
     projective,
     quotient_by,
+    random_rep,
 )
 
 F5 = PrimeField(5)
@@ -72,7 +73,7 @@ def test_perp_conditions_consistent_on_samples():
     rng = random.Random(20)
     bound_pool = KCAT.members + [build_extension(KCAT.members[0], KCAT.members[0])]
     for _ in range(40):
-        M = rand_rep(KRON, F5, rng, dim_cap=3)
+        M = random_rep(KRON, F5, rng, dim_cap=3)
         U = bound_pool[rng.randrange(len(bound_pool))]
         assert perp_conditions(M, U).consistent
 
@@ -81,7 +82,7 @@ def test_perp_membership_invariant_under_isomorphism():
     rng = random.Random(21)
     U = KCAT.tubes[0][0]
     for _ in range(10):
-        M = rand_rep(KRON, F5, rng, dim_cap=3)
+        M = random_rep(KRON, F5, rng, dim_cap=3)
         twisted = random_basis_change(M, rng)
         assert perp_conditions(M, U).member == perp_conditions(twisted, U).member
 
@@ -118,7 +119,7 @@ def test_trace_is_idempotent():
     rng = random.Random(22)
     u = KCAT.tubes[1][0]
     for _ in range(8):
-        M = rand_rep(KRON, F5, rng, dim_cap=3)
+        M = random_rep(KRON, F5, rng, dim_cap=3)
         tr, _ = trace(u, M)
         tr2, _ = trace(u, tr)
         assert tr2.dims == tr.dims
@@ -143,7 +144,7 @@ def test_transpose_duality_sampled():
     bound_pool = KCAT.members
     for _ in range(30):
         U = bound_pool[rng.randrange(len(bound_pool))]
-        X = rand_rep(KRON.opposite(), F5, rng, dim_cap=3)
+        X = random_rep(KRON.opposite(), F5, rng, dim_cap=3)
         tor1, hom = transpose_duality_check(U, X)
         assert tor1 == hom
 
@@ -206,7 +207,7 @@ def test_divisible_radical_quotient_has_no_radical():
     u = BoundSet((KCAT.tubes[0][0],))
     checked = 0
     while checked < 6:
-        M = rand_rep(KRON, F5, rng, dim_cap=2)
+        M = random_rep(KRON, F5, rng, dim_cap=2)
         if M.total_dim() > 5:
             continue
         rad, bases = divisible_radical(M, u)

@@ -24,6 +24,7 @@ from tiltlab.quiverrep import (
     proj_sum,
     projective,
     quotient_by,
+    random_rep,
     regular_dims,
     socle,
     subrep,
@@ -34,20 +35,6 @@ from tiltlab.quiverrep import (
 F5 = PrimeField(5)
 KRON = kronecker()
 A3 = affine_a3_cycle()
-
-
-def rand_rep(q, field, rng, dim_cap=3):
-    dims = [rng.randrange(0, dim_cap + 1) for _ in range(q.nvertices)]
-    maps = []
-    for a in q.arrows:
-        maps.append(
-            Matrix(
-                field,
-                [[rng.randrange(field.p) for _ in range(dims[a.source])] for _ in range(dims[a.target])],
-                dims[a.source],
-            )
-        )
-    return QuiverRep(q, field, dims, maps)
 
 
 def tube_simple(q, field, lam):
@@ -95,7 +82,7 @@ def test_end_of_projective_is_one_dimensional():
 def test_hom_basis_maps_commute():
     rng = random.Random(3)
     for _ in range(20):
-        M, N = rand_rep(KRON, F5, rng), rand_rep(KRON, F5, rng)
+        M, N = random_rep(KRON, F5, rng), random_rep(KRON, F5, rng)
         for f in hom_space(M, N):
             assert f.is_valid()
 
@@ -129,7 +116,7 @@ def test_presentation_dims_additive_in_k0():
     rng = random.Random(4)
     for q in (KRON, A3):
         for _ in range(15):
-            M = rand_rep(q, F5, rng)
+            M = random_rep(q, F5, rng)
             pres = proj_presentation(M)
             for v in range(q.nvertices):
                 assert pres.P.rep.dims[v] - pres.Q.rep.dims[v] + M.dims[v] == 0
@@ -140,7 +127,7 @@ def test_ext_vanishes_on_projectives():
     for i in range(2):
         p = projective(KRON, F5, i)
         for _ in range(5):
-            N = rand_rep(KRON, F5, rng)
+            N = random_rep(KRON, F5, rng)
             assert ext1_dim(p, N) == 0
 
 
@@ -155,7 +142,7 @@ def test_hom_via_presentation_agrees_with_solver():
     rng = random.Random(6)
     for q in (KRON, A3):
         for _ in range(10):
-            M, N = rand_rep(q, F5, rng), rand_rep(q, F5, rng)
+            M, N = random_rep(q, F5, rng), random_rep(q, F5, rng)
             assert hom_ext_dims(M, N)[0] == hom_dim(M, N)
 
 
@@ -186,7 +173,7 @@ def test_ext_independent_of_presentation():
     count = 0
     for q in (KRON, A3):
         while count < 25 or q is A3 and count < 50:
-            M, N = rand_rep(q, F5, rng), rand_rep(q, F5, rng)
+            M, N = random_rep(q, F5, rng), random_rep(q, F5, rng)
             pres = proj_presentation(M)
             pres2 = padded_presentation(pres, rng.randrange(q.nvertices))
             assert hom_ext_dims(M, N, pres) == hom_ext_dims(M, N, pres2)
@@ -200,7 +187,7 @@ def test_tor_vanishes_on_projectives():
     rng = random.Random(8)
     p = projective(KRON, F5, 0)
     for _ in range(5):
-        X = rand_rep(KRON.opposite(), F5, rng)
+        X = random_rep(KRON.opposite(), F5, rng)
         assert tor1_dim(p, X) == 0
 
 
@@ -209,7 +196,7 @@ def test_tor_against_dual_ext():
     rng = random.Random(9)
     for q in (KRON, A3):
         for _ in range(10):
-            M, N = rand_rep(q, F5, rng), rand_rep(q, F5, rng)
+            M, N = random_rep(q, F5, rng), random_rep(q, F5, rng)
             tor1, tensor = tor_dims(M, N.dual())
             homd, extd = hom_ext_dims(M, N)
             assert tor1 == extd
@@ -232,7 +219,7 @@ def test_euler_form_identity_sampled():
     rng = random.Random(10)
     for q in (KRON, A3):
         for _ in range(30):
-            M, N = rand_rep(q, F5, rng, dim_cap=2), rand_rep(q, F5, rng, dim_cap=2)
+            M, N = random_rep(q, F5, rng, dim_cap=2), random_rep(q, F5, rng, dim_cap=2)
             h, e = hom_ext_dims(M, N)
             assert euler_form(q, M.dims, N.dims) == hom_dim(M, N) - e
             assert h == hom_dim(M, N)
