@@ -34,7 +34,7 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedFamily,
 )
-from .exactlin import Matrix, PrimeField, QQ, extend_to_basis
+from .exactlin import Matrix, PrimeField, QQ
 from .quiverrep import (
     ProjPresentation,
     Quiver,
@@ -433,15 +433,16 @@ def all_submodules(M: QuiverRep):
         if count > SEARCH_BUDGET:
             raise SearchBudgetExceeded(f"about {count} subspace tuples exceed budget {SEARCH_BUDGET}")
     per_vertex = [_all_subspaces(field, d) for d in M.dims]
-    for combo in itertools.product(*per_vertex):
-        stable = True
-        for k, a in enumerate(M.quiver.arrows):
-            pushed = M.maps[k] @ combo[a.source]
-            if combo[a.target].solve_matrix(pushed) is None:
-                stable = False
-                break
-        if stable:
-            yield list(combo)
+    arrows = M.quiver.arrows
+    # pulled[k][i]: the equations of the i-th subspace at the target of
+    # arrow k, pulled back along it; a tuple is stable under the arrow
+    # exactly when this kills the source subspace
+    equations = [[T.span().equations for T in subs] for subs in per_vertex]
+    pulled = [[E @ M.maps[k] for E in equations[a.target]] for k, a in enumerate(arrows)]
+    for idx in itertools.product(*(range(len(subs)) for subs in per_vertex)):
+        if all((pulled[k][idx[a.target]] @ per_vertex[a.source][idx[a.source]]).is_zero()
+               for k, a in enumerate(arrows)):
+            yield [subs[i] for subs, i in zip(per_vertex, idx)]
 
 
 def is_simple_regular(M: QuiverRep, df: DefectFunction, seed: int = 0) -> bool:
@@ -477,9 +478,8 @@ def ext_class_rep(C: QuiverRep, A: QuiverRep, class_index: int = 0,
     ``Hom(P,A)``)."""
     if pres is None:
         pres = proj_presentation(C)
-    field = A.field
     phi = presentation_hom_matrix(pres, A)
-    reps = extend_to_basis(field, phi.column_space_basis().columns(), phi.nrows)
+    reps = phi.span().complement.columns()
     if class_index >= len(reps):
         raise NoExtension(
             f"requested class {class_index} but Ext^1 has dimension {len(reps)}"
@@ -548,18 +548,16 @@ class Filtration:
 
     def validate(self, N: QuiverRep, members: tuple[QuiverRep, ...], seed: int = 0) -> bool:
         prev_bases = [Matrix.zeros(N.field, d, 0) for d in N.dims]
-        for bases, fidx in zip(self.chain, self.factors):
-            layer, _ = subrep(N, bases)
-            inner = [bases[v].solve_matrix(prev_bases[v]) for v in range(len(bases))]
-            if any(m is None for m in inner):
+        for gens, fidx in zip(self.chain, self.factors):
+            layer, incl = subrep(N, gens)
+            spans = [G.span() for G in gens]
+            if not all((sp.equations @ P).is_zero() for sp, P in zip(spans, prev_bases)):
                 return False
-            quo, _ = quotient_by(layer, [m for m in inner])
+            quo, _ = quotient_by(layer, [sp.coords @ P for sp, P in zip(spans, prev_bases)])
             if not is_isomorphic(quo, members[fidx], seed=seed):
                 return False
-            prev_bases = bases
-        if not self.chain:
-            return N.is_zero()
-        return tuple(B.ncols for B in self.chain[-1]) == N.dims
+            prev_bases = list(incl.maps)
+        return tuple(B.ncols for B in prev_bases) == N.dims
 
 
 def u_filtration(N: QuiverRep, members, dim_cap: int = DIM_CAP, seed: int = 0) -> Filtration | None:
@@ -615,7 +613,7 @@ def _preimage_bases(proj: RepMap, sub_bases: list[Matrix]) -> list[Matrix]:
         stacked = pv.hstack(-B)
         K = stacked.kernel_basis()
         xs = Matrix(pv.field, K.rows[: pv.ncols], K.ncols) if K.nrows else Matrix.zeros(pv.field, pv.ncols, K.ncols)
-        out.append(xs.column_space_basis())
+        out.append(xs.span().basis)
     return out
 
 

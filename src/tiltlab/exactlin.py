@@ -1,9 +1,11 @@
 """Exact dense linear algebra over prime fields and the rationals, plus
 Smith normal form over the integers.
 
-Everything upstream (morphism spaces, Ext/Tor, module classification)
-reduces to the three kernels in this module: ``kernel_basis``, ``solve``
-and ``snf``.  Scalars are exact throughout: prime fields use canonical
+Everything upstream (morphism spaces, Ext/Tor, subrepresentations,
+quotients, module classification) reduces to the kernels in this module:
+``kernel_basis``, ``span`` (basis, coordinates, defining equations and a
+unit-vector complement of a column space, from one elimination),
+``solve`` and ``snf``.  Scalars are exact throughout: prime fields use canonical
 integer representatives in ``[0, p)``, the rationals use
 :class:`fractions.Fraction`.  Matrices with zero rows or zero columns are
 legal everywhere and behave as the unique maps to or from the zero space.
@@ -11,6 +13,7 @@ legal everywhere and behave as the unique maps to or from the zero space.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -327,11 +330,21 @@ class Matrix:
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
-    def column_space_basis(self) -> "Matrix":
-        """Columns of ``A`` restricted to a basis of the column space
-        (pivot columns, in order)."""
-        _, pivots = self.rref()
-        return Matrix.from_columns(self.field, [self.column(j) for j in pivots], self.nrows)
+    def span(self) -> "Span":
+        """Column space of ``A`` from one rref of ``[A | I]``.  The rref is
+        ``[E A | E]`` with ``E`` invertible; its first ``rank(A)`` rows have
+        their pivots in ``A`` and the rest in ``I``."""
+        field, n, m = self.field, self.nrows, self.ncols
+        identity = Matrix.identity(field, n)
+        R, pivots = self.hstack(identity).rref()
+        r = sum(1 for c in pivots if c < m)
+        E = [row[m:] for row in R.rows]
+        return Span(
+            basis=Matrix.from_columns(field, [self.column(c) for c in pivots[:r]], n),
+            coords=Matrix(field, E[:r], n),
+            equations=Matrix(field, E[r:], n),
+            complement=Matrix.from_columns(field, [identity.column(c - m) for c in pivots[r:]], n),
+        )
 
     def _compat(self, other: "Matrix", same_shape: bool = False):
         if self.field != other.field:
@@ -340,15 +353,24 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-def extend_to_basis(field, cols: list[list], dim: int) -> list[list]:
-    """Complete linearly independent columns to a basis of ``field^dim`` by
-    appending standard unit vectors: ``e_i`` is appended when it lies
-    outside the span of the columns and of ``e_0, ..., e_{i-1}``, which
-    makes it a pivot column of ``[B | I]`` with ``B`` the given columns.
-    Returns only the appended vectors, in ascending coordinate order."""
-    identity = Matrix.identity(field, dim)
-    _, pivots = Matrix.from_columns(field, cols, dim).hstack(identity).rref()
-    return [identity.column(c - len(cols)) for c in pivots if c >= len(cols)]
+@dataclass(frozen=True)
+class Span:
+    """A subspace ``S`` of ``field^n`` given by spanning columns ``A``.
+
+    * ``basis``: the pivot columns of ``A``, a basis of ``S`` (``n x r``);
+    * ``coords``: ``r x n`` with ``coords @ basis = I``, so ``coords @ v``
+      is the coordinate vector in ``basis`` of any ``v`` in ``S``;
+    * ``equations``: ``(n - r) x n``, zero exactly on ``S``; it sends a
+      vector to its coordinates in ``complement`` modulo ``S``, so
+      ``equations @ complement = I``;
+    * ``complement``: ``n x (n - r)``, the unit vectors ``e_i`` that lie
+      outside the span of ``S`` and ``e_0, ..., e_{i-1}``, ascending.
+    """
+
+    basis: Matrix
+    coords: Matrix
+    equations: Matrix
+    complement: Matrix
 
 
 class IntMatrix:

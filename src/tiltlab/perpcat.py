@@ -114,16 +114,12 @@ def in_perp_category(M: QuiverRep, U) -> bool:
 def trace(U: QuiverRep, M: QuiverRep) -> tuple[QuiverRep, RepMap]:
     """Trace of ``U`` in ``M``: the subrepresentation spanned by the images
     of all morphisms ``U -> M``."""
-    field = M.field
     cols: list[list[list]] = [[] for _ in range(M.quiver.nvertices)]
     for f in hom_space(U, M):
         for v in range(M.quiver.nvertices):
             cols[v].extend(f.maps[v].columns())
-    bases = [
-        Matrix.from_columns(field, cols[v], M.dims[v]).column_space_basis()
-        for v in range(M.quiver.nvertices)
-    ]
-    return subrep(M, bases)
+    gens = [Matrix.from_columns(M.field, cols[v], M.dims[v]) for v in range(M.quiver.nvertices)]
+    return subrep(M, gens)
 
 
 def transpose_duality_check(U: QuiverRep, X: QuiverRep) -> tuple[int, int]:
@@ -192,16 +188,12 @@ def divisible_radical(M: QuiverRep, U) -> tuple[QuiverRep, list[Matrix]]:
     sum of all such subrepresentations is again one).  Exhaustive over the
     submodule lattice at desk scale."""
     members = _members(U)
-    field = M.field
     cols: list[list[list]] = [[] for _ in range(M.quiver.nvertices)]
     for bases in all_submodules(M):
         sub, _ = subrep(M, bases)
         if is_divisible(sub, members):
             for v in range(M.quiver.nvertices):
                 cols[v].extend(bases[v].columns())
-    joined = [
-        Matrix.from_columns(field, cols[v], M.dims[v]).column_space_basis()
-        for v in range(M.quiver.nvertices)
-    ]
-    sub, _ = subrep(M, joined)
-    return sub, joined
+    gens = [Matrix.from_columns(M.field, cols[v], M.dims[v]) for v in range(M.quiver.nvertices)]
+    sub, incl = subrep(M, gens)
+    return sub, list(incl.maps)

@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import NotInvariant, QuiverMismatch
-from .exactlin import Matrix, extend_to_basis
+from .exactlin import Matrix
 
 Path = tuple[int, ...]  # arrow indices, traversal order
 
@@ -262,54 +262,42 @@ class RepMap:
 # submodules, quotients, kernels
 
 
-def subrep(M: QuiverRep, bases: list[Matrix]) -> tuple[QuiverRep, RepMap]:
-    """Subrepresentation spanned by the given vertex-wise column bases.
+def subrep(M: QuiverRep, gens: list[Matrix]) -> tuple[QuiverRep, RepMap]:
+    """Subrepresentation spanned by the given vertex-wise columns, which
+    need not be independent; the inclusion uses the pivot columns as the
+    basis at each vertex.
 
     Raises :class:`NotInvariant` when the spans are not stable under the
-    arrow maps.  Basis columns must be linearly independent.
+    arrow maps.
     """
-    field = M.field
-    dims = []
-    for v, B in enumerate(bases):
-        if B.nrows != M.dims[v]:
-            raise ValueError(f"vertex {v}: basis has wrong height")
-        if B.rank() != B.ncols:
-            raise ValueError(f"vertex {v}: basis columns are dependent")
-        dims.append(B.ncols)
+    spans = []
+    for v, G in enumerate(gens):
+        if G.nrows != M.dims[v]:
+            raise ValueError(f"vertex {v}: generators have wrong height")
+        spans.append(G.span())
     maps = []
     for k, a in enumerate(M.quiver.arrows):
-        pushed = M.maps[k] @ bases[a.source]
-        induced = bases[a.target].solve_matrix(pushed)
-        if induced is None:
+        pushed = M.maps[k] @ spans[a.source].basis
+        if not (spans[a.target].equations @ pushed).is_zero():
             raise NotInvariant(f"subspaces not stable under arrow {a.name}")
-        maps.append(induced)
-    S = QuiverRep(M.quiver, field, dims, maps, check=False)
-    incl = RepMap(S, M, bases)
-    return S, incl
+        maps.append(spans[a.target].coords @ pushed)
+    bases = [sp.basis for sp in spans]
+    S = QuiverRep(M.quiver, M.field, [B.ncols for B in bases], maps, check=False)
+    return S, RepMap(S, M, bases)
 
 
-def quotient_by(M: QuiverRep, sub_bases: list[Matrix]) -> tuple[QuiverRep, RepMap]:
-    """Quotient of ``M`` by the subrepresentation with the given bases;
-    returns the quotient and the projection."""
-    field = M.field
-    proj_maps: list[Matrix] = []
-    sections: list[Matrix] = []
-    dims = []
-    for v, B in enumerate(sub_bases):
-        added = extend_to_basis(field, B.columns(), M.dims[v])
-        full = Matrix.from_columns(field, B.columns() + added, M.dims[v])
-        inv = full.inverse()
-        if inv is None:
-            raise ValueError(f"vertex {v}: sub basis cannot be completed")
-        proj_maps.append(Matrix(field, inv.rows[B.ncols:], M.dims[v]))
-        sections.append(Matrix.from_columns(field, added, M.dims[v]))
-        dims.append(len(added))
-    maps = []
-    for k, a in enumerate(M.quiver.arrows):
-        maps.append(proj_maps[a.target] @ M.maps[k] @ sections[a.source])
-    Qr = QuiverRep(M.quiver, field, dims, maps, check=False)
-    proj = RepMap(M, Qr, proj_maps)
-    return Qr, proj
+def quotient_by(M: QuiverRep, sub_gens: list[Matrix]) -> tuple[QuiverRep, RepMap]:
+    """Quotient of ``M`` by the subrepresentation spanned by the given
+    vertex-wise columns (which need not be independent); returns the
+    quotient and the projection.  The quotient's basis at each vertex is
+    the unit-vector complement of the subspace."""
+    spans = [G.span() for G in sub_gens]
+    maps = [
+        spans[a.target].equations @ M.maps[k] @ spans[a.source].complement
+        for k, a in enumerate(M.quiver.arrows)
+    ]
+    Qr = QuiverRep(M.quiver, M.field, [sp.complement.ncols for sp in spans], maps, check=False)
+    return Qr, RepMap(M, Qr, [sp.equations for sp in spans])
 
 
 def kernel(f: RepMap) -> tuple[QuiverRep, RepMap]:
@@ -318,13 +306,11 @@ def kernel(f: RepMap) -> tuple[QuiverRep, RepMap]:
 
 
 def image(f: RepMap) -> tuple[QuiverRep, RepMap]:
-    bases = [m.column_space_basis() for m in f.maps]
-    return subrep(f.target, bases)
+    return subrep(f.target, list(f.maps))
 
 
 def cokernel(f: RepMap) -> tuple[QuiverRep, RepMap]:
-    bases = [m.column_space_basis() for m in f.maps]
-    return quotient_by(f.target, bases)
+    return quotient_by(f.target, list(f.maps))
 
 
 def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
@@ -353,16 +339,18 @@ def socle(M: QuiverRep) -> tuple[QuiverRep, RepMap]:
     return subrep(M, bases)
 
 
-def radical_bases(M: QuiverRep) -> list[Matrix]:
-    """Vertex-wise bases of the radical (sum of images of all arrow maps)."""
-    field = M.field
-    out = []
+def _top_generators(M: QuiverRep) -> tuple[list[int], list[list]]:
+    """Vertices and vectors lifting a basis of ``M / rad M``: at each
+    vertex, the unit-vector complement of the radical (the sum of the
+    images of the arrows into that vertex)."""
+    verts: list[int] = []
+    gens: list[list] = []
     for v in range(M.quiver.nvertices):
-        cols: list[list] = []
-        for k in M.quiver.arrows_into(v):
-            cols.extend(M.maps[k].columns())
-        out.append(Matrix.from_columns(field, cols, M.dims[v]).column_space_basis())
-    return out
+        incoming = [col for k in M.quiver.arrows_into(v) for col in M.maps[k].columns()]
+        for e in Matrix.from_columns(M.field, incoming, M.dims[v]).span().complement.columns():
+            verts.append(v)
+            gens.append(e)
+    return verts, gens
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +489,13 @@ def proj_presentation(M: QuiverRep) -> ProjPresentation:
     ``Q -> M`` (lifting a basis of ``M / rad M``); the kernel is projective
     because the path algebra is hereditary."""
     q, field = M.quiver, M.field
-
-    def cover_data(X: QuiverRep) -> tuple[list[int], list[list]]:
-        rads = radical_bases(X)
-        verts: list[int] = []
-        gens: list[list] = []
-        for v in range(q.nvertices):
-            for e in extend_to_basis(field, rads[v].columns(), X.dims[v]):
-                verts.append(v)
-                gens.append(e)
-        return verts, gens
-
-    verts, gens = cover_data(M)
+    verts, gens = _top_generators(M)
     Qs = proj_sum(q, field, verts)
     projection = extend_generators(Qs, M, gens)
     if not projection.is_surjective():
         raise AssertionError("projective cover failed to be surjective")
     K, incl = kernel(projection)
-    kverts, kgens = cover_data(K)
+    kverts, kgens = _top_generators(K)
     Ps = proj_sum(q, field, kverts)
     if Ps.rep.dims != K.dims:
         raise AssertionError("kernel of a cover is not projective; quiver not hereditary?")

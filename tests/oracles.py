@@ -1,10 +1,13 @@
 """Independent resolution-based computations used to cross-check the
 closed-form module arithmetic.  Everything here works from presentation
 matrices through Smith normal form, never through gcd shortcuts.  The
-greedy basis completion is the reference for ``extend_to_basis``."""
+greedy basis completion is the reference for ``Matrix.span``'s
+complement, and the brute-force submodule search the reference for
+``all_submodules``."""
 
-from fractions import Fraction
+import itertools
 
+from tiltlab.artheory import _all_subspaces
 from tiltlab.dedekind import FgZModule, classify, from_pieces
 from tiltlab.exactlin import IntMatrix, Matrix, snf
 
@@ -112,3 +115,16 @@ def greedy_basis_completion(field, cols, dim: int) -> list[list]:
             added.append(e)
             rank += 1
     return added
+
+
+def brute_force_submodules(M) -> list[list[Matrix]]:
+    """Every tuple of vertex-wise subspaces of ``M``, in the order of the
+    product of the per-vertex subspace lists, kept when each arrow
+    ``k: s -> t`` maps ``S`` into ``T``: ``rank [T | M_k S] == rank T``."""
+    per_vertex = [_all_subspaces(M.field, d) for d in M.dims]
+    out = []
+    for combo in itertools.product(*per_vertex):
+        if all(combo[a.target].hstack(M.maps[k] @ combo[a.source]).rank() == combo[a.target].rank()
+               for k, a in enumerate(M.quiver.arrows)):
+            out.append(list(combo))
+    return out

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import brute_force_submodules
 
 from tiltlab.artheory import (
     BoundSet,
@@ -324,6 +325,16 @@ def test_all_submodules_of_tube_simple():
     subs = list(all_submodules(tube_simple(0)))
     # 0, S(1) at the sink, and the whole module
     assert sorted(tuple(B.ncols for B in bases) for bases in subs) == [(0, 0), (0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_all_submodules_matches_brute_force(p):
+    field = PrimeField(p)
+    rng = random.Random(40 + p)
+    for q, dim_cap, count in ((KRON, 3, 10), (A3, 2, 6)):
+        for _ in range(count):
+            M = random_rep(q, field, rng, dim_cap)
+            assert list(all_submodules(M)) == brute_force_submodules(M)
 
 
 def test_simple_regular_detection():

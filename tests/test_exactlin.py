@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import greedy_basis_completion
 
-from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, extend_to_basis, snf
+from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, snf
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -182,13 +182,18 @@ def test_prime_field_rejects_composites():
 
 
 @pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
-def test_extend_to_basis_matches_greedy_reference(field):
+def test_span_matches_greedy_reference(field):
     rng = random.Random(11)
     draw = (lambda: rng.randrange(field.p)) if field != QQ else (lambda: rng.randrange(-3, 4))
-    for _ in range(60):
-        dim = rng.randrange(0, 7)
-        raw = [[draw() for _ in range(dim)] for _ in range(rng.randrange(0, dim + 2))]
-        cols = Matrix.from_columns(field, raw, dim).column_space_basis().columns()
-        added = extend_to_basis(field, cols, dim)
-        assert added == greedy_basis_completion(field, cols, dim)
-        assert Matrix.from_columns(field, cols + added, dim).is_invertible()
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randrange(0, 7), rng.randrange(0, 8)) for _ in range(60)]
+    for nrows, ncols in shapes:
+        A = Matrix(field, [[draw() for _ in range(ncols)] for _ in range(nrows)], ncols)
+        sp = A.span()
+        r = A.rank()
+        assert sp.basis.shape == (nrows, r) and sp.coords.shape == (r, nrows)
+        assert sp.equations.shape == (nrows - r, nrows) and sp.complement.shape == (nrows, nrows - r)
+        assert sp.basis.rank() == r and all(c in A.columns() for c in sp.basis.columns())
+        assert sp.complement.columns() == greedy_basis_completion(field, sp.basis.columns(), nrows)
+        assert sp.coords @ sp.basis == Matrix.identity(field, r)
+        assert (sp.equations @ A).is_zero()
+        assert sp.equations @ sp.complement == Matrix.identity(field, nrows - r)

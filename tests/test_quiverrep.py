@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tiltlab.artheory import all_submodules
 from tiltlab.errors import NotInvariant, QuiverMismatch
 from tiltlab.exactlin import Matrix, PrimeField
 from tiltlab.quiverrep import (
@@ -11,12 +12,14 @@ from tiltlab.quiverrep import (
     QuiverRep,
     RepMap,
     affine_a3_cycle,
+    cokernel,
     direct_sum,
     euler_form,
     ext1_dim,
     hom_dim,
     hom_ext_dims,
     hom_space,
+    image,
     injective,
     is_projective,
     kronecker,
@@ -249,6 +252,48 @@ def test_subrep_and_quotient_shapes():
     quo, proj = quotient_by(m, [Matrix.zeros(F5, 1, 0), Matrix(F5, [[1]])])
     assert quo.dims == (1, 0)
     assert proj.is_valid() and proj.is_surjective()
+
+
+def _pivot_basis(G):
+    _, pivots = G.rref()
+    return Matrix.from_columns(G.field, [G.column(j) for j in pivots], G.nrows)
+
+
+def _redundant(B, rng):
+    """Columns spanning the column space of ``B`` with zero and repeated
+    columns and combinations mixed in, so the pivot columns differ from
+    ``B``."""
+    field = B.field
+    combos = [B @ Matrix(field, [[rng.randrange(field.p)] for _ in range(B.ncols)], 1) for _ in range(2)]
+    cols = [c.column(0) for c in combos] + B.columns() + B.columns()[:1] + [[field.zero] * B.nrows]
+    rng.shuffle(cols)
+    return Matrix.from_columns(field, cols, B.nrows)
+
+
+def test_spanning_columns_agree_with_pivot_basis():
+    field = PrimeField(3)
+    rng = random.Random(8)
+    for q in (KRON, A3):
+        for _ in range(6):
+            M = random_rep(q, field, rng, 3 if q is KRON else 2)
+            for bases in list(all_submodules(M))[::3]:
+                gens = [_redundant(B, rng) for B in bases]
+                pivot = [_pivot_basis(G) for G in gens]
+                sub, incl = subrep(M, gens)
+                ref, ref_incl = subrep(M, pivot)
+                assert sub == ref and incl.maps == ref_incl.maps
+                quo, proj = quotient_by(M, gens)
+                ref, ref_proj = quotient_by(M, bases)
+                assert quo == ref and proj.maps == ref_proj.maps
+            N = random_rep(q, field, rng, 2)
+            for f in hom_space(N, M):
+                pivot = [_pivot_basis(m) for m in f.maps]
+                im, im_incl = image(f)
+                ref, ref_incl = subrep(M, pivot)
+                assert im == ref and im_incl.maps == ref_incl.maps
+                co, co_proj = cokernel(f)
+                ref, ref_proj = quotient_by(M, pivot)
+                assert co == ref and co_proj.maps == ref_proj.maps
 
 
 def test_socle_of_projective_cover_example():
