@@ -437,7 +437,7 @@ def all_submodules(M: QuiverRep):
     # pulled[k][i]: the equations of the i-th subspace at the target of
     # arrow k, pulled back along it; a tuple is stable under the arrow
     # exactly when this kills the source subspace
-    equations = [[T.span().equations for T in subs] for subs in per_vertex]
+    equations = {t: [T.span().equations for T in per_vertex[t]] for t in {a.target for a in arrows}}
     pulled = [[E @ M.maps[k] for E in equations[a.target]] for k, a in enumerate(arrows)]
     for idx in itertools.product(*(range(len(subs)) for subs in per_vertex)):
         if all((pulled[k][idx[a.target]] @ per_vertex[a.source][idx[a.source]]).is_zero()

@@ -24,6 +24,7 @@ from .artheory import (
 from .dedekind import (
     OreSet,
     PrimeSet,
+    classify,
     classify_tilting,
     u_set_of_ore,
     universal_localization_eq,
@@ -47,7 +48,6 @@ from .quiverrep import (
     hom_dim,
     hom_ext_dims,
     random_rep,
-    regular_dims,
     socle,
 )
 from .report import Report
@@ -280,38 +280,42 @@ def run_perp_check(family: str = "kronecker", field_char: int = 5, trials: int =
 
 def run_custom(path: str, seed: int = 0) -> Report:
     """Parse a fixture file and validate everything in it."""
-    report = Report("custom", {"path": path, "seed": seed})
     parsed = parse_input(path)
-    report.add(
-        "fixture parsed",
-        True,
-        values={
-            "quivers": {name: {"vertices": q.nvertices, "arrows": len(q.arrows)}
-                        for name, q in parsed.quivers.items()},
-            "reps": {name: list(rep.dims) for name, rep in parsed.reps.items()},
-            "zmods": [str(m) for m in parsed.zmods],
-            "alphabet": list(parsed.alphabet) if parsed.alphabet else None,
-            "words": [str(w) for w in parsed.words],
-        },
-    )
+    report = Report("custom", {
+        "path": path,
+        "seed": seed,
+        "quivers": {name: {"vertices": q.nvertices, "arrows": len(q.arrows)}
+                    for name, q in parsed.quivers.items()},
+        "reps": {name: list(rep.dims) for name, rep in parsed.reps.items()},
+        "zmods": [str(m) for m in parsed.zmods],
+        "alphabet": list(parsed.alphabet) if parsed.alphabet else None,
+        "words": [str(w) for w in parsed.words],
+    })
     for name, rep in parsed.reps.items():
-        q = rep.quiver
-        total = regular_dims(q)
+        h, e = hom_ext_dims(rep, rep)
+        euler = euler_form(rep.quiver, rep.dims, rep.dims)
         report.add(
-            f"rep {name}: dimension data consistent",
-            sum(rep.dims) >= 0 and len(rep.dims) == q.nvertices,
-            values={"dims": list(rep.dims), "regular_dims": list(total)},
+            f"rep {name}: bilinear form equals hom minus ext",
+            euler == h - e and h == hom_dim(rep, rep),
+            values={"dims": list(rep.dims), "euler": euler, "hom": h, "ext1": e},
         )
     for m in parsed.zmods:
-        report.add(f"zmod {m} is in canonical form", True, values={"free_rank": m.free_rank,
-                                                                   "factors": list(m.invariant_factors)})
+        report.add(f"zmod {m} is in canonical form", classify(m.presentation()) == m,
+                   values={"free_rank": m.free_rank, "factors": list(m.invariant_factors)})
     for w in parsed.words:
-        report.add(f"word {str(w)!r} is reduced", True)
+        report.add(f"word {str(w)!r} is reduced", reduce_letters(w.letters) == w.letters)
     return report
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -349,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--alphabet", default="x,y")
     p.add_argument("--field", type=int, default=7)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--word", action="append", default=[], help="word to evaluate (repeatable)")
     p.set_defaults(run=lambda a: run_free_envelope(
@@ -360,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--family", default="kronecker")
     p.add_argument("--field", type=int, default=5)
-    p.add_argument("--trials", type=int, default=40)
+    p.add_argument("--trials", type=_positive_int, default=40)
     p.add_argument("--dim-cap", type=int, default=4)
     p.set_defaults(run=lambda a: run_perp_check(
         family=a.family, field_char=a.field, trials=a.trials, seed=a.seed, dim_cap=a.dim_cap))

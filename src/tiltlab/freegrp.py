@@ -241,6 +241,8 @@ def random_xdiv_module(alphabet, field, dim: int, seed: int = 0) -> XDivModule:
     """Seeded random module with invertible generator actions."""
     import random as _random
 
+    if dim < 0:
+        raise ValueError(f"module dimension must be >= 0, got {dim}")
     rng = _random.Random(seed)
     actions = {}
     for sym in alphabet:

@@ -8,7 +8,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
 from oracles import ext_oracle, hom_oracle, rand_fgz, tor_oracle
 
 from tiltlab.artheory import (
@@ -37,7 +36,7 @@ from tiltlab.dedekind import (
     u_set_of_ore,
     universal_localization_eq,
 )
-from tiltlab.exactlin import IntMatrix, Matrix, PrimeField, snf
+from tiltlab.exactlin import IntMatrix, PrimeField, snf
 from tiltlab.freegrp import FreeWord, envelope_value, flatness_witness, random_xdiv_module, reduce_letters, word
 from tiltlab.perpcat import class_compare, is_divisible, perp_conditions, transpose_duality_check
 from tiltlab.quiverrep import (

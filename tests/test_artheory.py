@@ -6,7 +6,6 @@ from oracles import brute_force_submodules
 
 from tiltlab.artheory import (
     BoundSet,
-    DefectFunction,
     all_submodules,
     build_extension,
     decompose,

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from tiltlab import cli
 from tiltlab.cli import (
     main,
     run_dedekind_classify,
@@ -10,6 +11,7 @@ from tiltlab.cli import (
     run_perp_check,
     run_tube_demo,
 )
+from tiltlab.dedekind import FgZModule
 from tiltlab.errors import ParseError
 from tiltlab.parsefmt import parse_input
 
@@ -131,7 +133,27 @@ def test_cli_exit_codes(capsys, tmp_path):
 def test_cli_custom_fixture(capsys):
     assert main(["custom", fixture("kronecker.txt")]) == 0
     out = capsys.readouterr().out
-    assert "fixture parsed" in out
+    assert '"quivers": {"kron": {"arrows": 2, "vertices": 2}}' in out
+
+
+def test_custom_zmod_check_can_fail(capsys, monkeypatch):
+    # a classification that disagrees with the parsed module must FAIL
+    monkeypatch.setattr(cli, "classify", lambda presentation: FgZModule.zero())
+    assert main(["custom", fixture("kronecker.txt")]) == 1
+    assert "[FAIL] zmod Z + Z/2 + Z/6 is in canonical form" in capsys.readouterr().out
+
+
+def test_negative_module_dimension_is_an_input_error(capsys):
+    assert main(["free-envelope", "--dim", "-1"]) == 2
+    assert capsys.readouterr().err == "tiltlab: module dimension must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [["perp-check", "--trials", "-2"], ["free-envelope", "--trials", "0"]], ids=lambda a: a[0])
+def test_trials_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "--trials: must be a positive integer" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_across_runs(capsys):

@@ -8,7 +8,6 @@ from tiltlab.artheory import (
     build_extension,
     is_isomorphic,
     tau,
-    transpose,
     tube_catalog,
 )
 from tiltlab.errors import NotBound
@@ -28,7 +27,6 @@ from tiltlab.quiverrep import (
     QuiverRep,
     affine_a3_cycle,
     direct_sum,
-    hom_dim,
     injective,
     kronecker,
     projective,

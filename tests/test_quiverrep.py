@@ -10,7 +10,6 @@ from tiltlab.quiverrep import (
     ProjPresentation,
     Quiver,
     QuiverRep,
-    RepMap,
     affine_a3_cycle,
     cokernel,
     direct_sum,
