@@ -312,10 +312,9 @@ def run_custom(path: str, seed: int = 0) -> Report:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
+    if not (text.isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,8 @@ Everything upstream (morphism spaces, Ext/Tor, subrepresentations,
 quotients, module classification) reduces to the kernels in this module:
 ``kernel_basis``, ``span`` (basis, coordinates, defining equations and a
 unit-vector complement of a column space, from one elimination),
-``solve`` and ``snf``.  Scalars are exact throughout: prime fields use canonical
-integer representatives in ``[0, p)``, the rationals use
+``solve`` and ``snf``.  Scalars are exact throughout: prime fields use
+canonical integer representatives in ``[0, p)``, the rationals use
 :class:`fractions.Fraction`.  Matrices with zero rows or zero columns are
 legal everywhere and behave as the unique maps to or from the zero space.
 """

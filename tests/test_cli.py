@@ -148,7 +148,11 @@ def test_negative_module_dimension_is_an_input_error(capsys):
     assert capsys.readouterr().err == "tiltlab: module dimension must be >= 0, got -1\n"
 
 
-@pytest.mark.parametrize("argv", [["perp-check", "--trials", "-2"], ["free-envelope", "--trials", "0"]], ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", [
+    ["perp-check", "--trials", "-2"],
+    ["free-envelope", "--trials", "0"],
+    ["free-envelope", "--trials", "x"],
+], ids=["negative", "zero", "not-a-number"])
 def test_trials_must_be_positive(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
