@@ -24,8 +24,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import (
     NoExtension,
     NonProjective,
@@ -171,25 +169,26 @@ def _min_poly(field, B: Matrix) -> list:
         vecs.append(target)
 
 
-_X = sympy.Symbol("x")
-
-
 def _factor_min_poly(field, coeffs: list) -> list[tuple[list, int]]:
     """Factor a monic polynomial (ascending coefficients) over the ground
-    field; returns ``(ascending coefficients, multiplicity)`` pairs."""
+    field; returns ``(monic ascending coefficients, multiplicity)`` pairs,
+    whose product is the input."""
+    import sympy  # loaded on first use: it dominates the package's import time
+
+    x = sympy.Symbol("x")
     if isinstance(field, PrimeField):
-        expr = sum(int(c) * _X**i for i, c in enumerate(coeffs))
-        poly = sympy.Poly(expr, _X, modulus=field.p)
+        expr = sum(int(c) * x**i for i, c in enumerate(coeffs))
+        poly = sympy.Poly(expr, x, modulus=field.p)
     else:
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * _X**i for i, c in enumerate(coeffs))
-        poly = sympy.Poly(expr, _X, domain="QQ")
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+        poly = sympy.Poly(expr, x, domain="QQ")
     _, factors = poly.factor_list()
     out = []
     for fac, mult in factors:
         if isinstance(field, PrimeField):
-            asc = [field.coerce(int(c)) for c in reversed(fac.all_coeffs())]
+            asc = [field.coerce(int(c)) for c in reversed(fac.monic().all_coeffs())]
         else:
-            asc = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
+            asc = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.monic().all_coeffs())]
         out.append((asc, int(mult)))
     return out
 

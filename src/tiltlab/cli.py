@@ -3,12 +3,13 @@
 Every scenario builds a :class:`~tiltlab.report.Report`; runs are
 deterministic for a fixed seed, so reports are byte-identical across
 repeated invocations.  Exit codes: 0 when all checks pass, 1 when some
-check fails, 2 for usage or input errors.
+check or an internal invariant fails, 2 for usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -212,8 +213,8 @@ def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
         w = parse_reduce(text, alphabet)
         value = envelope_value(base, w, module)
         report.add(
-            f"envelope value of {str(w)!r}",
-            True,
+            f"envelope value of {str(w)!r} returns to the base along the inverse word",
+            envelope_value(value, w.inverse(), module) == base,
             inputs={"word": str(w)},
             values={"value": list(value)},
         )
@@ -317,6 +318,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tiltlab",
@@ -342,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", default="2,3,5", help="comma-separated primes (at most 6)")
     p.add_argument("--ore", action="append", default=[],
                    help="comma-separated generators of a multiplicative set (repeatable)")
-    p.add_argument("--random-ore", type=int, default=0, help="number of random generator sets to cross-check")
+    p.add_argument("--random-ore", type=_nonnegative_int, default=0,
+                   help="number of random generator sets to cross-check")
     p.set_defaults(run=lambda a: run_dedekind_classify(
         primes=tuple(int(x) for x in a.primes.split(",") if x.strip()),
         ore_sets=tuple(tuple(int(g) for g in s.split(",") if g.strip()) for s in a.ore),
@@ -364,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="kronecker")
     p.add_argument("--field", type=int, default=5)
     p.add_argument("--trials", type=_positive_int, default=40)
-    p.add_argument("--dim-cap", type=int, default=4)
+    p.add_argument("--dim-cap", type=_nonnegative_int, default=4)
     p.set_defaults(run=lambda a: run_perp_check(
         family=a.family, field_char=a.field, trials=a.trials, seed=a.seed, dim_cap=a.dim_cap))
 
@@ -386,6 +394,15 @@ def main(argv=None) -> int:
     except (TiltlabError, ValueError, OSError) as exc:
         print(f"tiltlab: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # a broken internal invariant is a defect, not bad input; a bare
+        # assert has no message, so name where it fired
+        import traceback  # loaded on this path only, to keep start-up short
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        print(f"tiltlab: internal check failed: {str(exc) or 'assert'} at {where}", file=sys.stderr)
+        return 1
     rendered = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(rendered)
     if args.out:

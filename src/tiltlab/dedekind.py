@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint, isprime
-
 from .errors import NotContained, NotDivisible, NotPrime
 from .exactlin import IntMatrix, Matrix, QQ, snf
 
@@ -169,10 +167,12 @@ class PrimeSet:
     primes: tuple[int, ...]
 
     def __post_init__(self):
+        import sympy  # loaded on first use: it dominates the package's import time
+
         seen = set()
         prev = 0
         for p in self.primes:
-            if not isprime(p):
+            if not sympy.isprime(p):
                 raise NotPrime(f"{p} is not prime")
             if p in seen or p < prev:
                 raise ValueError("primes must be sorted and distinct")
@@ -202,7 +202,9 @@ class OreSet:
 
 
 def prime_support(n: int) -> tuple[int, ...]:
-    return tuple(sorted(factorint(abs(n)).keys())) if abs(n) > 1 else ()
+    import sympy  # loaded on first use: it dominates the package's import time
+
+    return tuple(sorted(sympy.factorint(abs(n)).keys())) if abs(n) > 1 else ()
 
 
 def u_set_of_ore(S: OreSet) -> PrimeSet:

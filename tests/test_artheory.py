@@ -6,6 +6,7 @@ from oracles import brute_force_submodules
 
 from tiltlab.artheory import (
     BoundSet,
+    _factor_min_poly,
     all_submodules,
     build_extension,
     decompose,
@@ -25,7 +26,7 @@ from tiltlab.artheory import (
     u_filtration,
 )
 from tiltlab.errors import NoExtension, NonProjective, NotBound, SearchBudgetExceeded, UnsupportedFamily
-from tiltlab.exactlin import Matrix, PrimeField
+from tiltlab.exactlin import QQ, Matrix, PrimeField
 from tiltlab.quiverrep import (
     QuiverRep,
     RepMap,
@@ -184,6 +185,34 @@ def test_decompose_finds_extension_field_points_indecomposable():
     m = QuiverRep.from_entries(KRON, F5, (2, 2), {"a": [[1, 0], [0, 1]], "b": [[0, 3], [1, 0]]})
     parts = decompose(m)
     assert len(parts) == 1 and parts[0][1] == 1
+
+
+def poly_mul(field, a, b):
+    """Product of two polynomials given by ascending coefficients."""
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize("field, pieces", [
+    (F5, [([2, 0, 1], 1), ([1, 1], 2)]),  # (x^2 + 2)(x + 1)^2, x^2 + 2 irreducible mod 5
+    (QQ, [([-2, 0, 1], 1), ([Fraction(-1, 2), 1], 3)]),  # (x^2 - 2)(x - 1/2)^3
+], ids=["GF(5)", "QQ"])
+def test_factor_min_poly_multiplies_back(field, pieces):
+    poly = [field.one]
+    for coeffs, mult in pieces:
+        for _ in range(mult):
+            poly = poly_mul(field, poly, [field.coerce(c) for c in coeffs])
+    factors = _factor_min_poly(field, poly)
+    back = [field.one]
+    for coeffs, mult in factors:
+        assert coeffs[-1] == field.one
+        for _ in range(mult):
+            back = poly_mul(field, back, coeffs)
+    assert back == poly
+    assert sorted((len(c) - 1, m) for c, m in factors) == sorted((len(c) - 1, m) for c, m in pieces)
 
 
 # -- defect ------------------------------------------------------------------

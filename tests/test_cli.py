@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from tiltlab.cli import (
 )
 from tiltlab.dedekind import FgZModule
 from tiltlab.errors import ParseError
+from tiltlab.freegrp import XDivModule
 from tiltlab.parsefmt import parse_input
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -121,6 +124,7 @@ def test_perp_check_report_passes():
 
 def test_cli_exit_codes(capsys, tmp_path):
     assert main(["perp-check", "--trials", "5"]) == 0
+    assert main(["perp-check", "--trials", "3", "--dim-cap", "0"]) == 0
     capsys.readouterr()
     assert main(["tube-demo", "--family", "kronecker"]) == 2
     err = capsys.readouterr().err
@@ -143,6 +147,49 @@ def test_custom_zmod_check_can_fail(capsys, monkeypatch):
     assert "[FAIL] zmod Z + Z/2 + Z/6 is in canonical form" in capsys.readouterr().out
 
 
+def test_envelope_word_check_can_fail(capsys, monkeypatch):
+    # inverse letters that act like the letters themselves cannot undo a word
+    act = XDivModule.act
+    monkeypatch.setattr(XDivModule, "act", lambda self, vec, sym, e=1: act(self, vec, sym, 1))
+    assert main(["free-envelope", "--word", "x y"]) == 1
+    assert "[FAIL] envelope value of 'x y' returns to the base along the inverse word" in capsys.readouterr().out
+
+
+def test_internal_check_failure_exits_cleanly(capsys, monkeypatch):
+    def broken_catalog(family, field):
+        raise AssertionError("rank-3 tube did not close up")
+
+    monkeypatch.setattr(cli, "tube_catalog", broken_catalog)
+    assert main(["tube-demo"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tiltlab: internal check failed: rank-3 tube did not close up at test_cli.py:")
+    assert err.count("\n") == 1
+
+
+def sympy_loaded_after(*argvs):
+    """Exit codes of ``main`` on each argv in turn, in a fresh interpreter,
+    and whether sympy was imported by the end."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from tiltlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {list(argvs)!r}]\n"
+        "print(json.dumps([codes, 'sympy' in sys.modules]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_only_dedekind_loads_sympy():
+    argvs = [["tube-demo"], ["free-envelope"], ["perp-check"], ["custom", "tests/fixtures/kronecker.txt"]]
+    assert sympy_loaded_after(*argvs) == [[0, 0, 0, 0], False]
+    # the control: prime tests do load it, so the probe can see an import
+    assert sympy_loaded_after(["dedekind"]) == [[0], True]
+
+
 def test_negative_module_dimension_is_an_input_error(capsys):
     assert main(["free-envelope", "--dim", "-1"]) == 2
     assert capsys.readouterr().err == "tiltlab: module dimension must be >= 0, got -1\n"
@@ -158,6 +205,18 @@ def test_trials_must_be_positive(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "--trials: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["perp-check", "--dim-cap", "-1"], "--dim-cap"),
+    (["perp-check", "--dim-cap", "x"], "--dim-cap"),
+    (["dedekind", "--random-ore", "-2"], "--random-ore"),
+], ids=["dim-cap-negative", "dim-cap-not-a-number", "random-ore-negative"])
+def test_counts_must_be_nonnegative(argv, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"{flag}: must be a non-negative integer, got {argv[-1]}" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_across_runs(capsys):

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used.  No linter is a
-dependency, so the check walks the syntax tree itself."""
+"""Source hygiene: every imported name is used, and sympy loads only
+inside the functions that call it.  No linter is a dependency, so the
+checks walk the syntax tree themselves."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,49 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def module_level_sympy_imports(tree: ast.Module) -> list[int]:
+    """Lines of the sympy imports that run when the module is imported:
+    those outside every function body.  sympy takes most of the package's
+    import time, so only the functions that call it may load it."""
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name == "sympy" or name.startswith("sympy.") for name in names):
+            found.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_detector_flags_a_module_level_sympy_import():
+    tree = ast.parse(
+        "import sympy\n"
+        "from sympy.ntheory import isprime\n"
+        "def f():\n"
+        "    from sympy import factorint\n"
+        "class C:\n"
+        "    import sympy as sp\n"
+        "import sympyx\n"
+        "if True:\n"
+        "    import os, sympy.polys\n"
+    )
+    assert module_level_sympy_imports(tree) == [1, 2, 6, 9]
+
+
+def test_no_module_level_sympy_import():
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src/tiltlab").glob("*.py"))
+        if (lines := module_level_sympy_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
