@@ -410,14 +410,15 @@ def classify_tilting(universe: PrimeSet) -> TiltingClassTable:
             "modules divisible by " + ", ".join(str(p) for p in s)
         )
         rows.append(SubsetRow(s, desc))
+    classes = [PrimeSet(s) for s in subsets]
     witnesses = []
     for a in range(len(subsets)):
         for b in range(a + 1, len(subsets)):
             diff = sorted(set(subsets[a]) ^ set(subsets[b]))
             p = diff[0]
             w = FgZModule.cyclic(p)
-            in_a = is_divisible_by(w, PrimeSet(subsets[a]))
-            in_b = is_divisible_by(w, PrimeSet(subsets[b]))
+            in_a = is_divisible_by(w, classes[a])
+            in_b = is_divisible_by(w, classes[b])
             if in_a == in_b:
                 raise AssertionError("witness fails to separate the classes")
             witnesses.append((a, b, p))
@@ -430,6 +431,7 @@ def fp_torsion_is_u_torsion(M: FgZModule) -> tuple[bool, bool]:
     uniform-dimension criterion for cokernels of full maps)."""
     pres = M.presentation()
     qmat = Matrix(QQ, [[Fraction(x) for x in row] for row in pres.rows], pres.ncols)
-    torsion = pres.nrows - qmat.rank() == 0
-    u_torsion = pres.nrows == pres.ncols and qmat.rank() == pres.nrows
+    rank = qmat.rank()
+    torsion = pres.nrows - rank == 0
+    u_torsion = pres.nrows == pres.ncols and rank == pres.nrows
     return torsion, u_torsion

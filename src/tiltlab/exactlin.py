@@ -9,6 +9,16 @@ unit-vector complement of a column space, from one elimination),
 canonical integer representatives in ``[0, p)``, the rationals use
 :class:`fractions.Fraction`.  Matrices with zero rows or zero columns are
 legal everywhere and behave as the unique maps to or from the zero space.
+
+Each field class implements one protocol: the scalar operations
+``coerce``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and the row kernels
+``scale_row(c, row)``, ``sub_scaled(row, f, prow)`` (``row - f * prow``)
+and ``dot(u, v)``, one list comprehension or sum each (an inline ``% p``
+over ``GF(p)``).  ``Matrix.rref`` makes one row-kernel call per row
+operation, and matrix products one ``dot`` per entry.  ``Matrix(field,
+rows)`` coerces every entry and checks the row lengths, for input from
+outside; the module's own results are built by the private
+``Matrix._of``, which trusts rows it knows to be canonical.
 """
 
 from __future__ import annotations
@@ -54,6 +64,18 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
+    def scale_row(self, c, row):
+        p = self.p
+        return [c * x % p for x in row]
+
+    def sub_scaled(self, row, f, prow):
+        """``row - f * prow``."""
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, prow)]
+
+    def dot(self, u, v):
+        return sum(a * b for a, b in zip(u, v)) % self.p
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -90,6 +112,16 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
+    def scale_row(self, c, row):
+        return [c * x for x in row]
+
+    def sub_scaled(self, row, f, prow):
+        """``row - f * prow``."""
+        return [x - f * y for x, y in zip(row, prow)]
+
+    def dot(self, u, v):
+        return sum((a * b for a, b in zip(u, v)), self.zero)
+
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -105,7 +137,11 @@ QQ = Rationals()
 
 class Matrix:
     """Immutable-by-convention dense matrix over a :class:`PrimeField` or
-    :data:`QQ`.  Rows are lists of field scalars."""
+    :data:`QQ`.  Rows are lists of field scalars.
+
+    The constructor coerces every entry and rejects ragged rows, for input
+    from outside the module's own arithmetic; results of matrix operations
+    are built by :meth:`_of`, which trusts its rows."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -126,19 +162,31 @@ class Matrix:
             self.ncols = ncols
 
     @classmethod
+    def _of(cls, field, rows: list[list], ncols: int) -> "Matrix":
+        """Wrap ``rows`` without copying or checking them.  The caller
+        guarantees canonical scalars of ``field`` (ints in ``[0, p)`` or
+        ``Fraction`` values), ``ncols`` entries per row, and row lists that
+        no other matrix holds."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
+
+    @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._of(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return cls._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field, cols, nrows: int) -> "Matrix":
         m = cls.zeros(field, nrows, len(cols))
         for j, col in enumerate(cols):
+            if len(col) != nrows:
+                raise ValueError(f"column {j} has length {len(col)}, expected {nrows}")
             for i, x in enumerate(col):
                 m.rows[i][j] = field.coerce(x)
         return m
@@ -154,7 +202,7 @@ class Matrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._of(
             self.field,
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
             self.nrows,
@@ -177,7 +225,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._compat(other, same_shape=True)
         add = self.field.add
-        return Matrix(
+        return Matrix._of(
             self.field,
             [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
@@ -186,7 +234,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._compat(other, same_shape=True)
         sub = self.field.sub
-        return Matrix(
+        return Matrix._of(
             self.field,
             [[sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
@@ -194,12 +242,12 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in row] for row in self.rows], self.ncols)
+        return Matrix._of(self.field, [[neg(a) for a in row] for row in self.rows], self.ncols)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, a) for a in row] for row in self.rows], self.ncols)
+        field = self.field
+        c = field.coerce(c)
+        return Matrix._of(field, [field.scale_row(c, row) for row in self.rows], self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
@@ -209,8 +257,8 @@ class Matrix:
         bt = list(zip(*other.rows)) if other.rows else []
         if not bt:
             return Matrix.zeros(field, self.nrows, other.ncols)
-        out = [[sum((a * b for a, b in zip(row, col)), field.zero) for col in bt] for row in self.rows]
-        return Matrix(field, out, other.ncols)
+        dot = field.dot
+        return Matrix._of(field, [[dot(row, col) for col in bt] for row in self.rows], other.ncols)
 
     def apply(self, vec: list) -> list:
         """Matrix-vector product ``A @ v`` (column-vector convention)."""
@@ -218,10 +266,8 @@ class Matrix:
             raise ValueError("vector length mismatch")
         field = self.field
         vec = [field.coerce(x) for x in vec]
-        if isinstance(field, PrimeField):
-            p = field.p
-            return [sum(a * b for a, b in zip(row, vec)) % p for row in self.rows]
-        return [sum((a * b for a, b in zip(row, vec)), field.zero) for row in self.rows]
+        dot = field.dot
+        return [dot(row, vec) for row in self.rows]
 
     def is_zero(self) -> bool:
         z = self.field.zero
@@ -231,7 +277,7 @@ class Matrix:
         self._compat(other)
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Matrix(
+        return Matrix._of(
             self.field,
             [ra + rb for ra, rb in zip(self.rows, other.rows)],
             self.ncols + other.ncols,
@@ -241,7 +287,7 @@ class Matrix:
         self._compat(other)
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch")
-        return Matrix(self.field, [r[:] for r in self.rows] + [r[:] for r in other.rows], self.ncols)
+        return Matrix._of(self.field, [r[:] for r in self.rows] + [r[:] for r in other.rows], self.ncols)
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form; returns the reduced matrix and pivot
@@ -251,6 +297,7 @@ class Matrix:
         pivots: list[int] = []
         r = 0
         zero = field.zero
+        scale_row, sub_scaled = field.scale_row, field.sub_scaled
         for c in range(self.ncols):
             pivot_row = None
             for i in range(r, len(rows)):
@@ -260,19 +307,17 @@ class Matrix:
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = field.inv(rows[r][c])
-            mul, sub = field.mul, field.sub
-            rows[r] = [mul(inv, x) for x in rows[r]]
-            prow = rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != zero:
-                    f = rows[i][c]
-                    rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
+            # rows r, r+1, ... are zero left of column c, so every row
+            # operation below changes only the tail from column c on
+            tail = rows[r][c:] = scale_row(field.inv(rows[r][c]), rows[r][c:])
+            for i, row in enumerate(rows):
+                if i != r and row[c] != zero:
+                    row[c:] = sub_scaled(row[c:], row[c], tail)
             pivots.append(c)
             r += 1
             if r == len(rows):
                 break
-        return Matrix(field, rows, self.ncols), pivots
+        return Matrix._of(field, rows, self.ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -286,14 +331,12 @@ class Matrix:
         R, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
-        cols = []
-        for fc in free:
-            v = [field.zero] * self.ncols
-            v[fc] = field.one
+        K = Matrix.zeros(field, self.ncols, len(free))
+        for j, fc in enumerate(free):
+            K.rows[fc][j] = field.one
             for r, pc in enumerate(pivots):
-                v[pc] = field.neg(R.rows[r][fc])
-            cols.append(v)
-        return Matrix.from_columns(field, cols, self.ncols)
+                K.rows[pc][j] = field.neg(R.rows[r][fc])
+        return K
 
     def solve(self, b: list) -> list | None:
         """One solution of ``Ax = b`` (free variables set to zero), or
@@ -340,10 +383,10 @@ class Matrix:
         r = sum(1 for c in pivots if c < m)
         E = [row[m:] for row in R.rows]
         return Span(
-            basis=Matrix.from_columns(field, [self.column(c) for c in pivots[:r]], n),
-            coords=Matrix(field, E[:r], n),
-            equations=Matrix(field, E[r:], n),
-            complement=Matrix.from_columns(field, [identity.column(c - m) for c in pivots[r:]], n),
+            basis=Matrix._of(field, [[row[c] for c in pivots[:r]] for row in self.rows], r),
+            coords=Matrix._of(field, E[:r], n),
+            equations=Matrix._of(field, E[r:], n),
+            complement=Matrix._of(field, [[identity.rows[i][c - m] for c in pivots[r:]] for i in range(n)], n - r),
         )
 
     def _compat(self, other: "Matrix", same_shape: bool = False):

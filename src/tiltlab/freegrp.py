@@ -163,8 +163,8 @@ class XDivModule:
         self.field = field
         self.alphabet = tuple(alphabet)
         dims = set()
-        self.actions = {}
-        self._inverses = {}
+        # row-vector actions: ``vec * m`` is ``m^T @ vec``
+        self._on_rows = {}
         for sym in self.alphabet:
             if sym not in actions:
                 raise ValueError(f"missing action for generator {sym}")
@@ -175,17 +175,15 @@ class XDivModule:
             if inv is None:
                 raise ValueError(f"action of {sym} is not invertible")
             dims.add(m.nrows)
-            self.actions[sym] = m
-            self._inverses[sym] = inv
+            self._on_rows[sym] = (m.transpose(), inv.transpose())
         if len(dims) != 1:
             raise ValueError("actions must share one dimension")
         self.dim = dims.pop()
 
     def act(self, vec, sym: str, e: int = 1) -> tuple:
         """Right action ``vec * sym^e`` on a row vector."""
-        m = self.actions[sym] if e == 1 else self._inverses[sym]
-        vec = [self.field.coerce(x) for x in vec]
-        return tuple(m.transpose().apply(vec))
+        forward, backward = self._on_rows[sym]
+        return tuple((forward if e == 1 else backward).apply(vec))
 
 
 def envelope_value(m0, g: FreeWord, M: XDivModule) -> tuple:

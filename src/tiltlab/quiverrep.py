@@ -527,20 +527,20 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> list[RepMap]:
     if total == 0:
         return []
     rows: list[list] = []
-    zero = field.zero
+    zero, neg = field.zero, field.neg
     for k, a in enumerate(M.quiver.arrows):
         i, j = a.source, a.target
         Na, Ma = N.maps[k], M.maps[k]
         for r in range(N.dims[j]):
             for c in range(M.dims[i]):
+                # i != j (the quiver is acyclic), so the two blocks never overlap
                 row = [zero] * total
                 for t in range(N.dims[i]):
-                    row[offs[i] + t * M.dims[i] + c] = field.add(row[offs[i] + t * M.dims[i] + c], Na.rows[r][t])
+                    row[offs[i] + t * M.dims[i] + c] = Na.rows[r][t]
                 for l in range(M.dims[j]):
-                    idx = offs[j] + r * M.dims[j] + l
-                    row[idx] = field.sub(row[idx], Ma.rows[l][c])
+                    row[offs[j] + r * M.dims[j] + l] = neg(Ma.rows[l][c])
                 rows.append(row)
-    system = Matrix(field, rows, total)
+    system = Matrix._of(field, rows, total)
     K = system.kernel_basis()
     basis = []
     for jcol in range(K.ncols):
@@ -549,7 +549,7 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> list[RepMap]:
         for v in range(n):
             entries = vec[offs[v]: offs[v + 1]]
             maps.append(
-                Matrix(
+                Matrix._of(
                     field,
                     [entries[r * M.dims[v]: (r + 1) * M.dims[v]] for r in range(N.dims[v])],
                     M.dims[v],

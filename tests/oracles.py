@@ -2,10 +2,12 @@
 closed-form module arithmetic.  Everything here works from presentation
 matrices through Smith normal form, never through gcd shortcuts.  The
 greedy basis completion is the reference for ``Matrix.span``'s
-complement, and the brute-force submodule search the reference for
-``all_submodules``."""
+complement, the brute-force submodule search the reference for
+``all_submodules``, and the plain Gauss-Jordan elimination the reference
+for ``Matrix.rref``."""
 
 import itertools
+from fractions import Fraction
 
 from tiltlab.artheory import _all_subspaces
 from tiltlab.dedekind import FgZModule, classify, from_pieces
@@ -128,3 +130,34 @@ def brute_force_submodules(M) -> list[list[Matrix]]:
                for k, a in enumerate(M.quiver.arrows)):
             out.append(list(combo))
     return out
+
+
+def gauss_jordan(rows, p=None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form and pivot columns of ``rows``: entries are
+    ints reduced mod ``p`` when ``p`` is given, ``Fraction`` values
+    otherwise.  Textbook Gauss-Jordan, one entry at a time."""
+    def norm(x):
+        return x % p if p is not None else Fraction(x)
+
+    def inverse(x):
+        return pow(x, -1, p) if p is not None else 1 / x
+
+    R = [[norm(x) for x in row] for row in rows]
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = inverse(R[r][c])
+        for j in range(ncols):
+            R[r][j] = norm(R[r][j] * inv)
+        for i in range(len(R)):
+            if i != r:
+                f = R[i][c]
+                for j in range(ncols):
+                    R[i][j] = norm(R[i][j] - f * R[r][j])
+        pivots.append(c)
+    return R, pivots

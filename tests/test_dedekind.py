@@ -210,6 +210,22 @@ def test_classify_tilting_two_primes():
     assert is_divisible_by(FgZModule.cyclic(2), PrimeSet.of(3))
 
 
+def test_classify_tilting_builds_each_prime_set_once(monkeypatch):
+    """One ``PrimeSet`` per subset of the universe (64) plus the universe
+    itself, not two per pair of subsets."""
+    calls = []
+    validate = PrimeSet.__post_init__
+
+    def counting(self):
+        calls.append(self.primes)
+        validate(self)
+
+    monkeypatch.setattr(PrimeSet, "__post_init__", counting)
+    table = classify_tilting(PrimeSet.of(2, 3, 5, 7, 11, 13))
+    assert table.num_classes == 64 and len(table.witnesses) == 64 * 63 // 2
+    assert len(calls) <= 65
+
+
 def test_classify_tilting_empty_universe():
     table = classify_tilting(PrimeSet(()))
     assert table.num_classes == 1

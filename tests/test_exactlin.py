@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import greedy_basis_completion
+from oracles import gauss_jordan, greedy_basis_completion
 
 from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, snf
+from tiltlab.quiverrep import QuiverRep, hom_space, kronecker, presentation_hom_matrix, proj_presentation
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -69,6 +70,15 @@ def test_solve_scalar_mod_7():
 def test_solve_inconsistent_returns_none():
     A = Matrix.zeros(F5, 2, 2)
     assert A.solve([1, 0]) is None
+
+
+def test_solve_rejects_a_right_hand_side_of_wrong_length():
+    A = Matrix(F5, [[1, 2], [3, 4]])
+    for b in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="length"):
+            A.solve(b)
+    with pytest.raises(ValueError, match="length"):
+        Matrix.from_columns(F5, [[1, 2], [3]], 2)
 
 
 def test_solve_rationals():
@@ -181,13 +191,17 @@ def test_prime_field_rejects_composites():
         PrimeField(6)
 
 
+def _random_matrix(field, rng, nrows, ncols):
+    draw = (lambda: rng.randrange(field.p)) if field != QQ else (lambda: rng.randrange(-3, 4))
+    return Matrix(field, [[draw() for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+
 @pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
 def test_span_matches_greedy_reference(field):
     rng = random.Random(11)
-    draw = (lambda: rng.randrange(field.p)) if field != QQ else (lambda: rng.randrange(-3, 4))
     shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randrange(0, 7), rng.randrange(0, 8)) for _ in range(60)]
     for nrows, ncols in shapes:
-        A = Matrix(field, [[draw() for _ in range(ncols)] for _ in range(nrows)], ncols)
+        A = _random_matrix(field, rng, nrows, ncols)
         sp = A.span()
         r = A.rank()
         assert sp.basis.shape == (nrows, r) and sp.coords.shape == (r, nrows)
@@ -197,3 +211,51 @@ def test_span_matches_greedy_reference(field):
         assert sp.coords @ sp.basis == Matrix.identity(field, r)
         assert (sp.equations @ A).is_zero()
         assert sp.equations @ sp.complement == Matrix.identity(field, nrows - r)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), QQ], ids=repr)
+def test_rref_matches_reference(field):
+    rng = random.Random(17)
+    p = None if field == QQ else field.p
+    shapes = [(0, 0), (0, 4), (4, 0), (2, 7), (7, 2), (1, 1)]
+    shapes += [(rng.randrange(0, 9), rng.randrange(0, 9)) for _ in range(40)]
+    cases = [_random_matrix(field, rng, m, n) for m, n in shapes]
+    for _ in range(20):  # rank at most k < min(m, n)
+        m, n = rng.randrange(2, 9), rng.randrange(2, 9)
+        k = rng.randrange(0, min(m, n))
+        cases.append(_random_matrix(field, rng, m, k) @ _random_matrix(field, rng, k, n))
+    for A in cases:
+        R, pivots = A.rref()
+        expected_rows, expected_pivots = gauss_jordan(A.rows, p)
+        assert R.shape == A.shape
+        assert (R.rows, pivots) == (expected_rows, expected_pivots)
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=repr)
+def test_internal_results_are_canonical(field):
+    """Results built without the constructor's coercion hold canonical
+    scalars; a stray non-canonical entry would make ``==`` and ``is_zero``
+    answer wrongly without any error."""
+    def canonical(x):
+        return type(x) is Fraction if field == QQ else type(x) is int and 0 <= x < field.p
+
+    rng = random.Random(23)
+    A, B = _random_matrix(field, rng, 4, 6), _random_matrix(field, rng, 4, 6)
+    C = _random_matrix(field, rng, 6, 3) @ _random_matrix(field, rng, 3, 5)  # rank 3 of 6
+    sp = C.span()
+    results = [
+        A.rref()[0], A @ C, C.kernel_basis(), A.transpose(), A.hstack(B), A.vstack(B),
+        A + B, A - B, -A, A.scale(-3), Matrix.zeros(field, 2, 3), Matrix.identity(field, 3),
+        sp.basis, sp.coords, sp.equations, sp.complement,
+    ]
+    Q = kronecker()
+    M = QuiverRep(Q, field, [2, 3], [_random_matrix(field, rng, 3, 2) for _ in Q.arrows])
+    N = QuiverRep(Q, field, [3, 2], [_random_matrix(field, rng, 2, 3) for _ in Q.arrows])
+    homs = hom_space(M, N)  # dim Hom(M, N) >= <(2, 3), (3, 2)> = 4
+    assert len(homs) >= 4
+    results += [m for f in homs for m in f.maps]
+    results.append(presentation_hom_matrix(proj_presentation(M), N))
+    for R in results:
+        assert all(canonical(x) for row in R.rows for x in row), R
+        assert all(len(row) == R.ncols for row in R.rows) and len(R.rows) == R.nrows
+    assert all(canonical(x) for x in A.apply([rng.randrange(-9, 9) for _ in range(6)]))

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used, and sympy loads only
-inside the functions that call it.  No linter is a dependency, so the
+"""Source hygiene: every imported name is used, sympy loads only inside
+the functions that call it, and every field class in ``exactlin``
+implements the whole field protocol.  No linter is a dependency, so the
 checks walk the syntax tree themselves."""
 
 import ast
@@ -82,3 +83,34 @@ def test_no_module_level_sympy_import():
         if (lines := module_level_sympy_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
+
+
+FIELD_PROTOCOL = ("coerce", "add", "sub", "mul", "neg", "inv", "scale_row", "sub_scaled", "dot")
+
+
+def incomplete_fields(tree: ast.Module) -> dict[str, list[str]]:
+    """Classes that define part of the field protocol, with the methods
+    they lack.  A field missing one would import fine and fail only at
+    the first matrix operation that calls it."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            if defined & set(FIELD_PROTOCOL):
+                found[node.name] = [name for name in FIELD_PROTOCOL if name not in defined]
+    return found
+
+
+def test_detector_flags_an_incomplete_field():
+    tree = ast.parse(
+        "class Full:\n" + "".join(f"    def {name}(self): pass\n" for name in FIELD_PROTOCOL)
+        + "class Partial:\n    def coerce(self, x): pass\n    def mul(self, a, b): pass\n"
+        "class NotAField:\n    def __add__(self, other): pass\n"
+    )
+    assert incomplete_fields(tree) == {
+        "Full": [], "Partial": ["add", "sub", "neg", "inv", "scale_row", "sub_scaled", "dot"]}
+
+
+def test_fields_implement_the_whole_protocol():
+    found = incomplete_fields(ast.parse((ROOT / "src/tiltlab/exactlin.py").read_text(encoding="utf-8")))
+    assert found == {"PrimeField": [], "Rationals": []}
