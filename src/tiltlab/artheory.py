@@ -78,7 +78,7 @@ def transpose(U: QuiverRep, pres: ProjPresentation | None = None) -> QuiverRep:
     gen_images = [[field.zero] * p_star.rep.dims[v] for v in pres.Q.summands]
     for (qi, pi, path, coeff) in pres.path_matrix():
         vtx = pres.Q.summands[qi]
-        pos = p_star.basis_index(vtx)[(pi, tuple(reversed(path)))]
+        pos = p_star.index[vtx][(pi, tuple(reversed(path)))]
         gen_images[qi][pos] = field.add(gen_images[qi][pos], coeff)
     alpha_star = extend_generators(q_star, p_star.rep, gen_images)
     tr, _ = cokernel(alpha_star)
@@ -119,54 +119,45 @@ def is_isomorphic(M: QuiverRep, N: QuiverRep, seed: int = 0) -> bool:
     for f in basis:
         if invertible(f):
             return True
-    acc = basis[0]
-    for f in basis[1:]:
-        acc = acc + f
-    if invertible(acc):
+    field = M.field
+    if invertible(_combine(basis, [field.one] * len(basis))):
         return True
     rng = random.Random(seed)
-    field = M.field
     if isinstance(field, PrimeField):
         draw = lambda: field.coerce(rng.randrange(field.p))
     else:
         draw = lambda: field.coerce(rng.randrange(-5, 6))
     for _ in range(ISO_TRIES):
-        cand = basis[0].scale(draw())
-        for f in basis[1:]:
-            cand = cand + f.scale(draw())
-        if invertible(cand):
+        if invertible(_combine(basis, [draw() for _ in basis])):
             return True
     return False
 
 
-def _endo_matrix(f: RepMap) -> Matrix:
-    """Block-diagonal matrix of an endomorphism on the total space."""
-    field = f.source.field
-    n = f.source.total_dim()
-    out = Matrix.zeros(field, n, n)
-    off = 0
-    for v, d in enumerate(f.source.dims):
-        for r in range(d):
-            for c in range(d):
-                out.rows[off + r][off + c] = f.maps[v].rows[r][c]
-        off += d
+def _combine(basis: list[RepMap], coeffs: list) -> RepMap:
+    """The linear combination ``sum_i coeffs[i] * basis[i]``."""
+    out = basis[0].scale(coeffs[0])
+    for f, c in zip(basis[1:], coeffs[1:]):
+        out = out + f.scale(c)
     return out
 
 
-def _min_poly(field, B: Matrix) -> list:
-    """Ascending coefficient list of the monic minimal polynomial."""
-    n = B.nrows
-    flat0 = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
-    vecs = [flat0]
-    power = Matrix.identity(field, n)
-    while True:
-        power = power @ B
-        target = [x for row in power.rows for x in row]
-        A = Matrix.from_columns(field, vecs, n * n)
-        sol = A.solve(target)
-        if sol is not None:
-            return [field.neg(c) for c in sol] + [field.one]
-        vecs.append(target)
+def _min_poly(f: RepMap) -> list:
+    """Ascending coefficient list of the monic minimal polynomial of an
+    endomorphism.  Column ``k`` of the Krylov matrix holds the vertex
+    blocks of ``f^k`` flattened, for ``k = 0 .. n`` (``n`` the total
+    dimension, which bounds the degree).  The first free column is the
+    first power that depends on the lower ones, so the first kernel vector
+    stops there with a one: it is the minimal polynomial."""
+    field = f.source.field
+    n = f.source.total_dim()
+    powers = [Matrix.identity(field, d) for d in f.source.dims]
+    cols = []
+    for k in range(n + 1):
+        cols.append([x for m in powers for row in m.rows for x in row])
+        if k < n:
+            powers = [m @ g for m, g in zip(powers, f.maps)]
+    K = Matrix._of(field, [list(r) for r in zip(*cols)], n + 1).kernel_basis()
+    return K.column(0)[: n + 2 - K.ncols]
 
 
 def _factor_min_poly(field, coeffs: list) -> list[tuple[list, int]]:
@@ -224,18 +215,11 @@ def _split_once(M: QuiverRep, endos: list[RepMap], rng: random.Random) -> list[Q
     def draw():
         return field.coerce(rng.randrange(field.p) if isinstance(field, PrimeField) else rng.randrange(-4, 5))
 
-    def random_endo():
-        cand = endos[0].scale(draw())
-        for f in endos[1:]:
-            cand = cand + f.scale(draw())
-        return cand
-
     for _ in range(SPLIT_TRIES):
         phi = next(candidates, None)
         if phi is None:
-            phi = random_endo()
-        coeffs = _min_poly(field, _endo_matrix(phi))
-        factors = _factor_min_poly(field, coeffs)
+            phi = _combine(endos, [draw() for _ in endos])
+        factors = _factor_min_poly(field, _min_poly(phi))
         if len(factors) >= 2:
             pieces = []
             for fac, mult in factors:
@@ -611,7 +595,7 @@ def _preimage_bases(proj: RepMap, sub_bases: list[Matrix]) -> list[Matrix]:
         B = sub_bases[v]
         stacked = pv.hstack(-B)
         K = stacked.kernel_basis()
-        xs = Matrix(pv.field, K.rows[: pv.ncols], K.ncols) if K.nrows else Matrix.zeros(pv.field, pv.ncols, K.ncols)
+        xs = Matrix._of(pv.field, [row[:] for row in K.rows[: pv.ncols]], K.ncols)
         out.append(xs.span().basis)
     return out
 

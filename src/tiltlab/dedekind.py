@@ -63,12 +63,6 @@ class FgZModule:
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
-    def order(self) -> int | None:
-        """Number of elements, or ``None`` when infinite."""
-        if self.free_rank:
-            return None
-        return math.prod(self.invariant_factors)
-
     def ngens(self) -> int:
         return self.free_rank + len(self.invariant_factors)
 

@@ -2,13 +2,14 @@
 Smith normal form over the integers.
 
 Everything upstream (morphism spaces, Ext/Tor, subrepresentations,
-quotients, module classification) reduces to the kernels in this module:
-``kernel_basis``, ``span`` (basis, coordinates, defining equations and a
-unit-vector complement of a column space, from one elimination),
-``solve`` and ``snf``.  Scalars are exact throughout: prime fields use
-canonical integer representatives in ``[0, p)``, the rationals use
-:class:`fractions.Fraction`.  Matrices with zero rows or zero columns are
-legal everywhere and behave as the unique maps to or from the zero space.
+quotients, minimal polynomials, module classification) reduces to the
+kernels in this module: ``kernel_basis``, ``span`` (basis, coordinates,
+defining equations and a unit-vector complement of a column space, from one
+elimination; ``inverse`` reads its coordinates) and ``snf``.  Scalars are
+exact throughout: prime fields use canonical integer representatives in
+``[0, p)``, the rationals use :class:`fractions.Fraction`.  Matrices with
+zero rows or zero columns are legal everywhere and behave as the unique
+maps to or from the zero space.
 
 Each field class implements one protocol: the scalar operations
 ``coerce``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and the row kernels
@@ -216,9 +217,6 @@ class Matrix:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, tuple(map(tuple, self.rows))))
-
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
@@ -228,15 +226,6 @@ class Matrix:
         return Matrix._of(
             self.field,
             [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._compat(other, same_shape=True)
-        sub = self.field.sub
-        return Matrix._of(
-            self.field,
-            [[sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
         )
 
@@ -338,37 +327,14 @@ class Matrix:
                 K.rows[pc][j] = field.neg(R.rows[r][fc])
         return K
 
-    def solve(self, b: list) -> list | None:
-        """One solution of ``Ax = b`` (free variables set to zero), or
-        ``None`` when ``b`` is not in the image.  ``None`` signals
-        inconsistency, not a fault."""
-        sol = self.solve_matrix(Matrix.from_columns(self.field, [b], self.nrows))
-        return None if sol is None else sol.column(0)
-
-    def solve_matrix(self, B: "Matrix") -> "Matrix | None":
-        """Solve ``AX = B`` column by column; ``None`` if any column fails."""
-        self._compat(B)
-        if B.nrows != self.nrows:
-            raise ValueError("right-hand side has wrong height")
-        field = self.field
-        aug = self.hstack(B)
-        R, pivots = aug.rref()
-        # consistency: no pivot may fall in the appended block
-        for pc in pivots:
-            if pc >= self.ncols:
-                return None
-        X = Matrix.zeros(field, self.ncols, B.ncols)
-        for r, pc in enumerate(pivots):
-            for j in range(B.ncols):
-                X.rows[pc][j] = R.rows[r][self.ncols + j]
-        return X
-
     def inverse(self) -> "Matrix | None":
+        """``A^-1``, or ``None`` unless ``A`` is square of full rank: the
+        rref of ``[A | I]`` is then ``[I | A^-1]``, so ``A^-1`` is the
+        coordinate matrix of the span."""
         if self.nrows != self.ncols:
             return None
-        # a square system has a solution for every right-hand side exactly
-        # when A has full rank, and then the solution is A^-1
-        return self.solve_matrix(Matrix.identity(self.field, self.nrows))
+        coords = self.span().coords
+        return coords if coords.nrows == self.nrows else None
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows

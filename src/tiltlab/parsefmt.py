@@ -216,13 +216,13 @@ def parse_input(path: str) -> ParsedInput:
     """Parse a fixture file; deterministic, with 1-based line numbers in
     every error."""
     parser = _Parser()
+    line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parser.handle(line_no, line.split())
-    last = line_no if "line_no" in locals() else 0
-    parser.finish_quiver(last)
-    parser.finish_rep(last)
+    parser.finish_quiver(line_no)
+    parser.finish_rep(line_no)
     return parser.out

@@ -362,23 +362,22 @@ class ProjSum:
     """Explicit direct sum of indecomposable projectives with its path
     basis.  ``basis[v]`` lists ``(summand, path)`` labels for the chosen
     basis of the vertex-``v`` component, where ``path`` runs from the
-    summand's vertex to ``v``."""
+    summand's vertex to ``v``; ``index[v]`` maps each label back to its
+    position."""
 
     quiver: Quiver
     field: object
     summands: tuple[int, ...]
     rep: QuiverRep
     basis: tuple[tuple[tuple[int, Path], ...], ...]
-
-    def basis_index(self, v: int) -> dict[tuple[int, Path], int]:
-        return {label: i for i, label in enumerate(self.basis[v])}
+    index: tuple[dict[tuple[int, Path], int], ...]
 
     def generator_coords(self) -> list[tuple[int, int]]:
         """For each summand ``p``: ``(vertex, position)`` of its generator
         (the empty path) in that vertex's basis."""
         out = []
         for p, vtx in enumerate(self.summands):
-            out.append((vtx, self.basis_index(vtx)[(p, ())]))
+            out.append((vtx, self.index[vtx][(p, ())]))
         return out
 
 
@@ -401,7 +400,7 @@ def proj_sum(q: Quiver, field, summands) -> ProjSum:
             m.rows[row][col] = field.one
         maps.append(m)
     rep = QuiverRep(q, field, dims, maps, check=False)
-    return ProjSum(q, field, summands, rep, tuple(tuple(b) for b in basis))
+    return ProjSum(q, field, summands, rep, tuple(tuple(b) for b in basis), tuple(index))
 
 
 def projective(q: Quiver, field, vertex: int) -> QuiverRep:

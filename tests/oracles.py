@@ -3,8 +3,9 @@ closed-form module arithmetic.  Everything here works from presentation
 matrices through Smith normal form, never through gcd shortcuts.  The
 greedy basis completion is the reference for ``Matrix.span``'s
 complement, the brute-force submodule search the reference for
-``all_submodules``, and the plain Gauss-Jordan elimination the reference
-for ``Matrix.rref``."""
+``all_submodules``, the plain Gauss-Jordan elimination the reference for
+``Matrix.rref`` and ``Matrix.inverse``, and the power-by-power solve the
+reference for ``artheory._min_poly``."""
 
 import itertools
 from fractions import Fraction
@@ -161,3 +162,24 @@ def gauss_jordan(rows, p=None) -> tuple[list[list], list[int]]:
                     R[i][j] = norm(R[i][j] - f * R[r][j])
         pivots.append(c)
     return R, pivots
+
+
+def min_poly_reference(f, p=None) -> list:
+    """Monic minimal polynomial, ascending coefficients, of an endomorphism
+    ``f`` given vertex by vertex.  Append the flattened powers ``f^0, f^1,
+    ...`` as columns until ``gauss_jordan``'s rank stops growing, then read
+    the last power's coordinates in the earlier ones off the Gauss-Jordan
+    form of that augmented system."""
+    powers = [Matrix.identity(f.source.field, d) for d in f.source.dims]
+    vecs = []
+    while True:
+        vecs.append([x for m in powers for row in m.rows for x in row])
+        R, pivots = gauss_jordan([list(r) for r in zip(*vecs)], p)
+        if len(pivots) < len(vecs):
+            break
+        powers = [m @ g for m, g in zip(powers, f.maps)]
+    d = len(vecs) - 1
+    assert pivots == list(range(d))
+    neg = (lambda x: -x % p) if p is not None else (lambda x: -x)
+    one = 1 if p is not None else Fraction(1)
+    return [neg(R[i][d]) for i in range(d)] + [one]

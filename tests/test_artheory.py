@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import brute_force_submodules
+from oracles import brute_force_submodules, min_poly_reference
 
 from tiltlab.artheory import (
     BoundSet,
+    _combine,
     _factor_min_poly,
+    _min_poly,
     all_submodules,
     build_extension,
     decompose,
@@ -34,6 +36,7 @@ from tiltlab.quiverrep import (
     direct_sum,
     ext1_dim,
     hom_dim,
+    hom_space,
     injective,
     kronecker,
     proj_presentation,
@@ -213,6 +216,42 @@ def test_factor_min_poly_multiplies_back(field, pieces):
             back = poly_mul(field, back, coeffs)
     assert back == poly
     assert sorted((len(c) - 1, m) for c, m in factors) == sorted((len(c) - 1, m) for c, m in pieces)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F5, PrimeField(101), QQ], ids=repr)
+def test_min_poly_matches_reference(field):
+    rng = random.Random(31)
+    p = None if field == QQ else field.p
+    draw = (lambda: rng.randrange(p)) if p else (lambda: rng.randrange(-3, 4))
+
+    def rep(dims):
+        return QuiverRep(KRON, field, dims, [
+            Matrix(field, [[draw() for _ in range(dims[0])] for _ in range(dims[1])], dims[0]) for _ in KRON.arrows])
+
+    def simple_regular(lam):
+        return QuiverRep.from_entries(KRON, field, (1, 1), {"a": [[1]], "b": [[lam]]})
+
+    pairs = direct_sum(simple_regular(0), simple_regular(0))
+    modules = [rep(dims) for dims in ((1, 1), (2, 2), (2, 3), (3, 2))]
+    modules += [direct_sum(X, X) for X in modules[:2]]
+    modules += [direct_sum(pairs, direct_sum(simple_regular(1), QuiverRep.simple(KRON, field, 0)))]
+    cases = []
+    for X in modules:
+        basis = hom_space(X, X)
+        cases += [_combine(basis, [field.coerce(draw()) for _ in basis]) for _ in range(4)]
+    X = modules[-1]
+    zero, identity = RepMap.identity(X).scale(0), RepMap.identity(X)
+    # (x, y) -> (0, x) on S + S, S simple regular: nilpotent of order two
+    shift = Matrix(field, [[0, 0], [1, 0]])
+    nilpotent = RepMap(pairs, pairs, [shift, shift])
+    z, o = field.zero, field.one
+    assert _min_poly(zero) == [z, o]
+    assert _min_poly(identity) == [field.neg(o), o]
+    assert _min_poly(nilpotent) == [z, z, o]
+    assert any(len(_min_poly(f)) > 3 for f in cases)
+    for f in cases + [zero, identity, nilpotent]:
+        assert f.is_valid()
+        assert _min_poly(f) == min_poly_reference(f, p)
 
 
 # -- defect ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from tiltlab.cli import (
 from tiltlab.dedekind import FgZModule
 from tiltlab.errors import ParseError
 from tiltlab.freegrp import XDivModule
-from tiltlab.parsefmt import parse_input
+from tiltlab.parsefmt import ParsedInput, parse_input
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,6 +36,14 @@ def test_parse_kronecker_fixture():
     assert parsed.zmods[0].invariant_factors == (2, 6)
     assert parsed.alphabet == ("x", "y")
     assert str(parsed.words[0]) == "x x"
+
+
+def test_comment_only_fixture_parses_to_nothing(tmp_path, capsys):
+    path = tmp_path / "comments.txt"
+    path.write_text("# nothing to check\n\n   # indented comment\n", encoding="utf-8")
+    assert parse_input(str(path)) == ParsedInput()
+    assert main(["custom", str(path)]) == 0
+    assert "summary: 0/0 passed, 0 failed" in capsys.readouterr().out
 
 
 def test_parse_error_reports_line_number(tmp_path):

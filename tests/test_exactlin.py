@@ -57,44 +57,25 @@ def test_kernel_over_f2_matches_enumeration():
     assert K.column(0) == [1, 1]
 
 
-def test_solve_identity_returns_rhs():
-    A = Matrix.identity(F7, 3)
-    assert A.solve([1, 2, 3]) == [1, 2, 3]
-
-
-def test_solve_scalar_mod_7():
-    A = Matrix(F7, [[2]])
-    assert A.solve([1]) == [4]  # 2 * 4 = 8 = 1 mod 7
-
-
-def test_solve_inconsistent_returns_none():
-    A = Matrix.zeros(F5, 2, 2)
-    assert A.solve([1, 0]) is None
-
-
-def test_solve_rejects_a_right_hand_side_of_wrong_length():
-    A = Matrix(F5, [[1, 2], [3, 4]])
-    for b in ([1], [1, 2, 3]):
-        with pytest.raises(ValueError, match="length"):
-            A.solve(b)
+def test_from_columns_rejects_a_column_of_wrong_length():
     with pytest.raises(ValueError, match="length"):
         Matrix.from_columns(F5, [[1, 2], [3]], 2)
 
 
-def test_solve_rationals():
-    A = Matrix(QQ, [[2, 1], [1, 1]])
-    x = A.solve([1, 0])
-    assert x == [Fraction(1), Fraction(-1)]
+def in_image(A: Matrix, b: list) -> bool:
+    """``b`` lies in the column space of ``A``: the span's equations kill it."""
+    return all(x == 0 for x in A.span().equations.apply(b))
 
 
 def test_empty_matrices_behave_as_zero_space_maps():
     A = Matrix.zeros(F5, 0, 3)
     assert A.kernel_basis().rank() == 3
-    assert A.solve([]) == [0, 0, 0]
+    assert A.span().equations.shape == (0, 0) and in_image(A, [])
     B = Matrix.zeros(F5, 3, 0)
     assert B.kernel_basis().shape == (0, 0)
-    assert B.solve([0, 0, 0]) == []
-    assert B.solve([1, 0, 0]) is None
+    assert B.span().equations == Matrix.identity(F5, 3)
+    assert in_image(B, [0, 0, 0])
+    assert not in_image(B, [1, 0, 0])
     assert (A @ B.transpose().transpose()).shape == (0, 0)
 
 
@@ -108,15 +89,20 @@ def test_rank_nullity_on_random_matrices():
 
 
 def test_kernel_then_solve_consistency():
+    """``Ax = b`` is solvable for every ``b = Ay`` and for no complement
+    column, and the kernel and the span's equations agree on the rank."""
     rng = random.Random(1)
     for _ in range(50):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         A = Matrix(F5, [[rng.randrange(5) for _ in range(c)] for _ in range(r)], c)
         K = A.kernel_basis()
         assert (A @ K).is_zero()
-        for j in range(K.ncols):
-            b = A.apply(K.column(j))
-            assert A.solve(b) is not None
+        sp = A.span()
+        assert c - K.ncols == r - sp.equations.nrows
+        for _ in range(5):
+            assert in_image(A, A.apply([rng.randrange(5) for _ in range(c)]))
+        for col in sp.complement.columns():
+            assert not in_image(A, col)
 
 
 def test_inverse_round_trip():
@@ -124,6 +110,36 @@ def test_inverse_round_trip():
     Ainv = A.inverse()
     assert A @ Ainv == Matrix.identity(F5, 2)
     assert Matrix(F5, [[1, 2], [2, 4]]).inverse() is None
+
+
+@pytest.mark.parametrize("field", [F2, F5, PrimeField(101), QQ], ids=repr)
+def test_inverse_matches_reference(field):
+    """``inverse`` is the right half of the Gauss-Jordan form of ``[A | I]``
+    when the left half is ``I``, and ``None`` for singular or non-square
+    ``A``."""
+    rng = random.Random(29)
+    p = None if field == QQ else field.p
+    cases = [_random_matrix(field, rng, n, n) for n in (0, 1, 1, 2, 2, 3, 3, 4, 5, 6) for _ in range(4)]
+    cases += [Matrix.zeros(field, n, n) for n in (1, 3)]
+    for n in (2, 3, 4, 5):  # rank n - 1
+        cases.append(_random_matrix(field, rng, n, n - 1) @ _random_matrix(field, rng, n - 1, n))
+    cases += [_random_matrix(field, rng, m, n) for m, n in ((0, 2), (2, 0), (1, 2), (3, 2), (2, 5))]
+    inverted = singular = 0
+    for A in cases:
+        Ainv = A.inverse()
+        if A.nrows != A.ncols:
+            assert Ainv is None
+            continue
+        n = A.nrows
+        R, pivots = gauss_jordan([row + [int(i == j) for j in range(n)] for i, row in enumerate(A.rows)], p)
+        if pivots[:n] == list(range(n)):
+            assert Ainv.rows == [row[n:] for row in R]
+            assert A @ Ainv == Matrix.identity(field, n) == Ainv @ A
+            inverted += 1
+        else:
+            assert Ainv is None
+            singular += 1
+    assert inverted >= 10 and singular >= 6
 
 
 def check_snf(A: IntMatrix):
@@ -245,7 +261,7 @@ def test_internal_results_are_canonical(field):
     sp = C.span()
     results = [
         A.rref()[0], A @ C, C.kernel_basis(), A.transpose(), A.hstack(B), A.vstack(B),
-        A + B, A - B, -A, A.scale(-3), Matrix.zeros(field, 2, 3), Matrix.identity(field, 3),
+        A + B, -A, A.scale(-3), Matrix.zeros(field, 2, 3), Matrix.identity(field, 3),
         sp.basis, sp.coords, sp.equations, sp.complement,
     ]
     Q = kronecker()

@@ -1,7 +1,8 @@
-"""Source hygiene: every imported name is used, sympy loads only inside
-the functions that call it, and every field class in ``exactlin``
-implements the whole field protocol.  No linter is a dependency, so the
-checks walk the syntax tree themselves."""
+"""Source hygiene: every imported name is used, every function and class
+of the library is referenced somewhere, sympy loads only inside the
+functions that call it, and every field class in ``exactlin`` implements
+the whole field protocol.  No linter is a dependency, so the checks walk
+the syntax tree themselves."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,61 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Non-dunder ``def`` and ``class`` names at any depth."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names used as a name or as an attribute, counting only uses outside
+    every definition of that same name, so recursion is not a use."""
+    found = set()
+    pending = [(tree, frozenset())]
+    while pending:
+        node, enclosing = pending.pop()
+        if isinstance(node, DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name is not None and name not in enclosing:
+            found.add(name)
+        pending.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def unreferenced(defining: list[ast.Module], referencing: list[ast.Module]) -> list[str]:
+    """Names defined in ``defining`` that no tree in ``referencing`` uses."""
+    used = set().union(*(referenced_names(tree) for tree in referencing))
+    return sorted(set().union(*(defined_names(tree) for tree in defining)) - used)
+
+
+def test_detector_flags_an_unreferenced_definition():
+    lib = ast.parse(
+        "class Used:\n"
+        "    def method(self): pass\n"
+        "    def dead_method(self): pass\n"
+        "    def __eq__(self, other): pass\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def outer():\n"
+        "    def inner(): pass\n"
+        "    return inner()\n"
+    )
+    user = ast.parse("from lib import Used, outer\nUsed().method()\nouter()\n")
+    assert unreferenced([lib], [lib, user]) == ["dead_method", "recursive"]
+
+
+def test_every_library_definition_is_referenced():
+    def trees(d):
+        return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / d).glob("*.py"))]
+
+    library = trees("src/tiltlab")
+    assert unreferenced(library, library + trees("tests") + trees("perfbench")) == []
 
 
 def module_level_sympy_imports(tree: ast.Module) -> list[int]:
