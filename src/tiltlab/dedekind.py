@@ -404,16 +404,15 @@ def classify_tilting(universe: PrimeSet) -> TiltingClassTable:
             "modules divisible by " + ", ".join(str(p) for p in s)
         )
         rows.append(SubsetRow(s, desc))
+    # each witness Z/p is certified by the same membership check; decide
+    # each (class, prime) membership once and let the pairs read it
     classes = [PrimeSet(s) for s in subsets]
+    members = [{p: is_divisible_by(FgZModule.cyclic(p), P) for p in universe.primes} for P in classes]
     witnesses = []
     for a in range(len(subsets)):
         for b in range(a + 1, len(subsets)):
-            diff = sorted(set(subsets[a]) ^ set(subsets[b]))
-            p = diff[0]
-            w = FgZModule.cyclic(p)
-            in_a = is_divisible_by(w, classes[a])
-            in_b = is_divisible_by(w, classes[b])
-            if in_a == in_b:
+            p = min(set(subsets[a]) ^ set(subsets[b]))
+            if members[a][p] == members[b][p]:
                 raise AssertionError("witness fails to separate the classes")
             witnesses.append((a, b, p))
     return TiltingClassTable(universe, tuple(rows), tuple(witnesses))

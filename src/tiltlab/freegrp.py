@@ -181,9 +181,15 @@ class XDivModule:
         self.dim = dims.pop()
 
     def act(self, vec, sym: str, e: int = 1) -> tuple:
-        """Right action ``vec * sym^e`` on a row vector."""
+        """Right action ``vec * sym^e`` on a row vector of ``dim`` field
+        elements, which are not coerced: ints over ``GF(p)``, where ``dot``
+        reduces mod ``p`` so any representative gives the canonical result,
+        and ``Fraction`` or int values over ``QQ``."""
+        if len(vec) != self.dim:
+            raise ValueError("vector length mismatch")
         forward, backward = self._on_rows[sym]
-        return tuple((forward if e == 1 else backward).apply(vec))
+        dot = self.field.dot
+        return tuple(dot(row, vec) for row in (forward if e == 1 else backward).rows)
 
 
 def envelope_value(m0, g: FreeWord, M: XDivModule) -> tuple:

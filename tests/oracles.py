@@ -1,13 +1,19 @@
-"""Independent resolution-based computations used to cross-check the
-closed-form module arithmetic.  Everything here works from presentation
-matrices through Smith normal form, never through gcd shortcuts.  The
-greedy basis completion is the reference for ``Matrix.span``'s
-complement, the brute-force submodule search the reference for
-``all_submodules``, the plain Gauss-Jordan elimination the reference for
-``Matrix.rref`` and ``Matrix.inverse``, and the power-by-power solve the
-reference for ``artheory._min_poly``."""
+"""Reference computations that tests compare the library against.
+
+The Z-module oracles (``hom_oracle``, ``ext_oracle``, ``tor_oracle``) work
+from presentation matrices through the library's own ``snf`` and
+``classify``, never through gcd shortcuts, so they check the closed forms
+but not ``snf`` itself.  ``invariant_factors`` is the reference for
+``snf``'s ``D``: it reads the invariant factors off determinantal divisors
+(gcds of minors, through ``Fraction`` determinants) and shares no code
+with ``snf``.  The greedy basis completion is the reference for
+``Matrix.span``'s complement, the brute-force submodule search the
+reference for ``all_submodules``, the plain Gauss-Jordan elimination the
+reference for ``Matrix.rref`` and ``Matrix.inverse``, and the
+power-by-power solve the reference for ``artheory._min_poly``."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from tiltlab.artheory import _all_subspaces
@@ -40,6 +46,41 @@ def _int_solve(L: IntMatrix, B: IntMatrix) -> IntMatrix:
                 if i < L.ncols:
                     Y[i][j] = v // d
     return V @ IntMatrix(Y, B.ncols)
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix by elimination over ``Fraction``."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    n = len(rows)
+    out = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out
+
+
+def invariant_factors(A: IntMatrix) -> list[int]:
+    """The diagonal of the Smith normal form of ``A``, ``min(m, n)``
+    entries, from determinantal divisors: with ``g_k`` the gcd of all
+    ``k x k`` minors (``g_0 = 1``), the ``k``-th invariant factor is
+    ``g_k / g_{k-1}``, and ``0`` once ``g_k = 0``."""
+    out, prev = [], 1
+    for k in range(1, min(A.nrows, A.ncols) + 1):
+        g = 0
+        for rs in itertools.combinations(A.rows, k):
+            for cs in itertools.combinations(range(A.ncols), k):
+                g = math.gcd(g, int(det([[row[j] for j in cs] for row in rs])))
+        out.append(g // prev if g else 0)
+        prev = g or 1
+    return out
 
 
 def _stack_cols(A: IntMatrix, B: IntMatrix) -> IntMatrix:

@@ -6,9 +6,8 @@ tolerances to tune."""
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
-from oracles import ext_oracle, hom_oracle, rand_fgz, tor_oracle
+from oracles import det, ext_oracle, hom_oracle, rand_fgz, tor_oracle
 
 from tiltlab.artheory import (
     BoundSet,
@@ -234,31 +233,12 @@ def test_c8_free_group_envelope_and_snf():
             A = IntMatrix([[rng.randrange(-30, 31) for _ in range(c)] for _ in range(r)])
             U, D, V = snf(A)
             assert (U @ A) @ V == D
-            assert abs(_int_det(U)) == 1 and abs(_int_det(V)) == 1
+            assert abs(det(U.rows)) == 1 and abs(det(V.rows)) == 1
             diag = D.diagonal()
             for i in range(len(diag) - 1):
                 if diag[i + 1] != 0:
                     assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
             assert all(d >= 0 for d in diag)
-
-
-def _int_det(A: IntMatrix) -> Fraction:
-    n = A.nrows
-    rows = [[Fraction(x) for x in row] for row in A.rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
 
 
 def test_c9_cli_determinism(capsys, tmp_path):

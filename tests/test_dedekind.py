@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import ext_oracle, hom_oracle, rand_fgz, tor_oracle, torsion_part
 
+from tiltlab import dedekind
 from tiltlab.dedekind import (
     FgZModule,
     IdealPairReport,
@@ -224,6 +225,21 @@ def test_classify_tilting_builds_each_prime_set_once(monkeypatch):
     table = classify_tilting(PrimeSet.of(2, 3, 5, 7, 11, 13))
     assert table.num_classes == 64 and len(table.witnesses) == 64 * 63 // 2
     assert len(calls) <= 65
+
+
+def test_classify_tilting_decides_each_membership_once(monkeypatch):
+    """One ``is_divisible_by`` call per class and prime (64 * 6), not two
+    per pair of classes (4,032)."""
+    calls = []
+
+    def counting(M, P):
+        calls.append((M, P))
+        return is_divisible_by(M, P)
+
+    monkeypatch.setattr(dedekind, "is_divisible_by", counting)
+    table = classify_tilting(PrimeSet.of(2, 3, 5, 7, 11, 13))
+    assert table.num_classes == 64 and len(table.witnesses) == 64 * 63 // 2
+    assert len(calls) <= 64 * 6
 
 
 def test_classify_tilting_empty_universe():

@@ -1,39 +1,20 @@
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gauss_jordan, greedy_basis_completion
+from oracles import det, gauss_jordan, greedy_basis_completion, invariant_factors
 
+from tiltlab.dedekind import FgZModule, classify
 from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, snf
 from tiltlab.quiverrep import QuiverRep, hom_space, kronecker, presentation_hom_matrix, proj_presentation
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
-
-
-def int_det(A: IntMatrix) -> Fraction:
-    # fraction-free enough for unimodularity checks at desk scale
-    n = A.nrows
-    assert n == A.ncols
-    rows = [[Fraction(x) for x in row] for row in A.rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
 
 
 def test_kernel_of_identity_is_trivial():
@@ -145,8 +126,8 @@ def test_inverse_matches_reference(field):
 def check_snf(A: IntMatrix):
     U, D, V = snf(A)
     assert (U @ A) @ V == D
-    assert abs(int_det(U)) == 1
-    assert abs(int_det(V)) == 1
+    assert abs(det(U.rows)) == 1
+    assert abs(det(V.rows)) == 1
     diag = D.diagonal()
     for i in range(D.nrows):
         for j in range(D.ncols):
@@ -200,6 +181,84 @@ def test_snf_on_200_random_integer_matrices():
         r, c = rng.randrange(1, 6), rng.randrange(1, 6)
         A = IntMatrix([[rng.randrange(-25, 26) for _ in range(c)] for _ in range(r)])
         check_snf(A)
+
+
+def _random_5x5(rng):
+    return IntMatrix([[rng.randint(-100, 100) for _ in range(5)] for _ in range(5)])
+
+
+def _max_bits(*mats: IntMatrix) -> int:
+    return max((abs(x).bit_length() for M in mats for row in M.rows for x in row), default=0)
+
+
+def _snf_within(A: IntMatrix, seconds: float):
+    """``snf(A)``, or ``None`` when it runs for more than ``seconds`` of
+    wall time."""
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return snf(A)
+    except TimeoutError:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_snf_coefficients_stay_bounded_on_a_seeded_5x5():
+    # a smallest-pivot division loop grows U and V to 12,202 bits here
+    rng = random.Random(5)
+    A = [_random_5x5(rng) for _ in range(5)][4]
+    check_snf(A)
+    assert _max_bits(*snf(A)) <= 512
+
+
+def test_snf_coefficients_stay_bounded_on_200_random_5x5():
+    # a smallest-pivot division loop runs for more than 0.5 s on about half
+    # of these and grows U and V to thousands of bits on the rest; an input
+    # over the wall cap is not checked further, and the test then fails
+    rng = random.Random(5)
+    over_cap = []
+    for k in range(200):
+        A = _random_5x5(rng)
+        result = _snf_within(A, 0.5)
+        if result is None:
+            over_cap.append(k)
+            continue
+        check_snf(A)
+        assert _max_bits(*result) <= 512, k
+    assert over_cap == []
+
+
+def _random_shapes(rng, count):
+    """Integer matrices from 0 x 0 to 5 x 5: dense, low rank (products of
+    thinner factors), sparse with repeated factors, and 5 x 5 with entries
+    in [-100, 100]."""
+    for k in range(count):
+        r, c = rng.randrange(0, 6), rng.randrange(0, 6)
+        kind = k % 4
+        if kind == 0:
+            yield IntMatrix([[rng.randint(-30, 30) for _ in range(c)] for _ in range(r)], c)
+        elif kind == 1:
+            rank = rng.randrange(0, min(r, c) + 1)
+            L = [[rng.randint(-9, 9) for _ in range(rank)] for _ in range(r)]
+            R = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(rank)]
+            yield IntMatrix([[sum(L[i][t] * R[t][j] for t in range(rank)) for j in range(c)] for i in range(r)], c)
+        elif kind == 2:
+            yield IntMatrix([[rng.choice((0, 0, 0, 1, -2, 4, 6, -12)) for _ in range(c)] for _ in range(r)], c)
+        else:
+            yield _random_5x5(rng)
+
+
+def test_snf_and_classify_match_determinantal_divisors():
+    for A in _random_shapes(random.Random(8), 240):
+        factors = invariant_factors(A)
+        assert check_snf(A) == factors
+        nonzero = [d for d in factors if d]
+        assert classify(A) == FgZModule(A.nrows - len(nonzero), tuple(d for d in nonzero if d > 1))
 
 
 def test_prime_field_rejects_composites():

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltlab.errors import ParseError, SameGenerator
-from tiltlab.exactlin import Matrix, PrimeField
+from tiltlab.exactlin import QQ, Matrix, PrimeField
 from tiltlab.freegrp import (
     FreeWord,
     GroupAlgElem,
@@ -178,6 +179,34 @@ def test_flatness_witness():
 def test_flatness_witness_needs_distinct_generators():
     with pytest.raises(SameGenerator):
         flatness_witness(AB, "x", "x", F7)
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=str)
+def test_act_matches_the_transposed_action(field):
+    """``act`` applies the stored rows without coercing the vector; over
+    GF(7) any integer representative, negative ones included, gives the
+    canonical result that ``Matrix.apply`` gives after coercing."""
+    rng = random.Random(9)
+    for _ in range(20):
+        actions = {}
+        for sym in AB:
+            while True:
+                m = Matrix(field, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)], 3)
+                if m.is_invertible():
+                    actions[sym] = m
+                    break
+        module = XDivModule(field, AB, actions)
+        raw = [rng.randint(-20, 20) for _ in range(3)]
+        vec = raw if field == F7 else [Fraction(x, rng.randint(1, 5)) for x in raw]
+        for sym in AB:
+            assert module.act(vec, sym, 1) == tuple(actions[sym].transpose().apply(vec))
+            assert module.act(vec, sym, -1) == tuple(actions[sym].inverse().transpose().apply(vec))
+
+
+def test_act_rejects_a_vector_of_the_wrong_length():
+    module = random_xdiv_module(AB, F7, 2, seed=1)
+    with pytest.raises(ValueError):
+        module.act((1, 2, 3), "x")
 
 
 def test_xdiv_module_rejects_singular_action():
