@@ -56,7 +56,7 @@ from .quiverrep import (
     subrep,
 )
 
-SEARCH_BUDGET = 200_000  # subspace tuples one exhaustive submodule search may visit
+SEARCH_BUDGET = 200_000  # vertex subspaces one exhaustive submodule search may choose
 DIM_CAP = 12  # largest total dimension the submodule searches accept
 ISO_TRIES = 30  # random Hom combinations is_isomorphic tries
 SPLIT_TRIES = 40  # candidate endomorphisms decompose tries per module
@@ -366,11 +366,11 @@ def is_atomic_full(alpha: RepMap, df: DefectFunction, seed: int = 0) -> bool:
 # submodule enumeration (desk scale)
 
 
-def _all_subspaces(field: PrimeField, dim: int) -> list[Matrix]:
-    """All subspaces of ``field^dim`` as column-basis matrices, enumerated
-    through reduced row echelon forms."""
+def _all_subspaces(field: PrimeField, dim: int):
+    """Yield every subspace of ``field^dim`` once, as a column-basis
+    matrix, enumerated through reduced row echelon forms."""
     p = field.p
-    out = [Matrix.zeros(field, dim, 0)]
+    yield Matrix.zeros(field, dim, 0)
     for r in range(1, dim + 1):
         for pivots in itertools.combinations(range(dim), r):
             free_positions = [
@@ -385,47 +385,43 @@ def _all_subspaces(field: PrimeField, dim: int) -> list[Matrix]:
                     rows[i][pc] = 1
                 for (i, j), val in zip(free_positions, values):
                     rows[i][j] = val
-                out.append(Matrix(field, rows, dim).transpose())
-    return out
-
-
-def _subspace_count(p: int, dim: int) -> int:
-    total = 0
-    for r in range(dim + 1):
-        num = 1
-        for i in range(r):
-            num *= (p**dim - p**i)
-        den = 1
-        for i in range(r):
-            den *= (p**r - p**i)
-        total += num // den if r else 1
-    return total
+                yield Matrix(field, rows, dim).transpose()
 
 
 def all_submodules(M: QuiverRep):
     """Yield the vertex-wise bases of every subrepresentation of ``M``
-    (including zero and ``M``).  Exhaustive; raises
-    :class:`SearchBudgetExceeded` when the subspace-tuple count exceeds
-    :data:`SEARCH_BUDGET`."""
+    (including zero and ``M``), each once.  Vertices are taken in
+    topological order; the subspace at ``v`` is the span ``R`` of the images
+    along the arrows into ``v`` plus a subspace of a complement of ``R``, so
+    every choice extends to a submodule.  Raises
+    :class:`SearchBudgetExceeded` once more than :data:`SEARCH_BUDGET`
+    subspaces have been chosen."""
     field = M.field
     if not isinstance(field, PrimeField):
         raise SearchBudgetExceeded("exhaustive submodule search requires a finite field")
-    count = 1
-    for d in M.dims:
-        count *= _subspace_count(field.p, d)
-        if count > SEARCH_BUDGET:
-            raise SearchBudgetExceeded(f"about {count} subspace tuples exceed budget {SEARCH_BUDGET}")
-    per_vertex = [_all_subspaces(field, d) for d in M.dims]
-    arrows = M.quiver.arrows
-    # pulled[k][i]: the equations of the i-th subspace at the target of
-    # arrow k, pulled back along it; a tuple is stable under the arrow
-    # exactly when this kills the source subspace
-    equations = {t: [T.span().equations for T in per_vertex[t]] for t in {a.target for a in arrows}}
-    pulled = [[E @ M.maps[k] for E in equations[a.target]] for k, a in enumerate(arrows)]
-    for idx in itertools.product(*(range(len(subs)) for subs in per_vertex)):
-        if all((pulled[k][idx[a.target]] @ per_vertex[a.source][idx[a.source]]).is_zero()
-               for k, a in enumerate(arrows)):
-            yield [subs[i] for subs, i in zip(per_vertex, idx)]
+    q = M.quiver
+    order = q.topological_order()
+    bases = [None] * q.nvertices
+    choices = 0
+
+    def extend(i: int):
+        nonlocal choices
+        if i == len(order):
+            yield list(bases)
+            return
+        v = order[i]
+        images = Matrix.zeros(field, M.dims[v], 0)
+        for k in q.arrows_into(v):
+            images = images.hstack(M.maps[k] @ bases[q.arrows[k].source])
+        R = images.span()
+        for T in _all_subspaces(field, R.complement.ncols):
+            choices += 1
+            if choices > SEARCH_BUDGET:
+                raise SearchBudgetExceeded(f"submodule search exceeds budget of {SEARCH_BUDGET} subspace choices")
+            bases[v] = R.basis.hstack(R.complement @ T)
+            yield from extend(i + 1)
+
+    yield from extend(0)
 
 
 def is_simple_regular(M: QuiverRep, df: DefectFunction, seed: int = 0) -> bool:
@@ -588,16 +584,9 @@ def u_filtration(N: QuiverRep, members, dim_cap: int = DIM_CAP, seed: int = 0) -
 
 
 def _preimage_bases(proj: RepMap, sub_bases: list[Matrix]) -> list[Matrix]:
-    """Vertex-wise bases of the preimage of a subspace under a surjection."""
-    out = []
-    for v in range(proj.source.quiver.nvertices):
-        pv = proj.maps[v]
-        B = sub_bases[v]
-        stacked = pv.hstack(-B)
-        K = stacked.kernel_basis()
-        xs = Matrix._of(pv.field, [row[:] for row in K.rows[: pv.ncols]], K.ncols)
-        out.append(xs.span().basis)
-    return out
+    """Vertex-wise bases of the preimage of a subspace under a surjection:
+    the kernel of the subspace's equations pulled back along it."""
+    return [(B.span().equations @ pv).kernel_basis() for pv, B in zip(proj.maps, sub_bases)]
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,8 @@ def perp_conditions(M: QuiverRep, U: QuiverRep, pres: ProjPresentation | None = 
     # dualized presentation; in generator coordinates this is the square
     # test plus full rank
     phi = presentation_hom_matrix(pres, M)
-    cond_invert = phi.nrows == phi.ncols and phi.rank() == phi.nrows
+    rank = phi.rank()
+    cond_invert = phi.nrows == phi.ncols and rank == phi.nrows
 
     # (ii) vanishing of Tor_1(M, Tr U) and M (x) Tr U, computed from M's
     # own presentation tensored against the transpose
@@ -90,8 +91,8 @@ def perp_conditions(M: QuiverRep, U: QuiverRep, pres: ProjPresentation | None = 
     cond_tor = tor1 == 0 and tensor == 0
 
     # (iii) vanishing of Hom(U, M) (commuting-square solver) and
-    # Ext^1(U, M) (cokernel of the restriction along the presentation)
-    cond_homext = hom_dim(U, M) == 0 and ext1_dim(U, M, pres) == 0
+    # Ext^1(U, M), the cokernel of phi
+    cond_homext = hom_dim(U, M) == 0 and phi.nrows == rank
 
     return PerpReport(cond_invert, cond_tor, cond_homext)
 

@@ -51,24 +51,26 @@ class Quiver:
             if a.name in names:
                 raise ValueError(f"duplicate arrow name {a.name}")
             names.add(a.name)
-        if self._has_cycle():
+        if len(self.topological_order()) != self.nvertices:
             raise ValueError("quiver must be acyclic")
 
-    def _has_cycle(self) -> bool:
+    def topological_order(self) -> list[int]:
+        """Vertices ordered so that every arrow points forward (Kahn's
+        algorithm); a cycle leaves its vertices out of the order."""
         indeg = [0] * self.nvertices
         for a in self.arrows:
             indeg[a.target] += 1
         queue = [v for v in range(self.nvertices) if indeg[v] == 0]
-        seen = 0
+        order = []
         while queue:
             v = queue.pop()
-            seen += 1
+            order.append(v)
             for a in self.arrows:
                 if a.source == v:
                     indeg[a.target] -= 1
                     if indeg[a.target] == 0:
                         queue.append(a.target)
-        return seen != self.nvertices
+        return order
 
     def opposite(self) -> "Quiver":
         return Quiver(self.nvertices, tuple(Arrow(a.name, a.target, a.source) for a in self.arrows))

@@ -49,6 +49,15 @@ def test_quiver_rejects_cycles():
         Quiver(2, (Arrow("a", 0, 1), Arrow("b", 1, 0)))
 
 
+def test_topological_order_points_every_arrow_forward():
+    for q in (KRON, A3, Quiver(3, (Arrow("x", 2, 0), Arrow("y", 0, 1)))):
+        order = q.topological_order()
+        assert sorted(order) == list(range(q.nvertices))
+        assert all(order.index(a.source) < order.index(a.target) for a in q.arrows)
+    with pytest.raises(ValueError, match="quiver must be acyclic"):
+        Quiver(4, (Arrow("a", 3, 0), Arrow("b", 0, 1), Arrow("c", 1, 2), Arrow("d", 2, 0)))
+
+
 def test_projective_dims_on_kronecker():
     assert projective(KRON, F5, 1).dims == (0, 1)
     assert projective(KRON, F5, 0).dims == (1, 2)
