@@ -45,9 +45,9 @@ from .quiverrep import (
     euler_form,
     hom_dim,
     hom_space,
+    hom_system,
     is_projective,
     kronecker,
-    presentation_hom_matrix,
     proj_presentation,
     proj_sum,
     projective,
@@ -103,8 +103,8 @@ def is_isomorphic(M: QuiverRep, N: QuiverRep, seed: int = 0) -> bool:
     """Test isomorphism by hunting for an invertible element of the
     morphism space: structured candidates first, then seeded random
     combinations.  A positive answer is certified; a negative answer is
-    correct up to the (tiny) chance that every sampled combination is
-    singular."""
+    not: every sampled combination may be singular although the modules are
+    isomorphic, which over GF(2) happens often (see ROADMAP item 1)."""
     if M.quiver != N.quiver or M.field != N.field or M.dims != N.dims:
         return False
     if M.total_dim() == 0:
@@ -450,42 +450,20 @@ def is_simple_regular(M: QuiverRep, df: DefectFunction, seed: int = 0) -> bool:
 # extensions
 
 
-def ext_class_rep(C: QuiverRep, A: QuiverRep, class_index: int = 0,
-                  pres: ProjPresentation | None = None) -> RepMap:
-    """A representative ``P -> A`` of a nonzero extension class of ``C`` by
-    ``A`` (a chosen complement vector of the image of ``Hom(Q,A)`` inside
-    ``Hom(P,A)``)."""
-    if pres is None:
-        pres = proj_presentation(C)
-    phi = presentation_hom_matrix(pres, A)
-    reps = phi.span().complement.columns()
-    if class_index >= len(reps):
-        raise NoExtension(
-            f"requested class {class_index} but Ext^1 has dimension {len(reps)}"
-        )
-    coords = reps[class_index]
-    gen_images = []
-    off = 0
-    for vtx in pres.P.summands:
-        gen_images.append(coords[off: off + A.dims[vtx]])
-        off += A.dims[vtx]
-    return extend_generators(pres.P, A, gen_images)
-
-
 def build_extension(C: QuiverRep, A: QuiverRep, class_index: int = 0) -> QuiverRep:
-    """Middle term of a non-split extension of ``C`` (quotient) by ``A``
-    (subobject), built as the pushout of the presentation of ``C`` along a
-    chosen class representative."""
-    pres = proj_presentation(C)
-    g = ext_class_rep(C, A, class_index, pres)
-    field = A.field
-    target = direct_sum(A, pres.Q.rep)
-    maps = []
-    for v in range(A.quiver.nvertices):
-        maps.append(g.maps[v].vstack(-pres.alpha.maps[v]))
-    h = RepMap(pres.P.rep, target, maps)
-    middle, _ = cokernel(h)
-    assert middle.dims == tuple(a + c for a, c in zip(A.dims, C.dims))
+    """Middle term ``E`` of a non-split extension ``0 -> A -> E -> C -> 0``.
+    Class ``class_index`` of ``hom_system(C, A).span().complement``, a
+    basis of ``Ext^1(C, A)``, gives blocks ``g_a: C_i -> A_j``; then ``E_v =
+    A_v + C_v`` and ``E_a = [[A_a, g_a], [0, C_a]]``, with inclusion ``[I;
+    0]`` and projection ``[0 I]``."""
+    classes = hom_system(C, A)[0].span().complement
+    if class_index >= classes.ncols:
+        raise NoExtension(f"requested class {class_index} but Ext^1 has dimension {classes.ncols}")
+    g = iter(classes.column(class_index))
+    middle = direct_sum(A, C)
+    for k, a in enumerate(A.quiver.arrows):
+        for row in middle.maps[k].rows[: A.dims[a.target]]:
+            row[A.dims[a.source]:] = [next(g) for _ in range(C.dims[a.source])]
     return middle
 
 

@@ -10,10 +10,11 @@ test module ``M``, three conditions are equivalent:
 * (iii) ``Hom(U, M)`` and ``Ext^1(U, M)`` both vanish.
 
 The equivalence is used as an oracle: :func:`perp_conditions` computes all
-three and reports whether they agree.  Only route (ii) and the
-commuting-square ``Hom`` of route (iii) are computed independently; route
-(i) and the ``Ext^1`` half of route (iii) are both read off the same
-``presentation_hom_matrix``, so a fault in that matrix reaches both.
+three and reports whether they agree.  Route (iii) reads both halves off
+the commuting-square system ``hom_system(U, M)`` and shares no matrix with
+route (i), which reads ``presentation_hom_matrix``, or with route (ii).
+Routes (i) and (ii) both start from the presentation of ``U`` (route (ii)
+through its transpose), so a fault there reaches both, but not (iii).
 
 Divisibility classes (vanishing of ``Ext^1(U, -)``) stand in for the
 tilting classes of the localizations attached to sets of bound modules,
@@ -35,6 +36,7 @@ from .quiverrep import (
     ext1_dim,
     hom_dim,
     hom_space,
+    hom_system,
     presentation_hom_matrix,
     proj_presentation,
     subrep,
@@ -45,8 +47,8 @@ from .quiverrep import (
 @dataclass(frozen=True)
 class PerpReport:
     """The three membership conditions and their agreement flag.  Route
-    (ii) and the ``Hom`` half of route (iii) are independent computations;
-    route (i) and the ``Ext^1`` half of route (iii) share one matrix."""
+    (iii) shares no matrix with routes (i) and (ii); those two both start
+    from the presentation of ``U``."""
 
     cond_invert: bool
     cond_tor: bool
@@ -80,9 +82,7 @@ def perp_conditions(M: QuiverRep, U: QuiverRep, pres: ProjPresentation | None = 
     # (i) invertibility of the induced map on tensor products with the
     # dualized presentation; in generator coordinates this is the square
     # test plus full rank
-    phi = presentation_hom_matrix(pres, M)
-    rank = phi.rank()
-    cond_invert = phi.nrows == phi.ncols and rank == phi.nrows
+    cond_invert = presentation_hom_matrix(pres, M).is_invertible()
 
     # (ii) vanishing of Tor_1(M, Tr U) and M (x) Tr U, computed from M's
     # own presentation tensored against the transpose
@@ -90,9 +90,10 @@ def perp_conditions(M: QuiverRep, U: QuiverRep, pres: ProjPresentation | None = 
     tor1, tensor = tor_dims(M, tr)
     cond_tor = tor1 == 0 and tensor == 0
 
-    # (iii) vanishing of Hom(U, M) (commuting-square solver) and
-    # Ext^1(U, M), the cokernel of phi
-    cond_homext = hom_dim(U, M) == 0 and phi.nrows == rank
+    # (iii) vanishing of Hom(U, M) and Ext^1(U, M), the kernel and the
+    # cokernel of the commuting-square system
+    system, _ = hom_system(U, M)
+    cond_homext = system.rank() == system.nrows == system.ncols
 
     return PerpReport(cond_invert, cond_tor, cond_homext)
 

@@ -515,18 +515,18 @@ def is_projective(M: QuiverRep) -> bool:
 # Hom, Ext, Tor
 
 
-def hom_space(M: QuiverRep, N: QuiverRep) -> list[RepMap]:
-    """Basis of the space of morphisms ``M -> N``, found by solving the
-    commuting-square equations."""
+def hom_system(M: QuiverRep, N: QuiverRep) -> tuple[Matrix, list[int]]:
+    """The commuting-square equations of ``Hom(M, N)`` and their column
+    offsets: the Hom functor on the standard resolution ``0 -> (+)_{a: i->j}
+    P(j) (x) M_i -> (+)_i P(i) (x) M_i -> M -> 0`` (Ringel 1976).  Columns
+    ``offs[v]`` up to ``offs[v+1]`` hold ``f_v: M_v -> N_v`` row by row; the
+    rows hold ``N_a f_i - f_j M_a``, arrow by arrow and row by row.  The
+    kernel is ``Hom(M, N)`` and the cokernel is ``Ext^1(M, N)``: a vector of
+    row values, cut into the arrow blocks, is a class ``(g_a: M_i -> N_j)``."""
     _require_parallel(M, N)
     field = M.field
-    n = M.quiver.nvertices
-    offs = [0]
-    for v in range(n):
-        offs.append(offs[-1] + N.dims[v] * M.dims[v])
+    offs = _block_offsets([n * m for n, m in zip(N.dims, M.dims)])
     total = offs[-1]
-    if total == 0:
-        return []
     rows: list[list] = []
     zero, neg = field.zero, field.neg
     for k, a in enumerate(M.quiver.arrows):
@@ -541,17 +541,23 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> list[RepMap]:
                 for l in range(M.dims[j]):
                     row[offs[j] + r * M.dims[j] + l] = neg(Ma.rows[l][c])
                 rows.append(row)
-    system = Matrix._of(field, rows, total)
+    return Matrix._of(field, rows, total), offs
+
+
+def hom_space(M: QuiverRep, N: QuiverRep) -> list[RepMap]:
+    """Basis of the space of morphisms ``M -> N``: the kernel of
+    :func:`hom_system`."""
+    system, offs = hom_system(M, N)
     K = system.kernel_basis()
     basis = []
     for jcol in range(K.ncols):
         vec = K.column(jcol)
         maps = []
-        for v in range(n):
+        for v in range(M.quiver.nvertices):
             entries = vec[offs[v]: offs[v + 1]]
             maps.append(
                 Matrix._of(
-                    field,
+                    M.field,
                     [entries[r * M.dims[v]: (r + 1) * M.dims[v]] for r in range(N.dims[v])],
                     M.dims[v],
                 )
@@ -561,7 +567,8 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> list[RepMap]:
 
 
 def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
-    return len(hom_space(M, N))
+    system, _ = hom_system(M, N)
+    return system.ncols - system.rank()
 
 
 def _block_offsets(dims: list[int]) -> list[int]:

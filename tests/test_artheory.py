@@ -359,6 +359,27 @@ def test_build_extension_in_rank3_tube():
     assert not is_isomorphic(layer2, direct_sum(s, tminus))
 
 
+def test_build_extension_is_certified_non_split():
+    # 0 -> Hom(C, A) -> Hom(C, E) -> Hom(C, C) -> Ext^1(C, A) sends id_C to
+    # the chosen class; it is nonzero, so Hom(C, E) is smaller than the sum.
+    # The random GF(3) pairs have unequal arrow blocks, so a misread class
+    # layout shows too.
+    trio = tube_catalog("a31", F5).tubes[0]
+    kron_simples = (QuiverRep.simple(KRON, F5, 0), QuiverRep.simple(KRON, F5, 1))
+    assert ext1_dim(trio[2], trio[0]) == 1 and ext1_dim(*kron_simples) == 2
+    rng, F3 = random.Random(8), PrimeField(3)
+    pairs = [(trio[2], trio[0]), kron_simples]
+    pairs += [(random_rep(A3, F3, rng, 2), random_rep(A3, F3, rng, 2)) for _ in range(20)]
+    for C, A in pairs:
+        field = C.field
+        for i in range(ext1_dim(C, A)):
+            E = build_extension(C, A, i)
+            assert hom_dim(C, E) < hom_dim(C, A) + hom_dim(C, C)
+            inclusion = [Matrix.identity(field, a).vstack(Matrix.zeros(field, c, a)) for a, c in zip(A.dims, C.dims)]
+            projection = [Matrix.zeros(field, c, a).hstack(Matrix.identity(field, c)) for a, c in zip(A.dims, C.dims)]
+            assert RepMap(A, E, inclusion).is_valid() and RepMap(E, C, projection).is_valid()
+
+
 def test_build_extension_needs_nonzero_ext():
     s = QuiverRep.simple(KRON, F5, 1)
     with pytest.raises(NoExtension):

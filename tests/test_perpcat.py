@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import random_basis_change
 
+from tiltlab import perpcat
 from tiltlab.artheory import (
     BoundSet,
     build_extension,
@@ -11,7 +12,7 @@ from tiltlab.artheory import (
     tube_catalog,
 )
 from tiltlab.errors import NotBound
-from tiltlab.exactlin import PrimeField
+from tiltlab.exactlin import Matrix, PrimeField
 from tiltlab.perpcat import (
     class_compare,
     divisible_radical,
@@ -60,6 +61,23 @@ def test_perp_conditions_self_fail():
     report = perp_conditions(r0, r0)
     assert not (report.cond_invert or report.cond_tor or report.cond_homext)
     assert report.consistent
+
+
+def test_perp_routes_invert_and_homext_share_no_matrix(monkeypatch):
+    # a fault in the presentation matrix of route (i) must not reach route (iii)
+    U, M = KCAT.tubes[0][0], KCAT.tubes[1][0]
+    assert perp_conditions(M, U).member
+    true_matrix = perpcat.presentation_hom_matrix
+
+    def with_zero_row(pres, N):
+        phi = true_matrix(pres, N)
+        return phi.vstack(Matrix.zeros(N.field, 1, phi.ncols))
+
+    monkeypatch.setattr(perpcat, "presentation_hom_matrix", with_zero_row)
+    report = perp_conditions(M, U)
+    assert not report.cond_invert
+    assert report.cond_homext and report.cond_tor
+    assert not report.consistent
 
 
 def test_perp_conditions_requires_bound():

@@ -18,6 +18,7 @@ from tiltlab.quiverrep import (
     hom_dim,
     hom_ext_dims,
     hom_space,
+    hom_system,
     image,
     injective,
     is_projective,
@@ -150,11 +151,16 @@ def test_ext_of_kronecker_simples():
 
 
 def test_hom_via_presentation_agrees_with_solver():
+    # the commuting-square system's kernel and cokernel are Hom and Ext^1
     rng = random.Random(6)
-    for q in (KRON, A3):
-        for _ in range(10):
-            M, N = random_rep(q, F5, rng), random_rep(q, F5, rng)
-            assert hom_ext_dims(M, N)[0] == hom_dim(M, N)
+    for field in (F5, PrimeField(2), PrimeField(3)):
+        for q in (KRON, A3):
+            for _ in range(10):
+                M, N = random_rep(q, field, rng), random_rep(q, field, rng)
+                S, _ = hom_system(M, N)
+                rank = S.rank()
+                assert hom_ext_dims(M, N) == (S.ncols - rank, S.nrows - rank)
+                assert hom_ext_dims(M, N)[0] == hom_dim(M, N) == len(hom_space(M, N))
 
 
 def padded_presentation(pres: ProjPresentation, vertex: int) -> ProjPresentation:
