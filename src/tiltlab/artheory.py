@@ -355,11 +355,11 @@ def is_full(alpha: RepMap, df: DefectFunction, seed: int = 0) -> bool:
 
 
 def is_atomic_full(alpha: RepMap, df: DefectFunction, seed: int = 0) -> bool:
-    """Full with simple regular cokernel."""
-    if not is_full(alpha, df, seed=seed):
-        return False
-    coker, _ = cokernel(alpha)
-    return is_simple_regular(coker, df, seed=seed)
+    """Full with simple regular cokernel; a simple regular cokernel is
+    regular, so no separate fullness test is needed."""
+    if not (is_projective(alpha.source) and is_projective(alpha.target)):
+        raise NonProjective("fullness is defined for morphisms between projectives")
+    return alpha.is_injective() and is_simple_regular(cokernel(alpha)[0], df, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +429,13 @@ def is_simple_regular(M: QuiverRep, df: DefectFunction, seed: int = 0) -> bool:
     subrepresentation (checked by exhaustive submodule search)."""
     if M.is_zero():
         return False
-    if M.total_dim() > DIM_CAP:
-        raise SearchBudgetExceeded(f"module dimension {M.total_dim()} exceeds cap {DIM_CAP}")
     parts = decompose(M, seed=seed)
     if len(parts) != 1 or parts[0][1] != 1:
         return False
     if defect(df, M.dims) != 0:
         return False
+    if M.total_dim() > DIM_CAP:
+        raise SearchBudgetExceeded(f"module dimension {M.total_dim()} exceeds cap {DIM_CAP}")
     for bases in all_submodules(M):
         sdims = tuple(B.ncols for B in bases)
         if sum(sdims) in (0, M.total_dim()):
@@ -494,6 +494,16 @@ class BoundSet:
         return len(self.members)
 
 
+def bound_members(U) -> tuple[QuiverRep, ...]:
+    """The modules of a :class:`BoundSet`, a single module or an iterable
+    of modules, as a tuple."""
+    if isinstance(U, BoundSet):
+        return U.members
+    if isinstance(U, QuiverRep):
+        return (U,)
+    return tuple(U)
+
+
 @dataclass
 class Filtration:
     """Ascending chain ``0 = N_0 < N_1 < ... < N_k = N`` given by
@@ -521,9 +531,7 @@ def u_filtration(N: QuiverRep, members, dim_cap: int = DIM_CAP, seed: int = 0) -
     """Search for a finite chain of submodules of ``N`` whose successive
     factors are isomorphic to the given bound modules; ``None`` when the
     exhaustive search finds no chain."""
-    if isinstance(members, BoundSet):
-        members = members.members
-    members = tuple(members)
+    members = bound_members(members)
     if N.total_dim() > dim_cap:
         raise SearchBudgetExceeded(f"module dimension {N.total_dim()} exceeds cap {dim_cap}")
 

@@ -10,11 +10,14 @@ test module ``M``, three conditions are equivalent:
 * (iii) ``Hom(U, M)`` and ``Ext^1(U, M)`` both vanish.
 
 The equivalence is used as an oracle: :func:`perp_conditions` computes all
-three and reports whether they agree.  Route (iii) reads both halves off
-the commuting-square system ``hom_system(U, M)`` and shares no matrix with
-route (i), which reads ``presentation_hom_matrix``, or with route (ii).
-Routes (i) and (ii) both start from the presentation of ``U`` (route (ii)
-through its transpose), so a fault there reaches both, but not (iii).
+three and reports whether they agree.  Route (i) evaluates the
+presentation of ``U`` on ``DM`` with ``presentation_tensor_matrix``; that
+matrix is the dual of ``Hom(Q, M) -> Hom(P, M)``.  Routes (i) and (ii)
+share the presentation of ``U`` (route (ii) through its transpose) and
+the evaluator (route (ii) tensors ``M``'s own presentation with ``Tr
+U``), so a fault in either reaches both.  Route (iii) reads both halves
+off the commuting-square system ``hom_system(U, M)`` and shares neither,
+so an evaluator fault still flips ``consistent``.
 
 Divisibility classes (vanishing of ``Ext^1(U, -)``) stand in for the
 tilting classes of the localizations attached to sets of bound modules,
@@ -26,18 +29,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .artheory import BoundSet, all_submodules, is_bound, transpose
+from .artheory import all_submodules, bound_members, build_extension, is_bound, transpose
 from .errors import NotBound
 from .exactlin import Matrix
 from .quiverrep import (
-    ProjPresentation,
     QuiverRep,
     RepMap,
     ext1_dim,
     hom_dim,
     hom_space,
     hom_system,
-    presentation_hom_matrix,
+    presentation_tensor_matrix,
     proj_presentation,
     subrep,
     tor_dims,
@@ -47,8 +49,9 @@ from .quiverrep import (
 @dataclass(frozen=True)
 class PerpReport:
     """The three membership conditions and their agreement flag.  Route
-    (iii) shares no matrix with routes (i) and (ii); those two both start
-    from the presentation of ``U``."""
+    (i) reads the evaluator on ``DM``, the dual of ``Hom(Q, M) -> Hom(P,
+    M)``; routes (i) and (ii) share the presentation of ``U`` and the
+    evaluator, and route (iii) shares neither."""
 
     cond_invert: bool
     cond_tor: bool
@@ -63,26 +66,17 @@ class PerpReport:
         return self.cond_invert
 
 
-def _members(U) -> tuple[QuiverRep, ...]:
-    if isinstance(U, BoundSet):
-        return U.members
-    if isinstance(U, QuiverRep):
-        return (U,)
-    return tuple(U)
-
-
-def perp_conditions(M: QuiverRep, U: QuiverRep, pres: ProjPresentation | None = None) -> PerpReport:
+def perp_conditions(M: QuiverRep, U: QuiverRep) -> PerpReport:
     """Evaluate the three equivalent membership conditions of ``M`` in the
     perpendicular category of the bound module ``U``."""
     if not is_bound(U):
         raise NotBound("perpendicular conditions require a bound module")
-    if pres is None:
-        pres = proj_presentation(U)
+    pres = proj_presentation(U)
 
     # (i) invertibility of the induced map on tensor products with the
     # dualized presentation; in generator coordinates this is the square
-    # test plus full rank
-    cond_invert = presentation_hom_matrix(pres, M).is_invertible()
+    # test plus full rank of P (x) DM -> Q (x) DM
+    cond_invert = presentation_tensor_matrix(pres, M.dual()).is_invertible()
 
     # (ii) vanishing of Tor_1(M, Tr U) and M (x) Tr U, computed from M's
     # own presentation tensored against the transpose
@@ -101,12 +95,12 @@ def perp_conditions(M: QuiverRep, U: QuiverRep, pres: ProjPresentation | None = 
 def is_divisible(M: QuiverRep, U) -> bool:
     """``Ext^1(member, M) = 0`` for every member (membership in the
     divisibility class of the set)."""
-    return all(ext1_dim(u, M) == 0 for u in _members(U))
+    return all(ext1_dim(u, M) == 0 for u in bound_members(U))
 
 
 def is_torsionfree(M: QuiverRep, U) -> bool:
     """``Hom(member, M) = 0`` for every member."""
-    return all(hom_dim(u, M) == 0 for u in _members(U))
+    return all(hom_dim(u, M) == 0 for u in bound_members(U))
 
 
 def in_perp_category(M: QuiverRep, U) -> bool:
@@ -157,10 +151,7 @@ def extension_closure_sample(U, pool, seed: int = 0, trials: int = 100) -> Closu
     """Sample pairs from ``pool`` that lie in the divisibility class of
     ``U`` and check that every middle term of a nonzero extension class
     stays in the class."""
-    from .artheory import build_extension
-    from .errors import NoExtension
-
-    members = _members(U)
+    members = bound_members(U)
     rng = random.Random(seed)
     eligible = [M for M in pool if is_divisible(M, members)]
     done = 0
@@ -174,10 +165,7 @@ def extension_closure_sample(U, pool, seed: int = 0, trials: int = 100) -> Closu
             done += 1
             continue
         for idx in range(e):
-            try:
-                middle = build_extension(C, A, idx)
-            except NoExtension:
-                break
+            middle = build_extension(C, A, idx)
             done += 1
             if not is_divisible(middle, members):
                 return ClosureSampleResult(False, done, (A, C, middle))
@@ -189,7 +177,7 @@ def divisible_radical(M: QuiverRep, U) -> tuple[QuiverRep, list[Matrix]]:
     of ``U`` (the class is closed under images, sums and extensions, so the
     sum of all such subrepresentations is again one).  Exhaustive over the
     submodule lattice at desk scale."""
-    members = _members(U)
+    members = bound_members(U)
     cols: list[list[list]] = [[] for _ in range(M.quiver.nvertices)]
     for bases in all_submodules(M):
         sub, _ = subrep(M, bases)

@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import NotInvariant, QuiverMismatch
-from .exactlin import Matrix
+from .exactlin import QQ, Matrix
 
 Path = tuple[int, ...]  # arrow indices, traversal order
 
@@ -374,14 +374,6 @@ class ProjSum:
     basis: tuple[tuple[tuple[int, Path], ...], ...]
     index: tuple[dict[tuple[int, Path], int], ...]
 
-    def generator_coords(self) -> list[tuple[int, int]]:
-        """For each summand ``p``: ``(vertex, position)`` of its generator
-        (the empty path) in that vertex's basis."""
-        out = []
-        for p, vtx in enumerate(self.summands):
-            out.append((vtx, self.index[vtx][(p, ())]))
-        return out
-
 
 def proj_sum(q: Quiver, field, summands) -> ProjSum:
     """The projective ``P(i_0) + P(i_1) + ...`` with its canonical path
@@ -422,12 +414,7 @@ def injective(q: Quiver, field, vertex: int) -> QuiverRep:
 def regular_dims(q: Quiver) -> tuple[int, ...]:
     """Dimension vector of the path algebra as a representation of itself
     (sum of all indecomposable projectives)."""
-    paths = _paths_by_source(q)
-    dims = [0] * q.nvertices
-    for start in range(q.nvertices):
-        for path in paths[start]:
-            dims[path_target(q, start, path)] += 1
-    return tuple(dims)
+    return proj_sum(q, QQ, range(q.nvertices)).rep.dims
 
 
 def extend_generators(ps: ProjSum, target: QuiverRep, gen_images: list[list]) -> RepMap:
@@ -449,10 +436,7 @@ def extend_generators(ps: ProjSum, target: QuiverRep, gen_images: list[list]) ->
 
 def generator_images(ps: ProjSum, f: RepMap) -> list[list]:
     """Images of the canonical generators under ``f: ps.rep -> X``."""
-    out = []
-    for p, (vtx, pos) in enumerate(ps.generator_coords()):
-        out.append(f.maps[vtx].column(pos))
-    return out
+    return [f.maps[vtx].column(ps.index[vtx][(p, ())]) for p, vtx in enumerate(ps.summands)]
 
 
 PathEntry = tuple[int, int, Path, object]  # (target summand q, source summand p, path, coeff)
@@ -578,25 +562,6 @@ def _block_offsets(dims: list[int]) -> list[int]:
     return offs
 
 
-def presentation_hom_matrix(pres: ProjPresentation, N: QuiverRep) -> Matrix:
-    """Matrix of ``Hom(Q, N) -> Hom(P, N)`` (restriction along the
-    presentation map) in generator coordinates: block ``(p, q)`` is the sum
-    of ``c *`` (action of the path ``w`` on ``N``) over the path-matrix
-    entries ``(q, p, w, c)``."""
-    field = N.field
-    pdims = [N.dims[v] for v in pres.P.summands]
-    qdims = [N.dims[v] for v in pres.Q.summands]
-    poffs, qoffs = _block_offsets(pdims), _block_offsets(qdims)
-    out = Matrix.zeros(field, poffs[-1], qoffs[-1])
-    for (qi, pi, path, coeff) in pres.path_matrix():
-        block = N.path_action(pres.Q.summands[qi], path).scale(coeff)
-        r0, c0 = poffs[pi], qoffs[qi]
-        for r in range(block.nrows):
-            for c in range(block.ncols):
-                out.rows[r0 + r][c0 + c] = field.add(out.rows[r0 + r][c0 + c], block.rows[r][c])
-    return out
-
-
 def presentation_tensor_matrix(pres: ProjPresentation, X: QuiverRep) -> Matrix:
     """Matrix of ``P (x) X -> Q (x) X`` for a left module ``X`` (a
     representation of the opposite quiver): block ``(q, p)`` evaluates the
@@ -617,33 +582,31 @@ def presentation_tensor_matrix(pres: ProjPresentation, X: QuiverRep) -> Matrix:
     return out
 
 
-def hom_ext_dims(M: QuiverRep, N: QuiverRep, pres: ProjPresentation | None = None) -> tuple[int, int]:
-    """``(dim Hom(M, N), dim Ext^1(M, N))`` from a projective presentation
-    of ``M``: kernel and cokernel of ``Hom(Q, N) -> Hom(P, N)``."""
+def hom_ext_dims(M: QuiverRep, N: QuiverRep) -> tuple[int, int]:
+    """``(dim Hom(M, N), dim Ext^1(M, N))`` by the standard duality ``D``:
+    ``Hom(M, N) = D(M (x) DN)`` and ``Ext^1(M, N) = D Tor_1(M, DN)``, so
+    they are the cokernel and the kernel of ``P (x) DN -> Q (x) DN``, the
+    dual of ``Hom(Q, N) -> Hom(P, N)``."""
     _require_parallel(M, N)
-    if pres is None:
-        pres = proj_presentation(M)
-    phi = presentation_hom_matrix(pres, N)
-    rank = phi.rank()
-    return phi.ncols - rank, phi.nrows - rank
+    psi = presentation_tensor_matrix(proj_presentation(M), N.dual())
+    rank = psi.rank()
+    return psi.nrows - rank, psi.ncols - rank
 
 
-def ext1_dim(M: QuiverRep, N: QuiverRep, pres: ProjPresentation | None = None) -> int:
-    return hom_ext_dims(M, N, pres)[1]
+def ext1_dim(M: QuiverRep, N: QuiverRep) -> int:
+    return hom_ext_dims(M, N)[1]
 
 
-def tor_dims(M: QuiverRep, X: QuiverRep, pres: ProjPresentation | None = None) -> tuple[int, int]:
+def tor_dims(M: QuiverRep, X: QuiverRep) -> tuple[int, int]:
     """``(dim Tor_1(M, X), dim M (x) X)`` for a right module ``M`` and a
     left module ``X``: kernel and cokernel of ``P (x) X -> Q (x) X``."""
-    if pres is None:
-        pres = proj_presentation(M)
-    psi = presentation_tensor_matrix(pres, X)
+    psi = presentation_tensor_matrix(proj_presentation(M), X)
     rank = psi.rank()
     return psi.ncols - rank, psi.nrows - rank
 
 
-def tor1_dim(M: QuiverRep, X: QuiverRep, pres: ProjPresentation | None = None) -> int:
-    return tor_dims(M, X, pres)[0]
+def tor1_dim(M: QuiverRep, X: QuiverRep) -> int:
+    return tor_dims(M, X)[0]
 
 
 def euler_form(q: Quiver, d, e) -> int:

@@ -329,6 +329,9 @@ def test_presentation_of_ordinary_simple_is_not_full():
     df = defect_function(KRON)
     pres = proj_presentation(QuiverRep.simple(KRON, F5, 0))
     assert not is_full(pres.alpha, df)
+    # past the submodule-search cap, an irregular cokernel is still answered
+    big = proj_presentation(QuiverRep.from_entries(KRON, F5, (13, 0), {}))
+    assert not is_atomic_full(big.alpha, df)
 
 
 def test_length_two_tube_module_is_full_but_not_atomic():

@@ -10,7 +10,7 @@ from oracles import det, gauss_jordan, greedy_basis_completion, invariant_factor
 
 from tiltlab.dedekind import FgZModule, classify
 from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, snf
-from tiltlab.quiverrep import QuiverRep, hom_space, kronecker, presentation_hom_matrix, proj_presentation
+from tiltlab.quiverrep import QuiverRep, hom_space, kronecker, presentation_tensor_matrix, proj_presentation
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -329,7 +329,7 @@ def test_internal_results_are_canonical(field):
     homs = hom_space(M, N)  # dim Hom(M, N) >= <(2, 3), (3, 2)> = 4
     assert len(homs) >= 4
     results += [m for f in homs for m in f.maps]
-    results.append(presentation_hom_matrix(proj_presentation(M), N))
+    results.append(presentation_tensor_matrix(proj_presentation(M), N.dual()))
     for R in results:
         assert all(canonical(x) for row in R.rows for x in row), R
         assert all(len(row) == R.ncols for row in R.rows) and len(R.rows) == R.nrows

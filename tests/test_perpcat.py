@@ -67,13 +67,13 @@ def test_perp_routes_invert_and_homext_share_no_matrix(monkeypatch):
     # a fault in the presentation matrix of route (i) must not reach route (iii)
     U, M = KCAT.tubes[0][0], KCAT.tubes[1][0]
     assert perp_conditions(M, U).member
-    true_matrix = perpcat.presentation_hom_matrix
+    true_matrix = perpcat.presentation_tensor_matrix
 
-    def with_zero_row(pres, N):
-        phi = true_matrix(pres, N)
-        return phi.vstack(Matrix.zeros(N.field, 1, phi.ncols))
+    def with_zero_row(pres, X):
+        psi = true_matrix(pres, X)
+        return psi.vstack(Matrix.zeros(X.field, 1, psi.ncols))
 
-    monkeypatch.setattr(perpcat, "presentation_hom_matrix", with_zero_row)
+    monkeypatch.setattr(perpcat, "presentation_tensor_matrix", with_zero_row)
     report = perp_conditions(M, U)
     assert not report.cond_invert
     assert report.cond_homext and report.cond_tor
