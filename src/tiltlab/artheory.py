@@ -12,15 +12,16 @@ whose indecomposable summands have defect zero; morphisms between
 projectives are *full* when they are injective with regular cokernel, and
 *atomic full* when the cokernel is simple regular.
 
-Randomized searches (isomorphism testing, summand splitting) take explicit
-seeds and are deterministic given the seed.
+Isomorphism testing and decomposition sample nothing: summands split along
+Fitting decompositions of endomorphisms, each is certified indecomposable by
+a local endomorphism ring, and a negative isomorphism verdict compares
+multiplicities by Krull-Schmidt.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,8 +59,6 @@ from .quiverrep import (
 
 SEARCH_BUDGET = 200_000  # vertex subspaces one exhaustive submodule search may choose
 DIM_CAP = 12  # largest total dimension the submodule searches accept
-ISO_TRIES = 30  # random Hom combinations is_isomorphic tries
-SPLIT_TRIES = 40  # candidate endomorphisms decompose tries per module
 
 # ---------------------------------------------------------------------------
 # transpose and translates
@@ -99,12 +98,12 @@ def tau_minus(M: QuiverRep) -> QuiverRep:
 # isomorphism testing and decomposition
 
 
-def is_isomorphic(M: QuiverRep, N: QuiverRep, seed: int = 0) -> bool:
-    """Test isomorphism by hunting for an invertible element of the
-    morphism space: structured candidates first, then seeded random
-    combinations.  A positive answer is certified; a negative answer is
-    not: every sampled combination may be singular although the modules are
-    isomorphic, which over GF(2) happens often (see ROADMAP item 1)."""
+def is_isomorphic(M: QuiverRep, N: QuiverRep) -> bool:
+    """Certified isomorphism test.  A basis element of ``Hom(M, N)``, or
+    the sum of the basis, that is invertible proves ``M ~ N`` cheaply.
+    Otherwise Krull-Schmidt decides: the dimensions being equal, ``M ~ N``
+    exactly when every indecomposable summand ``W`` of ``M`` occurs in ``N``
+    with its multiplicity in ``M`` (:func:`_multiplicity`)."""
     if M.quiver != N.quiver or M.field != N.field or M.dims != N.dims:
         return False
     if M.total_dim() == 0:
@@ -112,25 +111,13 @@ def is_isomorphic(M: QuiverRep, N: QuiverRep, seed: int = 0) -> bool:
     basis = hom_space(M, N)
     if not basis:
         return False
-
-    def invertible(f: RepMap) -> bool:
-        return all(m.is_invertible() for m in f.maps)
-
-    for f in basis:
-        if invertible(f):
-            return True
-    field = M.field
-    if invertible(_combine(basis, [field.one] * len(basis))):
+    if any(_invertible(f) for f in basis) or _invertible(_combine(basis, [M.field.one] * len(basis))):
         return True
-    rng = random.Random(seed)
-    if isinstance(field, PrimeField):
-        draw = lambda: field.coerce(rng.randrange(field.p))
-    else:
-        draw = lambda: field.coerce(rng.randrange(-5, 6))
-    for _ in range(ISO_TRIES):
-        if invertible(_combine(basis, [draw() for _ in basis])):
-            return True
-    return False
+    return all(_multiplicity(W, residue, N) == m for W, m, residue in _summands(M))
+
+
+def _invertible(f: RepMap) -> bool:
+    return all(m.is_invertible() for m in f.maps)
 
 
 def _combine(basis: list[RepMap], coeffs: list) -> RepMap:
@@ -139,6 +126,25 @@ def _combine(basis: list[RepMap], coeffs: list) -> RepMap:
     for f, c in zip(basis[1:], coeffs[1:]):
         out = out + f.scale(c)
     return out
+
+
+def _flat(f: RepMap) -> list:
+    """The vertex blocks of a morphism, flattened row by row into one
+    vector."""
+    return [x for m in f.maps for row in m.rows for x in row]
+
+
+def _multiplicity(W: QuiverRep, residue: Matrix, N: QuiverRep) -> int:
+    """How often the indecomposable ``W`` occurs as a summand of ``N``:
+    the rank of the pairing ``Hom(W, N) x Hom(N, W) -> End W / rad W``,
+    ``(f, g) -> g f``, divided by ``dim End W / rad W``.  ``residue`` maps
+    the flattened endomorphisms of ``W`` onto coordinates of that quotient.
+    Writing ``N = W^m + N'``, no ``g f`` through ``N'`` is invertible, so
+    the pairing kills ``Hom(W, N')``, and on ``m`` copies of ``End W`` its
+    left kernel is ``m`` copies of ``rad W``."""
+    into, back = hom_space(W, N), hom_space(N, W)
+    rows = [[x for g in back for x in residue.apply(_flat(g @ f))] for f in into]
+    return Matrix._of(W.field, rows, len(back) * residue.nrows).rank() // residue.nrows
 
 
 def _min_poly(f: RepMap) -> list:
@@ -158,6 +164,23 @@ def _min_poly(f: RepMap) -> list:
             powers = [m @ g for m, g in zip(powers, f.maps)]
     K = Matrix._of(field, [list(r) for r in zip(*cols)], n + 1).kernel_basis()
     return K.column(0)[: n + 2 - K.ncols]
+
+
+def _single_root(field, mu: list):
+    """``lam`` when the monic polynomial ``mu`` (ascending coefficients) is
+    ``(x - lam)^m``, else ``None``.  Write ``m = q m'`` with ``q`` the
+    largest power of the characteristic dividing ``m`` (``q = 1`` over QQ);
+    then ``(x - lam)^m = (x^q - lam)^m'``, as ``lam^q = lam`` in a prime
+    field, and its coefficient at ``x^(m - q)`` is ``-m' lam``."""
+    m, q = len(mu) - 1, 1
+    if isinstance(field, PrimeField):
+        while m % (q * field.p) == 0:
+            q *= field.p
+    lam = field.neg(field.mul(mu[m - q], field.inv(field.coerce(m // q))))
+    power = [field.one]
+    for _ in range(m):
+        power = [field.sub(a, field.mul(lam, b)) for a, b in zip([field.zero] + power, power + [field.zero])]
+    return lam if power == mu else None
 
 
 def _factor_min_poly(field, coeffs: list) -> list[tuple[list, int]]:
@@ -198,85 +221,168 @@ def _evaluate_poly(f: RepMap, coeffs: list) -> RepMap:
     return RepMap(f.source, f.source, maps)
 
 
-def _matrix_power(m: Matrix, e: int) -> Matrix:
-    out = Matrix.identity(m.field, m.nrows)
-    for _ in range(e):
-        out = out @ m
-    return out
+def _fitting(X: QuiverRep, g: RepMap) -> tuple[int, list[QuiverRep]]:
+    """The rank of ``g^e``, with ``e`` a power of two no smaller than any
+    vertex dimension, so past the Fitting index at every vertex.  When the
+    rank lies strictly between 0 and ``dim X``, also Fitting's splitting
+    ``X = ker g^e + im g^e`` into two nonzero submodules; otherwise ``g`` is
+    nilpotent (rank 0) or invertible and the list is empty."""
+    powers = list(g.maps)
+    e = 1
+    while e < max(X.dims):
+        powers = [m @ m for m in powers]
+        e *= 2
+    rank = sum(m.rank() for m in powers)
+    if rank in (0, X.total_dim()):
+        return rank, []
+    return rank, [subrep(X, [m.kernel_basis() for m in powers])[0], subrep(X, powers)[0]]
 
 
-def _split_once(M: QuiverRep, endos: list[RepMap], rng: random.Random) -> list[QuiverRep] | None:
-    """Try to split ``M`` along the primary decomposition of a candidate
-    endomorphism; ``None`` when no candidate yields two pieces."""
-    field = M.field
-    saw_nonsplit = False
-    candidates = iter(endos)
+def _is_scalar(f: RepMap) -> bool:
+    """Whether ``f`` is a multiple ``lam * 1`` of the identity."""
+    lam = next(m.rows[0][0] for m in f.maps if m.nrows)
+    return all(m == Matrix.identity(m.field, m.nrows).scale(lam) for m in f.maps)
 
-    def draw():
-        return field.coerce(rng.randrange(field.p) if isinstance(field, PrimeField) else rng.randrange(-4, 5))
 
-    for _ in range(SPLIT_TRIES):
-        phi = next(candidates, None)
-        if phi is None:
-            phi = _combine(endos, [draw() for _ in endos])
-        factors = _factor_min_poly(field, _min_poly(phi))
-        if len(factors) >= 2:
-            pieces = []
-            for fac, mult in factors:
-                g = _evaluate_poly(phi, fac)
-                power_maps = [_matrix_power(m, mult) for m in g.maps]
-                bases = [m.kernel_basis() for m in power_maps]
-                piece, _ = subrep(M, bases)
-                pieces.append(piece)
-            assert sum(p.total_dim() for p in pieces) == M.total_dim()
+def _primary(X: QuiverRep, g: RepMap) -> tuple[list[QuiverRep], RepMap | None, int]:
+    """Split ``X`` in two when the minimal polynomial ``mu`` of ``g`` has two
+    coprime factors: along ``g`` itself when it is singular, otherwise
+    along ``pi(g)`` for an irreducible factor ``pi`` of ``mu`` (for ``pi = x -
+    lam``, along ``g - lam``).  When ``mu = pi^k`` instead, the result is
+    ``([], pi(g), deg pi)``, and ``pi(g)`` is nilpotent."""
+    field = X.field
+    rank, pieces = _fitting(X, g)
+    if pieces:
+        return pieces, None, 0
+    if rank == 0:
+        return [], g, 1
+    mu = _min_poly(g)
+    lam = _single_root(field, mu)
+    if lam is not None:
+        return [], g - RepMap.identity(X).scale(lam), 1
+    factors = _factor_min_poly(field, mu)
+    pi_g = _evaluate_poly(g, factors[0][0])
+    if len(factors) > 1:
+        return _fitting(X, pi_g)[1], None, 0
+    return [], pi_g, len(factors[0][0]) - 1
+
+
+def _split_or_certify(X: QuiverRep, endos: list[RepMap]) -> list[QuiverRep] | Matrix:
+    """Split ``X`` in two along the Fitting decomposition of an
+    endomorphism, or certify that ``End X`` (basis ``endos``) is local and
+    return a residue map for ``End X / rad``: a matrix with ``dim End X /
+    rad`` rows, applied to flattened endomorphisms (:func:`_flat`), whose
+    kernel on ``End X`` is the radical.
+
+    Candidates, in order (:func:`_primary`): each basis element that is
+    not a scalar; the pairwise sums of basis elements; the elements of the
+    ideal ``I`` below.  After the first stage every basis element ``f`` has
+    a minimal polynomial ``pi^k`` with ``pi`` irreducible, so ``pi(f)`` is
+    nilpotent.  ``I`` is the two-sided ideal generated by these nilpotent
+    parts, together with the commutators of basis elements when some ``pi``
+    is not linear.  Each new element of a spanning set of ``I`` is checked
+    nilpotent; a singular one that is not splits ``X``.  An ideal spanned
+    by nilpotent elements is nilpotent, since the reduced trace of ``I /
+    rad I`` vanishes on it and is non-degenerate over a perfect field.
+    ``End X / I`` is then commutative and spanned by roots of the
+    irreducible ``pi``; when its dimension is 1 or the degree of some
+    ``pi``, it is the field ``F[f]`` for such an ``f``, so ``End X`` is
+    local with radical ``I``.  If all ``pi`` are linear, ``End X = F + I``
+    and the dimension is always 1.
+
+    An invertible element of ``I`` proves ``End X`` is not local.  In that
+    case, and when ``End X / I`` has another dimension, the search goes on
+    through the products ``f g`` and the combinations ``f + c g`` of basis
+    elements, and raises :class:`NonSplitField` if none splits ``X``."""
+    field = X.field
+    nilpotent_parts, degrees = [], {1}
+    for f in endos:
+        if _is_scalar(f):
+            continue
+        pieces, part, degree = _primary(X, f)
+        if pieces:
             return pieces
-        if len(factors) == 1 and len(factors[0][0]) > 2:
-            saw_nonsplit = True
-    if saw_nonsplit and not isinstance(field, PrimeField):
-        raise NonSplitField("endomorphism with irreducible non-linear minimal polynomial over QQ")
-    return None
+        nilpotent_parts.append(part)
+        degrees.add(degree)
+    for a, b in itertools.combinations(endos, 2):
+        pieces = _primary(X, a + b)[0]
+        if pieces:
+            return pieces
+
+    length = sum(d * d for d in X.dims)
+    pending = nilpotent_parts
+    if degrees != {1}:
+        pending += [a @ b - b @ a for a, b in itertools.combinations(endos, 2)]
+    ideal: list[list] = []
+    equations = Matrix.identity(field, length)  # zero exactly on the span of the ideal found so far
+    while pending:
+        h = pending.pop()
+        if not any(equations.apply(_flat(h))):
+            continue
+        rank, pieces = _fitting(X, h)
+        if pieces:
+            return pieces
+        if rank:  # invertible, so I = End X
+            break
+        ideal.append(_flat(h))
+        equations = Matrix.from_columns(field, ideal, length).span().equations
+        pending += [h @ f for f in endos] + [f @ h for f in endos]
+    else:
+        on_end = equations @ Matrix.from_columns(field, [_flat(f) for f in endos], length)
+        rows = on_end.transpose().rref()[1]
+        if len(rows) in degrees:
+            return Matrix._of(field, [equations.rows[i][:] for i in rows], length)
+    scalars = [field.coerce(c) for c in (range(2, field.p) if isinstance(field, PrimeField) else (-1, 2, -2, 3, -3))]
+    products = (a @ b for a, b in itertools.permutations(endos, 2))
+    combinations = (a + b.scale(c) for a, b in itertools.combinations(endos, 2) for c in scalars)
+    for g in itertools.chain(products, combinations):
+        pieces = _primary(X, g)[0]
+        if pieces:
+            return pieces
+    raise NonSplitField("no endomorphism found that splits X, and End X is not certified local")
 
 
-def decompose(M: QuiverRep, seed: int = 0) -> list[tuple[QuiverRep, int]]:
-    """Decompose into indecomposables with multiplicities.
-
-    Splitting is found through the primary decomposition of candidate
-    endomorphisms (basis elements first, then seeded random combinations);
-    a module is declared indecomposable when no candidate splits it, which
-    is certain when its endomorphism ring is one-dimensional.
-    """
-    rng = random.Random(seed)
-    indecs: list[QuiverRep] = []
+def _summands(M: QuiverRep) -> list[tuple[QuiverRep, int, Matrix]]:
+    """The indecomposable summands of ``M`` with their multiplicities and
+    the residue maps of :func:`_split_or_certify`.  Two certified summands
+    ``W`` and ``V`` are isomorphic exactly when some basis element of
+    ``Hom(W, V)`` is invertible: the non-invertible morphisms form the
+    proper subspace ``rad``, as ``End W`` is local."""
+    local: list[tuple[QuiverRep, Matrix]] = []
     stack = [M]
     while stack:
         X = stack.pop()
         if X.is_zero():
             continue
-        endos = hom_space(X, X)
-        if len(endos) == 1:
-            indecs.append(X)
-            continue
-        pieces = _split_once(X, endos, rng)
-        if pieces is None:
-            indecs.append(X)
+        out = _split_or_certify(X, hom_space(X, X))
+        if isinstance(out, Matrix):
+            local.append((X, out))
         else:
-            stack.extend(pieces)
-    indecs.sort(key=lambda W: (W.total_dim(), W.dims))
-    grouped: list[tuple[QuiverRep, int]] = []
-    for W in indecs:
-        for i, (rep, mult) in enumerate(grouped):
-            if is_isomorphic(W, rep, seed=seed):
-                grouped[i] = (rep, mult + 1)
+            stack.extend(out)
+    local.sort(key=lambda item: (item[0].total_dim(), item[0].dims))
+    grouped: list[tuple[QuiverRep, int, Matrix]] = []
+    for W, residue in local:
+        for i, (V, mult, res) in enumerate(grouped):
+            if V.dims == W.dims and any(_invertible(f) for f in hom_space(W, V)):
+                grouped[i] = (V, mult + 1, res)
                 break
         else:
-            grouped.append((W, 1))
+            grouped.append((W, 1, residue))
     return grouped
 
 
-def strip_projective_summands(M: QuiverRep, seed: int = 0) -> QuiverRep:
+def decompose(M: QuiverRep) -> list[tuple[QuiverRep, int]]:
+    """Decompose into indecomposables with multiplicities.  Each summand
+    comes from a Fitting splitting and is certified indecomposable by a
+    local endomorphism ring (:func:`_split_or_certify`); nothing is
+    sampled."""
+    return [(W, mult) for W, mult, _ in _summands(M)]
+
+
+def strip_projective_summands(M: QuiverRep) -> QuiverRep:
     """Direct sum of the non-projective indecomposable summands."""
     out = QuiverRep.zero(M.quiver, M.field)
-    for rep, mult in decompose(M, seed=seed):
+    for rep, mult in decompose(M):
         if not is_projective(rep):
             for _ in range(mult):
                 out = direct_sum(out, rep)
@@ -337,13 +443,13 @@ def defect(df: DefectFunction, d) -> Fraction:
     return Fraction(euler_form(df.quiver, tuple(d), df.radical_vector), df.normalizer)
 
 
-def is_regular(M: QuiverRep, df: DefectFunction, seed: int = 0) -> bool:
+def is_regular(M: QuiverRep, df: DefectFunction) -> bool:
     """True when every indecomposable summand has defect zero (summand-wise
     test: defects of opposite sign must not cancel)."""
-    return all(defect(df, rep.dims) == 0 for rep, _ in decompose(M, seed=seed))
+    return all(defect(df, rep.dims) == 0 for rep, _ in decompose(M))
 
 
-def is_full(alpha: RepMap, df: DefectFunction, seed: int = 0) -> bool:
+def is_full(alpha: RepMap, df: DefectFunction) -> bool:
     """A morphism between projectives is full when it is injective and its
     cokernel is regular (torsion for the defect rank function)."""
     if not (is_projective(alpha.source) and is_projective(alpha.target)):
@@ -351,15 +457,15 @@ def is_full(alpha: RepMap, df: DefectFunction, seed: int = 0) -> bool:
     if not alpha.is_injective():
         return False
     coker, _ = cokernel(alpha)
-    return is_regular(coker, df, seed=seed)
+    return is_regular(coker, df)
 
 
-def is_atomic_full(alpha: RepMap, df: DefectFunction, seed: int = 0) -> bool:
+def is_atomic_full(alpha: RepMap, df: DefectFunction) -> bool:
     """Full with simple regular cokernel; a simple regular cokernel is
     regular, so no separate fullness test is needed."""
     if not (is_projective(alpha.source) and is_projective(alpha.target)):
         raise NonProjective("fullness is defined for morphisms between projectives")
-    return alpha.is_injective() and is_simple_regular(cokernel(alpha)[0], df, seed=seed)
+    return alpha.is_injective() and is_simple_regular(cokernel(alpha)[0], df)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +530,12 @@ def all_submodules(M: QuiverRep):
     yield from extend(0)
 
 
-def is_simple_regular(M: QuiverRep, df: DefectFunction, seed: int = 0) -> bool:
+def is_simple_regular(M: QuiverRep, df: DefectFunction) -> bool:
     """Regular, indecomposable, and without a proper nonzero regular
     subrepresentation (checked by exhaustive submodule search)."""
     if M.is_zero():
         return False
-    parts = decompose(M, seed=seed)
+    parts = decompose(M)
     if len(parts) != 1 or parts[0][1] != 1:
         return False
     if defect(df, M.dims) != 0:
@@ -441,7 +547,7 @@ def is_simple_regular(M: QuiverRep, df: DefectFunction, seed: int = 0) -> bool:
         if sum(sdims) in (0, M.total_dim()):
             continue
         sub, _ = subrep(M, bases)
-        if is_regular(sub, df, seed=seed):
+        if is_regular(sub, df):
             return False
     return True
 
@@ -513,7 +619,7 @@ class Filtration:
     chain: list[list[Matrix]]
     factors: list[int]
 
-    def validate(self, N: QuiverRep, members: tuple[QuiverRep, ...], seed: int = 0) -> bool:
+    def validate(self, N: QuiverRep, members: tuple[QuiverRep, ...]) -> bool:
         prev_bases = [Matrix.zeros(N.field, d, 0) for d in N.dims]
         for gens, fidx in zip(self.chain, self.factors):
             layer, incl = subrep(N, gens)
@@ -521,13 +627,13 @@ class Filtration:
             if not all((sp.equations @ P).is_zero() for sp, P in zip(spans, prev_bases)):
                 return False
             quo, _ = quotient_by(layer, [sp.coords @ P for sp, P in zip(spans, prev_bases)])
-            if not is_isomorphic(quo, members[fidx], seed=seed):
+            if not is_isomorphic(quo, members[fidx]):
                 return False
             prev_bases = list(incl.maps)
         return tuple(B.ncols for B in prev_bases) == N.dims
 
 
-def u_filtration(N: QuiverRep, members, dim_cap: int = DIM_CAP, seed: int = 0) -> Filtration | None:
+def u_filtration(N: QuiverRep, members, dim_cap: int = DIM_CAP) -> Filtration | None:
     """Search for a finite chain of submodules of ``N`` whose successive
     factors are isomorphic to the given bound modules; ``None`` when the
     exhaustive search finds no chain."""
@@ -547,7 +653,7 @@ def u_filtration(N: QuiverRep, members, dim_cap: int = DIM_CAP, seed: int = 0) -
             for idx, U in enumerate(members):
                 if sdims == U.dims:
                     sub, _ = subrep(X, bases)
-                    if is_isomorphic(sub, U, seed=seed):
+                    if is_isomorphic(sub, U):
                         candidates.append((idx, bases))
                         break
         for idx, bases in candidates:

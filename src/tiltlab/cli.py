@@ -96,7 +96,7 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0, dim_c
     witness = class_compare(pair_set, triple_set, testset)
     report.add(
         "divisibility classes separated exactly at the socle simple",
-        witness is not None and is_isomorphic(witness, simple, seed=seed),
+        witness is not None and is_isomorphic(witness, simple),
         values={
             "witness_dims": None if witness is None else witness.dims,
             "witness_in_pair_class": None if witness is None else is_divisible(witness, pair_set),
@@ -104,12 +104,12 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0, dim_c
         },
     )
 
-    filt = u_filtration(layer2, (simple, tminus_simple), dim_cap=dim_cap, seed=seed)
+    filt = u_filtration(layer2, (simple, tminus_simple), dim_cap=dim_cap)
     report.add(
         "layer2 is filtered by the socle simple and its inverse translate",
         filt is not None
         and filt.factors == [0, 1]
-        and filt.validate(layer2, (simple, tminus_simple), seed=seed),
+        and filt.validate(layer2, (simple, tminus_simple)),
         values={"factors": None if filt is None else filt.factors},
     )
     df = defect_function(catalog.quiver)
@@ -121,7 +121,7 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0, dim_c
     soc, _ = socle(layer2)
     report.add(
         "socle of layer2 is the socle simple",
-        is_isomorphic(soc, simple, seed=seed),
+        is_isomorphic(soc, simple),
         values={"socle_dims": soc.dims},
     )
     return report

@@ -18,8 +18,9 @@ class NonProjective(TiltlabError):
 
 
 class NonSplitField(TiltlabError):
-    """Decomposition ran into an endomorphism algebra that does not split
-    over the ground field (only possible over the rationals here)."""
+    """Decomposition found no endomorphism that splits a module and could
+    not certify its endomorphism ring local either; a non-commutative
+    division ring over the rationals is one such ring."""
 
 
 class NoExtension(TiltlabError):

@@ -51,10 +51,10 @@ class _Parser:
     def fail(self, line: int, reason: str):
         raise ParseError(line, reason)
 
-    def finish_quiver(self, line: int):
+    def finish_quiver(self):
         if self.quiver_name is None:
             return
-        self.finish_rep(line)
+        self.finish_rep()
         if self.vertex_count is None:
             self.fail(self.quiver_line, f"quiver {self.quiver_name!r} has no vertices line")
         try:
@@ -70,14 +70,14 @@ class _Parser:
         # a rep may reference the quiver being built; close it first
         if self.quiver_name is not None:
             name = self.quiver_name
-            self.finish_quiver(line)
+            self.finish_quiver()
             return name, self.out.quivers[name]
         if not self.out.quivers:
             self.fail(line, "no quiver defined yet")
         name = next(reversed(self.out.quivers))
         return name, self.out.quivers[name]
 
-    def finish_rep(self, line: int):
+    def finish_rep(self):
         if self.rep_name is None:
             return
         qname = self.out.rep_quiver[self.rep_name]
@@ -103,7 +103,7 @@ class _Parser:
         if key == "quiver":
             if len(tokens) != 2:
                 self.fail(line_no, "usage: quiver <name>")
-            self.finish_quiver(line_no)
+            self.finish_quiver()
             if tokens[1] in self.out.quivers:
                 self.fail(line_no, f"duplicate quiver name {tokens[1]!r}")
             self.quiver_name = tokens[1]
@@ -142,7 +142,7 @@ class _Parser:
                 self.fail(line_no, "rep before any field line")
             if len(tokens) < 3 or tokens[2] != "dim":
                 self.fail(line_no, "usage: rep <name> dim d1 ... dn")
-            self.finish_rep(line_no)
+            self.finish_rep()
             name = tokens[1]
             if name in self.out.reps:
                 self.fail(line_no, f"duplicate rep name {name!r}")
@@ -216,13 +216,12 @@ def parse_input(path: str) -> ParsedInput:
     """Parse a fixture file; deterministic, with 1-based line numbers in
     every error."""
     parser = _Parser()
-    line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parser.handle(line_no, line.split())
-    parser.finish_quiver(line_no)
-    parser.finish_rep(line_no)
+    parser.finish_quiver()
+    parser.finish_rep()
     return parser.out

@@ -247,8 +247,15 @@ class RepMap:
     def __add__(self, other: "RepMap") -> "RepMap":
         return RepMap(self.source, self.target, [a + b for a, b in zip(self.maps, other.maps)])
 
+    def __sub__(self, other: "RepMap") -> "RepMap":
+        return RepMap(self.source, self.target, [a + -b for a, b in zip(self.maps, other.maps)])
+
     def scale(self, c) -> "RepMap":
         return RepMap(self.source, self.target, [m.scale(c) for m in self.maps])
+
+    def __matmul__(self, other: "RepMap") -> "RepMap":
+        """The composite ``self o other``."""
+        return RepMap(other.source, self.target, [a @ b for a, b in zip(self.maps, other.maps)])
 
     def is_injective(self) -> bool:
         return all(m.rank() == m.ncols for m in self.maps)
@@ -492,7 +499,9 @@ def proj_presentation(M: QuiverRep) -> ProjPresentation:
 
 
 def is_projective(M: QuiverRep) -> bool:
-    return proj_presentation(M).P.rep.is_zero()
+    """The projective cover maps onto ``M``, so ``M`` is projective exactly
+    when the cover has the dimensions of ``M``."""
+    return proj_sum(M.quiver, M.field, _top_generators(M)[0]).rep.dims == M.dims
 
 
 # ---------------------------------------------------------------------------

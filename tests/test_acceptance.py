@@ -126,7 +126,7 @@ def test_c3_euler_identity_and_ar_formula():
         ar_pairs = 0
         while ar_pairs < 100:
             q = KRON if ar_pairs % 2 == 0 else A3
-            M = strip_projective_summands(random_rep(q, field, rng, dim_cap=2), seed=ar_pairs)
+            M = strip_projective_summands(random_rep(q, field, rng, dim_cap=2))
             if M.is_zero():
                 continue
             N = random_rep(q, field, rng, dim_cap=2)

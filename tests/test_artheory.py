@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from tiltlab.artheory import (
     BoundSet,
     _combine,
     _factor_min_poly,
+    _flat,
     _min_poly,
+    _summands,
     all_submodules,
     build_extension,
     decompose,
@@ -30,7 +33,14 @@ from tiltlab.artheory import (
     tube_catalog,
     u_filtration,
 )
-from tiltlab.errors import NoExtension, NonProjective, NotBound, SearchBudgetExceeded, UnsupportedFamily
+from tiltlab.errors import (
+    NoExtension,
+    NonProjective,
+    NonSplitField,
+    NotBound,
+    SearchBudgetExceeded,
+    UnsupportedFamily,
+)
 from tiltlab.exactlin import QQ, Matrix, PrimeField
 from tiltlab.quiverrep import (
     Arrow,
@@ -121,8 +131,8 @@ def test_tau_round_trips():
         checked += 1
 
 
-def strip_injective_summands(M, seed=0):
-    return strip_projective_summands(M.dual(), seed=seed).dual()
+def strip_injective_summands(M):
+    return strip_projective_summands(M.dual()).dual()
 
 
 def test_tau_minus_round_trips():
@@ -151,16 +161,59 @@ def test_ar_formula_sampled():
 # -- isomorphism -------------------------------------------------------------
 
 
-@pytest.mark.xfail(strict=True, reason="uncertified random search misses over GF(2): "
-                   "End M mod its radical has several GF(2) factors")
-def test_is_isomorphic_finds_a_basis_change_of_a_sum_over_gf2():
+@pytest.mark.parametrize("t", range(40))
+def test_is_isomorphic_finds_a_basis_change_of_a_sum_over_gf2(t):
+    # End M mod its radical has several GF(2) factors, so a random
+    # combination of Hom(M, N) is often singular
     field = PrimeField(2)
-    rng = random.Random(0)
+    rng = random.Random(t)
     X = random_rep(A3, field, rng, 2)
     Y = random_rep(A3, field, rng, 2)
     M = direct_sum(direct_sum(X, Y), X)
     N = random_basis_change(M, rng)
     assert is_isomorphic(M, N)
+
+
+def kron_pencil(b):
+    """Kronecker module with ``a = I`` and the given square ``b``."""
+    n = len(b)
+    return QuiverRep.from_entries(KRON, F5, (n, n), {"a": [[int(i == j) for j in range(n)] for i in range(n)], "b": b})
+
+
+E2 = kron_pencil([[2, 1], [0, 2]])  # self-extension of the point 2: End is F[e], e^2 = 0
+P3, P2 = kron_pencil([[0, 3], [1, 0]]), kron_pencil([[0, 2], [1, 0]])  # points x^2 - 3, x^2 - 2: End is GF(25)
+
+
+def spy_multiplicities(monkeypatch):
+    """Record ``(W.dims, dim End W / rad W, multiplicity in N)`` for every
+    summand ``is_isomorphic`` counts in ``N``."""
+    seen = []
+    multiplicity = artheory._multiplicity
+
+    def spy(W, residue, N):
+        seen.append((W.dims, residue.nrows, multiplicity(W, residue, N)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(artheory, "_multiplicity", spy)
+    return seen
+
+
+def test_is_isomorphic_counts_summands_with_a_radical(monkeypatch):
+    seen = spy_multiplicities(monkeypatch)
+    M = direct_sum(direct_sum(E2, E2), tube_simple(2))
+    assert is_isomorphic(M, random_basis_change(M, random.Random(0)))
+    assert sorted(seen) == [((1, 1), 1, 1), ((2, 2), 1, 2)]
+    seen.clear()
+    assert not is_isomorphic(M, direct_sum(E2, direct_sum(tube_simple(2), direct_sum(tube_simple(2), tube_simple(2)))))
+    assert seen == [((1, 1), 1, 3)]  # the smaller summand R_2 is counted first and already differs
+
+
+def test_is_isomorphic_over_a_residue_field_of_degree_two(monkeypatch):
+    seen = spy_multiplicities(monkeypatch)
+    PP = direct_sum(P3, P3)
+    assert not is_isomorphic(PP, direct_sum(P3, P2))
+    assert seen == [((2, 2), 2, 1)]
+    assert is_isomorphic(PP, random_basis_change(PP, random.Random(1)))
 
 
 # -- decompose ---------------------------------------------------------------
@@ -190,7 +243,7 @@ def test_decompose_invariant_under_base_change():
     rng = random.Random(13)
     m = direct_sum(tube_simple(1), direct_sum(tube_simple(1), QuiverRep.simple(KRON, F5, 0)))
     reference = sorted((rep.dims, mult) for rep, mult in decompose(m))
-    for trial in range(50):
+    for _ in range(50):
         # conjugate by a random invertible change of basis at each vertex
         while True:
             gl = [Matrix(F5, [[rng.randrange(5) for _ in range(d)] for _ in range(d)], d) for d in m.dims]
@@ -200,7 +253,7 @@ def test_decompose_invariant_under_base_change():
         for k, a in enumerate(m.quiver.arrows):
             maps.append(gl[a.target] @ m.maps[k] @ gl[a.source].inverse())
         twisted = QuiverRep(m.quiver, F5, m.dims, maps)
-        assert sorted((rep.dims, mult) for rep, mult in decompose(twisted, seed=trial)) == reference
+        assert sorted((rep.dims, mult) for rep, mult in decompose(twisted)) == reference
 
 
 def test_decompose_finds_extension_field_points_indecomposable():
@@ -209,6 +262,81 @@ def test_decompose_finds_extension_field_points_indecomposable():
     m = QuiverRep.from_entries(KRON, F5, (2, 2), {"a": [[1, 0], [0, 1]], "b": [[0, 3], [1, 0]]})
     parts = decompose(m)
     assert len(parts) == 1 and parts[0][1] == 1
+
+
+def test_decompose_certifies_the_self_extension_of_a_degree_two_point():
+    C = [[0, 3], [1, 0]]
+    Q = kron_pencil([C[0] + [1, 0], C[1] + [0, 1], [0, 0] + C[0], [0, 0] + C[1]])
+    (W, mult, residue), = _summands(Q)
+    assert (W.dims, mult) == ((4, 4), 1)
+    assert residue.nrows == 2  # End Q / rad = GF(25)
+    assert not is_isomorphic(Q, direct_sum(P3, P3))
+
+
+def rep_with_dims(q, field, dims, rng):
+    return QuiverRep(q, field, dims, [
+        Matrix(field, [[rng.randrange(field.p) for _ in range(dims[a.source])] for _ in range(dims[a.target])],
+               dims[a.source]) for a in q.arrows])
+
+
+def split_stages(monkeypatch, M):
+    """``decompose(M)`` and, for each module it splits, the candidate that
+    split it: a basis element of its endomorphism ring, a pairwise sum of
+    basis elements, an element of the nilpotent ideal, or one of the later
+    products and combinations."""
+    stages = []
+    split_or_certify, primary = artheory._split_or_certify, artheory._primary
+
+    def spy(X, endos):
+        sums = [_flat(a + b) for a, b in itertools.combinations(endos, 2)]
+        first = []
+
+        def primary_spy(Y, g):
+            out = primary(Y, g)
+            if out[0] and not first:
+                first.append("basis" if any(_flat(g) == _flat(f) for f in endos)
+                             else "sum" if _flat(g) in sums else "search")
+            return out
+
+        monkeypatch.setattr(artheory, "_primary", primary_spy)
+        out = split_or_certify(X, endos)
+        monkeypatch.setattr(artheory, "_primary", primary)
+        if isinstance(out, list):
+            stages.append(first[0] if first else "ideal")
+        return out
+
+    monkeypatch.setattr(artheory, "_split_or_certify", spy)
+    return decompose(M), stages
+
+
+@pytest.mark.parametrize("p, n, seed, stages", [
+    (5, 3, 0, ["basis", "sum"]),
+    (3, 2, 694, ["ideal"]),
+    (5, 2, 105, ["search"]),
+], ids=["sum", "ideal", "search"])
+def test_decompose_splits_a_power_of_an_a31_brick_at_each_stage(monkeypatch, p, n, seed, stages):
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    W = rep_with_dims(A3, field, (1, 1, 1, 2), rng)
+    assert hom_dim(W, W) == 1
+    X = W
+    for _ in range(n - 1):
+        X = direct_sum(X, W)
+    parts, found = split_stages(monkeypatch, random_basis_change(X, rng))
+    assert [(V.dims, mult) for V, mult in parts] == [(W.dims, n)]
+    assert found == stages
+
+
+def test_decompose_refuses_a_noncommutative_division_ring():
+    # left multiplication by i and j on the rational quaternions: End is the
+    # quaternions acting on the right, local but not certifiable here
+    q = Quiver(2, (Arrow("a", 0, 1), Arrow("b", 0, 1), Arrow("c", 0, 1)))
+    one = [[int(i == j) for j in range(4)] for i in range(4)]
+    left_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    left_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+    H = QuiverRep.from_entries(q, QQ, (4, 4), {"a": one, "b": left_i, "c": left_j})
+    with pytest.raises(NonSplitField):
+        decompose(H)
 
 
 def poly_mul(field, a, b):

@@ -1,7 +1,7 @@
 """Source hygiene: every imported name is used, every function and class
-of the library is referenced somewhere, sympy loads only inside the
-functions that call it, and every field class in ``exactlin`` implements
-the whole field protocol.  No linter is a dependency, so the checks walk
+of the library is referenced somewhere, every parameter of a library
+function is read, sympy loads only inside the functions that call it, and
+every field class in ``exactlin`` implements the whole field protocol.  No linter is a dependency, so the checks walk
 the syntax tree themselves."""
 
 import ast
@@ -93,6 +93,48 @@ def test_every_library_definition_is_referenced():
 
     library = trees("src/tiltlab")
     assert unreferenced(library, library + trees("tests") + trees("perfbench")) == []
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """Parameters, other than ``self`` and ``cls``, that a function or
+    lambda never reads in its body, nested functions included: a dead knob
+    such as a ``seed`` left behind when its search went away."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "lambda")
+            found += [(node.lineno, f"line {node.lineno}: {name}({p})") for p in params
+                      if p not in read and p not in ("self", "cls")]
+    return [text for _, text in sorted(found)]
+
+
+def test_detector_flags_an_unread_parameter():
+    tree = ast.parse(
+        "def f(a, b, *args, c=0, **kw):\n"
+        "    return a + sum(args)\n"
+        "class C:\n"
+        "    def m(self, x, seed=0):\n"
+        "        return lambda y, z: y + x\n"
+        "def g(n):\n"
+        "    def inner():\n"
+        "        return n\n"
+        "    return inner\n"
+    )
+    assert unread_parameters(tree) == [
+        "line 1: f(b)", "line 1: f(c)", "line 1: f(kw)", "line 4: m(seed)", "line 5: lambda(z)"]
+
+
+def test_every_library_parameter_is_read():
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src/tiltlab").glob("*.py"))
+        if (hits := unread_parameters(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
 
 
 def module_level_sympy_imports(tree: ast.Module) -> list[int]:

@@ -108,6 +108,15 @@ def test_presentation_of_projective_has_zero_kernel():
     assert is_projective(p0)
 
 
+def test_is_projective_agrees_with_the_presentation_kernel():
+    rng = random.Random(9)
+    modules = [random_rep(KRON, F5, rng, dim_cap=2) for _ in range(30)]
+    modules += [projective(KRON, F5, 0), projective(KRON, F5, 1), QuiverRep.simple(KRON, F5, 0)]
+    verdicts = [is_projective(M) for M in modules]
+    assert verdicts == [proj_presentation(M).P.rep.is_zero() for M in modules]
+    assert True in verdicts and False in verdicts
+
+
 def test_presentation_of_kronecker_simple():
     s1 = QuiverRep.simple(KRON, F5, 0)
     pres = proj_presentation(s1)
