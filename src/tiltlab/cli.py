@@ -48,6 +48,8 @@ from .quiverrep import (
     euler_form,
     hom_dim,
     hom_ext_dims,
+    injective,
+    projective,
     random_rep,
     socle,
 )
@@ -112,10 +114,15 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0, dim_c
         and filt.validate(layer2, (simple, tminus_simple)),
         values={"factors": None if filt is None else filt.factors},
     )
-    df = defect_function(catalog.quiver)
+    # normalized to one on the regular module, the defect is positive on
+    # the indecomposable projectives and negative on the injectives
+    q = catalog.quiver
+    df = defect_function(q)
     report.add(
         "tube members have zero defect",
-        all(defect(df, m.dims) == 0 for m in (simple, t_simple, tminus_simple, layer2, t_layer2)),
+        all(defect(df, m.dims) == 0 for m in (simple, t_simple, tminus_simple, layer2, t_layer2))
+        and all(defect(df, projective(q, field, v).dims) > 0 for v in range(q.nvertices))
+        and all(defect(df, injective(q, field, v).dims) < 0 for v in range(q.nvertices)),
         values={"radical_vector": df.radical_vector, "normalizer": df.normalizer},
     )
     soc, _ = socle(layer2)
@@ -324,6 +331,13 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _alphabet(text: str) -> tuple[str, ...]:
+    symbols = tuple(s for s in text.split(",") if s)
+    if not symbols or len(set(symbols)) != len(symbols):
+        raise argparse.ArgumentTypeError(f"must list one or more distinct generators, got {text}")
+    return symbols
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tiltlab",
@@ -340,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--family", default="a31")
     p.add_argument("--field", type=int, default=5)
-    p.add_argument("--dim-cap", type=int, default=12)
+    p.add_argument("--dim-cap", type=_nonnegative_int, default=12)
     p.set_defaults(run=lambda a: run_tube_demo(
         family=a.family, field_char=a.field, seed=a.seed, dim_cap=a.dim_cap))
 
@@ -358,13 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("free-envelope", help="inductive extension along free-group words")
     common(p)
-    p.add_argument("--alphabet", default="x,y")
+    p.add_argument("--alphabet", type=_alphabet, default="x,y")
     p.add_argument("--field", type=int, default=7)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--word", action="append", default=[], help="word to evaluate (repeatable)")
     p.set_defaults(run=lambda a: run_free_envelope(
-        alphabet=tuple(s for s in a.alphabet.split(",") if s), field_char=a.field, seed=a.seed,
+        alphabet=a.alphabet, field_char=a.field, seed=a.seed,
         trials=a.trials, words=tuple(a.word), dim=a.dim))
 
     p = sub.add_parser("perp-check", help="sampled agreement of perpendicular-membership conditions")

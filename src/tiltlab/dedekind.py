@@ -1,12 +1,11 @@
-"""Finitely generated modules over the integers, localization arithmetic,
-and the classification of divisibility classes by sets of primes.
+"""Finitely generated modules over the integers, multiplicative sets and
+their prime supports, and the classification of divisibility classes by
+sets of primes.
 
 Modules are kept in invariant-factor form ``Z^a + Z/d_1 + ... + Z/d_t``
-with ``2 <= d_1 | d_2 | ...``; elements are coordinate tuples in this
-decomposition (free coordinates first).  The subring of the rationals with
-denominators supported on a prime set ``P`` plays the role of the
-localization at the multiplicative set generated by ``P``; extension of a
-map along ``Z -> Z[1/P]`` is constructive for finitely generated targets.
+with ``2 <= d_1 | d_2 | ...`` (free part first).  The subring of the
+rationals with denominators supported on a prime set ``P`` plays the role
+of the localization at the multiplicative set generated by ``P``.
 
 For a multiplicative set, the primes dividing its elements are exactly the
 primes dividing its generators (any prime factor of a product divides one
@@ -19,10 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NotContained, NotDivisible, NotPrime
-from .exactlin import IntMatrix, Matrix, QQ, snf
+from .errors import NotContained, NotPrime
+from .exactlin import IntMatrix, snf
 
 
 @dataclass(frozen=True)
@@ -75,25 +73,6 @@ class FgZModule:
         for j, d in enumerate(self.invariant_factors):
             mat[self.free_rank + j][j] = d
         return IntMatrix(mat, cols)
-
-    def reduce_element(self, coords) -> tuple[int, ...]:
-        coords = [int(c) for c in coords]
-        if len(coords) != self.ngens():
-            raise ValueError("element has wrong coordinate length")
-        out = coords[: self.free_rank]
-        for c, d in zip(coords[self.free_rank:], self.invariant_factors):
-            out.append(c % d)
-        return tuple(out)
-
-    def element_order(self, coords) -> int | None:
-        """Additive order of an element, ``None`` when infinite."""
-        coords = self.reduce_element(coords)
-        if any(coords[: self.free_rank]):
-            return None
-        ord_ = 1
-        for c, d in zip(coords[self.free_rank:], self.invariant_factors):
-            ord_ = math.lcm(ord_, d // math.gcd(c, d))
-        return ord_
 
     def __str__(self):
         parts = []
@@ -153,7 +132,7 @@ def tor1(M: FgZModule, N: FgZModule) -> FgZModule:
 
 
 # ---------------------------------------------------------------------------
-# prime sets, Ore sets, localizations
+# prime sets and Ore sets
 
 
 @dataclass(frozen=True)
@@ -163,22 +142,17 @@ class PrimeSet:
     def __post_init__(self):
         import sympy  # loaded on first use: it dominates the package's import time
 
-        seen = set()
         prev = 0
         for p in self.primes:
             if not sympy.isprime(p):
                 raise NotPrime(f"{p} is not prime")
-            if p in seen or p < prev:
+            if p <= prev:
                 raise ValueError("primes must be sorted and distinct")
-            seen.add(p)
             prev = p
 
     @classmethod
     def of(cls, *primes: int) -> "PrimeSet":
         return cls(tuple(sorted(set(primes))))
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
 
     def __len__(self):
         return len(self.primes)
@@ -212,17 +186,19 @@ def u_set_of_ore(S: OreSet) -> PrimeSet:
 
 def universal_localization_eq(S: OreSet) -> bool:
     """Check ``Z[1/s : s generator] = Z[1/p : p in primes(S)]`` as subrings
-    of the rationals by comparing prime supports both ways."""
-    P = set(u_set_of_ore(S).primes)
-    # every generator becomes invertible in Z[1/P]
+    of the rationals.  The generators are divided by the primes found, not
+    factored again, so a prime missing from the support fails the check."""
+    P = u_set_of_ore(S).primes
+    # every generator becomes invertible in Z[1/P]: it is P-smooth
     for g in S.generators:
-        if not set(prime_support(g)) <= P:
+        rest = abs(g)
+        for p in P:
+            while rest % p == 0:
+                rest //= p
+        if rest != 1:
             return False
     # every p in P divides some generator, so 1/p is a generator multiple
-    for p in P:
-        if not any(g % p == 0 for g in S.generators):
-            return False
-    return True
+    return all(any(g % p == 0 for g in S.generators) for p in P)
 
 
 def is_divisible_by(M: FgZModule, P: PrimeSet) -> bool:
@@ -242,88 +218,6 @@ def is_divisible_by(M: FgZModule, P: PrimeSet) -> bool:
     if homological != elementary:
         raise AssertionError("divisibility characterizations disagree")
     return homological
-
-
-@dataclass(frozen=True)
-class LocalizedRational:
-    """Element of ``Z[1/P]``: a reduced fraction whose denominator is
-    supported on ``P``."""
-
-    numerator: int
-    denominator: int
-    support: PrimeSet
-
-    def __post_init__(self):
-        if self.denominator <= 0:
-            raise ValueError("denominator must be positive")
-        if math.gcd(self.numerator, self.denominator) != 1:
-            raise ValueError("fraction must be reduced")
-        for p in prime_support(self.denominator):
-            if p not in self.support:
-                raise ValueError(f"denominator prime {p} outside the support")
-
-    @classmethod
-    def of(cls, value, support: PrimeSet) -> "LocalizedRational":
-        f = Fraction(value)
-        return cls(int(f.numerator), int(f.denominator), support)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __add__(self, other: "LocalizedRational") -> "LocalizedRational":
-        return LocalizedRational.of(self.value + other.value, self.support)
-
-    def __mul__(self, other: "LocalizedRational") -> "LocalizedRational":
-        return LocalizedRational.of(self.value * other.value, self.support)
-
-
-@dataclass(frozen=True)
-class ZPHom:
-    """Homomorphism ``Z[1/P] -> target`` determined by the image of 1.
-
-    On ``1/p^k`` the map iterates the inverse of ``p`` on the cyclic module
-    generated by the base value; the inverse exists and is unique because
-    the base generates a finite module of order coprime to ``P``.
-    """
-
-    target: FgZModule
-    base: tuple[int, ...]
-    support: PrimeSet
-
-    def apply(self, q) -> tuple[int, ...]:
-        if isinstance(q, LocalizedRational):
-            q = q.value
-        q = Fraction(q)
-        for p in prime_support(q.denominator):
-            if p not in self.support:
-                raise ValueError(f"{q} does not lie in the localization")
-        if not self.support.primes:
-            scalar = int(q)
-            return self.target.reduce_element([scalar * c for c in self.base])
-        ord_ = self.target.element_order(self.base)
-        if ord_ == 1:
-            return self.target.reduce_element([0] * self.target.ngens())
-        scalar = int(q.numerator) * pow(int(q.denominator), -1, ord_) % ord_
-        return self.target.reduce_element([scalar * c for c in self.base])
-
-
-def envelope_extend(target: FgZModule, base_value, P: PrimeSet) -> ZPHom:
-    """Extend ``1 -> base_value`` to a homomorphism ``Z[1/P] -> target``.
-
-    Exists exactly when the cyclic module generated by the base value is
-    divisible by every prime of ``P``; otherwise :class:`NotDivisible`
-    reports the offending prime."""
-    base = target.reduce_element(base_value)
-    if not P.primes:
-        return ZPHom(target, base, P)
-    if any(base[: target.free_rank]):
-        raise NotDivisible(P.primes[0], "base value meets the free part")
-    ord_ = target.element_order(base)
-    for p in P.primes:
-        if ord_ % p == 0:
-            raise NotDivisible(p)
-    return ZPHom(target, base, P)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +311,3 @@ def classify_tilting(universe: PrimeSet) -> TiltingClassTable:
             witnesses.append((a, b, p))
     return TiltingClassTable(universe, tuple(rows), tuple(witnesses))
 
-
-def fp_torsion_is_u_torsion(M: FgZModule) -> tuple[bool, bool]:
-    """Two routes to torsionness: vanishing after tensoring with the
-    rationals, and squareness plus full rank of the presentation (the
-    uniform-dimension criterion for cokernels of full maps)."""
-    pres = M.presentation()
-    qmat = Matrix(QQ, [[Fraction(x) for x in row] for row in pres.rows], pres.ncols)
-    rank = qmat.rank()
-    torsion = pres.nrows - rank == 0
-    u_torsion = pres.nrows == pres.ncols and rank == pres.nrows
-    return torsion, u_torsion

@@ -48,14 +48,6 @@ class NotContained(TiltlabError):
     """Ideal containment J <= I fails."""
 
 
-class NotDivisible(TiltlabError):
-    """Division by a prime is impossible in the target module."""
-
-    def __init__(self, prime: int, message: str | None = None):
-        self.prime = prime
-        super().__init__(message or f"target is not divisible by {prime}")
-
-
 class SameGenerator(TiltlabError):
     """Two distinct generators were required."""
 

@@ -26,18 +26,15 @@ restricted to finite-dimensional modules.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .artheory import all_submodules, bound_members, build_extension, is_bound, transpose
+from .artheory import all_submodules, bound_members, is_bound, transpose
 from .errors import NotBound
 from .exactlin import Matrix
 from .quiverrep import (
     QuiverRep,
-    RepMap,
     ext1_dim,
     hom_dim,
-    hom_space,
     hom_system,
     presentation_tensor_matrix,
     proj_presentation,
@@ -98,26 +95,6 @@ def is_divisible(M: QuiverRep, U) -> bool:
     return all(ext1_dim(u, M) == 0 for u in bound_members(U))
 
 
-def is_torsionfree(M: QuiverRep, U) -> bool:
-    """``Hom(member, M) = 0`` for every member."""
-    return all(hom_dim(u, M) == 0 for u in bound_members(U))
-
-
-def in_perp_category(M: QuiverRep, U) -> bool:
-    return is_divisible(M, U) and is_torsionfree(M, U)
-
-
-def trace(U: QuiverRep, M: QuiverRep) -> tuple[QuiverRep, RepMap]:
-    """Trace of ``U`` in ``M``: the subrepresentation spanned by the images
-    of all morphisms ``U -> M``."""
-    cols: list[list[list]] = [[] for _ in range(M.quiver.nvertices)]
-    for f in hom_space(U, M):
-        for v in range(M.quiver.nvertices):
-            cols[v].extend(f.maps[v].columns())
-    gens = [Matrix.from_columns(M.field, cols[v], M.dims[v]) for v in range(M.quiver.nvertices)]
-    return subrep(M, gens)
-
-
 def transpose_duality_check(U: QuiverRep, X: QuiverRep) -> tuple[int, int]:
     """``(dim Tor_1(U, X), dim Hom(Tr U, X))`` for a left module ``X``; the
     two dimensions agree."""
@@ -135,41 +112,6 @@ def class_compare(U1, U2, testset) -> QuiverRep | None:
         if is_divisible(M, U1) != is_divisible(M, U2):
             return M
     return None
-
-
-@dataclass(frozen=True)
-class ClosureSampleResult:
-    ok: bool
-    trials: int
-    counterexample: tuple[QuiverRep, QuiverRep, QuiverRep] | None  # (sub, quotient, middle)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def extension_closure_sample(U, pool, seed: int = 0, trials: int = 100) -> ClosureSampleResult:
-    """Sample pairs from ``pool`` that lie in the divisibility class of
-    ``U`` and check that every middle term of a nonzero extension class
-    stays in the class."""
-    members = bound_members(U)
-    rng = random.Random(seed)
-    eligible = [M for M in pool if is_divisible(M, members)]
-    done = 0
-    if not members or not eligible:
-        return ClosureSampleResult(True, 0, None)
-    while done < trials:
-        A = eligible[rng.randrange(len(eligible))]
-        C = eligible[rng.randrange(len(eligible))]
-        e = ext1_dim(C, A)
-        if e == 0:
-            done += 1
-            continue
-        for idx in range(e):
-            middle = build_extension(C, A, idx)
-            done += 1
-            if not is_divisible(middle, members):
-                return ClosureSampleResult(False, done, (A, C, middle))
-    return ClosureSampleResult(True, done, None)
 
 
 def divisible_radical(M: QuiverRep, U) -> tuple[QuiverRep, list[Matrix]]:

@@ -614,10 +614,6 @@ def tor_dims(M: QuiverRep, X: QuiverRep) -> tuple[int, int]:
     return psi.ncols - rank, psi.nrows - rank
 
 
-def tor1_dim(M: QuiverRep, X: QuiverRep) -> int:
-    return tor_dims(M, X)[0]
-
-
 def euler_form(q: Quiver, d, e) -> int:
     """Bilinear form ``sum_i d_i e_i - sum_{a: i->j} d_i e_j``; equals
     ``dim Hom - dim Ext^1`` on dimension vectors."""

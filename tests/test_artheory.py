@@ -59,7 +59,7 @@ from tiltlab.quiverrep import (
     random_rep,
     regular_dims,
     socle,
-    tor1_dim,
+    tor_dims,
 )
 
 F5 = PrimeField(5)
@@ -669,4 +669,4 @@ def test_transpose_duality_spot_check():
     # Tor_1(U, Tr U) pairs with morphisms from Tr U to itself
     u = tube_simple(1)
     tru = transpose(u)
-    assert tor1_dim(u, tru) == hom_dim(tru, tru)
+    assert tor_dims(u, tru)[0] == hom_dim(tru, tru)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tiltlab import cli
+from tiltlab import cli, dedekind
 from tiltlab.cli import (
     main,
     run_dedekind_classify,
@@ -163,6 +163,22 @@ def test_envelope_word_check_can_fail(capsys, monkeypatch):
     assert "[FAIL] envelope value of 'x y' returns to the base along the inverse word" in capsys.readouterr().out
 
 
+def test_ore_set_check_can_fail(monkeypatch):
+    # a prime support that loses the largest prime must not pass the check
+    support = dedekind.prime_support
+    monkeypatch.setattr(dedekind, "prime_support", lambda n: support(n)[:-1])
+    report = run_dedekind_classify(ore_sets=((6,),))
+    assert [(c.name, c.passed) for c in report.checks[1:]] == [
+        ("ore generators [6] invert exactly the primes [2]", False)]
+
+
+def test_tube_defect_check_can_fail(monkeypatch):
+    # a defect that vanishes on every module must fail on the projectives
+    monkeypatch.setattr(cli, "defect", lambda df, d: 0)
+    report = run_tube_demo()
+    assert [c.name for c in report.checks if not c.passed] == ["tube members have zero defect"]
+
+
 def test_internal_check_failure_exits_cleanly(capsys, monkeypatch):
     def broken_catalog(family, field):
         raise AssertionError("rank-3 tube did not close up")
@@ -219,12 +235,21 @@ def test_trials_must_be_positive(argv, capsys):
     (["perp-check", "--dim-cap", "-1"], "--dim-cap"),
     (["perp-check", "--dim-cap", "x"], "--dim-cap"),
     (["dedekind", "--random-ore", "-2"], "--random-ore"),
-], ids=["dim-cap-negative", "dim-cap-not-a-number", "random-ore-negative"])
+    (["tube-demo", "--dim-cap", "-1"], "--dim-cap"),
+], ids=["dim-cap-negative", "dim-cap-not-a-number", "random-ore-negative", "tube-demo-dim-cap-negative"])
 def test_counts_must_be_nonnegative(argv, flag, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     assert f"{flag}: must be a non-negative integer, got {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphabet", [",", "x,y,x"], ids=["empty", "repeated"])
+def test_alphabet_must_list_distinct_generators(alphabet, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["free-envelope", "--alphabet", alphabet])
+    assert info.value.code == 2
+    assert f"argument --alphabet: must list one or more distinct generators, got {alphabet}" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_across_runs(capsys):

@@ -1,6 +1,4 @@
-import math
 import random
-from fractions import Fraction
 
 import pytest
 from oracles import ext_oracle, hom_oracle, rand_fgz, tor_oracle, torsion_part
@@ -9,15 +7,12 @@ from tiltlab import dedekind
 from tiltlab.dedekind import (
     FgZModule,
     IdealPairReport,
-    LocalizedRational,
     OreSet,
     PrimeSet,
     classify,
     classify_tilting,
-    envelope_extend,
     essential_iff_finite,
     ext1,
-    fp_torsion_is_u_torsion,
     from_pieces,
     hom,
     is_divisible_by,
@@ -25,7 +20,7 @@ from tiltlab.dedekind import (
     u_set_of_ore,
     universal_localization_eq,
 )
-from tiltlab.errors import NotContained, NotDivisible, NotPrime
+from tiltlab.errors import NotContained, NotPrime
 from tiltlab.exactlin import IntMatrix
 
 
@@ -107,74 +102,6 @@ def test_is_divisible_by():
     assert is_divisible_by(FgZModule.free(1), PrimeSet(()))
 
 
-def test_envelope_extend_invertible_prime():
-    f = envelope_extend(FgZModule.cyclic(3), (1,), PrimeSet.of(2))
-    assert f.apply(Fraction(1, 2)) == (2,)
-    assert f.apply(Fraction(1)) == (1,)
-    assert f.apply(Fraction(3, 4)) == (0,)  # 3 * inv(4) = 3 * 1 = 3 = 0 mod 3
-    assert f.apply(LocalizedRational.of(Fraction(1, 2), PrimeSet.of(2))) == (2,)
-    with pytest.raises(ValueError):
-        f.apply(Fraction(1, 3))
-
-
-def test_envelope_extend_not_divisible():
-    with pytest.raises(NotDivisible) as info:
-        envelope_extend(FgZModule.cyclic(2), (1,), PrimeSet.of(2))
-    assert info.value.prime == 2
-
-
-def test_envelope_extend_zero_target():
-    f = envelope_extend(FgZModule.zero(), (), PrimeSet.of(2))
-    assert f.apply(Fraction(7, 8)) == ()
-
-
-def test_envelope_rejects_free_part():
-    with pytest.raises(NotDivisible):
-        envelope_extend(from_pieces(1, [3]), (1, 1), PrimeSet.of(2))
-
-
-def test_envelope_restriction_and_uniqueness():
-    # restricted along Z -> Z[1/P] the map is multiplication by the base;
-    # the value at 1/p is the unique preimage inside the prime-to-p part
-    rng = random.Random(32)
-    for _ in range(40):
-        factors = [rng.choice([3, 5, 9, 15, 7]) for _ in range(rng.randrange(1, 3))]
-        target = from_pieces(0, factors)
-        base = target.reduce_element([rng.randrange(30) for _ in range(target.ngens())])
-        p = 2
-        f = envelope_extend(target, base, PrimeSet.of(p))
-        for k in (1, 2, 5):
-            assert f.apply(Fraction(k)) == target.reduce_element([k * c for c in base])
-        y = f.apply(Fraction(1, p))
-        assert target.reduce_element([p * c for c in y]) == f.apply(Fraction(1))
-        # enumerate all solutions of p*z = base; exactly one has order
-        # coprime to p (only it extends to the localization)
-        sols = []
-        for cand in _all_elements(target):
-            if target.reduce_element([p * c for c in cand]) == tuple(base):
-                sols.append(cand)
-        extendable = [z for z in sols if math.gcd(target.element_order(z), p) == 1]
-        assert extendable == [y]
-
-
-def _all_elements(m: FgZModule):
-    assert m.free_rank == 0
-    ranges = [range(d) for d in m.invariant_factors]
-    import itertools
-
-    return itertools.product(*ranges)
-
-
-def test_localized_rational_validation():
-    P = PrimeSet.of(2, 3)
-    x = LocalizedRational.of(Fraction(5, 12), P)
-    assert x.value == Fraction(5, 12)
-    with pytest.raises(ValueError):
-        LocalizedRational.of(Fraction(1, 5), P)
-    y = x + LocalizedRational.of(Fraction(1, 12), P)
-    assert y.value == Fraction(1, 2)
-
-
 def test_essential_iff_finite_examples():
     rep = essential_iff_finite((2,), (6,))
     assert rep == IdealPairReport(True, True, 3)
@@ -251,20 +178,3 @@ def test_classify_tilting_empty_universe():
 def test_classify_tilting_rejects_composite():
     with pytest.raises(NotPrime):
         classify_tilting(PrimeSet.of(4))
-
-
-def test_fp_torsion_is_u_torsion():
-    assert fp_torsion_is_u_torsion(FgZModule.cyclic(6)) == (True, True)
-    assert fp_torsion_is_u_torsion(FgZModule.free(1)) == (False, False)
-    assert fp_torsion_is_u_torsion(from_pieces(1, [2])) == (False, False)
-    rng = random.Random(34)
-    for _ in range(50):
-        t, u = fp_torsion_is_u_torsion(rand_fgz(rng))
-        assert t == u
-
-
-def test_element_order():
-    m = from_pieces(0, [4, 3])
-    assert m.invariant_factors == (12,)
-    assert m.element_order((6,)) == 2
-    assert from_pieces(1, [2]).element_order((1, 0)) is None

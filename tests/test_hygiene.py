@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used, every function and class
-of the library is referenced somewhere, every parameter of a library
-function is read, sympy loads only inside the functions that call it, and
-every field class in ``exactlin`` implements the whole field protocol.  No linter is a dependency, so the checks walk
-the syntax tree themselves."""
+of the library is referenced somewhere, and outside tests too (but for a
+short list of kept names), every parameter of a library function is read,
+sympy loads only inside the functions that call it, and every field class
+in ``exactlin`` implements the whole field protocol.  No linter is a
+dependency, so the checks walk the syntax tree themselves."""
 
 import ast
 from pathlib import Path
@@ -87,12 +88,55 @@ def test_detector_flags_an_unreferenced_definition():
     assert unreferenced([lib], [lib, user]) == ["dead_method", "recursive"]
 
 
-def test_every_library_definition_is_referenced():
-    def trees(d):
-        return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / d).glob("*.py"))]
+def trees(d: str) -> list[ast.Module]:
+    return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / d).glob("*.py"))]
 
+
+def test_every_library_definition_is_referenced():
     library = trees("src/tiltlab")
     assert unreferenced(library, library + trees("tests") + trees("perfbench")) == []
+
+
+def reached_only_from_tests(library: list[ast.Module], bench: list[ast.Module]) -> list[str]:
+    """Top-level library definitions that neither the library, outside
+    their own bodies, nor the benchmark uses, so that only tests reach
+    them.  The benchmark looks some functions up late by name, so its
+    string constants count as uses too."""
+    used = set().union(*(referenced_names(tree) for tree in library + bench))
+    used |= {node.value for tree in bench for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    top = {node.name for tree in library for node in tree.body if isinstance(node, DEFINITIONS)}
+    return sorted(top - used)
+
+
+# Library definitions that only tests reach, each kept for a reason.
+TEST_ONLY_KEPT = {
+    "strip_projective_summands": "acceptance criterion C3 (Euler identity and AR formula)",
+    "transpose_duality_check": "acceptance criterion C4 (transpose duality)",
+    "essential_iff_finite": "acceptance criterion C7 (essential iff finite index)",
+    "is_full": "ROADMAP item 3: localize at the cokernels of full maps",
+    "is_atomic_full": "ROADMAP item 3: localize at the cokernels of atomic full maps",
+    "tau_minus": "ROADMAP item 4: the main theorem on every finite tilting module",
+}
+
+
+def test_detector_flags_a_definition_only_tests_reach():
+    lib = ast.parse(
+        "def used(): return helper()\n"
+        "def helper(): pass\n"
+        "def test_only_fn(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def benchmarked(): pass\n"
+        "def looked_up(): pass\n"
+        "class Tested:\n"
+        "    def method(self): pass\n"
+    )
+    bench = ast.parse("import lib\nlib.used()\nlib.benchmarked()\ngetattr(lib, 'looked_up')()\n")
+    assert reached_only_from_tests([lib], [bench]) == ["Tested", "recursive", "test_only_fn"]
+
+
+def test_no_library_definition_is_reached_only_from_tests():
+    assert reached_only_from_tests(trees("src/tiltlab"), trees("perfbench")) == sorted(TEST_ONLY_KEPT)
 
 
 def unread_parameters(tree: ast.Module) -> list[str]:

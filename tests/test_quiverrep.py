@@ -33,7 +33,6 @@ from tiltlab.quiverrep import (
     socle,
     subrep,
     tor_dims,
-    tor1_dim,
 )
 
 F5 = PrimeField(5)
@@ -217,7 +216,7 @@ def test_tor_vanishes_on_projectives():
     p = projective(KRON, F5, 0)
     for _ in range(5):
         X = random_rep(KRON.opposite(), F5, rng)
-        assert tor1_dim(p, X) == 0
+        assert tor_dims(p, X)[0] == 0
 
 
 def test_tor_against_dual_ext():
@@ -237,7 +236,7 @@ def test_tor_against_dual_ext():
 def test_tor_requires_opposite_quiver():
     M = tube_simple(KRON, F5, 1)
     with pytest.raises(QuiverMismatch):
-        tor1_dim(M, M)
+        tor_dims(M, M)
 
 
 def test_euler_form_values_on_kronecker():
