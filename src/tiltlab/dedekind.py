@@ -15,6 +15,7 @@ generators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,6 +170,7 @@ class OreSet:
             raise ValueError("Ore set generators must be nonzero")
 
 
+@functools.lru_cache(maxsize=1024)  # an Ore line reads each generator's support twice
 def prime_support(n: int) -> tuple[int, ...]:
     import sympy  # loaded on first use: it dominates the package's import time
 

@@ -348,7 +348,7 @@ def socle(M: QuiverRep) -> tuple[QuiverRep, RepMap]:
     return subrep(M, bases)
 
 
-def _top_generators(M: QuiverRep) -> tuple[list[int], list[list]]:
+def _top_generators(M: QuiverRep) -> tuple[tuple[int, ...], list[list]]:
     """Vertices and vectors lifting a basis of ``M / rad M``: at each
     vertex, the unit-vector complement of the radical (the sum of the
     images of the arrows into that vertex)."""
@@ -359,7 +359,7 @@ def _top_generators(M: QuiverRep) -> tuple[list[int], list[list]]:
         for e in Matrix.from_columns(M.field, incoming, M.dims[v]).span().complement.columns():
             verts.append(v)
             gens.append(e)
-    return verts, gens
+    return tuple(verts), gens
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +382,12 @@ class ProjSum:
     index: tuple[dict[tuple[int, Path], int], ...]
 
 
-def proj_sum(q: Quiver, field, summands) -> ProjSum:
+@functools.lru_cache(maxsize=1024)
+def proj_sum(q: Quiver, field, summands: tuple[int, ...]) -> ProjSum:
     """The projective ``P(i_0) + P(i_1) + ...`` with its canonical path
-    basis; ``P(i)`` has the paths starting at ``i`` as basis."""
-    summands = tuple(int(i) for i in summands)
+    basis; ``P(i)`` has the paths starting at ``i`` as basis.  Equal
+    arguments share one object, so no caller may change its matrices or
+    index dicts."""
     paths = _paths_by_source(q)
     basis: list[list[tuple[int, Path]]] = [[] for _ in range(q.nvertices)]
     for p, start in enumerate(summands):
@@ -409,7 +411,7 @@ def projective(q: Quiver, field, vertex: int) -> QuiverRep:
     the number of paths ``vertex -> j``."""
     if not (0 <= vertex < q.nvertices):
         raise ValueError("vertex out of range")
-    return proj_sum(q, field, [vertex]).rep
+    return proj_sum(q, field, (vertex,)).rep
 
 
 def injective(q: Quiver, field, vertex: int) -> QuiverRep:
@@ -421,7 +423,7 @@ def injective(q: Quiver, field, vertex: int) -> QuiverRep:
 def regular_dims(q: Quiver) -> tuple[int, ...]:
     """Dimension vector of the path algebra as a representation of itself
     (sum of all indecomposable projectives)."""
-    return proj_sum(q, QQ, range(q.nvertices)).rep.dims
+    return proj_sum(q, QQ, tuple(range(q.nvertices))).rep.dims
 
 
 def extend_generators(ps: ProjSum, target: QuiverRep, gen_images: list[list]) -> RepMap:
@@ -431,13 +433,13 @@ def extend_generators(ps: ProjSum, target: QuiverRep, gen_images: list[list]) ->
     if target.quiver != ps.quiver or target.field != ps.field:
         raise QuiverMismatch("target lives over a different quiver or field")
     field = ps.field
+    action = functools.cache(target.path_action)  # summands share their vertices' paths
     maps = []
     for v in range(ps.quiver.nvertices):
         cols = []
         for (p, path) in ps.basis[v]:
-            act = target.path_action(ps.summands[p], path)
-            cols.append(act.apply(gen_images[p]))
-        maps.append(Matrix.from_columns(field, cols, target.dims[v]))
+            cols.append(action(ps.summands[p], path).apply(gen_images[p]))
+        maps.append(Matrix._of(field, cols, target.dims[v]).transpose())
     return RepMap(ps.rep, target, maps)
 
 
@@ -582,12 +584,13 @@ def presentation_tensor_matrix(pres: ProjPresentation, X: QuiverRep) -> Matrix:
     qdims = [X.dims[v] for v in pres.Q.summands]
     poffs, qoffs = _block_offsets(pdims), _block_offsets(qdims)
     out = Matrix.zeros(field, qoffs[-1], poffs[-1])
+    action = functools.cache(X.path_action)  # entries repeat their (vertex, path)
     for (qi, pi, path, coeff) in pres.path_matrix():
-        block = X.path_action(pres.P.summands[pi], tuple(reversed(path))).scale(coeff)
-        r0, c0 = qoffs[qi], poffs[pi]
-        for r in range(block.nrows):
-            for c in range(block.ncols):
-                out.rows[r0 + r][c0 + c] = field.add(out.rows[r0 + r][c0 + c], block.rows[r][c])
+        block = action(pres.P.summands[pi], tuple(reversed(path)))
+        r0, c0, c1 = qoffs[qi], poffs[pi], poffs[pi + 1]
+        minus = field.neg(coeff)
+        for brow, orow in zip(block.rows, out.rows[r0:qoffs[qi + 1]]):
+            orow[c0:c1] = field.sub_scaled(orow[c0:c1], minus, brow)
     return out
 
 

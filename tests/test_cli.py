@@ -172,6 +172,18 @@ def test_ore_set_check_can_fail(monkeypatch):
         ("ore generators [6] invert exactly the primes [2]", False)]
 
 
+def test_ore_line_factors_each_generator_once(monkeypatch):
+    import sympy
+
+    factored = []
+    factorint = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint", lambda n: factored.append(n) or factorint(n))
+    dedekind.prime_support.cache_clear()
+    report = run_dedekind_classify(ore_sets=((6, 10), (35,)))
+    assert all(c.passed for c in report.checks)
+    assert factored == [6, 10, 35]
+
+
 def test_tube_defect_check_can_fail(monkeypatch):
     # a defect that vanishes on every module must fail on the projectives
     monkeypatch.setattr(cli, "defect", lambda df, d: 0)

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import det, gauss_jordan, greedy_basis_completion, invariant_factors
 
+from tiltlab import exactlin
 from tiltlab.dedekind import FgZModule, classify
-from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, snf
+from tiltlab.exactlin import PACKED_MIN, QQ, IntMatrix, Matrix, PrimeField, _rref_packed, snf
 from tiltlab.quiverrep import QuiverRep, hom_space, kronecker, presentation_tensor_matrix, proj_presentation
 
 F2 = PrimeField(2)
@@ -304,6 +305,69 @@ def test_rref_matches_reference(field):
         expected_rows, expected_pivots = gauss_jordan(A.rows, p)
         assert R.shape == A.shape
         assert (R.rows, pivots) == (expected_rows, expected_pivots)
+
+
+def _structured_cases(field, rng):
+    """Matrices on both sides of ``PACKED_MIN``: dense, sparse rows, a
+    low-rank product, and zero rows and all-zero columns."""
+    def sparse(m, n, density):
+        return Matrix(field, [[rng.randrange(1, field.p) if rng.random() < density else 0 for _ in range(n)]
+                              for _ in range(m)], n)
+
+    def with_zero_lines(A, nrows, ncols):
+        zero_rows, zero_cols = set(rng.sample(range(A.nrows), nrows)), set(rng.sample(range(A.ncols), ncols))
+        return Matrix(field, [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+                              for i, row in enumerate(A.rows)], A.ncols)
+
+    edge = PACKED_MIN
+    return [
+        _random_matrix(field, rng, edge - 1, edge - 1),
+        _random_matrix(field, rng, edge, edge),
+        sparse(edge, edge, 0.08),
+        with_zero_lines(_random_matrix(field, rng, edge, edge + 5), 6, 4),
+        _random_matrix(field, rng, 60, 20) @ _random_matrix(field, rng, 20, 130),  # rank 20 at most
+        with_zero_lines(sparse(130, 60, 0.05), 10, 5),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 65521, 2**31 - 1])
+def test_packed_rref_matches_reference(p, monkeypatch):
+    """From ``PACKED_MIN`` on, GF(p) rows are packed into ints with slots
+    wide enough for ``p - 1 + k (p - 1)^2``; at ``2^31 - 1`` that is more
+    than 64 bits."""
+    field = PrimeField(p)
+    packed_calls = []
+    monkeypatch.setattr(exactlin, "_rref_packed",
+                        lambda *args: packed_calls.append(args) or _rref_packed(*args))
+    for A in _structured_cases(field, random.Random(p)):
+        R, pivots = A.rref()
+        assert (R.rows, pivots) == gauss_jordan(A.rows, p)
+        assert len(packed_calls) == (min(A.shape) >= PACKED_MIN)
+        packed_calls.clear()
+
+
+def test_packed_span_and_kernel_match_reference():
+    field = PrimeField(101)
+    rng = random.Random(3)
+    A = _random_matrix(field, rng, 60, 25) @ _random_matrix(field, rng, 25, 130)
+    m, n = A.ncols, A.nrows
+    R, pivots = gauss_jordan(A.rows, 101)
+    r = len(pivots)
+    free = [c for c in range(m) if c not in pivots]
+    K = A.kernel_basis()
+    assert r == 25 and K.shape == (m, m - r) and (A @ K).is_zero()
+    for j, fc in enumerate(free):
+        assert K.column(j) == [1 if c == fc else -R[pivots.index(c)][fc] % 101 if c in pivots else 0
+                               for c in range(m)]
+    sp = A.span()
+    RI, pivots_i = gauss_jordan([row + [int(i == j) for j in range(n)] for i, row in enumerate(A.rows)], 101)
+    assert pivots_i[:r] == pivots
+    assert sp.basis.columns() == [A.column(c) for c in pivots]
+    assert sp.coords.rows == [row[m:] for row in RI[:r]]
+    assert sp.equations.rows == [row[m:] for row in RI[r:]]
+    assert sp.complement.columns() == [[int(i == c - m) for i in range(n)] for c in pivots_i[r:]]
+    assert sp.coords @ sp.basis == Matrix.identity(field, r)
+    assert (sp.equations @ A).is_zero() and sp.equations @ sp.complement == Matrix.identity(field, n - r)
 
 
 @pytest.mark.parametrize("field", [F7, QQ], ids=repr)

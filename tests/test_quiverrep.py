@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tiltlab.artheory import all_submodules
+from tiltlab.artheory import all_submodules, transpose
 from tiltlab.errors import NotInvariant, QuiverMismatch
 from tiltlab.exactlin import Matrix, PrimeField
 from tiltlab.quiverrep import (
@@ -343,6 +343,30 @@ def test_hom_requires_same_quiver():
 
 def test_proj_sum_path_basis_is_deterministic():
     ps1 = proj_sum(A3, F5, (0, 2))
-    ps2 = proj_sum(A3, F5, (0, 2))
+    ps2 = proj_sum.__wrapped__(A3, F5, (0, 2))
     assert ps1.basis == ps2.basis
     assert ps1.rep == ps2.rep
+
+
+def test_shared_proj_sums_survive_hom_and_ext_work():
+    """``proj_sum`` returns one object per argument tuple to every caller;
+    Hom, Ext, Tor and transpose work on presentations built from it must
+    leave it equal to a freshly built one."""
+    rng = random.Random(4)
+    for q, dims in ((KRON, (3, 4)), (A3, (2, 2, 3, 2))):
+        M = QuiverRep(q, F5, dims, [Matrix(F5, [[rng.randrange(5) for _ in range(dims[a.source])]
+                                                 for _ in range(dims[a.target])], dims[a.source])
+                                    for a in q.arrows])
+        N = direct_sum(M, projective(q, F5, 0))
+        pres = proj_presentation(M)
+        hom_space(pres.Q.rep, N)
+        hom_space(N, pres.P.rep)
+        hom_ext_dims(M, N)
+        hom_ext_dims(pres.Q.rep, M)
+        tor_dims(M, N.dual())
+        transpose(M)
+        proj_presentation(N)
+        for ps in (pres.P, pres.Q, proj_sum(q.opposite(), F5, pres.Q.summands)):
+            assert proj_sum(ps.quiver, F5, ps.summands) is ps
+            fresh = proj_sum.__wrapped__(ps.quiver, F5, ps.summands)
+            assert (ps.basis, ps.index, ps.rep) == (fresh.basis, fresh.index, fresh.rep)
