@@ -11,10 +11,14 @@ For a multiplicative set, the primes dividing its elements are exactly the
 primes dividing its generators (any prime factor of a product divides one
 of the factors), which is why :func:`u_set_of_ore` reads supports off the
 generators.
+
+Primality and prime supports are computed here, exactly, for integers
+below :data:`MR_BOUND`; larger ones are refused.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -133,6 +137,104 @@ def tor1(M: FgZModule, N: FgZModule) -> FgZModule:
 
 
 # ---------------------------------------------------------------------------
+# primality and factorization of integers
+
+# psi_k, the least strong pseudoprime to the first k prime bases: below it
+# Miller-Rabin to those k bases is exact (Jaeschke, Math. Comp. 61, 1993;
+# Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017).  psi_13 bounds what this module certifies.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+        341_550_071_728_321, 341_550_071_728_321, *[3_825_123_056_546_413_051] * 3,
+        318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981)
+MR_BOUND = _PSI[-1]
+
+
+def _certifiable(n: int) -> int:
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} is at or above {MR_BOUND}, the bound below which primality is certified")
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality test: trial division by the bases, then a strong
+    probable-prime test to as many bases as ``n`` needs.  Refuses
+    ``n >= MR_BOUND``."""
+    if _certifiable(n) < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES[:bisect.bisect_right(_PSI, n) + 1]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite ``n`` with no prime factor below
+    1000: Pollard rho with Brent's cycle finding, the gcds batched over 128
+    steps (Brent, BIT 20, 1980).  Deterministic: the constants are 1, 2, ..."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> set[int]:
+    """Distinct prime factors of ``n >= 1``: trial division below 1000, then
+    Pollard-Brent rho on the cofactor, each factor certified by
+    :func:`is_prime`."""
+    found = set()
+    for p in itertools.chain((2,), range(3, 1000, 2)):
+        if p * p > n:
+            break  # what is left is 1 or a prime
+        if n % p == 0:
+            found.add(p)
+            while n % p == 0:
+                n //= p
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            found.add(m)
+        else:
+            d = _rho_factor(m)
+            rest += [d, m // d]
+    return found
+
+
+# ---------------------------------------------------------------------------
 # prime sets and Ore sets
 
 
@@ -141,11 +243,9 @@ class PrimeSet:
     primes: tuple[int, ...]
 
     def __post_init__(self):
-        import sympy  # loaded on first use: it dominates the package's import time
-
         prev = 0
         for p in self.primes:
-            if not sympy.isprime(p):
+            if not is_prime(p):
                 raise NotPrime(f"{p} is not prime")
             if p <= prev:
                 raise ValueError("primes must be sorted and distinct")
@@ -172,9 +272,8 @@ class OreSet:
 
 @functools.lru_cache(maxsize=1024)  # an Ore line reads each generator's support twice
 def prime_support(n: int) -> tuple[int, ...]:
-    import sympy  # loaded on first use: it dominates the package's import time
-
-    return tuple(sorted(sympy.factorint(abs(n)).keys())) if abs(n) > 1 else ()
+    n = _certifiable(abs(n))
+    return tuple(sorted(_prime_factors(n))) if n > 1 else ()
 
 
 def u_set_of_ore(S: OreSet) -> PrimeSet:

@@ -173,11 +173,9 @@ def test_ore_set_check_can_fail(monkeypatch):
 
 
 def test_ore_line_factors_each_generator_once(monkeypatch):
-    import sympy
-
     factored = []
-    factorint = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint", lambda n: factored.append(n) or factorint(n))
+    factor = dedekind._prime_factors
+    monkeypatch.setattr(dedekind, "_prime_factors", lambda n: factored.append(n) or factor(n))
     dedekind.prime_support.cache_clear()
     report = run_dedekind_classify(ore_sets=((6, 10), (35,)))
     assert all(c.passed for c in report.checks)
@@ -202,15 +200,18 @@ def test_internal_check_failure_exits_cleanly(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def sympy_loaded_after(*argvs):
+def sympy_loaded_after(*argvs, then):
     """Exit codes of ``main`` on each argv in turn, in a fresh interpreter,
-    and whether sympy was imported by the end."""
+    whether sympy was imported by the end, and whether it was once the
+    statement ``then`` had run too."""
     script = (
         "import contextlib, io, json, sys\n"
         "from tiltlab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {list(argvs)!r}]\n"
-        "print(json.dumps([codes, 'sympy' in sys.modules]))\n"
+        "loaded = 'sympy' in sys.modules\n"
+        f"{then}\n"
+        "print(json.dumps([codes, loaded, 'sympy' in sys.modules]))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")) if p)
@@ -219,11 +220,23 @@ def sympy_loaded_after(*argvs):
     return json.loads(proc.stdout)
 
 
-def test_only_dedekind_loads_sympy():
-    argvs = [["tube-demo"], ["free-envelope"], ["perp-check"], ["custom", "tests/fixtures/kronecker.txt"]]
-    assert sympy_loaded_after(*argvs) == [[0, 0, 0, 0], False]
-    # the control: prime tests do load it, so the probe can see an import
-    assert sympy_loaded_after(["dedekind"]) == [[0], True]
+def test_no_subcommand_loads_sympy():
+    argvs = [["tube-demo"], ["dedekind"], ["dedekind", "--ore", "1000000016000000063", "--random-ore", "3"],
+             ["free-envelope"], ["perp-check"], ["custom", "tests/fixtures/kronecker.txt"]]
+    # the control: factoring a non-linear minimal polynomial does load it,
+    # so the probe can see an import
+    factor_x2_plus_1 = ("from tiltlab.artheory import _factor_min_poly\n"
+                        "from tiltlab.exactlin import QQ\n"
+                        "_factor_min_poly(QQ, [1, 0, 1])")
+    assert sympy_loaded_after(*argvs, then=factor_x2_plus_1) == [[0] * 6, False, True]
+
+
+@pytest.mark.parametrize("flag", ["--primes", "--ore"])
+def test_integers_past_the_primality_bound_are_refused(flag, capsys):
+    assert main(["dedekind", flag, str(dedekind.MR_BOUND)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tiltlab: ") and err.count("\n") == 1
+    assert str(dedekind.MR_BOUND) in err
 
 
 def test_negative_module_dimension_is_an_input_error(capsys):

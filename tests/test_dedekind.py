@@ -16,6 +16,8 @@ from tiltlab.dedekind import (
     from_pieces,
     hom,
     is_divisible_by,
+    is_prime,
+    prime_support,
     tor1,
     u_set_of_ore,
     universal_localization_eq,
@@ -73,6 +75,52 @@ def test_closed_forms_match_resolution_oracle_sampled():
         assert hom(m, n) == hom_oracle(m, n)
         assert ext1(m, n) == ext_oracle(m, n)
         assert tor1(m, n) == tor_oracle(m, n)
+
+
+def sympy_support(n):
+    import sympy
+
+    return tuple(sorted(sympy.factorint(n)))
+
+
+def test_number_theory_matches_sympy_on_small_and_random_integers():
+    import sympy
+
+    rng = random.Random(19)
+    samples = [*range(20001), *(rng.randrange(10**12) for _ in range(1000)),
+               *(rng.randrange(10**20) for _ in range(100))]
+    for n in samples:
+        assert is_prime(n) == sympy.isprime(n), n
+        assert prime_support(n) == (sympy_support(n) if n else ()), n
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105,                           # Carmichael numbers
+    # the least strong pseudoprimes to the first k prime bases, k = 1..12:
+    # each is where the test must take one more base
+    2047, 1_373_653, 25_326_001,
+    3_215_031_751,                       # bases 2..7
+    2_152_302_898_747, 3_474_749_660_383, 341_550_071_728_321,
+    3_825_123_056_546_413_051,           # bases 2..31: base 37 rejects it
+    318_665_857_834_031_151_167_461,     # bases 2..37: base 41 rejects it
+    1_000_000_007 * 1_000_000_009,       # no factor below 10^9: trial division alone fails
+    2**5 * 1_000_003**2,                 # a prime square past the trial divisors
+    3_317_044_064_679_887_385_961_813,   # the largest prime below the bound
+    dedekind.MR_BOUND - 1,
+])
+def test_number_theory_matches_sympy_on_hard_integers(n):
+    import sympy
+
+    assert is_prime(n) == sympy.isprime(n)
+    assert prime_support(n) == sympy_support(n)
+
+
+def test_number_theory_refuses_the_miller_rabin_bound():
+    for n in (dedekind.MR_BOUND, dedekind.MR_BOUND + 2, 2**100):
+        with pytest.raises(ValueError, match=str(dedekind.MR_BOUND)):
+            is_prime(n)
+        with pytest.raises(ValueError, match=str(dedekind.MR_BOUND)):
+            prime_support(-n)
 
 
 def test_u_set_of_ore():
