@@ -329,7 +329,7 @@ def _split_or_certify(X: QuiverRep, endos: list[RepMap]) -> list[QuiverRep] | Ma
         pending += [h @ f for f in endos] + [f @ h for f in endos]
     else:
         on_end = equations @ Matrix.from_columns(field, [_flat(f) for f in endos], length)
-        rows = on_end.transpose().rref()[1]
+        rows = on_end.transpose().pivots()
         if len(rows) in degrees:
             return Matrix._of(field, [equations.rows[i][:] for i in rows], length)
     scalars = [field.coerce(c) for c in (range(2, field.p) if isinstance(field, PrimeField) else (-1, 2, -2, 3, -3))]
@@ -558,11 +558,11 @@ def is_simple_regular(M: QuiverRep, df: DefectFunction) -> bool:
 
 def build_extension(C: QuiverRep, A: QuiverRep, class_index: int = 0) -> QuiverRep:
     """Middle term ``E`` of a non-split extension ``0 -> A -> E -> C -> 0``.
-    Class ``class_index`` of ``hom_system(C, A).span().complement``, a
+    Class ``class_index`` of ``hom_system(C, A).complement()``, a
     basis of ``Ext^1(C, A)``, gives blocks ``g_a: C_i -> A_j``; then ``E_v =
     A_v + C_v`` and ``E_a = [[A_a, g_a], [0, C_a]]``, with inclusion ``[I;
     0]`` and projection ``[0 I]``."""
-    classes = hom_system(C, A)[0].span().complement
+    classes = hom_system(C, A)[0].complement()
     if class_index >= classes.ncols:
         raise NoExtension(f"requested class {class_index} but Ext^1 has dimension {classes.ncols}")
     g = iter(classes.column(class_index))

@@ -16,23 +16,39 @@ Each field class implements one protocol: the scalar operations
 ``scale_row(c, row)``, ``sub_scaled(row, f, prow)`` (``row - f * prow``)
 and ``dot(u, v)``, one list comprehension or sum each (an inline ``% p``
 over ``GF(p)``).  Matrix products make one ``dot`` per entry.
-``Matrix.rref`` has two loops.  Over ``QQ``, and over ``GF(p)`` when
-``min(nrows, ncols) < PACKED_MIN``, it makes one row-kernel call per row
-operation.  Larger ``GF(p)`` matrices go to ``_rref_packed``, Gauss-Jordan
-on rows packed into one Python int each, one fixed-width slot per column
-and column 0 in the top slot: a row operation is one big-int multiply-add
-``row + (p - f) * pivot_row``, and reduction mod ``p`` waits until a row
-is unpacked.  A slot starts below ``p`` and gains at most ``(p - 1)^2`` per
-row operation, and a row takes at most ``k = min(nrows, ncols)`` of them
-between two unpackings, so slots of ``p - 1 + k (p - 1)^2`` never carry
-into their neighbours.  The rref is unique, so both loops return the same
-matrix.  ``Matrix(field, rows)`` coerces every entry and checks the row
-lengths, for input from outside; the module's own results are built by the
-private ``Matrix._of``, which trusts rows it knows to be canonical.
+
+Elimination has one loop per representation.  Over ``QQ``, and over
+``GF(p)`` when ``min(nrows, ncols) < PACKED_MIN``, rows are lists and
+``Matrix._eliminate`` makes one row-kernel call per row operation.  Larger
+``GF(p)`` matrices go to ``_forward_packed``, on rows packed into one
+Python int each, one fixed-width slot per column and column 0 in the top
+slot: a row operation is one big-int multiply-add ``row + (p - f) *
+pivot_row``, and reduction mod ``p`` waits until a row is unpacked.  A
+slot starts below ``p`` and gains at most ``(p - 1)^2`` per row operation,
+and a row takes at most ``k = min(nrows, ncols)`` of them between two
+unpackings, so slots of ``p - 1 + k (p - 1)^2`` never carry into their
+neighbours.
+
+Rank and kernels come from the forward pass, which clears each pivot
+column below the pivot only, in the manner of Dumas, Giorgi and Pernet,
+"FFLAS and FFPACK" (ACM TOMS 35(3), 2008).  It gives the pivots and one
+normalised echelon row per pivot.  ``pivots`` and ``rank`` stop there;
+``kernel_basis`` back-substitutes over the free columns alone
+(``_back_substitute``, packed into one slot per free column), and not at
+all when there is none; ``complement`` reads the pivots of ``[A | I]``.
+``rref``, which ``span`` reads, clears above the pivots too: on lists in
+the same loop (Gauss-Jordan), on packed rows by back substitution over
+every column after the forward pass.  The rref is unique, so both
+representations return the same matrix.
+
+``Matrix(field, rows)`` coerces every entry and checks the row lengths,
+for input from outside; the module's own results are built by the private
+``Matrix._of``, which trusts rows it knows to be canonical.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import struct
@@ -295,11 +311,39 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form; returns the reduced matrix and pivot
-        column indices."""
+        column indices.  Over ``QQ`` and small ``GF(p)`` matrices this is
+        the in-place Gauss-Jordan loop of :meth:`_eliminate`; packed
+        ``GF(p)`` matrices run the forward pass and then back substitution
+        over every column."""
         field = self.field
-        if isinstance(field, PrimeField) and min(self.nrows, self.ncols) >= PACKED_MIN:
-            rows, pivots = _rref_packed(field.p, self.rows, self.ncols)
+        if not self._packed():
+            rows, pivots = self._eliminate(full=True)
             return Matrix._of(field, rows, self.ncols), pivots
+        echelon, pivots = _forward_packed(field.p, self.rows, self.ncols)
+        rows = _back_substitute(field, echelon, pivots, range(self.ncols), packed=True)
+        rows += [[0] * self.ncols for _ in range(self.nrows - len(pivots))]
+        return Matrix._of(field, rows, self.ncols), pivots
+
+    def _packed(self) -> bool:
+        return isinstance(self.field, PrimeField) and min(self.nrows, self.ncols) >= PACKED_MIN
+
+    def _forward(self) -> tuple[list[list], list[int]]:
+        """The forward pass: one row per pivot of a row echelon form, each
+        scaled to lead with one, and the pivot columns.  Row ``i`` is zero
+        left of ``pivots[i]``; its entries at later pivot columns are what
+        back substitution would clear."""
+        if self._packed():
+            return _forward_packed(self.field.p, self.rows, self.ncols)
+        return self._eliminate(full=False)
+
+    def _eliminate(self, full: bool) -> tuple[list[list], list[int]]:
+        """Elimination on a copy of the rows, one row-kernel call per row
+        operation.  Each pivot row is scaled to lead with one, and its
+        column is cleared in the rows below it and, with ``full``, in the
+        rows above it too: that is Gauss-Jordan, and all ``nrows`` rows of
+        the rref come back.  Without ``full`` it is the forward pass, and
+        only the pivot rows come back."""
+        field = self.field
         rows = [row[:] for row in self.rows]
         pivots: list[int] = []
         r = 0
@@ -317,32 +361,48 @@ class Matrix:
             # rows r, r+1, ... are zero left of column c, so every row
             # operation below changes only the tail from column c on
             tail = rows[r][c:] = scale_row(field.inv(rows[r][c]), rows[r][c:])
-            for i, row in enumerate(rows):
+            for i in range(0 if full else r + 1, len(rows)):
+                row = rows[i]
                 if i != r and row[c] != zero:
                     row[c:] = sub_scaled(row[c:], row[c], tail)
             pivots.append(c)
             r += 1
             if r == len(rows):
                 break
-        return Matrix._of(field, rows, self.ncols), pivots
+        return (rows if full else rows[:r]), pivots
+
+    def pivots(self) -> list[int]:
+        """Pivot columns of the row echelon form, the columns outside the
+        span of the columns before them, from the forward pass alone."""
+        return self._forward()[1]
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of pivots of the forward pass; nothing is
+        back-substituted."""
+        return len(self.pivots())
 
     def kernel_basis(self) -> "Matrix":
         """Basis of ``{x : Ax = 0}`` as the columns of the returned matrix.
 
         ``rank(result) + rank(A) = ncols(A)`` and ``A @ result = 0``.
+        Column ``j`` is the unit vector at the ``j``-th free (non-pivot)
+        column less the rref's entries in that column at the pivots, the
+        basis the rref gives.  Back substitution on the rows of the forward
+        pass runs over the free columns only, and not at all when there is
+        none.
         """
         field = self.field
-        R, pivots = self.rref()
+        echelon, pivots = self._forward()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         K = Matrix.zeros(field, self.ncols, len(free))
+        if not free:
+            return K
+        scale_row, minus_one = field.scale_row, field.neg(field.one)
+        for pc, row in zip(pivots, _back_substitute(field, echelon, pivots, free, self._packed())):
+            K.rows[pc] = scale_row(minus_one, row)
         for j, fc in enumerate(free):
             K.rows[fc][j] = field.one
-            for r, pc in enumerate(pivots):
-                K.rows[pc][j] = field.neg(R.rows[r][fc])
         return K
 
     def inverse(self) -> "Matrix | None":
@@ -356,6 +416,15 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
+
+    def complement(self) -> "Matrix":
+        """``span().complement`` from the forward pass of ``[A | I]``
+        alone: its pivots in ``I`` are the unit vectors ``e_i`` outside the
+        span of ``A`` and ``e_0, ..., e_{i-1}``."""
+        field, n, m = self.field, self.nrows, self.ncols
+        identity = Matrix.identity(field, n)
+        picked = [c - m for c in self.hstack(identity).pivots() if c >= m]
+        return Matrix._of(field, [[row[c] for c in picked] for row in identity.rows], len(picked))
 
     def span(self) -> "Span":
         """Column space of ``A`` from one rref of ``[A | I]``.  The rref is
@@ -380,26 +449,19 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-def _rref_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Rows and pivot columns of the rref of the canonical ``GF(p)`` rows
-    ``rows``, with each row packed into one int: column ``j`` is the slot
-    ``ncols - 1 - j`` slots above the bottom one.
+def _forward_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """The forward pass of :meth:`Matrix._forward` on the canonical
+    ``GF(p)`` rows ``rows``, with each row packed into one int: column
+    ``j`` is the slot ``ncols - 1 - j`` slots above the bottom one.
 
-    The forward pass keeps the rows that are not yet pivots with every slot
-    left of the leading one exactly zero: the eliminated slot, a multiple
-    of ``p`` after the row operation, is masked off, and so is a leading
-    slot that reduces to zero.  So a row's leading column is read from
-    ``bit_length()`` and the next pivot column is the smallest of them.
-    Each pivot row is unpacked, reduced and normalised once.  Back
-    substitution runs from the last pivot row up: the reduced rows below a
-    pivot row vanish at every pivot column but their own, so the multiples
-    to subtract are the normalised entries, and each finished row is
-    unpacked, reduced and packed once more."""
+    The rows that are not yet pivots keep every slot left of the leading
+    one exactly zero: the eliminated slot, a multiple of ``p`` after the
+    row operation, is masked off, and so is a leading slot that reduces to
+    zero.  So a row's leading column is read from ``bit_length()`` and the
+    next pivot column is the smallest of them.  Each pivot row is
+    unpacked, reduced and normalised once."""
     nrows, last = len(rows), ncols - 1
-    bound = p - 1 + min(nrows, ncols) * (p - 1) ** 2
-    nbytes = 1
-    while bound >> (8 * nbytes):  # 16 bytes hold the bound for p < 2^31 and any real k
-        nbytes *= 2
+    nbytes = _slot_bytes(p, min(nrows, ncols))
     w = 8 * nbytes
     active, leads = [], []
     for r in rows:
@@ -407,7 +469,7 @@ def _rref_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[list[i
         if row:
             active.append(row)
             leads.append(last - (row.bit_length() - 1) // w)
-    pivots, normed, packed = [], [], []
+    pivots, echelon = [], []
     # a row that reduces to zero stays in place with lead ``ncols``
     while leads and (c := min(leads)) < ncols:
         i = leads.index(c)
@@ -417,8 +479,7 @@ def _rref_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[list[i
         vals = [x * inv % p for x in vals]
         pivot_row = _pack(vals, nbytes)
         pivots.append(c)
-        normed.append(vals)
-        packed.append(pivot_row)
+        echelon.append([0] * c + vals)
         shift = (last - c) * w
         below = (1 << shift) - 1
         for i, lead in enumerate(leads):
@@ -435,17 +496,59 @@ def _rref_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[list[i
                     break
                 row ^= x << s
             active[i], leads[i] = row, (lead if row else ncols)
-    out = [[0] * ncols for _ in range(nrows)]
-    for i in range(len(pivots) - 1, -1, -1):
-        c, row, vals = pivots[i], packed[i], normed[i]
-        for j in range(i + 1, len(pivots)):
-            f = vals[pivots[j] - c]
-            if f:
-                row += (p - f) * packed[j]
-        vals = _unpack(row, ncols - c, nbytes, p)
-        packed[i] = _pack(vals, nbytes)
-        out[i][c:] = vals
-    return out, pivots
+    return echelon, pivots
+
+
+def _back_substitute(field, echelon: list[list], pivots: list[int], cols, packed: bool) -> list[list]:
+    """The rows of the rref at the ascending columns ``cols``, from the
+    rows of the forward pass: from the last pivot row up, row ``i`` less
+    ``echelon[i][pivots[j]]`` times the finished row ``j``, for each later
+    pivot ``j``.  Finished rows vanish at every pivot column but their
+    own, so these multiples are read off the forward pass.  ``packed``
+    rows are ints of ``len(cols)`` slots, as in :func:`_forward_packed`; a
+    row takes fewer than ``r = len(pivots)`` row operations between its
+    packing and its unpacking, so slots of ``p - 1 + r (p - 1)^2`` hold
+    them."""
+    r = len(pivots)
+    out: list[list] = [[] for _ in range(r)]
+    if packed:
+        p, k = field.p, len(cols)
+        nbytes = _slot_bytes(p, r)
+        rows = [0] * r
+        for i in range(r - 1, -1, -1):
+            # row i is zero left of its pivot, so only the columns from it
+            # on take slots; over all the columns they are a slice
+            e, lo = echelon[i], bisect.bisect_left(cols, pivots[i])
+            row = _pack(e[pivots[i]:] if k == len(e) else [e[c] for c in cols[lo:]], nbytes)
+            for j in range(i + 1, r):
+                f = e[pivots[j]]
+                if f:
+                    row += (p - f) * rows[j]
+            vals = _unpack(row, k - lo, nbytes, p)
+            rows[i] = _pack(vals, nbytes)
+            out[i] = [0] * lo + vals
+        return out
+    zero, sub_scaled = field.zero, field.sub_scaled
+    for i in range(r - 1, -1, -1):
+        e = echelon[i]
+        row = [e[c] for c in cols]
+        for j in range(i + 1, r):
+            f = e[pivots[j]]
+            if f != zero:
+                row = sub_scaled(row, f, out[j])
+        out[i] = row
+    return out
+
+
+def _slot_bytes(p: int, k: int) -> int:
+    """Bytes per packed slot: the least power of two that holds
+    ``p - 1 + k (p - 1)^2``.  16 bytes hold it for ``p < 2^31`` and any
+    real ``k``."""
+    bound = p - 1 + k * (p - 1) ** 2
+    nbytes = 1
+    while bound >> (8 * nbytes):
+        nbytes *= 2
+    return nbytes
 
 
 @functools.lru_cache(maxsize=1024)

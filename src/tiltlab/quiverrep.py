@@ -356,7 +356,7 @@ def _top_generators(M: QuiverRep) -> tuple[tuple[int, ...], list[list]]:
     gens: list[list] = []
     for v in range(M.quiver.nvertices):
         incoming = [col for k in M.quiver.arrows_into(v) for col in M.maps[k].columns()]
-        for e in Matrix.from_columns(M.field, incoming, M.dims[v]).span().complement.columns():
+        for e in Matrix.from_columns(M.field, incoming, M.dims[v]).complement().columns():
             verts.append(v)
             gens.append(e)
     return tuple(verts), gens

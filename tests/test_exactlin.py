@@ -10,7 +10,7 @@ from oracles import det, gauss_jordan, greedy_basis_completion, invariant_factor
 
 from tiltlab import exactlin
 from tiltlab.dedekind import FgZModule, classify
-from tiltlab.exactlin import PACKED_MIN, QQ, IntMatrix, Matrix, PrimeField, _rref_packed, snf
+from tiltlab.exactlin import PACKED_MIN, QQ, IntMatrix, Matrix, PrimeField, _forward_packed, snf
 from tiltlab.quiverrep import QuiverRep, hom_space, kronecker, presentation_tensor_matrix, proj_presentation
 
 F2 = PrimeField(2)
@@ -284,6 +284,7 @@ def test_span_matches_greedy_reference(field):
         assert sp.equations.shape == (nrows - r, nrows) and sp.complement.shape == (nrows, nrows - r)
         assert sp.basis.rank() == r and all(c in A.columns() for c in sp.basis.columns())
         assert sp.complement.columns() == greedy_basis_completion(field, sp.basis.columns(), nrows)
+        assert A.complement() == sp.complement
         assert sp.coords @ sp.basis == Matrix.identity(field, r)
         assert (sp.equations @ A).is_zero()
         assert sp.equations @ sp.complement == Matrix.identity(field, nrows - r)
@@ -337,8 +338,8 @@ def test_packed_rref_matches_reference(p, monkeypatch):
     than 64 bits."""
     field = PrimeField(p)
     packed_calls = []
-    monkeypatch.setattr(exactlin, "_rref_packed",
-                        lambda *args: packed_calls.append(args) or _rref_packed(*args))
+    monkeypatch.setattr(exactlin, "_forward_packed",
+                        lambda *args: packed_calls.append(args) or _forward_packed(*args))
     for A in _structured_cases(field, random.Random(p)):
         R, pivots = A.rref()
         assert (R.rows, pivots) == gauss_jordan(A.rows, p)
@@ -353,12 +354,9 @@ def test_packed_span_and_kernel_match_reference():
     m, n = A.ncols, A.nrows
     R, pivots = gauss_jordan(A.rows, 101)
     r = len(pivots)
-    free = [c for c in range(m) if c not in pivots]
     K = A.kernel_basis()
     assert r == 25 and K.shape == (m, m - r) and (A @ K).is_zero()
-    for j, fc in enumerate(free):
-        assert K.column(j) == [1 if c == fc else -R[pivots.index(c)][fc] % 101 if c in pivots else 0
-                               for c in range(m)]
+    assert K.columns() == _kernel_from_rref(R, pivots, field, m)
     sp = A.span()
     RI, pivots_i = gauss_jordan([row + [int(i == j) for j in range(n)] for i, row in enumerate(A.rows)], 101)
     assert pivots_i[:r] == pivots
@@ -366,8 +364,93 @@ def test_packed_span_and_kernel_match_reference():
     assert sp.coords.rows == [row[m:] for row in RI[:r]]
     assert sp.equations.rows == [row[m:] for row in RI[r:]]
     assert sp.complement.columns() == [[int(i == c - m) for i in range(n)] for c in pivots_i[r:]]
+    assert A.complement() == sp.complement
     assert sp.coords @ sp.basis == Matrix.identity(field, r)
     assert (sp.equations @ A).is_zero() and sp.equations @ sp.complement == Matrix.identity(field, n - r)
+
+
+def _forward_pass_cases(field, rng):
+    """Both sides of ``PACKED_MIN`` over ``GF(p)`` (small shapes only over
+    ``QQ``, which never packs): dense squares, rank-deficient wide and tall
+    products, a full column rank input with no free column, the zero
+    matrix, and zero-row and zero-column shapes."""
+    def full_column_rank(m, n):  # the rows of I_n among m - n random rows
+        rows = Matrix.identity(field, n).rows + _random_matrix(field, rng, m - n, n).rows
+        rng.shuffle(rows)
+        return Matrix(field, rows, n)
+
+    def low_rank(m, n, k):
+        return _random_matrix(field, rng, m, k) @ _random_matrix(field, rng, k, n)
+
+    if field == QQ:
+        return [_random_matrix(field, rng, 6, 6), low_rank(4, 9, 3), low_rank(9, 4, 2), full_column_rank(7, 4),
+                Matrix.zeros(field, 3, 5), Matrix.zeros(field, 0, 4), Matrix.zeros(field, 4, 0),
+                Matrix.zeros(field, 0, 0)] + [_random_matrix(field, rng, m, n) for m, n in ((1, 3), (3, 1), (5, 8))]
+    edge = PACKED_MIN
+    return [
+        _random_matrix(field, rng, edge - 1, edge - 1),
+        _random_matrix(field, rng, edge, edge),
+        low_rank(edge - 1, edge + 20, 30),  # wide, rank-deficient, list loop
+        low_rank(edge, edge + 40, 30),  # wide, rank-deficient, packed
+        low_rank(edge + 30, edge - 1, 20),  # tall, rank-deficient, list loop
+        low_rank(edge + 30, edge, 40),  # tall, rank-deficient, packed
+        full_column_rank(edge + 10, edge - 1),
+        full_column_rank(edge + 10, edge),
+        Matrix.zeros(field, edge - 1, edge - 1),
+        Matrix.zeros(field, edge, edge),
+        Matrix.zeros(field, 0, edge), Matrix.zeros(field, edge, 0), Matrix.zeros(field, 0, 0),
+        _random_matrix(field, rng, 3, 7), _random_matrix(field, rng, 7, 3),
+    ]
+
+
+def _kernel_from_rref(R: list[list], pivots: list[int], field, ncols: int) -> list[list]:
+    """The columns of ``kernel_basis`` as the rref reads them: per free
+    column, one there and minus the rref's entry at each pivot."""
+    free = [c for c in range(ncols) if c not in pivots]
+    return [[field.one if c == fc else field.neg(R[pivots.index(c)][fc]) if c in pivots else field.zero
+             for c in range(ncols)] for fc in free]
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), PrimeField(2**31 - 1), QQ],
+                         ids=repr)
+def test_rank_and_kernel_match_reference(field):
+    """``rank`` and ``kernel_basis`` read the forward pass; they agree
+    with the textbook Gauss-Jordan form and with ``rref``."""
+    rng = random.Random(41)
+    p = None if field == QQ else field.p
+    for A in _forward_pass_cases(field, rng):
+        R, pivots = gauss_jordan(A.rows, p)
+        K = A.kernel_basis()
+        assert A.rank() == len(pivots)
+        assert A.pivots() == pivots
+        assert K.shape == (A.ncols, A.ncols - len(pivots)) and (A @ K).is_zero()
+        assert K.columns() == _kernel_from_rref(R, pivots, field, A.ncols)
+        R2, pivots2 = A.rref()
+        assert K.columns() == _kernel_from_rref(R2.rows, pivots2, field, A.ncols)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(101), QQ], ids=repr)
+def test_rank_and_kernel_skip_the_full_back_substitution(field, monkeypatch):
+    """Neither ``rank`` nor ``kernel_basis`` calls ``rref`` or the
+    Gauss-Jordan loop, and ``kernel_basis`` back-substitutes over the
+    free columns only, and not at all when there is none."""
+    rref_calls, full_calls, back_cols = [], [], []
+    eliminate = Matrix._eliminate
+    back = exactlin._back_substitute
+    monkeypatch.setattr(Matrix, "rref", lambda self: rref_calls.append(self.shape))
+    monkeypatch.setattr(Matrix, "_eliminate", lambda self, full: full_calls.append(full) or eliminate(self, full))
+    monkeypatch.setattr(exactlin, "_back_substitute",
+                        lambda f, e, piv, cols, packed: back_cols.append(list(cols)) or back(f, e, piv, cols, packed))
+    rng = random.Random(43)
+    for A in _forward_pass_cases(field, rng):
+        pivots = A.pivots()
+        free = [c for c in range(A.ncols) if c not in pivots]
+        assert A.rank() == len(pivots)
+        assert back_cols == []
+        A.kernel_basis()
+        assert back_cols == ([free] if free else [])
+        back_cols.clear()
+    assert rref_calls == [] and full_calls and not any(full_calls)
 
 
 @pytest.mark.parametrize("field", [F7, QQ], ids=repr)
@@ -385,7 +468,7 @@ def test_internal_results_are_canonical(field):
     results = [
         A.rref()[0], A @ C, C.kernel_basis(), A.transpose(), A.hstack(B), A.vstack(B),
         A + B, -A, A.scale(-3), Matrix.zeros(field, 2, 3), Matrix.identity(field, 3),
-        sp.basis, sp.coords, sp.equations, sp.complement,
+        sp.basis, sp.coords, sp.equations, sp.complement, C.complement(),
     ]
     Q = kronecker()
     M = QuiverRep(Q, field, [2, 3], [_random_matrix(field, rng, 3, 2) for _ in Q.arrows])
