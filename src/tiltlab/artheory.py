@@ -15,7 +15,9 @@ projectives are *full* when they are injective with regular cokernel, and
 Isomorphism testing and decomposition sample nothing: summands split along
 Fitting decompositions of endomorphisms, each is certified indecomposable by
 a local endomorphism ring, and a negative isomorphism verdict compares
-multiplicities by Krull-Schmidt.
+multiplicities by Krull-Schmidt.  Both factor minimal polynomials of
+endomorphisms: over ``GF(p)`` with the library's own Berlekamp factorizer,
+over QQ with sympy, the one use of the optional ``qq`` extra.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    MissingExtra,
     NoExtension,
     NonProjective,
     NonSplitField,
@@ -33,7 +36,7 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedFamily,
 )
-from .exactlin import Matrix, PrimeField, QQ
+from .exactlin import Matrix, PrimeField, QQ, _gf_factor
 from .quiverrep import (
     ProjPresentation,
     Quiver,
@@ -166,45 +169,24 @@ def _min_poly(f: RepMap) -> list:
     return K.column(0)[: n + 2 - K.ncols]
 
 
-def _single_root(field, mu: list):
-    """``lam`` when the monic polynomial ``mu`` (ascending coefficients) is
-    ``(x - lam)^m``, else ``None``.  Write ``m = q m'`` with ``q`` the
-    largest power of the characteristic dividing ``m`` (``q = 1`` over QQ);
-    then ``(x - lam)^m = (x^q - lam)^m'``, as ``lam^q = lam`` in a prime
-    field, and its coefficient at ``x^(m - q)`` is ``-m' lam``."""
-    m, q = len(mu) - 1, 1
-    if isinstance(field, PrimeField):
-        while m % (q * field.p) == 0:
-            q *= field.p
-    lam = field.neg(field.mul(mu[m - q], field.inv(field.coerce(m // q))))
-    power = [field.one]
-    for _ in range(m):
-        power = [field.sub(a, field.mul(lam, b)) for a, b in zip([field.zero] + power, power + [field.zero])]
-    return lam if power == mu else None
-
-
 def _factor_min_poly(field, coeffs: list) -> list[tuple[list, int]]:
     """Factor a monic polynomial (ascending coefficients) over the ground
     field; returns ``(monic ascending coefficients, multiplicity)`` pairs,
-    whose product is the input."""
-    import sympy  # loaded on first use: it dominates the package's import time
-
-    x = sympy.Symbol("x")
+    whose product is the input, in sympy's order: by degree, then
+    multiplicity, then coefficients from the top down.  Over ``GF(p)`` this
+    is the library's Berlekamp factorizer; over QQ it is sympy's, loaded
+    on first use, which the ``qq`` extra installs."""
     if isinstance(field, PrimeField):
-        expr = sum(int(c) * x**i for i, c in enumerate(coeffs))
-        poly = sympy.Poly(expr, x, modulus=field.p)
-    else:
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
-        poly = sympy.Poly(expr, x, domain="QQ")
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        if isinstance(field, PrimeField):
-            asc = [field.coerce(int(c)) for c in reversed(fac.monic().all_coeffs())]
-        else:
-            asc = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.monic().all_coeffs())]
-        out.append((asc, int(mult)))
-    return out
+        return _gf_factor(field, coeffs)
+    try:
+        import sympy
+    except ImportError:
+        raise MissingExtra("factoring over QQ needs sympy: install tiltlab[qq]") from None
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    return [([Fraction(int(c.p), int(c.q)) for c in reversed(fac.monic().all_coeffs())], int(mult))
+            for fac, mult in factors]
 
 
 def _evaluate_poly(f: RepMap, coeffs: list) -> RepMap:
@@ -250,17 +232,12 @@ def _primary(X: QuiverRep, g: RepMap) -> tuple[list[QuiverRep], RepMap | None, i
     along ``pi(g)`` for an irreducible factor ``pi`` of ``mu`` (for ``pi = x -
     lam``, along ``g - lam``).  When ``mu = pi^k`` instead, the result is
     ``([], pi(g), deg pi)``, and ``pi(g)`` is nilpotent."""
-    field = X.field
     rank, pieces = _fitting(X, g)
     if pieces:
         return pieces, None, 0
     if rank == 0:
         return [], g, 1
-    mu = _min_poly(g)
-    lam = _single_root(field, mu)
-    if lam is not None:
-        return [], g - RepMap.identity(X).scale(lam), 1
-    factors = _factor_min_poly(field, mu)
+    factors = _factor_min_poly(X.field, _min_poly(g))
     pi_g = _evaluate_poly(g, factors[0][0])
     if len(factors) > 1:
         return _fitting(X, pi_g)[1], None, 0

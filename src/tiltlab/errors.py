@@ -23,6 +23,11 @@ class NonSplitField(TiltlabError):
     division ring over the rationals is one such ring."""
 
 
+class MissingExtra(TiltlabError):
+    """An optional dependency is not installed: factoring over QQ needs
+    sympy, which the ``qq`` extra installs."""
+
+
 class NoExtension(TiltlabError):
     """Requested a non-split extension where Ext^1 vanishes."""
 

@@ -44,6 +44,10 @@ representations return the same matrix.
 ``Matrix(field, rows)`` coerces every entry and checks the row lengths,
 for input from outside; the module's own results are built by the private
 ``Matrix._of``, which trusts rows it knows to be canonical.
+
+The private ``_gf_factor`` factors polynomials over ``GF(p)`` by
+Berlekamp's algorithm, whose one linear-algebra step is a
+``kernel_basis``; ``artheory`` factors minimal polynomials with it.
 """
 
 from __future__ import annotations
@@ -168,6 +172,117 @@ class Rationals:
 
 
 QQ = Rationals()
+
+
+# ---------------------------------------------------------------------------
+# factoring over GF(p), on ascending coefficient lists of ints in [0, p)
+# with no zero on top (the zero polynomial is [])
+
+
+def _gf_factor(field: PrimeField, f: list[int]) -> list[tuple[list[int], int]]:
+    """Factor the monic ``f`` into monic irreducibles with multiplicities,
+    sorted by degree, multiplicity, then coefficients from the top down:
+    the order of sympy's ``factor_list``.
+
+    The square-free split takes gcds with the derivative, and in
+    characteristic ``p`` recurses on the part left over, a ``p``-th power
+    ``h(x)^p = h(x^p)`` whose root ``h`` is every ``p``-th coefficient
+    (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992,
+    Algorithm 8.3).  :func:`_gf_berlekamp` factors each part."""
+    p, out = field.p, []
+    c = _gf_gcd(p, f, _trim([i * a % p for i, a in enumerate(f)][1:]))
+    w, i = _gf_divmod(p, f, c)[0], 1
+    while len(w) > 1:  # the product of the factors of multiplicity >= i
+        y = _gf_gcd(p, w, c)
+        if len(y) < len(w):
+            out += [(h, i) for h in _gf_berlekamp(field, _gf_divmod(p, w, y)[0])]
+        w, c, i = y, _gf_divmod(p, c, y)[0], i + 1
+    if len(c) > 1:
+        out += [(h, m * p) for h, m in _gf_factor(field, c[::p])]
+    return sorted(out, key=lambda hm: (len(hm[0]), hm[1], hm[0][::-1]))
+
+
+def _gf_berlekamp(field: PrimeField, g: list[int]) -> list[list[int]]:
+    """The irreducible factors of the square-free monic ``g``, after
+    Berlekamp, "Factoring polynomials over large finite fields", Math.
+    Comp. 24 (1970).  The ``v`` with ``v^p = v mod g`` are the kernel of
+    ``(Q - I)^T``, row ``i`` of ``Q`` being ``x^(ip) mod g``, and its
+    dimension ``k`` is the number of factors.  Each ``v`` is a constant
+    modulo every factor, so ``gcd(g, v + s)`` over GF(2), and ``gcd(g, (v +
+    s)^((p-1)/2) - 1)`` over odd ``p``, separates factors where ``v + s``
+    differs (in quadratic character).  Some ``s < p`` and some ``v``
+    separate each pair; the split stops at ``k`` factors, all irreducible."""
+    p, n = field.p, len(g) - 1
+    if n == 1:
+        return [g]
+    xp, row, Q = _gf_powmod(p, [0, 1], p, g), [1], []
+    for _ in range(n):
+        Q.append(row + [0] * (n - len(row)))
+        row = _gf_mulmod(p, row, xp, g)
+    K = Matrix._of(field, [[(Q[i][j] - (i == j)) % p for i in range(n)] for j in range(n)], n).kernel_basis()
+    basis, factors = [_trim(v) for v in K.columns()], [g]
+    for s, v in ((s, v) for s in range(p) for v in basis):
+        if len(factors) == K.ncols:
+            break
+        t = _gf_add(p, v, s)
+        if p > 2:
+            t = _gf_add(p, _gf_powmod(p, t, (p - 1) // 2, g), -1)
+        split = []
+        for h in factors:
+            d = _gf_gcd(p, h, t)
+            split += [d, _gf_divmod(p, h, d)[0]] if 1 < len(d) < len(h) else [h]
+        factors = split
+    assert len(factors) == K.ncols, f"Berlekamp split of a degree-{n} polynomial fell short of its factor count"
+    return factors
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gf_add(p: int, a: list[int], c: int) -> list[int]:
+    """``a + c`` for a constant ``c``."""
+    return _trim([(a[0] + c) % p] + a[1:] if a else [c % p])
+
+
+def _gf_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of ``a`` by the nonzero ``b``."""
+    r, db, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = r[i + db] * inv % p
+        for j, y in enumerate(b):
+            r[i + j] = (r[i + j] - c * y) % p
+    return q, _trim(r[:db])
+
+
+def _gf_gcd(p: int, a: list[int], b: list[int]) -> list[int]:
+    """The monic gcd of ``a`` and ``b``, not both zero."""
+    while b:
+        a, b = b, _gf_divmod(p, a, b)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _gf_mulmod(p: int, a: list[int], b: list[int], m: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _gf_divmod(p, _trim([x % p for x in out]), m)[1]
+
+
+def _gf_powmod(p: int, a: list[int], e: int, m: list[int]) -> list[int]:
+    """``a^e mod m`` for ``a`` of lower degree than ``m``, by
+    square-and-multiply."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _gf_mulmod(p, out, a, m)
+        a, e = _gf_mulmod(p, a, a, m), e >> 1
+    return out
 
 
 class Matrix:

@@ -200,35 +200,98 @@ def test_internal_check_failure_exits_cleanly(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def sympy_loaded_after(*argvs, then):
-    """Exit codes of ``main`` on each argv in turn, in a fresh interpreter,
-    whether sympy was imported by the end, and whether it was once the
-    statement ``then`` had run too."""
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from tiltlab.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [main(argv) for argv in {list(argvs)!r}]\n"
-        "loaded = 'sympy' in sys.modules\n"
-        f"{then}\n"
-        "print(json.dumps([codes, loaded, 'sympy' in sys.modules]))\n"
-    )
+def run_python(script):
+    """The JSON value that ``script`` prints last, run in a fresh
+    interpreter that imports ``tiltlab`` from ``src`` and helpers from
+    ``tests``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(REPO_ROOT, "src"), os.path.join(REPO_ROOT, "tests"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=env,
                           capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def sympy_loaded_after(*argvs, work="", then):
+    """In a fresh interpreter: the exit codes of ``main`` on each argv in
+    turn; the minimal polynomials that they and the statements ``work``
+    then factored, as ``[field, factor degrees]``; whether sympy was
+    imported by then; and whether it was once the statement ``then`` had
+    run too."""
+    return run_python(
+        "import contextlib, io, json, sys\n"
+        "from tiltlab import artheory\n"
+        "from tiltlab.cli import main\n"
+        "factored, factor = [], artheory._factor_min_poly\n"
+        "def spy(field, mu):\n"
+        "    out = factor(field, mu)\n"
+        "    factored.append([repr(field), [len(h) - 1 for h, _ in out]])\n"
+        "    return out\n"
+        "artheory._factor_min_poly = spy\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {list(argvs)!r}]\n"
+        f"{work}\n"
+        "loaded = 'sympy' in sys.modules\n"
+        f"{then}\n"
+        "print(json.dumps([codes, factored, loaded, 'sympy' in sys.modules]))\n"
+    )
+
+
+# the control: factoring a minimal polynomial over QQ does load sympy, so the
+# probe can see an import
+FACTOR_OVER_QQ = "from tiltlab.exactlin import QQ\nartheory._factor_min_poly(QQ, [1, 0, 1])"
+
+# an ar-search style decompose over GF(3) and is_isomorphic over GF(5), on
+# basis changes of sums whose summands include a point of degree two
+FINITE_FIELD_WORK = """
+import random
+from conftest import random_basis_change
+from tiltlab.exactlin import PrimeField
+from tiltlab.quiverrep import QuiverRep, direct_sum, kronecker
+
+def pencil(p, b):
+    n = len(b)
+    return QuiverRep.from_entries(kronecker(), PrimeField(p), (n, n), {
+        "a": [[int(i == j) for j in range(n)] for i in range(n)], "b": b})
+
+M = direct_sum(pencil(3, [[0, 2], [1, 0]]), direct_sum(pencil(3, [[1]]), pencil(3, [[2]])))
+assert len(artheory.decompose(random_basis_change(M, random.Random(1)))) == 3
+P = pencil(5, [[0, 2], [1, 0]])
+N = direct_sum(P, pencil(5, [[1]]))
+assert not artheory.is_isomorphic(random_basis_change(N, random.Random(0)), direct_sum(P, pencil(5, [[2]])))
+"""
 
 
 def test_no_subcommand_loads_sympy():
     argvs = [["tube-demo"], ["dedekind"], ["dedekind", "--ore", "1000000016000000063", "--random-ore", "3"],
              ["free-envelope"], ["perp-check"], ["custom", "tests/fixtures/kronecker.txt"]]
-    # the control: factoring a non-linear minimal polynomial does load it,
-    # so the probe can see an import
-    factor_x2_plus_1 = ("from tiltlab.artheory import _factor_min_poly\n"
-                        "from tiltlab.exactlin import QQ\n"
-                        "_factor_min_poly(QQ, [1, 0, 1])")
-    assert sympy_loaded_after(*argvs, then=factor_x2_plus_1) == [[0] * 6, False, True]
+    codes, factored, loaded, control = sympy_loaded_after(*argvs, then=FACTOR_OVER_QQ)
+    assert (codes, factored[-1], loaded, control) == ([0] * 6, ["QQ", [2]], False, True)
+
+
+def test_factoring_over_finite_fields_leaves_sympy_unloaded():
+    _, factored, loaded, control = sympy_loaded_after(work=FINITE_FIELD_WORK, then=FACTOR_OVER_QQ)
+    assert (factored[-1], loaded, control) == (["QQ", [2]], False, True)
+    # the positive control: both fields reached the factorizer with a
+    # minimal polynomial of two or more distinct or non-linear factors
+    for field in ("GF(3)", "GF(5)"):
+        assert any(degrees != [1] for f, degrees in factored if f == field), factored
+
+
+def test_without_sympy_finite_fields_still_factor_and_qq_fails_in_one_line():
+    message = run_python(
+        "import json, sys\n"
+        "sys.modules['sympy'] = None  # importing sympy now raises ImportError\n"
+        "from tiltlab import artheory\n"
+        "from tiltlab.errors import MissingExtra\n"
+        "from tiltlab.exactlin import QQ\n"
+        f"{FINITE_FIELD_WORK}\n"
+        "try:\n"
+        "    artheory._factor_min_poly(QQ, [1, 0, 1])\n"
+        "except MissingExtra as exc:\n"
+        "    print(json.dumps(str(exc)))\n"
+    )
+    assert "\n" not in message and "tiltlab[qq]" in message
 
 
 @pytest.mark.parametrize("flag", ["--primes", "--ore"])

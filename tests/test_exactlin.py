@@ -1,6 +1,7 @@
 import itertools
 import random
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -481,3 +482,72 @@ def test_internal_results_are_canonical(field):
         assert all(canonical(x) for row in R.rows for x in row), R
         assert all(len(row) == R.ncols for row in R.rows) and len(R.rows) == R.nrows
     assert all(canonical(x) for x in A.apply([rng.randrange(-9, 9) for _ in range(6)]))
+
+
+# -- factoring over GF(p) ------------------------------------------------------
+
+
+def gf_product(p, factors):
+    """The product of ``(ascending coefficients, multiplicity)`` pairs mod ``p``."""
+    out = [1]
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            prod = [0] * (len(out) + len(coeffs) - 1)
+            for i, x in enumerate(out):
+                for j, y in enumerate(coeffs):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            out = prod
+    return out
+
+
+def sympy_factors(p, f):
+    """sympy's ``factor_list`` of ``f`` mod ``p``, made monic with
+    coefficients in ``[0, p)``: the reference, order included."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sum(c * x**i for i, c in enumerate(f)), x, modulus=p)
+    return [([int(c) % p for c in reversed(fac.monic().all_coeffs())], int(m)) for fac, m in poly.factor_list()[1]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_gf_factor_matches_sympy_order_included(p):
+    # products of 1-4 random monic factors of degree 1-4, some repeated;
+    # below 10, up to p + 1 times, so that the characteristic-p step runs
+    rng = random.Random(p)
+    mults = (1, 1, 2, 3, p, p + 1) if p < 10 else (1, 1, 2, 3)
+    for _ in range(40):
+        pieces = [([rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1], rng.choice(mults))
+                  for _ in range(rng.randint(1, 4))]
+        f = gf_product(p, pieces)
+        assert exactlin._gf_factor(PrimeField(p), f) == sympy_factors(p, f), f
+
+
+@pytest.mark.parametrize("p, f, expected", [
+    (2, [1, 0, 0, 0, 1], [([1, 1], 4)]),  # x^4 + 1 = (x + 1)^4: f' = 0
+    (3, gf_product(3, [([0, 2, 0, 1], 3)]), [([0, 1], 3), ([1, 1], 3), ([2, 1], 3)]),  # (x^3 - x)^3
+    (2, [0, 1, 1], [([0, 1], 1), ([1, 1], 1)]),  # x^p - x: every linear factor once
+    (5, [0, 4, 0, 0, 0, 1], [([a, 1], 1) for a in range(5)]),
+    (7, [0, 6] + [0] * 5 + [1], [([a, 1], 1) for a in range(7)]),
+    (2, [1, 1, 0, 1], [([1, 1, 0, 1], 1)]),  # irreducible: x^3 + x + 1
+    (3, [1, 0, 1], [([1, 0, 1], 1)]),  # x^2 + 1
+    (101, [1, 1, 0, 1], [([1, 1, 0, 1], 1)]),  # x^3 + x + 1
+    (101, [7, 1], [([7, 1], 1)]),  # degree 1
+    (2, [1, 1], [([1, 1], 1)]),
+], ids=["x4+1/GF2", "(x3-x)^3/GF3", "x2-x/GF2", "x5-x/GF5", "x7-x/GF7", "x3+x+1/GF2", "x2+1/GF3", "x3+x+1/GF101",
+        "x+7/GF101", "x+1/GF2"])
+def test_gf_factor_on_inseparable_irreducible_and_linear_inputs(p, f, expected):
+    assert exactlin._gf_factor(PrimeField(p), f) == expected == sympy_factors(p, f)
+
+
+def test_gf_factor_is_fast_at_the_largest_prime():
+    p = 2**31 - 1
+    assert pow(3, (p - 1) // 2, p) == pow(5, (p - 1) // 2, p) == p - 1  # x^2 - 3, x^2 + 5x - 5 irreducible:
+    assert (25 + 20) % p and pow(25 + 20, (p - 1) // 2, p) == p - 1     # non-square discriminants
+    assert pow(5, (p - 1) // 3, p) != 1  # x^3 - 5 irreducible, 5 not a cube (p = 1 mod 3)
+    pieces = [([p - 3, 0, 1], 1), ([p - 5, 5, 1], 1), ([p - 5, 0, 0, 1], 1)]
+    field = PrimeField(p)
+    start = time.perf_counter()
+    factors = exactlin._gf_factor(field, gf_product(p, pieces))
+    assert time.perf_counter() - start < 0.5
+    assert factors == pieces
