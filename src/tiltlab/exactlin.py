@@ -15,7 +15,13 @@ Each field class implements one protocol: the scalar operations
 ``coerce``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and the row kernels
 ``scale_row(c, row)``, ``sub_scaled(row, f, prow)`` (``row - f * prow``)
 and ``dot(u, v)``, one list comprehension or sum each (an inline ``% p``
-over ``GF(p)``).  Matrix products make one ``dot`` per entry.
+over ``GF(p)``).  ``dot`` is ``sum(map(mul, u, v))``, reduced once mod ``p``
+over ``GF(p)`` and started at ``Fraction(0)`` over ``QQ``: ``map`` with
+``operator.mul`` loops in C, so over ``GF(p)`` it takes about half the time
+of a generator over ``zip`` on rows of 3 to 40 entries (over ``QQ`` the
+``Fraction`` arithmetic dominates either way).  Matrix products and
+``apply`` make one ``dot`` per entry, and ``IntMatrix`` products use the
+same sum.
 
 Elimination has one loop per representation.  Over ``QQ``, and over
 ``GF(p)`` when ``min(nrows, ncols) < PACKED_MIN``, rows are lists and
@@ -58,6 +64,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 # Below this min(nrows, ncols) the list loop is faster over GF(p): on rref
 # inputs of the benchmark's Hom/Ext and AR-search workloads the packed loop
@@ -113,7 +120,7 @@ class PrimeField:
         return [(x - f * y) % p for x, y in zip(row, prow)]
 
     def dot(self, u, v):
-        return sum(a * b for a, b in zip(u, v)) % self.p
+        return sum(map(mul, u, v)) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -159,7 +166,7 @@ class Rationals:
         return [x - f * y for x, y in zip(row, prow)]
 
     def dot(self, u, v):
-        return sum((a * b for a, b in zip(u, v)), self.zero)
+        return sum(map(mul, u, v), self.zero)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -758,7 +765,7 @@ class IntMatrix:
         if not bt:
             return IntMatrix.zeros(self.nrows, other.ncols)
         return IntMatrix._of(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows],
+            [[sum(map(mul, row, col)) for col in bt] for row in self.rows],
             other.ncols,
         )
 

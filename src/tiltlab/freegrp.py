@@ -7,6 +7,15 @@ vector along words: positive letters act directly, negative letters act by
 the (unique, because the action is invertible) solution of ``n * x = m``.
 Right-module convention throughout: vectors are rows, actions multiply on
 the right.
+
+An :class:`XDivModule` keeps one letter table, from each letter ``(sym,
++-1)`` to the rows of the transposed action of ``sym`` or of its inverse,
+so one letter costs ``dim`` field ``dot`` products.  ``envelope_value``
+walks a word's letters through the table; ``envelope_value_alg`` evaluates
+the words of a group-algebra element in sorted order and reuses the value
+at the prefix each word shares with the word before, so it makes one action
+per distinct prefix of the terms, not one per letter.  Words multiply by
+cancelling at the junction only, since both factors are reduced.
 """
 
 from __future__ import annotations
@@ -38,7 +47,12 @@ class FreeWord:
         return len(self.letters)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(reduce_letters(self.letters + other.letters))
+        # both factors are reduced, so letters cancel at the junction only
+        a, b = self.letters, other.letters
+        i, n = 0, min(len(a), len(b))
+        while i < n and a[-1 - i][0] == b[i][0] and a[-1 - i][1] == -b[i][1]:
+            i += 1
+        return FreeWord(a[:len(a) - i] + b[i:])
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((sym, -e) for sym, e in reversed(self.letters)))
@@ -157,14 +171,16 @@ class GroupAlgElem:
 class XDivModule:
     """Finite-dimensional right module on which every generator acts by an
     invertible matrix (so right division by a generator is possible and
-    unique)."""
+    unique).  ``actions`` keeps the generator matrices as given."""
 
     def __init__(self, field, alphabet, actions: dict[str, Matrix]):
         self.field = field
         self.alphabet = tuple(alphabet)
         dims = set()
-        # row-vector actions: ``vec * m`` is ``m^T @ vec``
-        self._on_rows = {}
+        # the letter table: ``vec * m`` is ``m^T @ vec``, so the letter
+        # ``(sym, 1)`` maps to the rows of the transposed action and
+        # ``(sym, -1)`` to those of its transposed inverse
+        self._letters = {}
         for sym in self.alphabet:
             if sym not in actions:
                 raise ValueError(f"missing action for generator {sym}")
@@ -175,21 +191,32 @@ class XDivModule:
             if inv is None:
                 raise ValueError(f"action of {sym} is not invertible")
             dims.add(m.nrows)
-            self._on_rows[sym] = (m.transpose(), inv.transpose())
+            self._letters[sym, 1] = tuple(map(tuple, m.transpose().rows))
+            self._letters[sym, -1] = tuple(map(tuple, inv.transpose().rows))
         if len(dims) != 1:
             raise ValueError("actions must share one dimension")
         self.dim = dims.pop()
+        self.actions = {sym: actions[sym] for sym in self.alphabet}
 
     def act(self, vec, sym: str, e: int = 1) -> tuple:
-        """Right action ``vec * sym^e`` on a row vector of ``dim`` field
-        elements, which are not coerced: ints over ``GF(p)``, where ``dot``
-        reduces mod ``p`` so any representative gives the canonical result,
-        and ``Fraction`` or int values over ``QQ``."""
+        """Right action ``vec * sym^e``, ``e`` being ``1`` or ``-1``, on a
+        row vector of ``dim`` field elements, which are not coerced: ints
+        over ``GF(p)``, where ``dot`` reduces mod ``p`` so any
+        representative gives the canonical result, and ``Fraction`` or int
+        values over ``QQ``."""
+        if e not in (1, -1):
+            raise ValueError(f"exponent must be +1 or -1, got {e!r}")
         if len(vec) != self.dim:
             raise ValueError("vector length mismatch")
-        forward, backward = self._on_rows[sym]
         dot = self.field.dot
-        return tuple(dot(row, vec) for row in (forward if e == 1 else backward).rows)
+        return tuple([dot(row, vec) for row in self._letters[sym, e]])
+
+
+def _base(m0, M: XDivModule) -> tuple:
+    value = tuple(M.field.coerce(x) for x in m0)
+    if len(value) != M.dim:
+        raise ValueError("base vector has wrong length")
+    return value
 
 
 def envelope_value(m0, g: FreeWord, M: XDivModule) -> tuple:
@@ -197,24 +224,37 @@ def envelope_value(m0, g: FreeWord, M: XDivModule) -> tuple:
     of the free monoid algebra into the group algebra, by induction on the
     word length: the value at a word is the value at the word without its
     last letter, acted on by that letter (positive letter) or divided by it
-    (negative letter, unique because the action is invertible)."""
-    value = tuple(M.field.coerce(x) for x in m0)
-    if len(value) != M.dim:
-        raise ValueError("base vector has wrong length")
-    for sym, e in g.letters:
-        value = M.act(value, sym, e)
+    (negative letter, unique because the action is invertible).  Each
+    letter is one read of the letter table."""
+    value = _base(m0, M)
+    table, dot = M._letters, M.field.dot
+    for letter in g.letters:
+        value = tuple([dot(row, value) for row in table[letter]])
     return value
 
 
 def envelope_value_alg(m0, elem: GroupAlgElem, M: XDivModule) -> tuple:
     """Linear extension of :func:`envelope_value` to group-algebra
-    elements."""
+    elements.  The words are evaluated in sorted order on a stack of
+    prefix values, ``stack[i]`` being the value at the first ``i`` letters
+    of the word before: each word starts from the longest prefix it shares
+    with that word, so the cost is one letter-table action per distinct
+    prefix of the terms, not one per letter."""
     f = M.field
-    out = [f.zero] * M.dim
-    for w, c in elem.terms.items():
-        val = envelope_value(m0, w, M)
-        out = [f.add(a, f.mul(c, b)) for a, b in zip(out, val)]
-    return tuple(out)
+    table, dot = M._letters, f.dot
+    stack, prev = [_base(m0, M)], ()
+    coeffs, values = [], []
+    for w in sorted(elem.terms, key=lambda w: w.letters):
+        letters, k = w.letters, 0
+        while k < len(prev) and k < len(letters) and prev[k] == letters[k]:
+            k += 1
+        del stack[k + 1:]
+        for letter in letters[k:]:
+            stack.append(tuple([dot(row, stack[-1]) for row in table[letter]]))
+        coeffs.append(elem.terms[w])
+        values.append(stack[-1])
+        prev = letters
+    return tuple(dot(coeffs, [v[i] for v in values]) for i in range(M.dim))
 
 
 @dataclass(frozen=True)

@@ -232,10 +232,6 @@ class RepMap:
         self.target = target
         self.maps = tuple(maps)
 
-    @classmethod
-    def identity(cls, M: QuiverRep) -> "RepMap":
-        return cls(M, M, [Matrix.identity(M.field, d) for d in M.dims])
-
     def is_valid(self) -> bool:
         for k, a in enumerate(self.source.quiver.arrows):
             lhs = self.target.maps[k] @ self.maps[a.source]

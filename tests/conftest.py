@@ -1,5 +1,5 @@
 from tiltlab.exactlin import Matrix
-from tiltlab.quiverrep import QuiverRep
+from tiltlab.quiverrep import QuiverRep, RepMap
 
 
 def random_basis_change(M, rng):
@@ -16,3 +16,8 @@ def random_basis_change(M, rng):
     for k, a in enumerate(M.quiver.arrows):
         maps.append(gl[a.target] @ M.maps[k] @ gl[a.source].inverse())
     return QuiverRep(M.quiver, field, M.dims, maps, check=False)
+
+
+def identity_map(M):
+    """The identity morphism of ``M``."""
+    return RepMap(M, M, [Matrix.identity(M.field, d) for d in M.dims])

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_basis_change
+from conftest import identity_map, random_basis_change
 from oracles import brute_force_submodules, gauss_jordan, min_poly_reference
 
 from tiltlab import artheory
@@ -389,7 +389,7 @@ def test_min_poly_matches_reference(field):
         basis = hom_space(X, X)
         cases += [_combine(basis, [field.coerce(draw()) for _ in basis]) for _ in range(4)]
     X = modules[-1]
-    zero, identity = RepMap.identity(X).scale(0), RepMap.identity(X)
+    zero, identity = identity_map(X).scale(0), identity_map(X)
     # (x, y) -> (0, x) on S + S, S simple regular: nilpotent of order two
     shift = Matrix(field, [[0, 0], [1, 0]])
     nilpotent = RepMap(pairs, pairs, [shift, shift])
@@ -443,7 +443,7 @@ def test_is_regular_rejects_cancelling_defects():
 def test_identity_is_full():
     df = defect_function(KRON)
     p = projective(KRON, F5, 0)
-    assert is_full(RepMap.identity(p), df)
+    assert is_full(identity_map(p), df)
 
 
 def test_presentation_of_tube_simple_is_atomic_full():
@@ -474,7 +474,7 @@ def test_length_two_tube_module_is_full_but_not_atomic():
 def test_is_full_requires_projectives():
     df = defect_function(KRON)
     with pytest.raises(NonProjective):
-        is_full(RepMap.identity(tube_simple(0)), df)
+        is_full(identity_map(tube_simple(0)), df)
 
 
 # -- extensions --------------------------------------------------------------

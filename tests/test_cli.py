@@ -157,10 +157,32 @@ def test_custom_zmod_check_can_fail(capsys, monkeypatch):
 
 def test_envelope_word_check_can_fail(capsys, monkeypatch):
     # inverse letters that act like the letters themselves cannot undo a word
-    act = XDivModule.act
-    monkeypatch.setattr(XDivModule, "act", lambda self, vec, sym, e=1: act(self, vec, sym, 1))
+    init = XDivModule.__init__
+
+    def faulty_table(self, *args):
+        init(self, *args)
+        for sym in self.alphabet:
+            self._letters[sym, -1] = self._letters[sym, 1]
+
+    monkeypatch.setattr(XDivModule, "__init__", faulty_table)
     assert main(["free-envelope", "--word", "x y"]) == 1
-    assert "[FAIL] envelope value of 'x y' returns to the base along the inverse word" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL] envelope value of 'x y' returns to the base along the inverse word" in out
+    assert "[FAIL] extension respects the action on sampled words" in out
+
+
+def test_envelope_positive_word_check_can_fail(capsys, monkeypatch):
+    # a forward letter with two rows swapped no longer acts by the matrix of x
+    init = XDivModule.__init__
+
+    def faulty_table(self, *args):
+        init(self, *args)
+        rows = self._letters["x", 1]
+        self._letters["x", 1] = (rows[1], rows[0]) + rows[2:]
+
+    monkeypatch.setattr(XDivModule, "__init__", faulty_table)
+    assert main(["free-envelope"]) == 1
+    assert "[FAIL] positive words act through the monoid action" in capsys.readouterr().out
 
 
 def test_ore_set_check_can_fail(monkeypatch):

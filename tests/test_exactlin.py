@@ -268,6 +268,13 @@ def test_prime_field_rejects_composites():
         PrimeField(6)
 
 
+@pytest.mark.parametrize("field", [F2, PrimeField(101), QQ], ids=repr)
+def test_dot_on_empty_vectors_is_the_field_zero(field):
+    zero = field.dot([], [])
+    assert zero == field.zero and type(zero) is type(field.zero)
+    assert type(field.dot((), ())) is (Fraction if field == QQ else int)
+
+
 def _random_matrix(field, rng, nrows, ncols):
     draw = (lambda: rng.randrange(field.p)) if field != QQ else (lambda: rng.randrange(-3, 4))
     return Matrix(field, [[draw() for _ in range(ncols)] for _ in range(nrows)], ncols)

@@ -181,6 +181,18 @@ def test_flatness_witness_needs_distinct_generators():
         flatness_witness(AB, "x", "x", F7)
 
 
+def _module_over(field, rng, dim):
+    """Random invertible actions with entries in [-3, 3]."""
+    actions = {}
+    for sym in AB:
+        while True:
+            m = Matrix(field, [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)], dim)
+            if m.is_invertible():
+                actions[sym] = m
+                break
+    return XDivModule(field, AB, actions)
+
+
 @pytest.mark.parametrize("field", [F7, QQ], ids=str)
 def test_act_matches_the_transposed_action(field):
     """``act`` applies the stored rows without coercing the vector; over
@@ -188,14 +200,8 @@ def test_act_matches_the_transposed_action(field):
     canonical result that ``Matrix.apply`` gives after coercing."""
     rng = random.Random(9)
     for _ in range(20):
-        actions = {}
-        for sym in AB:
-            while True:
-                m = Matrix(field, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)], 3)
-                if m.is_invertible():
-                    actions[sym] = m
-                    break
-        module = XDivModule(field, AB, actions)
+        module = _module_over(field, rng, 3)
+        actions = module.actions
         raw = [rng.randint(-20, 20) for _ in range(3)]
         vec = raw if field == F7 else [Fraction(x, rng.randint(1, 5)) for x in raw]
         for sym in AB:
@@ -207,6 +213,74 @@ def test_act_rejects_a_vector_of_the_wrong_length():
     module = random_xdiv_module(AB, F7, 2, seed=1)
     with pytest.raises(ValueError):
         module.act((1, 2, 3), "x")
+
+
+@pytest.mark.parametrize("e", [0, 2, -2])
+def test_act_rejects_an_exponent_other_than_plus_or_minus_one(e):
+    module = random_xdiv_module(AB, F7, 2, seed=1)
+    with pytest.raises(ValueError):
+        module.act((1, 2), "x", e)
+
+
+def _rand_reduced(rng, n):
+    return reduce_letters([(rng.choice(AB), rng.choice((1, -1))) for _ in range(n)])
+
+
+def _rand_elem_with_shared_prefixes(field, rng):
+    """Terms that extend a few common stems, times the inverses of some of
+    them (products that cancel fully), plus the identity."""
+    stems = [_rand_reduced(rng, rng.randrange(0, 6)) for _ in range(3)]
+    a = GroupAlgElem(field, {FreeWord(reduce_letters(rng.choice(stems) + _rand_reduced(rng, rng.randrange(0, 4)))):
+                             rng.randrange(1, 5) for _ in range(rng.randrange(4, 12))})
+    back = GroupAlgElem(field, {w.inverse(): rng.randrange(1, 5) for w in list(a.terms)[:3]})
+    terms = dict((a + a * back).terms)
+    terms[FreeWord.identity()] = 1
+    return GroupAlgElem(field, terms)
+
+
+class _CountingTable(dict):
+    reads = 0
+
+    def __getitem__(self, letter):
+        self.reads += 1
+        return super().__getitem__(letter)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F7, PrimeField(101), QQ], ids=str)
+def test_envelope_value_alg_is_the_plain_sum(field):
+    """The prefix-sharing evaluation equals the sum of ``c * value(w)``
+    over the terms and makes one action per distinct nonempty prefix."""
+    rng = random.Random(44)
+    for _ in range(15):
+        module = _module_over(field, rng, 3)
+        base = tuple(field.coerce(rng.randint(-5, 5)) for _ in range(3))
+        elem = _rand_elem_with_shared_prefixes(field, rng)
+        expected = [field.zero] * 3
+        for w, c in elem.terms.items():
+            value = envelope_value(base, w, module)
+            expected = [field.add(a, field.mul(c, b)) for a, b in zip(expected, value)]
+        module._letters = _CountingTable(module._letters)
+        assert envelope_value_alg(base, elem, module) == tuple(expected)
+        prefixes = {w.letters[:i] for w in elem.terms for i in range(1, len(w) + 1)}
+        assert module._letters.reads == len(prefixes)
+    assert envelope_value_alg(base, GroupAlgElem.zero(field), module) == (field.zero,) * 3
+
+
+def test_envelope_value_alg_checks_the_base():
+    module = random_xdiv_module(AB, F7, 2, seed=1)
+    with pytest.raises(ValueError):
+        envelope_value_alg((1, 2, 3), GroupAlgElem.zero(F7), module)
+
+
+reduced_words = st.lists(st.tuples(st.sampled_from(AB), st.sampled_from([1, -1])), max_size=10).map(reduce_letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_words, reduced_words)
+def test_word_product_cancels_like_full_reduction(a, b):
+    u, v = FreeWord(a), FreeWord(b)
+    assert u * v == FreeWord(reduce_letters(a + b))
+    assert u * u.inverse() == FreeWord.identity() == u.inverse() * u
 
 
 def test_xdiv_module_rejects_singular_action():
