@@ -114,21 +114,13 @@ def is_isomorphic(M: QuiverRep, N: QuiverRep) -> bool:
     basis = hom_space(M, N)
     if not basis:
         return False
-    if any(_invertible(f) for f in basis) or _invertible(_combine(basis, [M.field.one] * len(basis))):
+    if any(_invertible(f) for f in basis) or _invertible(sum(basis[1:], basis[0])):
         return True
     return all(_multiplicity(W, residue, N) == m for W, m, residue in _summands(M))
 
 
 def _invertible(f: RepMap) -> bool:
     return all(m.is_invertible() for m in f.maps)
-
-
-def _combine(basis: list[RepMap], coeffs: list) -> RepMap:
-    """The linear combination ``sum_i coeffs[i] * basis[i]``."""
-    out = basis[0].scale(coeffs[0])
-    for f, c in zip(basis[1:], coeffs[1:]):
-        out = out + f.scale(c)
-    return out
 
 
 def _flat(f: RepMap) -> list:
@@ -533,16 +525,16 @@ def is_simple_regular(M: QuiverRep, df: DefectFunction) -> bool:
 # extensions
 
 
-def build_extension(C: QuiverRep, A: QuiverRep, class_index: int = 0) -> QuiverRep:
+def build_extension(C: QuiverRep, A: QuiverRep) -> QuiverRep:
     """Middle term ``E`` of a non-split extension ``0 -> A -> E -> C -> 0``.
-    Class ``class_index`` of ``hom_system(C, A).complement()``, a
-    basis of ``Ext^1(C, A)``, gives blocks ``g_a: C_i -> A_j``; then ``E_v =
-    A_v + C_v`` and ``E_a = [[A_a, g_a], [0, C_a]]``, with inclusion ``[I;
-    0]`` and projection ``[0 I]``."""
+    The first column of ``hom_system(C, A).complement()``, a basis of
+    ``Ext^1(C, A)``, gives blocks ``g_a: C_i -> A_j``; then ``E_v = A_v +
+    C_v`` and ``E_a = [[A_a, g_a], [0, C_a]]``, with inclusion ``[I; 0]``
+    and projection ``[0 I]``."""
     classes = hom_system(C, A)[0].complement()
-    if class_index >= classes.ncols:
-        raise NoExtension(f"requested class {class_index} but Ext^1 has dimension {classes.ncols}")
-    g = iter(classes.column(class_index))
+    if classes.ncols == 0:
+        raise NoExtension("Ext^1 is zero, so every extension splits")
+    g = iter(classes.column(0))
     middle = direct_sum(A, C)
     for k, a in enumerate(A.quiver.arrows):
         for row in middle.maps[k].rows[: A.dims[a.target]]:
@@ -610,13 +602,15 @@ class Filtration:
         return tuple(B.ncols for B in prev_bases) == N.dims
 
 
-def u_filtration(N: QuiverRep, members, dim_cap: int = DIM_CAP) -> Filtration | None:
+def u_filtration(N: QuiverRep, members) -> Filtration | None:
     """Search for a finite chain of submodules of ``N`` whose successive
     factors are isomorphic to the given bound modules; ``None`` when the
-    exhaustive search finds no chain."""
+    exhaustive search finds no chain.  ``N`` may have total dimension at
+    most :data:`DIM_CAP`, and every submodule search stops at
+    :data:`SEARCH_BUDGET`."""
     members = bound_members(members)
-    if N.total_dim() > dim_cap:
-        raise SearchBudgetExceeded(f"module dimension {N.total_dim()} exceeds cap {dim_cap}")
+    if N.total_dim() > DIM_CAP:
+        raise SearchBudgetExceeded(f"module dimension {N.total_dim()} exceeds cap {DIM_CAP}")
 
     def search(X: QuiverRep):
         """Returns (list of sub-bases-in-X chains bottom-up, factor list)."""
@@ -687,14 +681,13 @@ def tube_catalog(family: str, field: PrimeField) -> TubeCatalog:
     defect zero and trivial endomorphisms at construction."""
     if not isinstance(field, PrimeField):
         raise UnsupportedFamily("tube catalogs are enumerated over finite fields")
-    name = family.lower()
-    if name == "kronecker":
+    if family == "kronecker":
         q = kronecker()
         tubes = []
         for lam in range(field.p):
             tubes.append((QuiverRep.from_entries(q, field, (1, 1), {"a": [[1]], "b": [[lam]]}),))
         tubes.append((QuiverRep.from_entries(q, field, (1, 1), {"a": [[0]], "b": [[1]]}),))
-    elif name in ("a31", "affine_a3"):
+    elif family == "a31":
         q = affine_a3_cycle()
         first = QuiverRep.simple(q, field, 2)
         second = tau(first)

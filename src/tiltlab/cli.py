@@ -56,7 +56,7 @@ from .quiverrep import (
 from .report import Report
 
 
-def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0, dim_cap: int = 12) -> Report:
+def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0) -> Report:
     """Reproduce the separation of the two divisibility classes attached
     to a rank-three tube: the length-two layers (and their translates)
     admit the socle simple in their class, the three simples do not."""
@@ -106,7 +106,7 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0, dim_c
         },
     )
 
-    filt = u_filtration(layer2, (simple, tminus_simple), dim_cap=dim_cap)
+    filt = u_filtration(layer2, (simple, tminus_simple))
     report.add(
         "layer2 is filtered by the socle simple and its inverse translate",
         filt is not None
@@ -137,7 +137,7 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0, dim_c
 def run_dedekind_classify(primes=(2, 3, 5), ore_sets=(), random_ore: int = 0, seed: int = 0) -> Report:
     """Enumerate divisibility classes over a prime universe and cross-check
     multiplicative sets against their prime supports."""
-    universe = PrimeSet(tuple(sorted(set(int(p) for p in primes))))
+    universe = PrimeSet.of(*(int(p) for p in primes))
     report = Report(
         "dedekind_classify",
         {"primes": list(universe.primes), "ore_sets": [list(s) for s in ore_sets],
@@ -357,9 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--family", default="a31")
     p.add_argument("--field", type=int, default=5)
-    p.add_argument("--dim-cap", type=_nonnegative_int, default=12)
-    p.set_defaults(run=lambda a: run_tube_demo(
-        family=a.family, field_char=a.field, seed=a.seed, dim_cap=a.dim_cap))
+    p.set_defaults(run=lambda a: run_tube_demo(family=a.family, field_char=a.field, seed=a.seed))
 
     p = sub.add_parser("dedekind", help="classify divisibility classes over a prime universe")
     common(p)

@@ -51,10 +51,6 @@ class FgZModule:
         return cls(0, ())
 
     @classmethod
-    def free(cls, rank: int) -> "FgZModule":
-        return cls(rank, ())
-
-    @classmethod
     def cyclic(cls, n: int) -> "FgZModule":
         n = abs(n)
         if n == 0:
@@ -66,18 +62,10 @@ class FgZModule:
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
-    def ngens(self) -> int:
-        return self.free_rank + len(self.invariant_factors)
-
     def presentation(self) -> IntMatrix:
         """Minimal presentation: generators index the rows, relation
         columns kill the torsion generators."""
-        rows = self.ngens()
-        cols = len(self.invariant_factors)
-        mat = [[0] * cols for _ in range(rows)]
-        for j, d in enumerate(self.invariant_factors):
-            mat[self.free_rank + j][j] = d
-        return IntMatrix(mat, cols)
+        return _diagonal(self.free_rank, self.invariant_factors)
 
     def __str__(self):
         parts = []
@@ -97,18 +85,19 @@ def classify(presentation: IntMatrix) -> FgZModule:
     return FgZModule(presentation.nrows - len(nonzero), factors)
 
 
+def _diagonal(free_rank: int, orders) -> IntMatrix:
+    """The presentation of ``Z^free_rank + sum Z/k``: one row per
+    generator, free ones first, and one column ``k e_i`` per order ``k``."""
+    mat = [[0] * len(orders) for _ in range(free_rank + len(orders))]
+    for j, k in enumerate(orders):
+        mat[free_rank + j][j] = k
+    return IntMatrix(mat, len(orders))
+
+
 def from_pieces(free_rank: int, torsion_orders) -> FgZModule:
     """Canonical form of ``Z^free_rank + sum Z/k`` for arbitrary ``k``."""
     orders = [abs(int(k)) for k in torsion_orders]
-    if any(k == 0 for k in orders):
-        free_rank += sum(1 for k in orders if k == 0)
-        orders = [k for k in orders if k != 0]
-    orders = [k for k in orders if k != 1]
-    rows = free_rank + len(orders)
-    mat = [[0] * len(orders) for _ in range(rows)]
-    for j, k in enumerate(orders):
-        mat[free_rank + j][j] = k
-    return classify(IntMatrix(mat, len(orders)))
+    return classify(_diagonal(free_rank + orders.count(0), [k for k in orders if k > 1]))
 
 
 def hom(M: FgZModule, N: FgZModule) -> FgZModule:
@@ -279,10 +268,7 @@ def prime_support(n: int) -> tuple[int, ...]:
 def u_set_of_ore(S: OreSet) -> PrimeSet:
     """Primes ``p`` with ``Z/p`` killed by some element of the
     multiplicative closure: exactly the primes dividing a generator."""
-    primes: set[int] = set()
-    for g in S.generators:
-        primes.update(prime_support(g))
-    return PrimeSet(tuple(sorted(primes)))
+    return PrimeSet.of(*(p for g in S.generators for p in prime_support(g)))
 
 
 def universal_localization_eq(S: OreSet) -> bool:
@@ -332,17 +318,10 @@ class IdealPairReport:
     index: int | None
 
 
-def _ideal_gcd(gens) -> int:
-    g = 0
-    for x in gens:
-        g = math.gcd(g, abs(int(x)))
-    return g
-
-
 def essential_iff_finite(I_gens, J_gens) -> IdealPairReport:
     """For nested ideals ``J <= I`` of the integers: ``J`` is essential in
     ``I`` exactly when ``I/J`` is finite; both sides are computed."""
-    gi, gj = _ideal_gcd(I_gens), _ideal_gcd(J_gens)
+    gi, gj = math.gcd(*map(int, I_gens)), math.gcd(*map(int, J_gens))
     if gj == 0:
         contained = True
     elif gi == 0:
@@ -366,7 +345,6 @@ def essential_iff_finite(I_gens, J_gens) -> IdealPairReport:
 @dataclass(frozen=True)
 class SubsetRow:
     subset: tuple[int, ...]
-    descriptor: str
 
 
 @dataclass(frozen=True)
@@ -375,7 +353,6 @@ class TiltingClassTable:
     distinct subsets, a cyclic witness module lying in exactly one of the
     two divisibility classes."""
 
-    universe: PrimeSet
     rows: tuple[SubsetRow, ...]
     witnesses: tuple[tuple[int, int, int], ...]  # (row index a, row index b, witness prime)
 
@@ -393,12 +370,6 @@ def classify_tilting(universe: PrimeSet) -> TiltingClassTable:
     for r in range(len(universe.primes) + 1):
         for combo in itertools.combinations(universe.primes, r):
             subsets.append(tuple(combo))
-    rows = []
-    for s in subsets:
-        desc = "all finitely generated modules" if not s else (
-            "modules divisible by " + ", ".join(str(p) for p in s)
-        )
-        rows.append(SubsetRow(s, desc))
     # each witness Z/p is certified by the same membership check; decide
     # each (class, prime) membership once and let the pairs read it
     classes = [PrimeSet(s) for s in subsets]
@@ -410,5 +381,5 @@ def classify_tilting(universe: PrimeSet) -> TiltingClassTable:
             if members[a][p] == members[b][p]:
                 raise AssertionError("witness fails to separate the classes")
             witnesses.append((a, b, p))
-    return TiltingClassTable(universe, tuple(rows), tuple(witnesses))
+    return TiltingClassTable(tuple(SubsetRow(s) for s in subsets), tuple(witnesses))
 

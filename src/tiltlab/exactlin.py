@@ -12,7 +12,7 @@ zero rows or zero columns are legal everywhere and behave as the unique
 maps to or from the zero space.
 
 Each field class implements one protocol: the scalar operations
-``coerce``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and the row kernels
+``coerce``, ``add``, ``mul``, ``neg``, ``inv`` and the row kernels
 ``scale_row(c, row)``, ``sub_scaled(row, f, prow)`` (``row - f * prow``)
 and ``dot(u, v)``, one list comprehension or sum each (an inline ``% p``
 over ``GF(p)``).  ``dot`` is ``sum(map(mul, u, v))``, reduced once mod ``p``
@@ -96,9 +96,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
@@ -143,9 +140,6 @@ class Rationals:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -742,10 +736,6 @@ class IntMatrix:
         m = object.__new__(cls)
         m.rows, m.nrows, m.ncols = rows, len(rows), ncols
         return m
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":

@@ -39,10 +39,6 @@ class FreeWord:
             if i and self.letters[i - 1][0] == sym and self.letters[i - 1][1] == -e:
                 raise ValueError("word is not reduced")
 
-    @classmethod
-    def identity(cls) -> "FreeWord":
-        return cls(())
-
     def __len__(self):
         return len(self.letters)
 
@@ -119,10 +115,6 @@ class GroupAlgElem:
     @classmethod
     def zero(cls, field) -> "GroupAlgElem":
         return cls(field, {})
-
-    @classmethod
-    def one(cls, field) -> "GroupAlgElem":
-        return cls(field, {FreeWord.identity(): field.one})
 
     @classmethod
     def of(cls, field, w: FreeWord, coeff=None) -> "GroupAlgElem":

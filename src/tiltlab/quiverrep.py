@@ -264,7 +264,7 @@ class RepMap:
 
 
 # ---------------------------------------------------------------------------
-# submodules, quotients, kernels
+# submodules and quotients
 
 
 def subrep(M: QuiverRep, gens: list[Matrix]) -> tuple[QuiverRep, RepMap]:
@@ -305,15 +305,6 @@ def quotient_by(M: QuiverRep, sub_gens: list[Matrix]) -> tuple[QuiverRep, RepMap
     return Qr, RepMap(M, Qr, [sp.equations for sp in spans])
 
 
-def kernel(f: RepMap) -> tuple[QuiverRep, RepMap]:
-    bases = [m.kernel_basis() for m in f.maps]
-    return subrep(f.source, bases)
-
-
-def image(f: RepMap) -> tuple[QuiverRep, RepMap]:
-    return subrep(f.target, list(f.maps))
-
-
 def cokernel(f: RepMap) -> tuple[QuiverRep, RepMap]:
     return quotient_by(f.target, list(f.maps))
 
@@ -344,17 +335,22 @@ def socle(M: QuiverRep) -> tuple[QuiverRep, RepMap]:
     return subrep(M, bases)
 
 
-def _top_generators(M: QuiverRep) -> tuple[tuple[int, ...], list[list]]:
-    """Vertices and vectors lifting a basis of ``M / rad M``: at each
-    vertex, the unit-vector complement of the radical (the sum of the
-    images of the arrows into that vertex)."""
+def _top(X: QuiverRep, bases: list[Matrix]) -> tuple[tuple[int, ...], list[list]]:
+    """Vertices and vectors of ``X`` lifting a basis of ``S / rad S``, where
+    the subrepresentation ``S`` has the columns of ``bases[v]`` as basis at
+    each vertex ``v``: the columns of ``bases[v]`` outside the span of the
+    arrow images into ``v`` (``rad S``), read off the pivots of ``[images |
+    bases[v]]``.  With identity bases this is the top of ``X`` itself."""
+    q = X.quiver
     verts: list[int] = []
     gens: list[list] = []
-    for v in range(M.quiver.nvertices):
-        incoming = [col for k in M.quiver.arrows_into(v) for col in M.maps[k].columns()]
-        for e in Matrix.from_columns(M.field, incoming, M.dims[v]).complement().columns():
-            verts.append(v)
-            gens.append(e)
+    for v in range(q.nvertices):
+        images = [col for k in q.arrows_into(v) for col in (X.maps[k] @ bases[q.arrows[k].source]).columns()]
+        B, m = bases[v], len(images)
+        for c in Matrix._of(X.field, images + B.columns(), X.dims[v]).transpose().pivots():
+            if c >= m:
+                verts.append(v)
+                gens.append(B.column(c - m))
     return tuple(verts), gens
 
 
@@ -424,18 +420,21 @@ def regular_dims(q: Quiver) -> tuple[int, ...]:
 
 def extend_generators(ps: ProjSum, target: QuiverRep, gen_images: list[list]) -> RepMap:
     """The unique morphism ``ps.rep -> target`` sending the generator of
-    summand ``p`` to ``gen_images[p]`` (a vector in the target's component
-    at that summand's vertex)."""
+    summand ``p`` to ``gen_images[p]``, a vector of canonical scalars (as
+    :meth:`Matrix._of` takes them) in the target's component at that
+    summand's vertex.  Paths come shortest first, so each path label's
+    image is one arrow matrix applied to the image of its prefix."""
     if target.quiver != ps.quiver or target.field != ps.field:
         raise QuiverMismatch("target lives over a different quiver or field")
-    field = ps.field
-    action = functools.cache(target.path_action)  # summands share their vertices' paths
-    maps = []
-    for v in range(ps.quiver.nvertices):
-        cols = []
-        for (p, path) in ps.basis[v]:
-            cols.append(action(ps.summands[p], path).apply(gen_images[p]))
-        maps.append(Matrix._of(field, cols, target.dims[v]).transpose())
+    images = {}
+    for p, start in enumerate(ps.summands):
+        if len(gen_images[p]) != target.dims[start]:
+            raise ValueError(f"generator {p}: image of length {len(gen_images[p])}, expected {target.dims[start]}")
+        images[p, ()] = gen_images[p]
+        for path in _paths_by_source(ps.quiver)[start][1:]:  # the empty path comes first
+            images[p, path] = target.maps[path[-1]].apply(images[p, path[:-1]])
+    maps = [Matrix._of(ps.field, [images[label] for label in ps.basis[v]], target.dims[v]).transpose()
+            for v in range(ps.quiver.nvertices)]
     return RepMap(ps.rep, target, maps)
 
 
@@ -476,21 +475,22 @@ class ProjPresentation:
 
 def proj_presentation(M: QuiverRep) -> ProjPresentation:
     """Minimal projective presentation built from the projective cover
-    ``Q -> M`` (lifting a basis of ``M / rad M``); the kernel is projective
-    because the path algebra is hereditary."""
+    ``Q -> M`` (lifting a basis of ``M / rad M``).  The kernel ``K`` stays
+    inside ``Q``: its top is read in ``Q``'s coordinates from the kernel
+    bases of the cover, and ``K`` is projective because the path algebra
+    is hereditary."""
     q, field = M.quiver, M.field
-    verts, gens = _top_generators(M)
+    verts, gens = _top(M, [Matrix.identity(field, d) for d in M.dims])
     Qs = proj_sum(q, field, verts)
     projection = extend_generators(Qs, M, gens)
     if not projection.is_surjective():
         raise AssertionError("projective cover failed to be surjective")
-    K, incl = kernel(projection)
-    kverts, kgens = _top_generators(K)
+    kernel = [m.kernel_basis() for m in projection.maps]
+    kverts, kgens = _top(Qs.rep, kernel)
     Ps = proj_sum(q, field, kverts)
-    if Ps.rep.dims != K.dims:
+    if Ps.rep.dims != tuple(B.ncols for B in kernel):
         raise AssertionError("kernel of a cover is not projective; quiver not hereditary?")
-    gen_images = [incl.maps[v].apply(g) for v, g in zip(kverts, kgens)]
-    alpha = extend_generators(Ps, Qs.rep, gen_images)
+    alpha = extend_generators(Ps, Qs.rep, kgens)
     if not alpha.is_injective():
         raise AssertionError("presentation map is not injective")
     return ProjPresentation(Ps, Qs, alpha, M, projection)
@@ -499,7 +499,8 @@ def proj_presentation(M: QuiverRep) -> ProjPresentation:
 def is_projective(M: QuiverRep) -> bool:
     """The projective cover maps onto ``M``, so ``M`` is projective exactly
     when the cover has the dimensions of ``M``."""
-    return proj_sum(M.quiver, M.field, _top_generators(M)[0]).rep.dims == M.dims
+    verts, _ = _top(M, [Matrix.identity(M.field, d) for d in M.dims])
+    return proj_sum(M.quiver, M.field, verts).rep.dims == M.dims
 
 
 # ---------------------------------------------------------------------------

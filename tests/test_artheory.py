@@ -10,7 +10,6 @@ from tiltlab import artheory
 
 from tiltlab.artheory import (
     BoundSet,
-    _combine,
     _factor_min_poly,
     _flat,
     _min_poly,
@@ -387,7 +386,9 @@ def test_min_poly_matches_reference(field):
     cases = []
     for X in modules:
         basis = hom_space(X, X)
-        cases += [_combine(basis, [field.coerce(draw()) for _ in basis]) for _ in range(4)]
+        for _ in range(4):
+            coeffs = [field.coerce(draw()) for _ in basis]
+            cases.append(sum((f.scale(c) for f, c in zip(basis[1:], coeffs[1:])), basis[0].scale(coeffs[0])))
     X = modules[-1]
     zero, identity = identity_map(X).scale(0), identity_map(X)
     # (x, y) -> (0, x) on S + S, S simple regular: nilpotent of order two
@@ -501,14 +502,17 @@ def test_build_extension_is_certified_non_split():
     rng, F3 = random.Random(8), PrimeField(3)
     pairs = [(trio[2], trio[0]), kron_simples]
     pairs += [(random_rep(A3, F3, rng, 2), random_rep(A3, F3, rng, 2)) for _ in range(20)]
+    built = 0
     for C, A in pairs:
         field = C.field
-        for i in range(ext1_dim(C, A)):
-            E = build_extension(C, A, i)
+        if ext1_dim(C, A):
+            E = build_extension(C, A)
+            built += 1
             assert hom_dim(C, E) < hom_dim(C, A) + hom_dim(C, C)
             inclusion = [Matrix.identity(field, a).vstack(Matrix.zeros(field, c, a)) for a, c in zip(A.dims, C.dims)]
             projection = [Matrix.zeros(field, c, a).hstack(Matrix.identity(field, c)) for a, c in zip(A.dims, C.dims)]
             assert RepMap(A, E, inclusion).is_valid() and RepMap(E, C, projection).is_valid()
+    assert built == 12  # the pairs with Ext^1(C, A) != 0
 
 
 def test_build_extension_needs_nonzero_ext():
@@ -555,10 +559,11 @@ def test_filtration_impossible_dims():
     assert u_filtration(s1, (QuiverRep.simple(KRON, F5, 1),)) is None
 
 
-def test_filtration_respects_dim_cap():
+def test_filtration_respects_dim_cap(monkeypatch):
+    monkeypatch.setattr(artheory, "DIM_CAP", 3)
     big = direct_sum(projective(KRON, F5, 0), projective(KRON, F5, 0))
     with pytest.raises(SearchBudgetExceeded):
-        u_filtration(big, (tube_simple(0),), dim_cap=3)
+        u_filtration(big, (tube_simple(0),))
 
 
 def test_all_submodules_of_tube_simple():
@@ -654,8 +659,9 @@ def test_a31_catalog():
 
 
 def test_unsupported_family():
-    with pytest.raises(UnsupportedFamily):
-        tube_catalog("d4", F5)
+    for family in ("d4", "affine_a3", "Kronecker"):
+        with pytest.raises(UnsupportedFamily):
+            tube_catalog(family, F5)
 
 
 def test_socle_of_layer_two_is_the_socle_member():

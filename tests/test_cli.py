@@ -137,6 +137,8 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["tube-demo", "--family", "kronecker"]) == 2
     err = capsys.readouterr().err
     assert "rank >= 3" in err
+    assert main(["tube-demo", "--family", "affine_a3"]) == 2
+    assert capsys.readouterr().err == "tiltlab: no tube catalog for family 'affine_a3'\n"
     assert main(["dedekind", "--primes", "2,4"]) == 2
     capsys.readouterr()
     assert main(["custom", str(tmp_path / "missing.txt")]) == 2
@@ -345,13 +347,19 @@ def test_trials_must_be_positive(argv, capsys):
     (["perp-check", "--dim-cap", "-1"], "--dim-cap"),
     (["perp-check", "--dim-cap", "x"], "--dim-cap"),
     (["dedekind", "--random-ore", "-2"], "--random-ore"),
-    (["tube-demo", "--dim-cap", "-1"], "--dim-cap"),
-], ids=["dim-cap-negative", "dim-cap-not-a-number", "random-ore-negative", "tube-demo-dim-cap-negative"])
+], ids=["dim-cap-negative", "dim-cap-not-a-number", "random-ore-negative"])
 def test_counts_must_be_nonnegative(argv, flag, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     assert f"{flag}: must be a non-negative integer, got {argv[-1]}" in capsys.readouterr().err
+
+
+def test_tube_demo_has_no_dim_cap_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["tube-demo", "--dim-cap", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --dim-cap 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alphabet", [",", "x,y,x"], ids=["empty", "repeated"])

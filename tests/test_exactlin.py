@@ -151,7 +151,7 @@ def test_snf_diag_2_3():
 
 def test_snf_identity():
     for n in (1, 2, 4):
-        diag = check_snf(IntMatrix.identity(n))
+        diag = check_snf(IntMatrix([[int(i == j) for j in range(n)] for i in range(n)], n))
         assert diag == [1] * n
 
 

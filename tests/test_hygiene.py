@@ -1,9 +1,10 @@
-"""Source hygiene: every imported name is used, every function and class
-of the library is referenced somewhere, and outside tests too (but for a
-short list of kept names), every parameter of a library function is read,
-sympy loads only inside the functions that call it, and every field class
-in ``exactlin`` implements the whole field protocol.  No linter is a
-dependency, so the checks walk the syntax tree themselves."""
+"""Source hygiene: every imported name is used, every function, class and
+method of the library is reached by a use that binds to it, somewhere and
+outside tests too (but for a short list of kept names), every parameter of
+a library function is read, sympy loads only inside the functions that call
+it, and every field class in ``exactlin`` implements the whole field
+protocol.  No linter is a dependency, so the checks walk the syntax tree
+themselves."""
 
 import ast
 from pathlib import Path
@@ -44,32 +45,75 @@ def test_no_unused_imports(path):
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def defined_names(tree: ast.Module) -> set[str]:
-    """Non-dunder ``def`` and ``class`` names at any depth."""
-    return {node.name for node in ast.walk(tree)
-            if isinstance(node, DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__"))}
-
-
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Names used as a name or as an attribute, counting only uses outside
-    every definition of that same name, so recursion is not a use."""
-    found = set()
-    pending = [(tree, frozenset())]
-    while pending:
-        node, enclosing = pending.pop()
-        if isinstance(node, DEFINITIONS):
-            enclosing = enclosing | {node.name}
-        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-        if name is not None and name not in enclosing:
-            found.add(name)
-        pending.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+def definitions(library: dict[str, ast.Module]) -> list[tuple[str, str, tuple]]:
+    """Every non-dunder ``def`` and ``class`` of the library as ``(printed
+    name, name, key)``, where ``key`` is the use that reaches it: any
+    ``.name`` attribute for a method, ``Class.name`` for a classmethod, and
+    the defining module's binding of the name for anything else, at the
+    top level or nested."""
+    found = []
+    for mod, tree in library.items():
+        pending = [(node, None) for node in tree.body]
+        while pending:
+            node, cls = pending.pop()
+            if isinstance(node, DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__")):
+                if cls is None:
+                    found.append((node.name, node.name, ("def", mod, node.name)))
+                elif any(isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list):
+                    found.append((f"{cls}.{node.name}", node.name, ("classmethod", cls, node.name)))
+                else:
+                    found.append((f"{cls}.{node.name}", node.name, ("attr", node.name)))
+            inner = node.name if isinstance(node, ast.ClassDef) else None
+            pending.extend((child, inner) for child in ast.iter_child_nodes(node))
     return found
 
 
-def unreferenced(defining: list[ast.Module], referencing: list[ast.Module]) -> list[str]:
-    """Names defined in ``defining`` that no tree in ``referencing`` uses."""
-    used = set().union(*(referenced_names(tree) for tree in referencing))
-    return sorted(set().union(*(defined_names(tree) for tree in defining)) - used)
+def uses(mod: str, tree: ast.Module, library: set[str]) -> set[tuple]:
+    """The keys of :func:`definitions` that the module ``mod`` reaches:
+    ``from lib import name``, ``alias.name`` with ``alias`` bound to a
+    library module, a bare name read inside its own module, ``Class.name``
+    and ``cls.name`` (the enclosing class), and ``.name`` on anything.  A
+    use inside a definition of the same name is recursion, not a use."""
+    package = mod.rpartition(".")[0]
+    modules: dict[str, str] = {}  # local name -> the library module it is bound to
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names if alias.name in library)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, (package, node.module))) if node.level else node.module
+            for alias in node.names:
+                if f"{base}.{alias.name}" in library:
+                    modules[alias.asname or alias.name] = f"{base}.{alias.name}"
+                else:
+                    found.add(("def", base, alias.name))
+    pending = [(tree, frozenset(), None)]
+    while pending:
+        node, enclosing, cls = pending.pop()
+        if isinstance(node, DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in enclosing:
+            found.add(("def", mod, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            value = node.value
+            owner = cls if isinstance(value, ast.Name) and value.id == "cls" else getattr(value, "id", getattr(value, "attr", None))
+            found |= {("attr", node.attr), ("classmethod", owner, node.attr)}
+            if isinstance(value, ast.Name) and value.id in modules:
+                found.add(("def", modules[value.id], node.attr))
+        inner = node.name if isinstance(node, ast.ClassDef) else cls
+        pending.extend((child, enclosing, inner) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def unreferenced(library: dict[str, ast.Module], users: dict[str, ast.Module], late: list[ast.Module]) -> list[str]:
+    """Library definitions that no module in ``users`` reaches (see
+    :func:`uses`).  The benchmark looks some names up late, so a string
+    constant in a ``late`` tree counts as a use of every definition of that
+    name."""
+    reached = set().union(*(uses(mod, tree, set(library)) for mod, tree in users.items()))
+    strings = {node.value for tree in late for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(printed for printed, name, key in definitions(library) if key not in reached and name not in strings)
 
 
 def test_detector_flags_an_unreferenced_definition():
@@ -85,28 +129,48 @@ def test_detector_flags_an_unreferenced_definition():
         "    return inner()\n"
     )
     user = ast.parse("from lib import Used, outer\nUsed().method()\nouter()\n")
-    assert unreferenced([lib], [lib, user]) == ["dead_method", "recursive"]
+    assert unreferenced({"lib": lib}, {"lib": lib, "user": user}, []) == ["Used.dead_method", "recursive"]
 
 
-def trees(d: str) -> list[ast.Module]:
-    return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / d).glob("*.py"))]
+def test_detector_resolves_uses_by_binding():
+    # each name below is spelled at a use that does not bind to it: the
+    # function as an attribute, the classmethod as a local variable, and
+    # the classmethod as another class's method
+    lib = ast.parse(
+        "def image(f): pass\n"
+        "class Module:\n"
+        "    @classmethod\n"
+        "    def free(cls, rank): return cls.zero()\n"
+        "    @classmethod\n"
+        "    def zero(cls): pass\n"
+        "class IntMatrix:\n"
+        "    @classmethod\n"
+        "    def identity(cls, n): pass\n"
+        "class Matrix:\n"
+        "    def identity(self): pass\n"
+    )
+    shadows = ast.parse(
+        "from lib import IntMatrix, Matrix, Module\n"
+        "def f(witness, m):\n"
+        "    free = witness.image\n"
+        "    return free, m.identity()\n"
+    )
+    users = {"lib": lib, "shadows": shadows}
+    assert unreferenced({"lib": lib}, users, []) == ["IntMatrix.identity", "Module.free", "image"]
+    bound = ast.parse("import lib as m\nfrom lib import IntMatrix, Module\nm.image(0)\nModule.free(1)\nIntMatrix.identity(2)\n")
+    assert unreferenced({"lib": lib}, users | {"bound": bound}, []) == []
+
+
+def trees(d: str) -> dict[str, ast.Module]:
+    """The modules under ``d`` by import name: ``tiltlab.<stem>`` in the
+    package, the bare stem elsewhere."""
+    prefix = "tiltlab." if d == "src/tiltlab" else ""
+    return {prefix + p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / d).glob("*.py"))}
 
 
 def test_every_library_definition_is_referenced():
-    library = trees("src/tiltlab")
-    assert unreferenced(library, library + trees("tests") + trees("perfbench")) == []
-
-
-def reached_only_from_tests(library: list[ast.Module], bench: list[ast.Module]) -> list[str]:
-    """Top-level library definitions that neither the library, outside
-    their own bodies, nor the benchmark uses, so that only tests reach
-    them.  The benchmark looks some functions up late by name, so its
-    string constants count as uses too."""
-    used = set().union(*(referenced_names(tree) for tree in library + bench))
-    used |= {node.value for tree in bench for node in ast.walk(tree)
-             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    top = {node.name for tree in library for node in tree.body if isinstance(node, DEFINITIONS)}
-    return sorted(top - used)
+    library, bench = trees("src/tiltlab"), trees("perfbench")
+    assert unreferenced(library, library | trees("tests") | bench, list(bench.values())) == []
 
 
 # Library definitions that only tests reach, each kept for a reason.
@@ -132,11 +196,14 @@ def test_detector_flags_a_definition_only_tests_reach():
         "    def method(self): pass\n"
     )
     bench = ast.parse("import lib\nlib.used()\nlib.benchmarked()\ngetattr(lib, 'looked_up')()\n")
-    assert reached_only_from_tests([lib], [bench]) == ["Tested", "recursive", "test_only_fn"]
+    assert unreferenced({"lib": lib}, {"lib": lib, "bench": bench}, [bench]) == [
+        "Tested", "Tested.method", "recursive", "test_only_fn"]
 
 
 def test_no_library_definition_is_reached_only_from_tests():
-    assert reached_only_from_tests(trees("src/tiltlab"), trees("perfbench")) == sorted(TEST_ONLY_KEPT)
+    """What the library and the benchmark reach, without the tests."""
+    library, bench = trees("src/tiltlab"), trees("perfbench")
+    assert unreferenced(library, library | bench, list(bench.values())) == sorted(TEST_ONLY_KEPT)
 
 
 def unread_parameters(tree: ast.Module) -> list[str]:
@@ -227,7 +294,7 @@ def test_no_module_level_sympy_import():
     assert found == {}
 
 
-FIELD_PROTOCOL = ("coerce", "add", "sub", "mul", "neg", "inv", "scale_row", "sub_scaled", "dot")
+FIELD_PROTOCOL = ("coerce", "add", "mul", "neg", "inv", "scale_row", "sub_scaled", "dot")
 
 
 def incomplete_fields(tree: ast.Module) -> dict[str, list[str]]:
@@ -250,7 +317,7 @@ def test_detector_flags_an_incomplete_field():
         "class NotAField:\n    def __add__(self, other): pass\n"
     )
     assert incomplete_fields(tree) == {
-        "Full": [], "Partial": ["add", "sub", "neg", "inv", "scale_row", "sub_scaled", "dot"]}
+        "Full": [], "Partial": ["add", "neg", "inv", "scale_row", "sub_scaled", "dot"]}
 
 
 def test_fields_implement_the_whole_protocol():

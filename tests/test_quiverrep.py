@@ -19,7 +19,6 @@ from tiltlab.quiverrep import (
     hom_ext_dims,
     hom_space,
     hom_system,
-    image,
     injective,
     is_projective,
     kronecker,
@@ -315,7 +314,7 @@ def test_spanning_columns_agree_with_pivot_basis():
             N = random_rep(q, field, rng, 2)
             for f in hom_space(N, M):
                 pivot = [_pivot_basis(m) for m in f.maps]
-                im, im_incl = image(f)
+                im, im_incl = subrep(f.target, list(f.maps))
                 ref, ref_incl = subrep(M, pivot)
                 assert im == ref and im_incl.maps == ref_incl.maps
                 co, co_proj = cokernel(f)
