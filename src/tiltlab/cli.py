@@ -9,6 +9,7 @@ check or an internal invariant fails, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -23,10 +24,12 @@ from .artheory import (
     u_filtration,
 )
 from .dedekind import (
+    FgZModule,
     OreSet,
     PrimeSet,
     classify,
     classify_tilting,
+    is_divisible_by,
     u_set_of_ore,
     universal_localization_eq,
 )
@@ -145,9 +148,16 @@ def run_dedekind_classify(primes=(2, 3, 5), ore_sets=(), random_ore: int = 0, se
     )
     table = classify_tilting(universe)
     expected = 2 ** len(universe)
+    # each witness is rechecked against its two classes, not through the
+    # table's prime-by-prime membership; a (prime, class) pair is decided once
+    classes = [PrimeSet(r.subset) for r in table.rows]
+    member = functools.cache(lambda p, i: is_divisible_by(FgZModule.cyclic(p), classes[i]))
+    separated = all(member(p, a) != member(p, b) for a, b, p in table.witnesses)
+    pairs = {frozenset((a, b)) for a, b, _ in table.witnesses}
     report.add(
         "all subset classes pairwise distinct",
-        table.num_classes == expected and len(table.witnesses) == expected * (expected - 1) // 2,
+        table.num_classes == expected and len(table.witnesses) == len(pairs) == expected * (expected - 1) // 2
+        and separated,
         inputs={"universe": list(universe.primes)},
         values={
             "classes": table.num_classes,

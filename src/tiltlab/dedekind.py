@@ -363,23 +363,39 @@ class TiltingClassTable:
 
 def classify_tilting(universe: PrimeSet) -> TiltingClassTable:
     """Enumerate the ``2^n`` divisibility classes over a small prime
-    universe and certify pairwise distinctness with ``Z/p`` witnesses."""
-    if len(universe) > 6:
-        raise ValueError("universe capped at 6 primes")
-    subsets = []
-    for r in range(len(universe.primes) + 1):
-        for combo in itertools.combinations(universe.primes, r):
-            subsets.append(tuple(combo))
-    # each witness Z/p is certified by the same membership check; decide
-    # each (class, prime) membership once and let the pairs read it
-    classes = [PrimeSet(s) for s in subsets]
-    members = [{p: is_divisible_by(FgZModule.cyclic(p), P) for p in universe.primes} for P in classes]
-    witnesses = []
-    for a in range(len(subsets)):
-        for b in range(a + 1, len(subsets)):
-            p = min(set(subsets[a]) ^ set(subsets[b]))
-            if members[a][p] == members[b][p]:
-                raise AssertionError("witness fails to separate the classes")
-            witnesses.append((a, b, p))
-    return TiltingClassTable(tuple(SubsetRow(s) for s in subsets), tuple(witnesses))
+    universe and certify pairwise distinctness with ``Z/p`` witnesses.
 
+    Membership is decided prime by prime, on two identities:
+    ``Ext^1(+_{q in P} Z/q, M) = prod_{q in P} Ext^1(Z/q, M)``, and ``M`` is
+    ``P``-divisible exactly when ``M = qM`` for each ``q`` in ``P``.  So
+    ``Z/p`` lies in the class of ``P`` exactly when it lies in the class of
+    every ``{q}`` with ``q`` in ``P``.  The ``n x n`` table
+    ``is_divisible_by(Z/p, {q})`` (each entry compares both
+    characterizations) gives each class its membership bitmask, the AND of
+    the rows of its primes.  The primes ascend, so the lowest bit where two
+    masks differ is the least prime in exactly one of the two subsets."""
+    primes = universe.primes
+    if len(primes) > 6:
+        raise ValueError("universe capped at 6 primes")
+    # single[i] has bit j set when Z/primes[j] is {primes[i]}-divisible
+    single = []
+    for q in primes:
+        P = PrimeSet((q,))
+        single.append(sum(1 << j for j, p in enumerate(primes) if is_divisible_by(FgZModule.cyclic(p), P)))
+    subsets, masks = [], []
+    everything = (1 << len(primes)) - 1  # the class of the empty set
+    for r in range(len(primes) + 1):
+        for combo in itertools.combinations(range(len(primes)), r):
+            subsets.append(tuple(primes[i] for i in combo))
+            mask = everything
+            for i in combo:
+                mask &= single[i]
+            masks.append(mask)
+    witnesses = []
+    for a, mask_a in enumerate(masks):
+        for b in range(a + 1, len(masks)):
+            diff = mask_a ^ masks[b]
+            if not diff:
+                raise AssertionError("witness fails to separate the classes")
+            witnesses.append((a, b, primes[(diff & -diff).bit_length() - 1]))
+    return TiltingClassTable(tuple(SubsetRow(s) for s in subsets), tuple(witnesses))

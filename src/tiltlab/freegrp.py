@@ -39,19 +39,29 @@ class FreeWord:
             if i and self.letters[i - 1][0] == sym and self.letters[i - 1][1] == -e:
                 raise ValueError("word is not reduced")
 
+    @classmethod
+    def _of(cls, letters: tuple[tuple[str, int], ...]) -> "FreeWord":
+        """Wrap ``letters`` without checking them.  The caller guarantees
+        a reduced tuple of ``(generator, +-1)`` letters."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self):
         return len(self.letters)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         # both factors are reduced, so letters cancel at the junction only
+        # and what is left is reduced
         a, b = self.letters, other.letters
         i, n = 0, min(len(a), len(b))
         while i < n and a[-1 - i][0] == b[i][0] and a[-1 - i][1] == -b[i][1]:
             i += 1
-        return FreeWord(a[:len(a) - i] + b[i:])
+        return FreeWord._of(a[:len(a) - i] + b[i:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((sym, -e) for sym, e in reversed(self.letters)))
+        # the reversed inverse letters of a reduced word are reduced
+        return FreeWord._of(tuple((sym, -e) for sym, e in reversed(self.letters)))
 
     def __str__(self):
         if not self.letters:

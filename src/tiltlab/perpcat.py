@@ -33,7 +33,7 @@ from .errors import NotBound
 from .exactlin import Matrix
 from .quiverrep import (
     QuiverRep,
-    ext1_dim,
+    _presented_hom_ext_dims,
     hom_dim,
     hom_system,
     presentation_tensor_matrix,
@@ -92,7 +92,13 @@ def perp_conditions(M: QuiverRep, U: QuiverRep) -> PerpReport:
 def is_divisible(M: QuiverRep, U) -> bool:
     """``Ext^1(member, M) = 0`` for every member (membership in the
     divisibility class of the set)."""
-    return all(ext1_dim(u, M) == 0 for u in bound_members(U))
+    return _is_divisible(M, map(proj_presentation, bound_members(U)))
+
+
+def _is_divisible(M: QuiverRep, presentations) -> bool:
+    """:func:`is_divisible` on the presentations of the members, so a
+    caller testing many modules presents each member once."""
+    return all(_presented_hom_ext_dims(pres, M)[1] == 0 for pres in presentations)
 
 
 def transpose_duality_check(U: QuiverRep, X: QuiverRep) -> tuple[int, int]:
@@ -108,8 +114,10 @@ def class_compare(U1, U2, testset) -> QuiverRep | None:
     """Compare divisibility classes on a list of test modules: ``None``
     when membership agrees everywhere, otherwise the first separating
     module."""
+    pres1 = [proj_presentation(u) for u in bound_members(U1)]
+    pres2 = [proj_presentation(u) for u in bound_members(U2)]
     for M in testset:
-        if is_divisible(M, U1) != is_divisible(M, U2):
+        if _is_divisible(M, pres1) != _is_divisible(M, pres2):
             return M
     return None
 
@@ -119,11 +127,11 @@ def divisible_radical(M: QuiverRep, U) -> tuple[QuiverRep, list[Matrix]]:
     of ``U`` (the class is closed under images, sums and extensions, so the
     sum of all such subrepresentations is again one).  Exhaustive over the
     submodule lattice at desk scale."""
-    members = bound_members(U)
+    presentations = [proj_presentation(u) for u in bound_members(U)]
     cols: list[list[list]] = [[] for _ in range(M.quiver.nvertices)]
     for bases in all_submodules(M):
         sub, _ = subrep(M, bases)
-        if is_divisible(sub, members):
+        if _is_divisible(sub, presentations):
             for v in range(M.quiver.nvertices):
                 cols[v].extend(bases[v].columns())
     gens = [Matrix.from_columns(M.field, cols[v], M.dims[v]) for v in range(M.quiver.nvertices)]

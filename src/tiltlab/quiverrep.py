@@ -423,16 +423,19 @@ def extend_generators(ps: ProjSum, target: QuiverRep, gen_images: list[list]) ->
     summand ``p`` to ``gen_images[p]``, a vector of canonical scalars (as
     :meth:`Matrix._of` takes them) in the target's component at that
     summand's vertex.  Paths come shortest first, so each path label's
-    image is one arrow matrix applied to the image of its prefix."""
+    image is one arrow matrix applied to the image of its prefix; the
+    images stay canonical, so no entry is coerced again."""
     if target.quiver != ps.quiver or target.field != ps.field:
         raise QuiverMismatch("target lives over a different quiver or field")
+    dot = ps.field.dot
     images = {}
     for p, start in enumerate(ps.summands):
         if len(gen_images[p]) != target.dims[start]:
             raise ValueError(f"generator {p}: image of length {len(gen_images[p])}, expected {target.dims[start]}")
         images[p, ()] = gen_images[p]
         for path in _paths_by_source(ps.quiver)[start][1:]:  # the empty path comes first
-            images[p, path] = target.maps[path[-1]].apply(images[p, path[:-1]])
+            prefix = images[p, path[:-1]]
+            images[p, path] = [dot(row, prefix) for row in target.maps[path[-1]].rows]
     maps = [Matrix._of(ps.field, [images[label] for label in ps.basis[v]], target.dims[v]).transpose()
             for v in range(ps.quiver.nvertices)]
     return RepMap(ps.rep, target, maps)
@@ -596,8 +599,14 @@ def hom_ext_dims(M: QuiverRep, N: QuiverRep) -> tuple[int, int]:
     ``Hom(M, N) = D(M (x) DN)`` and ``Ext^1(M, N) = D Tor_1(M, DN)``, so
     they are the cokernel and the kernel of ``P (x) DN -> Q (x) DN``, the
     dual of ``Hom(Q, N) -> Hom(P, N)``."""
-    _require_parallel(M, N)
-    psi = presentation_tensor_matrix(proj_presentation(M), N.dual())
+    return _presented_hom_ext_dims(proj_presentation(M), N)
+
+
+def _presented_hom_ext_dims(pres: ProjPresentation, N: QuiverRep) -> tuple[int, int]:
+    """:func:`hom_ext_dims` of ``pres.module`` and ``N``, read from a
+    presentation the caller already holds."""
+    _require_parallel(pres.module, N)
+    psi = presentation_tensor_matrix(pres, N.dual())
     rank = psi.rank()
     return psi.nrows - rank, psi.ncols - rank
 

@@ -174,15 +174,19 @@ def test_c5_defect_axioms_and_filtration():
 
 
 def test_c6_dedekind_classification():
-    with criterion(6, "8 distinct classes over {2,3,5}, Ore cross-checks, 500 oracle pairs, < 5 s"):
+    with criterion(6, "8 and 64 distinct classes over {2,3,5} and {2,...,13}, Ore cross-checks, "
+                      "500 oracle pairs, < 5 s"):
         start = time.monotonic()
-        table = classify_tilting(PrimeSet.of(2, 3, 5))
-        assert table.num_classes == 8
-        assert len(table.witnesses) == 28
-        for a, b, p in table.witnesses:
-            w_in_a = is_divisible_by(FgZModule.cyclic(p), PrimeSet(table.rows[a].subset))
-            w_in_b = is_divisible_by(FgZModule.cyclic(p), PrimeSet(table.rows[b].subset))
-            assert w_in_a != w_in_b
+        for primes in ((2, 3, 5), (2, 3, 5, 7, 11, 13)):
+            table = classify_tilting(PrimeSet.of(*primes))
+            n = 2 ** len(primes)
+            assert table.num_classes == n
+            assert len(table.witnesses) == n * (n - 1) // 2
+            # each witness rechecked class by class, not through the table
+            for a, b, p in table.witnesses:
+                w_in_a = is_divisible_by(FgZModule.cyclic(p), PrimeSet(table.rows[a].subset))
+                w_in_b = is_divisible_by(FgZModule.cyclic(p), PrimeSet(table.rows[b].subset))
+                assert w_in_a != w_in_b
         rng = random.Random(3)
         for _ in range(20):
             gens = tuple(rng.randrange(1, 1000) for _ in range(rng.randrange(1, 4)))

@@ -196,6 +196,38 @@ def test_ore_set_check_can_fail(monkeypatch):
         ("ore generators [6] invert exactly the primes [2]", False)]
 
 
+def test_class_distinctness_check_can_fail(capsys, monkeypatch):
+    # a witness in both subsets, {2} and {2, 3}, separates nothing
+    classify_tilting = cli.classify_tilting
+
+    def faulty_table(universe):
+        table = classify_tilting(universe)
+        subsets = [r.subset for r in table.rows]
+        a, b = subsets.index((2,)), subsets.index((2, 3))
+        witnesses = tuple((x, y, 2) if {x, y} == {a, b} else (x, y, p) for x, y, p in table.witnesses)
+        assert witnesses != table.witnesses
+        return dedekind.TiltingClassTable(table.rows, witnesses)
+
+    monkeypatch.setattr(cli, "classify_tilting", faulty_table)
+    assert main(["dedekind"]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] all subset classes pairwise distinct" in out
+    assert '"classes": 8' in out and '"witness_pairs": 28' in out
+    assert err == ""
+
+
+def test_class_distinctness_recheck_reads_each_witness_class_by_class(monkeypatch):
+    # both classes of every pair, each (witness prime, class) decided once
+    calls = []
+    divisible = dedekind.is_divisible_by
+    monkeypatch.setattr(cli, "is_divisible_by", lambda M, P: calls.append((M, P)) or divisible(M, P))
+    report = run_dedekind_classify()
+    assert report.checks[0].passed
+    table = dedekind.classify_tilting(dedekind.PrimeSet.of(2, 3, 5))
+    read = {(p, table.rows[i].subset) for a, b, p in table.witnesses for i in (a, b)}
+    assert sorted((M.invariant_factors[0], P.primes) for M, P in calls) == sorted(read)
+
+
 def test_ore_line_factors_each_generator_once(monkeypatch):
     factored = []
     factor = dedekind._prime_factors

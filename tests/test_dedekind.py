@@ -187,8 +187,8 @@ def test_classify_tilting_two_primes():
 
 
 def test_classify_tilting_builds_each_prime_set_once(monkeypatch):
-    """One ``PrimeSet`` per subset of the universe (64) plus the universe
-    itself, not two per pair of subsets."""
+    """One ``PrimeSet`` per prime of the universe (6) plus the universe
+    itself, not one per subset."""
     calls = []
     validate = PrimeSet.__post_init__
 
@@ -199,12 +199,12 @@ def test_classify_tilting_builds_each_prime_set_once(monkeypatch):
     monkeypatch.setattr(PrimeSet, "__post_init__", counting)
     table = classify_tilting(PrimeSet.of(2, 3, 5, 7, 11, 13))
     assert table.num_classes == 64 and len(table.witnesses) == 64 * 63 // 2
-    assert len(calls) <= 65
+    assert len(calls) <= 6 + 1
 
 
 def test_classify_tilting_decides_each_membership_once(monkeypatch):
-    """One ``is_divisible_by`` call per class and prime (64 * 6), not two
-    per pair of classes (4,032)."""
+    """One ``is_divisible_by`` call per pair of primes (6 * 6), not one per
+    class and prime (384)."""
     calls = []
 
     def counting(M, P):
@@ -214,7 +214,27 @@ def test_classify_tilting_decides_each_membership_once(monkeypatch):
     monkeypatch.setattr(dedekind, "is_divisible_by", counting)
     table = classify_tilting(PrimeSet.of(2, 3, 5, 7, 11, 13))
     assert table.num_classes == 64 and len(table.witnesses) == 64 * 63 // 2
-    assert len(calls) <= 64 * 6
+    assert len(calls) == 6 * 6
+
+
+UNIVERSE = (2, 3, 5, 7, 11, 13)
+
+
+@pytest.mark.parametrize("q, p", [(q, p) for q in UNIVERSE for p in UNIVERSE if q != p])
+def test_classify_tilting_cross_checks_every_table_entry(monkeypatch, q, p):
+    """A homological side that wrongly finds ``Ext^1(Z/q, Z/p) != 0`` for
+    one pair of distinct primes disagrees with ``Z/p = q Z/p``, and the
+    classification refuses to build its table."""
+    true_ext1 = dedekind.ext1
+
+    def faulty(M, N):
+        if M == FgZModule.cyclic(q) and N == FgZModule.cyclic(p):
+            return FgZModule.cyclic(q)
+        return true_ext1(M, N)
+
+    monkeypatch.setattr(dedekind, "ext1", faulty)
+    with pytest.raises(AssertionError, match="divisibility characterizations disagree"):
+        classify_tilting(PrimeSet.of(*UNIVERSE))
 
 
 def test_classify_tilting_empty_universe():

@@ -279,9 +279,14 @@ reduced_words = st.lists(st.tuples(st.sampled_from(AB), st.sampled_from([1, -1])
 @settings(max_examples=200, deadline=None)
 @given(reduced_words, reduced_words)
 def test_word_product_cancels_like_full_reduction(a, b):
+    # products and inverses skip the reducedness check; they must equal,
+    # and hash like, the validated words, full cancellation included
     u, v = FreeWord(a), FreeWord(b)
-    assert u * v == FreeWord(reduce_letters(a + b))
-    assert u * u.inverse() == FreeWord(()) == u.inverse() * u
+    for got, want in ((u * v, FreeWord(reduce_letters(a + b))),
+                      (u.inverse(), FreeWord(tuple((sym, -e) for sym, e in reversed(a)))),
+                      (u * u.inverse(), FreeWord(())),
+                      (u.inverse() * u, FreeWord(()))):
+        assert got == want and hash(got) == hash(want)
 
 
 def test_xdiv_module_rejects_singular_action():

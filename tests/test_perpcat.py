@@ -6,6 +6,7 @@ from conftest import random_basis_change
 from tiltlab import perpcat
 from tiltlab.artheory import (
     BoundSet,
+    all_submodules,
     build_extension,
     is_isomorphic,
     tau,
@@ -23,6 +24,7 @@ from tiltlab.perpcat import (
 from tiltlab.quiverrep import (
     QuiverRep,
     affine_a3_cycle,
+    direct_sum,
     hom_dim,
     injective,
     kronecker,
@@ -160,6 +162,24 @@ def test_class_compare_same_set_after_full_period():
     rotated = BoundSet((tau(tau(tau(s))), tau_s, tau_minus_s))
     testset = [s, tau_s, tau_minus_s, injective(A3, F5, 0), projective(A3, F5, 3)]
     assert class_compare(triple, rotated, testset) is None
+
+
+def test_each_member_is_presented_once_per_call(monkeypatch):
+    """``divisible_radical`` and ``class_compare`` present each member of
+    the set once, however many submodules or test modules they check."""
+    calls = []
+    present = perpcat.proj_presentation
+    monkeypatch.setattr(perpcat, "proj_presentation", lambda u: calls.append(u) or present(u))
+    s, tau_s, tau_minus_s, layer2, tau_layer2 = tube_pair_modules()
+    triple = BoundSet((s, tau_s, tau_minus_s))
+    M = direct_sum(layer2, s)
+    divisible_radical(M, triple)
+    assert len(calls) == 3
+    assert sum(1 for _ in all_submodules(M)) > 3
+    calls.clear()
+    testset = [s, tau_s, tau_minus_s, layer2, tau_layer2]
+    assert is_isomorphic(class_compare(BoundSet((layer2, tau_layer2)), triple, testset), s)
+    assert len(calls) == 2 + 3
 
 
 def test_divisible_radical_quotient_has_no_radical():

@@ -193,6 +193,26 @@ def padded_presentation(pres: ProjPresentation, vertex: int) -> ProjPresentation
     return ProjPresentation(P2, Q2, alpha2, pres.module, proj2)
 
 
+def test_extend_generators_coerces_no_path_image(monkeypatch):
+    """The image of each path label is read from the canonical image of its
+    prefix, so rebuilding a cover coerces no entry and gives its maps."""
+    from tiltlab.quiverrep import extend_generators, generator_images
+
+    rng = random.Random(12)
+    coerced = []
+    coerce = PrimeField.coerce
+    for q in (KRON, A3):
+        for _ in range(10):
+            M = random_rep(q, F5, rng, dim_cap=3)
+            pres = proj_presentation(M)
+            gens = generator_images(pres.Q, pres.projection)
+            monkeypatch.setattr(PrimeField, "coerce", lambda self, x: coerced.append(x) or coerce(self, x))
+            rebuilt = extend_generators(pres.Q, M, gens)
+            monkeypatch.setattr(PrimeField, "coerce", coerce)
+            assert rebuilt.maps == pres.projection.maps
+    assert coerced == []
+
+
 def test_ext_independent_of_presentation():
     rng = random.Random(7)
     count = 0
