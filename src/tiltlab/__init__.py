@@ -1,21 +1,7 @@
 """tiltlab: finite-scale verification of tilting-class and localization
-arithmetic over quiver algebras, the integers, and free group algebras."""
+arithmetic over quiver algebras, the integers, and free group algebras.
+
+Importing the package loads no submodule; import names from the modules
+that define them (``tiltlab.exactlin``, ``tiltlab.quiverrep``, ...)."""
 
 __version__ = "0.1.0"
-
-from .exactlin import IntMatrix, Matrix, PrimeField, QQ, snf
-from .quiverrep import Quiver, QuiverRep, RepMap, affine_a3_cycle, kronecker
-
-__all__ = [
-    "IntMatrix",
-    "Matrix",
-    "PrimeField",
-    "QQ",
-    "snf",
-    "Quiver",
-    "QuiverRep",
-    "RepMap",
-    "affine_a3_cycle",
-    "kronecker",
-    "__version__",
-]

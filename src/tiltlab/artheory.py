@@ -460,7 +460,7 @@ def _all_subspaces(field: PrimeField, dim: int):
                     rows[i][pc] = 1
                 for (i, j), val in zip(free_positions, values):
                     rows[i][j] = val
-                yield Matrix(field, rows, dim).transpose()
+                yield Matrix._of(field, rows, dim).transpose()
 
 
 def all_submodules(M: QuiverRep):
@@ -468,9 +468,10 @@ def all_submodules(M: QuiverRep):
     (including zero and ``M``), each once.  Vertices are taken in
     topological order; the subspace at ``v`` is the span ``R`` of the images
     along the arrows into ``v`` plus a subspace of a complement of ``R``, so
-    every choice extends to a submodule.  Raises
-    :class:`SearchBudgetExceeded` once more than :data:`SEARCH_BUDGET`
-    subspaces have been chosen."""
+    every choice extends to a submodule.  The subspaces of each complement
+    dimension are enumerated once per call, as far as the search reads them.
+    Raises :class:`SearchBudgetExceeded` once more than
+    :data:`SEARCH_BUDGET` subspaces have been chosen."""
     field = M.field
     if not isinstance(field, PrimeField):
         raise SearchBudgetExceeded("exhaustive submodule search requires a finite field")
@@ -478,6 +479,21 @@ def all_submodules(M: QuiverRep):
     order = q.topological_order()
     bases = [None] * q.nvertices
     choices = 0
+    enumerated = {}  # dim -> (the subspaces of field^dim listed so far, the enumeration)
+
+    def subspaces(dim: int):
+        # read by position: a nested read of the same dimension may extend
+        # the list while this one is paused
+        if dim not in enumerated:
+            enumerated[dim] = ([], _all_subspaces(field, dim))
+        listed, rest = enumerated[dim]
+        for i in itertools.count():
+            if i == len(listed):
+                T = next(rest, None)
+                if T is None:
+                    return
+                listed.append(T)
+            yield listed[i]
 
     def extend(i: int):
         nonlocal choices
@@ -489,7 +505,7 @@ def all_submodules(M: QuiverRep):
         for k in q.arrows_into(v):
             images = images.hstack(M.maps[k] @ bases[q.arrows[k].source])
         R = images.span()
-        for T in _all_subspaces(field, R.complement.ncols):
+        for T in subspaces(R.complement.ncols):
             choices += 1
             if choices > SEARCH_BUDGET:
                 raise SearchBudgetExceeded(f"submodule search exceeds budget of {SEARCH_BUDGET} subspace choices")

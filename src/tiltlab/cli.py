@@ -14,55 +14,23 @@ import os
 import random
 import sys
 
-from .artheory import (
-    BoundSet,
-    build_extension,
-    defect,
-    defect_function,
-    is_isomorphic,
-    tube_catalog,
-    u_filtration,
-)
-from .dedekind import (
-    FgZModule,
-    OreSet,
-    PrimeSet,
-    classify,
-    classify_tilting,
-    is_divisible_by,
-    u_set_of_ore,
-    universal_localization_eq,
-)
 from .errors import ParseError, TiltlabError, UnsupportedFamily
-from .exactlin import PrimeField
-from .freegrp import (
-    FreeWord,
-    envelope_value,
-    flatness_witness,
-    parse_reduce,
-    random_xdiv_module,
-    reduce_letters,
-    word,
-)
-from .parsefmt import parse_input
-from .perpcat import class_compare, is_divisible, perp_conditions
-from .quiverrep import (
-    ext1_dim,
-    euler_form,
-    hom_dim,
-    hom_ext_dims,
-    injective,
-    projective,
-    random_rep,
-    socle,
-)
 from .report import Report
+
+# each scenario imports the library modules it runs in its own body, so a
+# command loads only those
 
 
 def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0) -> Report:
     """Reproduce the separation of the two divisibility classes attached
     to a rank-three tube: the length-two layers (and their translates)
     admit the socle simple in their class, the three simples do not."""
+    from .artheory import (
+        BoundSet, build_extension, defect, defect_function, is_isomorphic, tube_catalog, u_filtration)
+    from .exactlin import PrimeField
+    from .perpcat import class_compare, is_divisible
+    from .quiverrep import ext1_dim, injective, projective, socle
+
     report = Report("tube_demo", {"family": family, "field": field_char, "seed": seed})
     field = PrimeField(field_char)
     catalog = tube_catalog(family, field)
@@ -140,6 +108,9 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0) -> Re
 def run_dedekind_classify(primes=(2, 3, 5), ore_sets=(), random_ore: int = 0, seed: int = 0) -> Report:
     """Enumerate divisibility classes over a prime universe and cross-check
     multiplicative sets against their prime supports."""
+    from .dedekind import (
+        FgZModule, OreSet, PrimeSet, classify_tilting, is_divisible_by, u_set_of_ore, universal_localization_eq)
+
     universe = PrimeSet.of(*(int(p) for p in primes))
     report = Report(
         "dedekind_classify",
@@ -185,6 +156,10 @@ def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
                       trials: int = 100, words=(), dim: int = 2) -> Report:
     """Exercise the inductive extension of a vector along reduced words on
     a module with invertible generator actions."""
+    from .exactlin import PrimeField
+    from .freegrp import (
+        FreeWord, envelope_value, flatness_witness, parse_reduce, random_xdiv_module, reduce_letters, word)
+
     report = Report(
         "free_envelope",
         {"alphabet": list(alphabet), "field": field_char, "seed": seed,
@@ -254,6 +229,11 @@ def run_perp_check(family: str = "kronecker", field_char: int = 5, trials: int =
     """Sample modules against bound modules and confirm that the three
     perpendicular-membership conditions agree, together with the
     bilinear-form identity for morphism and extension dimensions."""
+    from .artheory import build_extension, tube_catalog
+    from .exactlin import PrimeField
+    from .perpcat import perp_conditions
+    from .quiverrep import euler_form, hom_dim, hom_ext_dims, random_rep
+
     report = Report(
         "perp_check",
         {"family": family, "field": field_char, "trials": trials, "seed": seed, "dim_cap": dim_cap},
@@ -301,6 +281,11 @@ def run_perp_check(family: str = "kronecker", field_char: int = 5, trials: int =
 
 def run_custom(path: str, seed: int = 0) -> Report:
     """Parse a fixture file and validate everything in it."""
+    from .dedekind import classify
+    from .freegrp import reduce_letters
+    from .parsefmt import parse_input
+    from .quiverrep import euler_form, hom_dim, hom_ext_dims
+
     parsed = parse_input(path)
     report = Report("custom", {
         "path": path,

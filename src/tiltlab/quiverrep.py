@@ -256,9 +256,6 @@ class RepMap:
     def is_injective(self) -> bool:
         return all(m.rank() == m.ncols for m in self.maps)
 
-    def is_surjective(self) -> bool:
-        return all(m.rank() == m.nrows for m in self.maps)
-
     def __repr__(self):
         return f"RepMap({self.source.dims} -> {self.target.dims})"
 
@@ -486,9 +483,10 @@ def proj_presentation(M: QuiverRep) -> ProjPresentation:
     verts, gens = _top(M, [Matrix.identity(field, d) for d in M.dims])
     Qs = proj_sum(q, field, verts)
     projection = extend_generators(Qs, M, gens)
-    if not projection.is_surjective():
-        raise AssertionError("projective cover failed to be surjective")
     kernel = [m.kernel_basis() for m in projection.maps]
+    # rank = ncols - nullity, so the kernel bases show surjectivity too
+    if any(m.ncols - K.ncols != m.nrows for m, K in zip(projection.maps, kernel)):
+        raise AssertionError("projective cover failed to be surjective")
     kverts, kgens = _top(Qs.rep, kernel)
     Ps = proj_sum(q, field, kverts)
     if Ps.rep.dims != tuple(B.ncols for B in kernel):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,9 +57,13 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json  # imported where a report is rendered, not where it is built
+
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
+        import json
+
         lines = [f"scenario: {self.scenario}"]
         params = plain(self.params)
         lines.append("params: " + json.dumps(params, sort_keys=True))

@@ -615,6 +615,21 @@ def test_all_submodules_work_is_output_sensitive(monkeypatch):
     assert calls <= 4 * len(subs)
 
 
+def test_all_submodules_enumerates_each_dimension_once_per_call(monkeypatch):
+    # the search reads complement dimensions many times over, but lists the
+    # subspaces of each once; a second call lists them afresh
+    dims = []
+    subspaces = artheory._all_subspaces
+    monkeypatch.setattr(artheory, "_all_subspaces", lambda field, d: dims.append(d) or subspaces(field, d))
+    M = _kronecker_4x4_gf3()
+    assert len(list(all_submodules(M))) == 698
+    assert len(dims) == len(set(dims)) > 1
+    first = sorted(dims)
+    dims.clear()
+    assert len(list(all_submodules(M))) == 698
+    assert sorted(dims) == first
+
+
 def test_all_submodules_stops_at_the_search_budget(monkeypatch):
     monkeypatch.setattr(artheory, "SEARCH_BUDGET", 50)
     with pytest.raises(SearchBudgetExceeded):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tiltlab import cli, dedekind
+from tiltlab import artheory, dedekind
 from tiltlab.cli import (
     main,
     run_dedekind_classify,
@@ -151,8 +151,10 @@ def test_cli_custom_fixture(capsys):
 
 
 def test_custom_zmod_check_can_fail(capsys, monkeypatch):
-    # a classification that disagrees with the parsed module must FAIL
-    monkeypatch.setattr(cli, "classify", lambda presentation: FgZModule.zero())
+    # a classification that disagrees with the parsed module must FAIL: a
+    # presentation without its relation columns presents a free module
+    monkeypatch.setattr(FgZModule, "presentation",
+                        lambda self: dedekind._diagonal(self.free_rank + len(self.invariant_factors), ()))
     assert main(["custom", fixture("kronecker.txt")]) == 1
     assert "[FAIL] zmod Z + Z/2 + Z/6 is in canonical form" in capsys.readouterr().out
 
@@ -198,7 +200,7 @@ def test_ore_set_check_can_fail(monkeypatch):
 
 def test_class_distinctness_check_can_fail(capsys, monkeypatch):
     # a witness in both subsets, {2} and {2, 3}, separates nothing
-    classify_tilting = cli.classify_tilting
+    classify_tilting = dedekind.classify_tilting
 
     def faulty_table(universe):
         table = classify_tilting(universe)
@@ -208,7 +210,7 @@ def test_class_distinctness_check_can_fail(capsys, monkeypatch):
         assert witnesses != table.witnesses
         return dedekind.TiltingClassTable(table.rows, witnesses)
 
-    monkeypatch.setattr(cli, "classify_tilting", faulty_table)
+    monkeypatch.setattr(dedekind, "classify_tilting", faulty_table)
     assert main(["dedekind"]) == 1
     out, err = capsys.readouterr()
     assert "[FAIL] all subset classes pairwise distinct" in out
@@ -217,13 +219,15 @@ def test_class_distinctness_check_can_fail(capsys, monkeypatch):
 
 
 def test_class_distinctness_recheck_reads_each_witness_class_by_class(monkeypatch):
-    # both classes of every pair, each (witness prime, class) decided once
+    # both classes of every pair, each (witness prime, class) decided once;
+    # the table is built before the count starts, so only the recheck counts
+    table = dedekind.classify_tilting(dedekind.PrimeSet.of(2, 3, 5))
+    monkeypatch.setattr(dedekind, "classify_tilting", lambda universe: table)
     calls = []
     divisible = dedekind.is_divisible_by
-    monkeypatch.setattr(cli, "is_divisible_by", lambda M, P: calls.append((M, P)) or divisible(M, P))
+    monkeypatch.setattr(dedekind, "is_divisible_by", lambda M, P: calls.append((M, P)) or divisible(M, P))
     report = run_dedekind_classify()
     assert report.checks[0].passed
-    table = dedekind.classify_tilting(dedekind.PrimeSet.of(2, 3, 5))
     read = {(p, table.rows[i].subset) for a, b, p in table.witnesses for i in (a, b)}
     assert sorted((M.invariant_factors[0], P.primes) for M, P in calls) == sorted(read)
 
@@ -240,7 +244,7 @@ def test_ore_line_factors_each_generator_once(monkeypatch):
 
 def test_tube_defect_check_can_fail(monkeypatch):
     # a defect that vanishes on every module must fail on the projectives
-    monkeypatch.setattr(cli, "defect", lambda df, d: 0)
+    monkeypatch.setattr(artheory, "defect", lambda df, d: 0)
     report = run_tube_demo()
     assert [c.name for c in report.checks if not c.passed] == ["tube members have zero defect"]
 
@@ -249,7 +253,7 @@ def test_internal_check_failure_exits_cleanly(capsys, monkeypatch):
     def broken_catalog(family, field):
         raise AssertionError("rank-3 tube did not close up")
 
-    monkeypatch.setattr(cli, "tube_catalog", broken_catalog)
+    monkeypatch.setattr(artheory, "tube_catalog", broken_catalog)
     assert main(["tube-demo"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("tiltlab: internal check failed: rank-3 tube did not close up at test_cli.py:")
@@ -291,6 +295,42 @@ def sympy_loaded_after(*argvs, work="", then):
         f"{then}\n"
         "print(json.dumps([codes, factored, loaded, 'sympy' in sys.modules]))\n"
     )
+
+
+# the tiltlab modules that each subcommand loads besides cli, errors and report
+MODULES_RUN = {
+    "tube-demo": ("artheory", "exactlin", "perpcat", "quiverrep"),
+    "dedekind": ("dedekind", "exactlin"),
+    "free-envelope": ("exactlin", "freegrp"),
+    "perp-check": ("artheory", "exactlin", "perpcat", "quiverrep"),
+    "custom": ("dedekind", "exactlin", "freegrp", "parsefmt", "quiverrep"),
+}
+
+
+def tiltlab_modules_after(statements):
+    """The ``tiltlab.*`` modules loaded once ``statements`` have run in a
+    fresh interpreter, which has set ``code`` to the exit code if any."""
+    return run_python(
+        "import contextlib, io, json, sys\n"
+        "code = None\n"
+        f"{statements}\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('tiltlab.'))]))\n"
+    )
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
+def test_each_subcommand_loads_only_the_modules_it_runs(command):
+    code, loaded = tiltlab_modules_after(
+        "from tiltlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({[command, *GOLDEN_ARGS[command]]!r})"
+    )
+    assert code == 0
+    assert loaded == sorted(f"tiltlab.{m}" for m in ("cli", "errors", "report", *MODULES_RUN[command]))
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert tiltlab_modules_after("import tiltlab") == [None, []]
 
 
 # the control: factoring a minimal polynomial over QQ does load sympy, so the
