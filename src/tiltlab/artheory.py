@@ -516,25 +516,38 @@ def all_submodules(M: QuiverRep):
 
 
 def is_simple_regular(M: QuiverRep, df: DefectFunction) -> bool:
-    """Regular, indecomposable, and without a proper nonzero regular
-    subrepresentation (checked by exhaustive submodule search)."""
-    if M.is_zero():
+    """Regular with no proper nonzero regular subrepresentation, read off
+    dimension vectors: ``M`` has defect zero and every proper nonzero
+    submodule has positive defect (exhaustive submodule search).
+
+    Preprojective indecomposables have positive defect, preinjective ones
+    negative and regular ones zero, and no preinjective module maps to a
+    regular one; so the proper submodules of a simple regular module are
+    preprojective.  Any other ``M`` of defect zero has a proper submodule
+    of defect at most zero: a preinjective summand, the complement of a
+    preprojective summand, one summand of a decomposable regular ``M``, or
+    a proper regular submodule.
+
+    Where the search cannot run (above :data:`DIM_CAP`, over a field that
+    is not prime, or past :data:`SEARCH_BUDGET`), only a splitting can
+    refute: a decomposable ``M`` gives ``False``, and otherwise
+    :class:`SearchBudgetExceeded` propagates."""
+    n = M.total_dim()
+    if n == 0 or defect(df, M.dims) != 0:
         return False
-    parts = decompose(M)
-    if len(parts) != 1 or parts[0][1] != 1:
-        return False
-    if defect(df, M.dims) != 0:
-        return False
-    if M.total_dim() > DIM_CAP:
-        raise SearchBudgetExceeded(f"module dimension {M.total_dim()} exceeds cap {DIM_CAP}")
-    for bases in all_submodules(M):
-        sdims = tuple(B.ncols for B in bases)
-        if sum(sdims) in (0, M.total_dim()):
-            continue
-        sub, _ = subrep(M, bases)
-        if is_regular(sub, df):
+    try:
+        if n > DIM_CAP:
+            raise SearchBudgetExceeded(f"module dimension {n} exceeds cap {DIM_CAP}")
+        for bases in all_submodules(M):
+            dims = [B.ncols for B in bases]
+            if 0 < sum(dims) < n and defect(df, dims) <= 0:
+                return False
+        return True
+    except SearchBudgetExceeded:
+        parts = decompose(M)
+        if len(parts) != 1 or parts[0][1] != 1:
             return False
-    return True
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +594,6 @@ class BoundSet:
             if not is_bound(U):
                 raise NotBound(f"member {i} is not a bound module")
 
-    def __len__(self):
-        return len(self.members)
-
 
 def bound_members(U) -> tuple[QuiverRep, ...]:
     """The modules of a :class:`BoundSet`, a single module or an iterable
@@ -621,9 +631,11 @@ class Filtration:
 def u_filtration(N: QuiverRep, members) -> Filtration | None:
     """Search for a finite chain of submodules of ``N`` whose successive
     factors are isomorphic to the given bound modules; ``None`` when the
-    exhaustive search finds no chain.  ``N`` may have total dimension at
-    most :data:`DIM_CAP`, and every submodule search stops at
-    :data:`SEARCH_BUDGET`."""
+    exhaustive search finds no chain.  Each nonzero submodule isomorphic to
+    a member is taken as the bottom layer as the enumeration yields it, and
+    the search recurses on the quotient, so it ends at the first chain
+    found.  ``N`` may have total dimension at most :data:`DIM_CAP`, and
+    every submodule search stops at :data:`SEARCH_BUDGET`."""
     members = bound_members(members)
     if N.total_dim() > DIM_CAP:
         raise SearchBudgetExceeded(f"module dimension {N.total_dim()} exceeds cap {DIM_CAP}")
@@ -632,27 +644,19 @@ def u_filtration(N: QuiverRep, members) -> Filtration | None:
         """Returns (list of sub-bases-in-X chains bottom-up, factor list)."""
         if X.is_zero():
             return [], []
-        candidates = []
         for bases in all_submodules(X):
             sdims = tuple(B.ncols for B in bases)
             if sum(sdims) == 0:
                 continue
-            for idx, U in enumerate(members):
-                if sdims == U.dims:
-                    sub, _ = subrep(X, bases)
-                    if is_isomorphic(sub, U):
-                        candidates.append((idx, bases))
-                        break
-        for idx, bases in candidates:
+            idx = next((i for i, U in enumerate(members)
+                        if sdims == U.dims and is_isomorphic(subrep(X, bases)[0], U)), None)
+            if idx is None:
+                continue
             quo, proj = quotient_by(X, bases)
             rest = search(quo)
-            if rest is None:
-                continue
-            rest_chains, rest_factors = rest
-            lifted = []
-            for chain_bases in rest_chains:
-                lifted.append(_preimage_bases(proj, chain_bases))
-            return [bases] + lifted, [idx] + rest_factors
+            if rest is not None:
+                rest_chains, rest_factors = rest
+                return [bases] + [_preimage_bases(proj, c) for c in rest_chains], [idx] + rest_factors
         return None
 
     found = search(N)
@@ -694,7 +698,10 @@ class TubeCatalog:
 def tube_catalog(family: str, field: PrimeField) -> TubeCatalog:
     """Closed-form simple regular representations for the supported
     families (``kronecker`` and ``a31``); members are verified to have
-    defect zero and trivial endomorphisms at construction."""
+    defect zero and trivial endomorphisms at construction.  The a31
+    catalog is the rank-3 tube through the simple at vertex 2, then the
+    homogeneous members ``a1 = a2 = a3 = 1, b = lam`` for each ``lam`` in
+    the field, each checked to be fixed by ``tau``."""
     if not isinstance(field, PrimeField):
         raise UnsupportedFamily("tube catalogs are enumerated over finite fields")
     if family == "kronecker":
@@ -712,20 +719,12 @@ def tube_catalog(family: str, field: PrimeField) -> TubeCatalog:
         if not is_isomorphic(tau(third), first):
             raise AssertionError("rank-3 tube did not close up")
         tubes = [trio]
-        homogeneous = []
-        candidates = [
-            QuiverRep.from_entries(q, field, (1, 1, 1, 1), {"a1": [[1]], "a2": [[1]], "a3": [[1]], "b": [[lam]]})
-            for lam in range(field.p)
-        ]
-        candidates.append(
-            QuiverRep.from_entries(q, field, (1, 1, 1, 1), {"a1": [[1]], "a2": [[1]], "a3": [[0]], "b": [[1]]})
-        )
-        for cand in candidates:
-            if is_isomorphic(tau(cand), cand):
-                homogeneous.append((cand,))
-        if len(homogeneous) != len(candidates) - 1:
-            raise AssertionError("expected exactly one exceptional parameter value")
-        tubes.extend(homogeneous)
+        for lam in range(field.p):
+            entries = {"a1": [[1]], "a2": [[1]], "a3": [[1]], "b": [[lam]]}
+            member = QuiverRep.from_entries(q, field, (1, 1, 1, 1), entries)
+            if not is_isomorphic(tau(member), member):
+                raise AssertionError("homogeneous tube member is not fixed by tau")
+            tubes.append((member,))
     else:
         raise UnsupportedFamily(f"no tube catalog for family {family!r}")
 

@@ -142,13 +142,6 @@ class GroupAlgElem:
     def __neg__(self) -> "GroupAlgElem":
         return GroupAlgElem(self.field, {w: self.field.neg(c) for w, c in self.terms.items()})
 
-    def __sub__(self, other: "GroupAlgElem") -> "GroupAlgElem":
-        return self + (-other)
-
-    def scale(self, c) -> "GroupAlgElem":
-        c = self.field.coerce(c)
-        return GroupAlgElem(self.field, {w: self.field.mul(c, x) for w, x in self.terms.items()})
-
     def __mul__(self, other: "GroupAlgElem") -> "GroupAlgElem":
         out: dict[FreeWord, object] = {}
         f = self.field

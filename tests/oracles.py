@@ -9,16 +9,21 @@ but not ``snf`` itself.  ``invariant_factors`` is the reference for
 with ``snf``.  The greedy basis completion is the reference for
 ``Matrix.span``'s complement, the brute-force submodule search the
 reference for ``all_submodules``, the plain Gauss-Jordan elimination the
-reference for ``Matrix.rref`` and ``Matrix.inverse``, and the
-power-by-power solve the reference for ``artheory._min_poly``."""
+reference for ``Matrix.rref`` and ``Matrix.inverse``, the
+power-by-power solve the reference for ``artheory._min_poly``, and the
+decompose-then-search route the reference for
+``artheory.is_simple_regular``."""
 
 import itertools
 import math
 from fractions import Fraction
 
-from tiltlab.artheory import _all_subspaces
+from tiltlab import artheory
+from tiltlab.artheory import _all_subspaces, all_submodules, decompose, defect, is_regular
 from tiltlab.dedekind import FgZModule, classify, from_pieces
+from tiltlab.errors import SearchBudgetExceeded
 from tiltlab.exactlin import IntMatrix, Matrix, snf
+from tiltlab.quiverrep import subrep
 
 
 def _int_kernel(A: IntMatrix) -> IntMatrix:
@@ -224,3 +229,24 @@ def min_poly_reference(f, p=None) -> list:
     neg = (lambda x: -x % p) if p is not None else (lambda x: -x)
     one = 1 if p is not None else Fraction(1)
     return [neg(R[i][d]) for i in range(d)] + [one]
+
+
+def simple_regular_reference(M, df) -> bool:
+    """Simple regularity by certified decomposition: ``M`` is one
+    indecomposable of defect zero, and no proper nonzero submodule found by
+    the exhaustive search is regular, each decided by decomposing it.
+    Raises :class:`SearchBudgetExceeded` above ``artheory.DIM_CAP``, read
+    at call time."""
+    if M.is_zero():
+        return False
+    parts = decompose(M)
+    if len(parts) != 1 or parts[0][1] != 1:
+        return False
+    if defect(df, M.dims) != 0:
+        return False
+    if M.total_dim() > artheory.DIM_CAP:
+        raise SearchBudgetExceeded(f"module dimension {M.total_dim()} exceeds cap {artheory.DIM_CAP}")
+    for bases in all_submodules(M):
+        if 0 < sum(B.ncols for B in bases) < M.total_dim() and is_regular(subrep(M, bases)[0], df):
+            return False
+    return True

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import identity_map, random_basis_change
 from oracles import brute_force_submodules, gauss_jordan, min_poly_reference
+from oracles import simple_regular_reference
 
 from tiltlab import artheory
 
@@ -554,6 +556,43 @@ def test_filtration_length_one():
     assert filt.validate(trio[0], (trio[0],))
 
 
+def test_filtration_stops_enumerating_at_the_first_layer(monkeypatch):
+    # is_isomorphic sees only submodules of layer2 enumerated up to the
+    # bottom layer returned; the enumeration is not advanced past it
+    trio = tube_catalog("a31", F5).tubes[0]
+    s, tminus = trio[0], trio[2]
+    layer2 = build_extension(tminus, s)
+    everything = len(list(all_submodules(layer2)))
+    yielded, seen_at_iso = [], []
+    enumerate_submodules, iso = artheory.all_submodules, artheory.is_isomorphic
+
+    def spy_submodules(X):
+        for bases in enumerate_submodules(X):
+            if X is layer2:
+                yielded.append(bases)
+            yield bases
+
+    def spy_iso(A, B):
+        seen_at_iso.append(len(yielded))
+        return iso(A, B)
+
+    monkeypatch.setattr(artheory, "all_submodules", spy_submodules)
+    monkeypatch.setattr(artheory, "is_isomorphic", spy_iso)
+    filt = u_filtration(layer2, (s, tminus))
+    assert filt.factors == [0, 1]
+    assert yielded[-1] is filt.chain[0]
+    assert len(yielded) < everything
+    assert seen_at_iso and max(seen_at_iso) == len(yielded)
+
+
+def test_filtration_skips_a_zero_member():
+    trio = tube_catalog("a31", F5).tubes[0]
+    members = (QuiverRep.zero(A3, F5), trio[0])
+    filt = u_filtration(trio[0], members)
+    assert filt is not None and filt.factors == [1]
+    assert filt.validate(trio[0], members)
+
+
 def test_filtration_impossible_dims():
     s1 = QuiverRep.simple(KRON, F5, 0)
     assert u_filtration(s1, (QuiverRep.simple(KRON, F5, 1),)) is None
@@ -644,6 +683,75 @@ def test_simple_regular_detection():
     assert not is_simple_regular(layer2, df)
 
 
+@functools.lru_cache(maxsize=None)
+def _simple_regular_pool() -> tuple:
+    """Kronecker and a31 modules of total dimension at most 8 over GF(2),
+    GF(3) and GF(5): catalog members, their non-split extensions, sums,
+    projectives, injectives, simples, random representations, and the
+    translates of some of them."""
+    rng = random.Random(26)
+    pool = []
+    for family, q in (("kronecker", KRON), ("a31", A3)):
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            members = tube_catalog(family, field).members
+            basics = [make(q, field, v) for make in (projective, injective, QuiverRep.simple) for v in range(q.nvertices)]
+            randoms = [random_rep(q, field, rng, 4 if q is KRON else 2) for _ in range(20)]
+            pool += members + basics + randoms
+            pool += [build_extension(C, A) for C in members for A in members if ext1_dim(C, A)]
+            pool += [direct_sum(rng.choice(members), rng.choice(members)) for _ in range(6)]
+            pool += [direct_sum(rng.choice(basics), rng.choice(basics)) for _ in range(6)]
+            pool += [translate(M) for M in basics + randoms[:6] for translate in (tau, tau_minus)]
+    return tuple(M for M in pool if M.total_dim() <= 8)
+
+
+def _verdict(check, M):
+    """``check``'s answer on ``M``, or the type of the exception it raised."""
+    try:
+        return check(M, defect_function(M.quiver))
+    except SearchBudgetExceeded as exc:
+        return type(exc)
+
+
+def test_is_simple_regular_matches_the_decompose_route():
+    pool = _simple_regular_pool()
+    verdicts = [_verdict(is_simple_regular, M) for M in pool]
+    assert verdicts == [_verdict(simple_regular_reference, M) for M in pool]
+    # both answers occur, and most modules of defect zero are not simple regular
+    balanced = [M for M in pool if defect(defect_function(M.quiver), M.dims) == 0]
+    assert 50 <= verdicts.count(True) < len(balanced) // 2
+
+
+def test_is_simple_regular_runs_neither_decompose_nor_subrep_below_the_cap(monkeypatch):
+    pool = _simple_regular_pool()
+    assert all(M.total_dim() <= artheory.DIM_CAP and isinstance(M.field, PrimeField) for M in pool)
+    calls = []
+    monkeypatch.setattr(artheory, "decompose", lambda M: calls.append("decompose"))
+    monkeypatch.setattr(artheory, "subrep", lambda M, bases: calls.append("subrep"))
+    for M in pool:
+        is_simple_regular(M, defect_function(M.quiver))
+    assert calls == []
+
+
+def test_is_simple_regular_decomposes_only_where_the_search_cannot_run(monkeypatch):
+    # above the cap, and past the search budget, a splitting refutes and an
+    # indecomposable module of defect zero raises, as on the decompose route
+    members = tube_catalog("kronecker", F5).members
+    split = functools.reduce(direct_sum, members + members[:1])
+    identity = [[int(j == i) for j in range(7)] for i in range(7)]
+    jordan = [[int(j == i + 1) for j in range(7)] for i in range(7)]
+    one_point = QuiverRep.from_entries(KRON, F5, (7, 7), {"a": identity, "b": jordan})
+    assert split.dims == one_point.dims == (7, 7) and 14 > artheory.DIM_CAP
+    assert len(decompose(split)) == 6 and len(decompose(one_point)) == 1
+    cases = [(split, False), (one_point, SearchBudgetExceeded)]
+    for M, expected in cases:
+        assert _verdict(is_simple_regular, M) == _verdict(simple_regular_reference, M) == expected
+    monkeypatch.setattr(artheory, "SEARCH_BUDGET", 3)
+    cases = [(direct_sum(members[0], members[1]), False), (build_extension(members[0], members[0]), SearchBudgetExceeded)]
+    for M, expected in cases:
+        assert _verdict(is_simple_regular, M) == _verdict(simple_regular_reference, M) == expected
+
+
 # -- catalogs ----------------------------------------------------------------
 
 
@@ -671,6 +779,25 @@ def test_a31_catalog():
         for v, d in enumerate(m.dims):
             total[v] += d
     assert tuple(total) == df.radical_vector
+
+
+def _a31_point(field, lam):
+    return QuiverRep.from_entries(A3, field, (1, 1, 1, 1), {"a1": [[1]], "a2": [[1]], "a3": [[1]], "b": [[lam]]})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a31_homogeneous_members_are_the_points_b_equals_lambda(p):
+    field = PrimeField(p)
+    assert tube_catalog("a31", field).tubes[1:] == tuple((_a31_point(field, lam),) for lam in range(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a31_catalog_refuses_a_member_that_tau_moves(monkeypatch, p):
+    field = PrimeField(p)
+    moved, real_tau = _a31_point(field, 1), artheory.tau
+    monkeypatch.setattr(artheory, "tau", lambda M: _a31_point(field, 2 % p) if M == moved else real_tau(M))
+    with pytest.raises(AssertionError):
+        tube_catalog("a31", field)
 
 
 def test_unsupported_family():

@@ -160,7 +160,7 @@ def test_envelope_agrees_with_monoid_action_on_positive_words():
 
 def test_envelope_linear_extension():
     m = XDivModule(F7, AB, {"x": Matrix(F7, [[2]]), "y": Matrix(F7, [[3]])})
-    elem = GroupAlgElem.of(F7, word("x")) + GroupAlgElem.of(F7, word("y", -1)).scale(2)
+    elem = GroupAlgElem.of(F7, word("x")) + GroupAlgElem.of(F7, word("y", -1), 2)
     # f(x) = 2, f(y^-1) = 3^-1 = 5; 2 + 2*5 = 12 = 5 mod 7
     assert envelope_value_alg((1,), elem, m) == (5,)
 
