@@ -330,8 +330,10 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _alphabet(text: str) -> tuple[str, ...]:
-    symbols = tuple(s for s in text.split(",") if s)
-    if not symbols or len(set(symbols)) != len(symbols):
+    from .freegrp import parse_alphabet
+
+    symbols = parse_alphabet(text)
+    if symbols is None:
         raise argparse.ArgumentTypeError(f"must list one or more distinct generators, got {text}")
     return symbols
 

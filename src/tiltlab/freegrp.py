@@ -85,6 +85,18 @@ def word(sym: str, e: int = 1) -> FreeWord:
     return FreeWord(((sym, e),))
 
 
+def parse_alphabet(text: str) -> tuple[str, ...] | None:
+    """The generators of a comma-separated list, or ``None`` unless they
+    are one or more distinct symbols that :func:`parse_reduce` can name:
+    none may contain ``^`` or whitespace."""
+    symbols = tuple(s for s in text.split(",") if s)
+    if not symbols or len(set(symbols)) != len(symbols):
+        return None
+    if any("^" in s or s.split() != [s] for s in symbols):
+        return None
+    return symbols
+
+
 def parse_reduce(text: str, alphabet) -> FreeWord:
     """Parse a whitespace-separated word (tokens ``x`` or ``x^-1``) and
     return its reduced form.  Rejects unknown symbols and reduced words

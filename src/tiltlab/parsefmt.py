@@ -6,11 +6,20 @@ Directives (whitespace separated, ``#`` starts a comment):
 * ``quiver <name>`` / ``vertices <n>`` / ``arrow <name> <src> <dst>``
   with 1-based vertex numbers,
 * ``field F <p>`` or ``field Q``,
-* ``rep <name> dim d1 ... dn`` followed by ``matrix <arrow> [[..],[..]]``
-  lines (missing arrows are zero maps),
+* ``rep <name> dim d1 ... dn``, over the open quiver block or else the
+  quiver closed last, followed by ``matrix <arrow> [[..],[..]]`` lines
+  (missing arrows are zero maps) of JSON integers, or under ``field Q``
+  also strings that ``Fraction`` reads, such as ``"1/2"``,
 * ``zmod free <r> factors d1,d2,...`` (the ``factors`` clause may be
   omitted),
-* ``alphabet x,y`` and ``word <letters>`` with tokens ``x`` or ``x^-1``.
+* ``alphabet x,y`` (no symbol may contain ``^``) and ``word <letters>``
+  with tokens ``x`` or ``x^-1``.
+
+A quiver block closes at the next ``quiver`` or ``rep`` line; a rep block
+at the next ``rep`` line or when a quiver block opened after it closes, so
+a ``matrix`` line after a new ``quiver`` header still belongs to the rep.
+Both close at the end of the file.  A block is built when it closes, a rep
+over the field in force then, and its errors name its first line.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from .dedekind import FgZModule, from_pieces
 from .errors import ParseError
 from .exactlin import Matrix, PrimeField, QQ
-from .freegrp import FreeWord, parse_reduce
+from .freegrp import FreeWord, parse_alphabet, parse_reduce
 from .quiverrep import Arrow, Quiver, QuiverRep
 
 
@@ -30,198 +39,148 @@ class ParsedInput:
     field: object | None = None
     quivers: dict[str, Quiver] = dc_field(default_factory=dict)
     reps: dict[str, QuiverRep] = dc_field(default_factory=dict)
-    rep_quiver: dict[str, str] = dc_field(default_factory=dict)
     zmods: list[FgZModule] = dc_field(default_factory=list)
     alphabet: tuple[str, ...] | None = None
     words: list[FreeWord] = dc_field(default_factory=list)
 
 
-class _Parser:
-    def __init__(self):
-        self.out = ParsedInput()
-        self.quiver_name: str | None = None
-        self.quiver_line = 0
-        self.vertex_count: int | None = None
-        self.arrows: list[Arrow] = []
-        self.rep_name: str | None = None
-        self.rep_line = 0
-        self.rep_dims: tuple[int, ...] | None = None
-        self.rep_maps: dict[str, Matrix] = {}
-
-    def fail(self, line: int, reason: str):
-        raise ParseError(line, reason)
-
-    def finish_quiver(self):
-        if self.quiver_name is None:
-            return
-        self.finish_rep()
-        if self.vertex_count is None:
-            self.fail(self.quiver_line, f"quiver {self.quiver_name!r} has no vertices line")
-        try:
-            q = Quiver(self.vertex_count, tuple(self.arrows))
-        except ValueError as exc:
-            self.fail(self.quiver_line, f"quiver {self.quiver_name!r}: {exc}")
-        self.out.quivers[self.quiver_name] = q
-        self.quiver_name = None
-        self.vertex_count = None
-        self.arrows = []
-
-    def current_quiver(self, line: int) -> tuple[str, Quiver]:
-        # a rep may reference the quiver being built; close it first
-        if self.quiver_name is not None:
-            name = self.quiver_name
-            self.finish_quiver()
-            return name, self.out.quivers[name]
-        if not self.out.quivers:
-            self.fail(line, "no quiver defined yet")
-        name = next(reversed(self.out.quivers))
-        return name, self.out.quivers[name]
-
-    def finish_rep(self):
-        if self.rep_name is None:
-            return
-        qname = self.out.rep_quiver[self.rep_name]
-        q = self.out.quivers[qname]
-        maps = []
-        for a in q.arrows:
-            if a.name in self.rep_maps:
-                maps.append(self.rep_maps[a.name])
-            else:
-                maps.append(
-                    Matrix.zeros(self.out.field, self.rep_dims[a.target], self.rep_dims[a.source])
-                )
-        try:
-            self.out.reps[self.rep_name] = QuiverRep(q, self.out.field, self.rep_dims, maps)
-        except ValueError as exc:
-            self.fail(self.rep_line, f"rep {self.rep_name!r}: {exc}")
-        self.rep_name = None
-        self.rep_dims = None
-        self.rep_maps = {}
-
-    def handle(self, line_no: int, tokens: list[str]):
-        key = tokens[0]
-        if key == "quiver":
-            if len(tokens) != 2:
-                self.fail(line_no, "usage: quiver <name>")
-            self.finish_quiver()
-            if tokens[1] in self.out.quivers:
-                self.fail(line_no, f"duplicate quiver name {tokens[1]!r}")
-            self.quiver_name = tokens[1]
-            self.quiver_line = line_no
-        elif key == "vertices":
-            if self.quiver_name is None:
-                self.fail(line_no, "vertices outside a quiver block")
-            try:
-                self.vertex_count = int(tokens[1])
-            except (IndexError, ValueError):
-                self.fail(line_no, "usage: vertices <n>")
-        elif key == "arrow":
-            if self.quiver_name is None:
-                self.fail(line_no, "arrow outside a quiver block")
-            if self.vertex_count is None:
-                self.fail(line_no, "arrow before the vertices line")
-            try:
-                name, src, dst = tokens[1], int(tokens[2]), int(tokens[3])
-            except (IndexError, ValueError):
-                self.fail(line_no, "usage: arrow <name> <src> <dst>")
-            if not (1 <= src <= self.vertex_count and 1 <= dst <= self.vertex_count):
-                self.fail(line_no, f"arrow {name!r}: vertex out of range 1..{self.vertex_count}")
-            self.arrows.append(Arrow(name, src - 1, dst - 1))
-        elif key == "field":
-            if len(tokens) == 2 and tokens[1] == "Q":
-                self.out.field = QQ
-            elif len(tokens) == 3 and tokens[1] == "F":
-                try:
-                    self.out.field = PrimeField(int(tokens[2]))
-                except ValueError as exc:
-                    self.fail(line_no, str(exc))
-            else:
-                self.fail(line_no, "usage: field F <p> | field Q")
-        elif key == "rep":
-            if self.out.field is None:
-                self.fail(line_no, "rep before any field line")
-            if len(tokens) < 3 or tokens[2] != "dim":
-                self.fail(line_no, "usage: rep <name> dim d1 ... dn")
-            self.finish_rep()
-            name = tokens[1]
-            if name in self.out.reps:
-                self.fail(line_no, f"duplicate rep name {name!r}")
-            qname, q = self.current_quiver(line_no)
-            try:
-                dims = tuple(int(t) for t in tokens[3:])
-            except ValueError:
-                self.fail(line_no, "dimensions must be integers")
-            if len(dims) != q.nvertices or any(d < 0 for d in dims):
-                self.fail(line_no, f"expected {q.nvertices} nonnegative dimensions")
-            self.rep_name = name
-            self.rep_line = line_no
-            self.rep_dims = dims
-            self.out.rep_quiver[name] = qname
-        elif key == "matrix":
-            if self.rep_name is None:
-                self.fail(line_no, "matrix outside a rep block")
-            if len(tokens) < 3:
-                self.fail(line_no, "usage: matrix <arrow> [[..],[..]]")
-            aname = tokens[1]
-            q = self.out.quivers[self.out.rep_quiver[self.rep_name]]
-            arrow = next((a for a in q.arrows if a.name == aname), None)
-            if arrow is None:
-                self.fail(line_no, f"unknown arrow {aname!r}")
-            try:
-                entries = json.loads(" ".join(tokens[2:]))
-            except json.JSONDecodeError:
-                self.fail(line_no, f"arrow {aname!r}: entries are not a JSON array of rows")
-            shape = (self.rep_dims[arrow.target], self.rep_dims[arrow.source])
-            if (
-                not isinstance(entries, list)
-                or len(entries) != shape[0]
-                or any(not isinstance(r, list) or len(r) != shape[1] for r in entries)
-            ):
-                self.fail(line_no, f"arrow {aname!r}: matrix must have shape {shape[0]}x{shape[1]}")
-            self.rep_maps[aname] = Matrix(self.out.field, entries, shape[1])
-        elif key == "zmod":
-            try:
-                assert tokens[1] == "free"
-                free_rank = int(tokens[2])
-                assert free_rank >= 0
-                factors = []
-                if len(tokens) > 3:
-                    assert tokens[3] == "factors"
-                    if len(tokens) > 4:
-                        factors = [int(x) for x in " ".join(tokens[4:]).split(",") if x.strip()]
-            except (AssertionError, IndexError, ValueError):
-                self.fail(line_no, "usage: zmod free <r> factors d1,d2,...")
-            if any(f <= 0 for f in factors):
-                self.fail(line_no, "factors must be positive")
-            self.out.zmods.append(from_pieces(free_rank, factors))
-        elif key == "alphabet":
-            if len(tokens) != 2:
-                self.fail(line_no, "usage: alphabet x,y")
-            symbols = tuple(s for s in tokens[1].split(",") if s)
-            if not symbols or len(set(symbols)) != len(symbols):
-                self.fail(line_no, "alphabet needs distinct nonempty symbols")
-            self.out.alphabet = symbols
-        elif key == "word":
-            if self.out.alphabet is None:
-                self.fail(line_no, "word before any alphabet line")
-            try:
-                self.out.words.append(parse_reduce(" ".join(tokens[1:]), self.out.alphabet))
-            except ParseError as exc:
-                self.fail(line_no, exc.reason)
-        else:
-            self.fail(line_no, f"unknown directive {key!r}")
-
-
 def parse_input(path: str) -> ParsedInput:
     """Parse a fixture file; deterministic, with 1-based line numbers in
     every error."""
-    parser = _Parser()
+    out = ParsedInput()
+    quiver = None  # the open quiver block
+    rep = None  # the open rep block
+
+    def check(ok, reason: str):
+        if not ok:
+            raise ParseError(line_no, reason)
+
+    def close_rep():
+        nonlocal rep
+        if rep is None:
+            return
+        q, dims, maps = rep["quiver"], rep["dims"], rep["maps"]
+        for a in q.arrows:
+            if a.name not in maps:
+                maps[a.name] = Matrix.zeros(out.field, dims[a.target], dims[a.source])
+        try:
+            out.reps[rep["name"]] = QuiverRep(q, out.field, dims, [maps[a.name] for a in q.arrows])
+        except ValueError as exc:
+            raise ParseError(rep["line"], f"rep {rep['name']!r}: {exc}")
+        rep = None
+
+    def close_quiver():
+        nonlocal quiver
+        if quiver is None:
+            return
+        close_rep()
+        if quiver["vertices"] is None:
+            raise ParseError(quiver["line"], f"quiver {quiver['name']!r} has no vertices line")
+        try:
+            out.quivers[quiver["name"]] = Quiver(quiver["vertices"], tuple(quiver["arrows"]))
+        except ValueError as exc:
+            raise ParseError(quiver["line"], f"quiver {quiver['name']!r}: {exc}")
+        quiver = None
+
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            parser.handle(line_no, line.split())
-    parser.finish_quiver()
-    parser.finish_rep()
-    return parser.out
+            key = tokens[0]
+            if key == "quiver":
+                check(len(tokens) == 2, "usage: quiver <name>")
+                close_quiver()
+                check(tokens[1] not in out.quivers, f"duplicate quiver name {tokens[1]!r}")
+                quiver = {"name": tokens[1], "line": line_no, "vertices": None, "arrows": []}
+            elif key == "vertices":
+                check(quiver is not None, "vertices outside a quiver block")
+                try:
+                    quiver["vertices"] = int(tokens[1])
+                except (IndexError, ValueError):
+                    check(False, "usage: vertices <n>")
+            elif key == "arrow":
+                check(quiver is not None, "arrow outside a quiver block")
+                n = quiver["vertices"]
+                check(n is not None, "arrow before the vertices line")
+                try:
+                    name, src, dst = tokens[1], int(tokens[2]), int(tokens[3])
+                except (IndexError, ValueError):
+                    check(False, "usage: arrow <name> <src> <dst>")
+                check(1 <= src <= n and 1 <= dst <= n, f"arrow {name!r}: vertex out of range 1..{n}")
+                quiver["arrows"].append(Arrow(name, src - 1, dst - 1))
+            elif key == "field":
+                if tokens[1:] == ["Q"]:
+                    out.field = QQ
+                else:
+                    check(len(tokens) == 3 and tokens[1] == "F", "usage: field F <p> | field Q")
+                    try:
+                        out.field = PrimeField(int(tokens[2]))
+                    except ValueError as exc:
+                        check(False, str(exc))
+            elif key == "rep":
+                check(out.field is not None, "rep before any field line")
+                check(len(tokens) >= 3 and tokens[2] == "dim", "usage: rep <name> dim d1 ... dn")
+                close_rep()
+                name = tokens[1]
+                check(name not in out.reps, f"duplicate rep name {name!r}")
+                close_quiver()
+                check(out.quivers, "no quiver defined yet")
+                q = out.quivers[next(reversed(out.quivers))]
+                try:
+                    dims = tuple(int(t) for t in tokens[3:])
+                except ValueError:
+                    check(False, "dimensions must be integers")
+                check(len(dims) == q.nvertices and all(d >= 0 for d in dims),
+                      f"expected {q.nvertices} nonnegative dimensions")
+                rep = {"name": name, "line": line_no, "quiver": q, "dims": dims, "maps": {}}
+            elif key == "matrix":
+                check(rep is not None, "matrix outside a rep block")
+                check(len(tokens) >= 3, "usage: matrix <arrow> [[..],[..]]")
+                aname = tokens[1]
+                arrow = next((a for a in rep["quiver"].arrows if a.name == aname), None)
+                check(arrow is not None, f"unknown arrow {aname!r}")
+                try:
+                    entries = json.loads(" ".join(tokens[2:]))
+                except json.JSONDecodeError:
+                    check(False, f"arrow {aname!r}: entries are not a JSON array of rows")
+                rows, cols = rep["dims"][arrow.target], rep["dims"][arrow.source]
+                check(isinstance(entries, list) and len(entries) == rows
+                      and all(isinstance(r, list) and len(r) == cols for r in entries),
+                      f"arrow {aname!r}: matrix must have shape {rows}x{cols}")
+                # a bool or a float is refused, not rounded; under field Q a
+                # string is read by Fraction
+                not_int = f"arrow {aname!r}: entries must be integers"
+                check(all(type(x) is int or out.field == QQ and isinstance(x, str) for r in entries for x in r),
+                      not_int)
+                try:
+                    rep["maps"][aname] = Matrix(out.field, entries, cols)
+                except (ValueError, ZeroDivisionError):
+                    check(False, not_int)
+            elif key == "zmod":
+                usage = "usage: zmod free <r> factors d1,d2,..."
+                check(tokens[1:2] == ["free"] and tokens[3:4] in ([], ["factors"]), usage)
+                try:
+                    free_rank = int(tokens[2])
+                    factors = [int(x) for x in " ".join(tokens[4:]).split(",") if x.strip()]
+                except (IndexError, ValueError):
+                    check(False, usage)
+                check(free_rank >= 0, usage)
+                check(all(f > 0 for f in factors), "factors must be positive")
+                out.zmods.append(from_pieces(free_rank, factors))
+            elif key == "alphabet":
+                check(len(tokens) == 2, "usage: alphabet x,y")
+                symbols = parse_alphabet(tokens[1])
+                check(symbols is not None, "alphabet needs distinct nonempty symbols")
+                out.alphabet = symbols
+            elif key == "word":
+                check(out.alphabet is not None, "word before any alphabet line")
+                try:
+                    out.words.append(parse_reduce(" ".join(tokens[1:]), out.alphabet))
+                except ParseError as exc:
+                    check(False, exc.reason)
+            else:
+                check(False, f"unknown directive {key!r}")
+    close_quiver()
+    close_rep()
+    return out

@@ -593,6 +593,34 @@ def test_filtration_skips_a_zero_member():
     assert filt.validate(trio[0], members)
 
 
+def test_filtration_validate_refuses_a_layer_that_misses_the_one_before(monkeypatch):
+    # all of layer2, then its socle: the first factor matches its member,
+    # and the second layer does not contain the first
+    trio = tube_catalog("a31", F5).tubes[0]
+    s, tminus = trio[0], trio[2]
+    layer2 = build_extension(tminus, s)
+    filt = u_filtration(layer2, (s, tminus))
+    compared = []
+    iso = artheory.is_isomorphic
+    monkeypatch.setattr(artheory, "is_isomorphic", lambda A, B: compared.append(B) or iso(A, B))
+    assert not artheory.Filtration(filt.chain[::-1], [0, 1]).validate(layer2, (layer2, s))
+    assert compared == [layer2]
+
+
+def test_filtration_validate_refuses_a_factor_unlike_its_member(monkeypatch):
+    # the chain reversed: its first factor is all of layer2, not the socle
+    # simple that factor 0 names
+    trio = tube_catalog("a31", F5).tubes[0]
+    s, tminus = trio[0], trio[2]
+    layer2 = build_extension(tminus, s)
+    filt = u_filtration(layer2, (s, tminus))
+    compared = []
+    iso = artheory.is_isomorphic
+    monkeypatch.setattr(artheory, "is_isomorphic", lambda A, B: compared.append(B) or iso(A, B))
+    assert not artheory.Filtration(filt.chain[::-1], filt.factors).validate(layer2, (s, tminus))
+    assert compared == [s]
+
+
 def test_filtration_impossible_dims():
     s1 = QuiverRep.simple(KRON, F5, 0)
     assert u_filtration(s1, (QuiverRep.simple(KRON, F5, 1),)) is None

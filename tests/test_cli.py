@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,64 @@ def test_parse_error_on_cyclic_quiver(tmp_path):
     bad.write_text("quiver q\nvertices 2\narrow a 1 2\narrow b 2 1\n", encoding="utf-8")
     with pytest.raises(ParseError):
         parse_input(str(bad))
+
+
+def rep_fixture(tmp_path, field, entries):
+    """A fixture whose line 6 gives arrow ``a`` of a 1x1 rep the JSON
+    ``entries``."""
+    path = tmp_path / "rep.txt"
+    path.write_text(
+        f"quiver q\nvertices 2\narrow a 1 2\nfield {field}\nrep m dim 1 1\nmatrix a {entries}\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("field, entries", [
+    ("F 5", "[[null]]"),
+    ("F 5", "[[[1]]]"),
+    ("F 5", "[[1.5]]"),
+    ("F 5", "[[2.0]]"),
+    ("F 5", "[[true]]"),
+    ("F 5", '[["2"]]'),
+    ("F 5", "[[1e400]]"),
+    ("Q", "[[0.1]]"),
+    ("Q", "[[false]]"),
+    ("Q", "[[null]]"),
+    ("Q", '[["x"]]'),
+    ("Q", '[["1/0"]]'),
+    ("Q", "[[[1]]]"),
+], ids=["null", "nested", "float", "whole-float", "bool", "string", "overflow",
+        "q-float", "q-bool", "q-null", "q-not-a-number", "q-zero-denominator", "q-nested"])
+def test_matrix_entries_must_be_integers(tmp_path, field, entries):
+    with pytest.raises(ParseError) as info:
+        parse_input(rep_fixture(tmp_path, field, entries))
+    assert (info.value.line, info.value.reason) == (6, "arrow 'a': entries must be integers")
+
+
+@pytest.mark.parametrize("entries, value", [
+    ('[["1/2"]]', Fraction(1, 2)),
+    ('[["0.1"]]', Fraction(1, 10)),
+    ("[[-3]]", Fraction(-3)),
+])
+def test_matrix_entries_over_q_read_fraction_strings(tmp_path, entries, value):
+    rep = parse_input(rep_fixture(tmp_path, "Q", entries)).reps["m"]
+    assert rep.maps[0].rows == [[value]]
+
+
+def test_custom_refuses_a_null_entry_in_one_line(tmp_path, capsys):
+    assert main(["custom", rep_fixture(tmp_path, "F 5", "[[null]]")]) == 2
+    err = capsys.readouterr().err
+    assert err == "tiltlab: input error: line 6: arrow 'a': entries must be integers\n"
+
+
+@pytest.mark.parametrize("line", ["alphabet x^1,y", "alphabet x^-1", "alphabet ^"])
+def test_fixture_alphabet_symbols_must_be_words(tmp_path, line):
+    path = tmp_path / "alphabet.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        parse_input(str(path))
+    assert (info.value.line, info.value.reason) == (1, "alphabet needs distinct nonempty symbols")
 
 
 def test_unknown_command_is_a_usage_error(capsys):
@@ -240,6 +299,23 @@ def test_ore_line_factors_each_generator_once(monkeypatch):
     report = run_dedekind_classify(ore_sets=((6, 10), (35,)))
     assert all(c.passed for c in report.checks)
     assert factored == [6, 10, 35]
+
+
+def test_tube_filtration_check_can_fail(capsys, monkeypatch):
+    # the chain reversed, with the same factors, is no filtration: its
+    # first layer is all of layer2, not the socle simple
+    search = artheory.u_filtration
+
+    def reversed_chain(N, members):
+        filt = search(N, members)
+        return artheory.Filtration(filt.chain[::-1], filt.factors)
+
+    monkeypatch.setattr(artheory, "u_filtration", reversed_chain)
+    report = run_tube_demo()
+    assert [c.name for c in report.checks if not c.passed] == [
+        "layer2 is filtered by the socle simple and its inverse translate"]
+    assert main(["tube-demo"]) == 1
+    assert "[FAIL] layer2 is filtered by the socle simple and its inverse translate" in capsys.readouterr().out
 
 
 def test_tube_defect_check_can_fail(monkeypatch):
@@ -436,6 +512,16 @@ def test_tube_demo_has_no_dim_cap_flag(capsys):
 
 @pytest.mark.parametrize("alphabet", [",", "x,y,x"], ids=["empty", "repeated"])
 def test_alphabet_must_list_distinct_generators(alphabet, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["free-envelope", "--alphabet", alphabet])
+    assert info.value.code == 2
+    assert f"argument --alphabet: must list one or more distinct generators, got {alphabet}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphabet", ["x^-1,y", "x y,z", "x,y^1", "x, y"],
+                         ids=["inverse", "space", "exponent", "padded"])
+def test_alphabet_symbols_must_be_nameable_in_words(alphabet, capsys):
+    # a symbol with "^" or whitespace could never be named by --word
     with pytest.raises(SystemExit) as info:
         main(["free-envelope", "--alphabet", alphabet])
     assert info.value.code == 2
