@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -362,14 +361,14 @@ def strip_projective_summands(M: QuiverRep) -> QuiverRep:
 # defect
 
 
-@dataclass(frozen=True)
 class DefectFunction:
     """Radical vector of the symmetrized Euler form together with the
     normalizer (the form paired against the regular dimension vector)."""
 
-    quiver: Quiver
-    radical_vector: tuple[int, ...]
-    normalizer: int
+    __slots__ = ("quiver", "radical_vector", "normalizer")
+
+    def __init__(self, quiver: Quiver, radical_vector: tuple[int, ...], normalizer: int):
+        self.quiver, self.radical_vector, self.normalizer = quiver, radical_vector, normalizer
 
 
 def defect_function(q: Quiver) -> DefectFunction:
@@ -585,14 +584,14 @@ def is_bound(U: QuiverRep) -> bool:
     return all(hom_dim(U, projective(U.quiver, U.field, i)) == 0 for i in range(U.quiver.nvertices))
 
 
-@dataclass(frozen=True)
 class BoundSet:
-    members: tuple[QuiverRep, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        for i, U in enumerate(self.members):
+    def __init__(self, members: tuple[QuiverRep, ...]):
+        for i, U in enumerate(members):
             if not is_bound(U):
                 raise NotBound(f"member {i} is not a bound module")
+        self.members = members
 
 
 def bound_members(U) -> tuple[QuiverRep, ...]:
@@ -605,14 +604,15 @@ def bound_members(U) -> tuple[QuiverRep, ...]:
     return tuple(U)
 
 
-@dataclass
 class Filtration:
     """Ascending chain ``0 = N_0 < N_1 < ... < N_k = N`` given by
     vertex-wise bases inside ``N``, with ``N_i / N_{i-1}`` isomorphic to
     ``members[factors[i-1]]``."""
 
-    chain: list[list[Matrix]]
-    factors: list[int]
+    __slots__ = ("chain", "factors")
+
+    def __init__(self, chain: list[list[Matrix]], factors: list[int]):
+        self.chain, self.factors = chain, factors
 
     def validate(self, N: QuiverRep, members: tuple[QuiverRep, ...]) -> bool:
         prev_bases = [Matrix.zeros(N.field, d, 0) for d in N.dims]
@@ -676,15 +676,15 @@ def _preimage_bases(proj: RepMap, sub_bases: list[Matrix]) -> list[Matrix]:
 # tube catalogs
 
 
-@dataclass(frozen=True)
 class TubeCatalog:
     """Simple regular modules grouped into tubes; within a tube the
     translate moves members forward cyclically (``tau(tube[i]) ~
     tube[i+1]``)."""
 
-    quiver: Quiver
-    field: object
-    tubes: tuple[tuple[QuiverRep, ...], ...]
+    __slots__ = ("quiver", "field", "tubes")
+
+    def __init__(self, quiver: Quiver, field, tubes: tuple[tuple[QuiverRep, ...], ...]):
+        self.quiver, self.field, self.tubes = quiver, field, tubes
 
     @property
     def members(self) -> list[QuiverRep]:

@@ -22,29 +22,31 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import NotContained, NotPrime
 from .exactlin import IntMatrix, snf
 
 
-@dataclass(frozen=True)
 class FgZModule:
     """``Z^free_rank + Z/d_1 + ...`` with the divisibility chain enforced."""
 
-    free_rank: int
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...]):
+        if free_rank < 0:
             raise ValueError("negative free rank")
         prev = None
-        for d in self.invariant_factors:
+        for d in invariant_factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
             if prev is not None and d % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
+        self.free_rank, self.invariant_factors = free_rank, invariant_factors
+
+    def __eq__(self, other):
+        return (isinstance(other, FgZModule) and self.free_rank == other.free_rank
+                and self.invariant_factors == other.invariant_factors)
 
     @classmethod
     def zero(cls) -> "FgZModule":
@@ -95,9 +97,11 @@ def _diagonal(free_rank: int, orders) -> IntMatrix:
 
 
 def from_pieces(free_rank: int, torsion_orders) -> FgZModule:
-    """Canonical form of ``Z^free_rank + sum Z/k`` for arbitrary ``k``."""
+    """Canonical form of ``Z^free_rank + sum Z/k`` for arbitrary ``k``.
+    Each ``Z/0`` is a free summand, so only the torsion needs a Smith form."""
     orders = [abs(int(k)) for k in torsion_orders]
-    return classify(_diagonal(free_rank + orders.count(0), [k for k in orders if k > 1]))
+    torsion = classify(_diagonal(0, [k for k in orders if k > 1]))
+    return FgZModule(free_rank + orders.count(0), torsion.invariant_factors)
 
 
 def hom(M: FgZModule, N: FgZModule) -> FgZModule:
@@ -227,18 +231,21 @@ def _prime_factors(n: int) -> set[int]:
 # prime sets and Ore sets
 
 
-@dataclass(frozen=True)
 class PrimeSet:
-    primes: tuple[int, ...]
+    __slots__ = ("primes",)
 
-    def __post_init__(self):
+    def __init__(self, primes: tuple[int, ...]):
         prev = 0
-        for p in self.primes:
+        for p in primes:
             if not is_prime(p):
                 raise NotPrime(f"{p} is not prime")
             if p <= prev:
                 raise ValueError("primes must be sorted and distinct")
             prev = p
+        self.primes = primes
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeSet) and self.primes == other.primes
 
     @classmethod
     def of(cls, *primes: int) -> "PrimeSet":
@@ -248,15 +255,18 @@ class PrimeSet:
         return len(self.primes)
 
 
-@dataclass(frozen=True)
 class OreSet:
     """Multiplicative set of nonzero integers, given by generators."""
 
-    generators: tuple[int, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        if any(g == 0 for g in self.generators):
+    def __init__(self, generators: tuple[int, ...]):
+        if any(g == 0 for g in generators):
             raise ValueError("Ore set generators must be nonzero")
+        self.generators = generators
+
+    def __eq__(self, other):
+        return isinstance(other, OreSet) and self.generators == other.generators
 
 
 @functools.lru_cache(maxsize=1024)  # an Ore line reads each generator's support twice
@@ -311,11 +321,15 @@ def is_divisible_by(M: FgZModule, P: PrimeSet) -> bool:
 # ideals
 
 
-@dataclass(frozen=True)
 class IdealPairReport:
-    essential: bool
-    finite_quotient: bool
-    index: int | None
+    __slots__ = ("essential", "finite_quotient", "index")
+
+    def __init__(self, essential: bool, finite_quotient: bool, index: int | None):
+        self.essential, self.finite_quotient, self.index = essential, finite_quotient, index
+
+    def __eq__(self, other):
+        return (isinstance(other, IdealPairReport) and self.essential == other.essential
+                and self.finite_quotient == other.finite_quotient and self.index == other.index)
 
 
 def essential_iff_finite(I_gens, J_gens) -> IdealPairReport:
@@ -342,19 +356,22 @@ def essential_iff_finite(I_gens, J_gens) -> IdealPairReport:
 # classification of divisibility classes
 
 
-@dataclass(frozen=True)
 class SubsetRow:
-    subset: tuple[int, ...]
+    __slots__ = ("subset",)
+
+    def __init__(self, subset: tuple[int, ...]):
+        self.subset = subset
 
 
-@dataclass(frozen=True)
 class TiltingClassTable:
     """All subsets of a prime universe with, for every unordered pair of
     distinct subsets, a cyclic witness module lying in exactly one of the
     two divisibility classes."""
 
-    rows: tuple[SubsetRow, ...]
-    witnesses: tuple[tuple[int, int, int], ...]  # (row index a, row index b, witness prime)
+    __slots__ = ("rows", "witnesses")
+
+    def __init__(self, rows: tuple[SubsetRow, ...], witnesses: tuple[tuple[int, int, int], ...]):
+        self.rows, self.witnesses = rows, witnesses  # each witness: (row index a, row index b, prime)
 
     @property
     def num_classes(self) -> int:

@@ -62,7 +62,6 @@ import bisect
 import functools
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -690,7 +689,6 @@ def _unpack(row: int, n: int, nbytes: int, p: int) -> list[int]:
     return [x % p for x in vals]
 
 
-@dataclass(frozen=True)
 class Span:
     """A subspace ``S`` of ``field^n`` given by spanning columns ``A``.
 
@@ -704,10 +702,10 @@ class Span:
       outside the span of ``S`` and ``e_0, ..., e_{i-1}``, ascending.
     """
 
-    basis: Matrix
-    coords: Matrix
-    equations: Matrix
-    complement: Matrix
+    __slots__ = ("basis", "coords", "equations", "complement")
+
+    def __init__(self, basis: Matrix, coords: Matrix, equations: Matrix, complement: Matrix):
+        self.basis, self.coords, self.equations, self.complement = basis, coords, equations, complement
 
 
 class IntMatrix:

@@ -20,32 +20,36 @@ cancelling at the junction only, since both factors are reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError, SameGenerator
 from .exactlin import Matrix
 
 MAX_WORD_LEN = 16  # longest reduced word parse_reduce accepts
 
 
-@dataclass(frozen=True)
 class FreeWord:
-    letters: tuple[tuple[str, int], ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for i, (sym, e) in enumerate(self.letters):
+    def __init__(self, letters: tuple[tuple[str, int], ...]):
+        for i, (sym, e) in enumerate(letters):
             if e not in (1, -1):
                 raise ValueError("exponents must be +1 or -1")
-            if i and self.letters[i - 1][0] == sym and self.letters[i - 1][1] == -e:
+            if i and letters[i - 1][0] == sym and letters[i - 1][1] == -e:
                 raise ValueError("word is not reduced")
+        self.letters = letters
 
     @classmethod
     def _of(cls, letters: tuple[tuple[str, int], ...]) -> "FreeWord":
         """Wrap ``letters`` without checking them.  The caller guarantees
         a reduced tuple of ``(generator, +-1)`` letters."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        w.letters = letters
         return w
+
+    def __eq__(self, other):
+        return isinstance(other, FreeWord) and self.letters == other.letters
+
+    def __hash__(self):
+        return hash(self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -264,13 +268,14 @@ def envelope_value_alg(m0, elem: GroupAlgElem, M: XDivModule) -> tuple:
     return tuple(dot(coeffs, [v[i] for v in values]) for i in range(M.dim))
 
 
-@dataclass(frozen=True)
 class FlatnessWitness:
     """A nonzero element of the rank-two free module over the group
     algebra that maps to zero under ``(a, b) -> a x + b y``."""
 
-    pair: tuple[GroupAlgElem, GroupAlgElem]
-    image: GroupAlgElem
+    __slots__ = ("pair", "image")
+
+    def __init__(self, pair: tuple[GroupAlgElem, GroupAlgElem], image: GroupAlgElem):
+        self.pair, self.image = pair, image
 
 
 def flatness_witness(alphabet, x: str, y: str, field) -> FlatnessWitness:

@@ -9,9 +9,10 @@ Directives (whitespace separated, ``#`` starts a comment):
 * ``rep <name> dim d1 ... dn``, over the open quiver block or else the
   quiver closed last, followed by ``matrix <arrow> [[..],[..]]`` lines
   (missing arrows are zero maps) of JSON integers, or under ``field Q``
-  also strings that ``Fraction`` reads, such as ``"1/2"``,
+  also strings that ``Fraction`` reads, such as ``"1/2"``, but with no
+  exponent,
 * ``zmod free <r> factors d1,d2,...`` (the ``factors`` clause may be
-  omitted),
+  omitted), with at most :data:`MAX_ZMOD_PIECES` free and torsion pieces,
 * ``alphabet x,y`` (no symbol may contain ``^``) and ``word <letters>``
   with tokens ``x`` or ``x^-1``.
 
@@ -25,7 +26,6 @@ over the field in force then, and its errors name its first line.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 
 from .dedekind import FgZModule, from_pieces
 from .errors import ParseError
@@ -33,15 +33,24 @@ from .exactlin import Matrix, PrimeField, QQ
 from .freegrp import FreeWord, parse_alphabet, parse_reduce
 from .quiverrep import Arrow, Quiver, QuiverRep
 
+MAX_ZMOD_PIECES = 32  # free rank plus factor count, the size of the Smith forms a zmod line costs
 
-@dataclass
+
 class ParsedInput:
-    field: object | None = None
-    quivers: dict[str, Quiver] = dc_field(default_factory=dict)
-    reps: dict[str, QuiverRep] = dc_field(default_factory=dict)
-    zmods: list[FgZModule] = dc_field(default_factory=list)
-    alphabet: tuple[str, ...] | None = None
-    words: list[FreeWord] = dc_field(default_factory=list)
+    __slots__ = ("field", "quivers", "reps", "zmods", "alphabet", "words")
+
+    def __init__(self, field=None, quivers: dict[str, Quiver] | None = None,
+                 reps: dict[str, QuiverRep] | None = None, zmods: list[FgZModule] | None = None,
+                 alphabet: tuple[str, ...] | None = None, words: list[FreeWord] | None = None):
+        self.field, self.alphabet = field, alphabet
+        self.quivers = {} if quivers is None else quivers
+        self.reps = {} if reps is None else reps
+        self.zmods = [] if zmods is None else zmods
+        self.words = [] if words is None else words
+
+    def __eq__(self, other):
+        return isinstance(other, ParsedInput) and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
 
 def parse_input(path: str) -> ParsedInput:
@@ -153,6 +162,9 @@ def parse_input(path: str) -> ParsedInput:
                 not_int = f"arrow {aname!r}: entries must be integers"
                 check(all(type(x) is int or out.field == QQ and isinstance(x, str) for r in entries for x in r),
                       not_int)
+                # Fraction expands an exponent exactly: "1e10000000" has 33 million bits
+                check(not any(isinstance(x, str) and "e" in x.lower() for r in entries for x in r),
+                      f"arrow {aname!r}: entries may not hold an exponent")
                 try:
                     rep["maps"][aname] = Matrix(out.field, entries, cols)
                 except (ValueError, ZeroDivisionError):
@@ -167,6 +179,9 @@ def parse_input(path: str) -> ParsedInput:
                     check(False, usage)
                 check(free_rank >= 0, usage)
                 check(all(f > 0 for f in factors), "factors must be positive")
+                pieces = free_rank + len(factors)
+                check(pieces <= MAX_ZMOD_PIECES,
+                      f"free rank plus factor count {pieces} exceeds cap {MAX_ZMOD_PIECES}")
                 out.zmods.append(from_pieces(free_rank, factors))
             elif key == "alphabet":
                 check(len(tokens) == 2, "usage: alphabet x,y")

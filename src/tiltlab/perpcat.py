@@ -26,8 +26,6 @@ restricted to finite-dimensional modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .artheory import all_submodules, bound_members, is_bound, transpose
 from .errors import NotBound
 from .exactlin import Matrix
@@ -43,16 +41,16 @@ from .quiverrep import (
 )
 
 
-@dataclass(frozen=True)
 class PerpReport:
     """The three membership conditions and their agreement flag.  Route
     (i) reads the evaluator on ``DM``, the dual of ``Hom(Q, M) -> Hom(P,
     M)``; routes (i) and (ii) share the presentation of ``U`` and the
     evaluator, and route (iii) shares neither."""
 
-    cond_invert: bool
-    cond_tor: bool
-    cond_homext: bool
+    __slots__ = ("cond_invert", "cond_tor", "cond_homext")
+
+    def __init__(self, cond_invert: bool, cond_tor: bool, cond_homext: bool):
+        self.cond_invert, self.cond_tor, self.cond_homext = cond_invert, cond_tor, cond_homext
 
     @property
     def consistent(self) -> bool:

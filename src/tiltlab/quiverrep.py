@@ -19,7 +19,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import NotInvariant, QuiverMismatch
 from .exactlin import QQ, Matrix
@@ -27,21 +26,27 @@ from .exactlin import QQ, Matrix
 Path = tuple[int, ...]  # arrow indices, traversal order
 
 
-@dataclass(frozen=True)
 class Arrow:
-    name: str
-    source: int
-    target: int
+    __slots__ = ("name", "source", "target")
+
+    def __init__(self, name: str, source: int, target: int):
+        self.name, self.source, self.target = name, source, target
+
+    def __eq__(self, other):
+        return (isinstance(other, Arrow) and self.name == other.name
+                and self.source == other.source and self.target == other.target)
+
+    def __hash__(self):
+        return hash((self.name, self.source, self.target))
 
 
-@dataclass(frozen=True)
 class Quiver:
     """Acyclic quiver with named arrows; vertices are ``0..nvertices-1``."""
 
-    nvertices: int
-    arrows: tuple[Arrow, ...]
+    __slots__ = ("nvertices", "arrows")
 
-    def __post_init__(self):
+    def __init__(self, nvertices: int, arrows: tuple[Arrow, ...]):
+        self.nvertices, self.arrows = nvertices, arrows
         if self.nvertices <= 0:
             raise ValueError("quiver needs at least one vertex")
         names = set()
@@ -53,6 +58,12 @@ class Quiver:
             names.add(a.name)
         if len(self.topological_order()) != self.nvertices:
             raise ValueError("quiver must be acyclic")
+
+    def __eq__(self, other):
+        return isinstance(other, Quiver) and self.nvertices == other.nvertices and self.arrows == other.arrows
+
+    def __hash__(self):
+        return hash((self.nvertices, self.arrows))
 
     def topological_order(self) -> list[int]:
         """Vertices ordered so that every arrow points forward (Kahn's
@@ -355,7 +366,6 @@ def _top(X: QuiverRep, bases: list[Matrix]) -> tuple[tuple[int, ...], list[list]
 # projectives and presentations
 
 
-@dataclass(frozen=True)
 class ProjSum:
     """Explicit direct sum of indecomposable projectives with its path
     basis.  ``basis[v]`` lists ``(summand, path)`` labels for the chosen
@@ -363,12 +373,12 @@ class ProjSum:
     summand's vertex to ``v``; ``index[v]`` maps each label back to its
     position."""
 
-    quiver: Quiver
-    field: object
-    summands: tuple[int, ...]
-    rep: QuiverRep
-    basis: tuple[tuple[tuple[int, Path], ...], ...]
-    index: tuple[dict[tuple[int, Path], int], ...]
+    __slots__ = ("quiver", "field", "summands", "rep", "basis", "index")
+
+    def __init__(self, quiver: Quiver, field, summands: tuple[int, ...], rep: QuiverRep,
+                 basis: tuple[tuple[tuple[int, Path], ...], ...], index: tuple[dict[tuple[int, Path], int], ...]):
+        self.quiver, self.field, self.summands = quiver, field, summands
+        self.rep, self.basis, self.index = rep, basis, index
 
 
 @functools.lru_cache(maxsize=1024)
@@ -446,17 +456,15 @@ def generator_images(ps: ProjSum, f: RepMap) -> list[list]:
 PathEntry = tuple[int, int, Path, object]  # (target summand q, source summand p, path, coeff)
 
 
-@dataclass(frozen=True)
 class ProjPresentation:
     """Exact sequence ``0 -> P -> Q -> module -> 0`` with ``P`` and ``Q``
     explicit sums of indecomposable projectives; ``alpha`` is injective and
     ``projection`` is the cokernel map."""
 
-    P: ProjSum
-    Q: ProjSum
-    alpha: RepMap
-    module: QuiverRep
-    projection: RepMap
+    __slots__ = ("P", "Q", "alpha", "module", "projection")
+
+    def __init__(self, P: ProjSum, Q: ProjSum, alpha: RepMap, module: QuiverRep, projection: RepMap):
+        self.P, self.Q, self.alpha, self.module, self.projection = P, Q, alpha, module, projection
 
     def path_matrix(self) -> list[PathEntry]:
         """``alpha`` written in path coordinates: entries ``(q, p, w, c)``

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -19,19 +18,19 @@ def plain(value):
     return str(value)
 
 
-@dataclass
 class Check:
-    name: str
-    inputs: dict
-    values: dict
-    passed: bool
+    __slots__ = ("name", "inputs", "values", "passed")
+
+    def __init__(self, name: str, inputs: dict, values: dict, passed: bool):
+        self.name, self.inputs, self.values, self.passed = name, inputs, values, passed
 
 
-@dataclass
 class Report:
-    scenario: str
-    params: dict
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("scenario", "params", "checks")
+
+    def __init__(self, scenario: str, params: dict, checks: list[Check] | None = None):
+        self.scenario, self.params = scenario, params
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, passed: bool, inputs: dict | None = None, values: dict | None = None):
         self.checks.append(Check(name, plain(inputs or {}), plain(values or {}), bool(passed)))

@@ -123,6 +123,19 @@ def test_custom_refuses_a_null_entry_in_one_line(tmp_path, capsys):
     assert err == "tiltlab: input error: line 6: arrow 'a': entries must be integers\n"
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("zmod free 20000\n", "line 1: free rank plus factor count 20000 exceeds cap 32"),
+    ('quiver q\nvertices 2\narrow a 1 2\nfield Q\nrep m dim 1 1\nmatrix a [["1e10000000"]]\n',
+     "line 6: arrow 'a': entries may not hold an exponent"),
+], ids=["zmod-free-rank", "q-exponent"])
+def test_custom_refuses_oversized_input_in_one_line(tmp_path, capsys, text, reason):
+    # each fixture once took seconds and gigabytes to read
+    path = tmp_path / "big.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["custom", str(path)]) == 2
+    assert capsys.readouterr().err == f"tiltlab: input error: {reason}\n"
+
+
 @pytest.mark.parametrize("line", ["alphabet x^1,y", "alphabet x^-1", "alphabet ^"])
 def test_fixture_alphabet_symbols_must_be_words(tmp_path, line):
     path = tmp_path / "alphabet.txt"
@@ -439,6 +452,26 @@ def test_no_subcommand_loads_sympy():
              ["free-envelope"], ["perp-check"], ["custom", "tests/fixtures/kronecker.txt"]]
     codes, factored, loaded, control = sympy_loaded_after(*argvs, then=FACTOR_OVER_QQ)
     assert (codes, factored[-1], loaded, control) == ([0] * 6, ["QQ", [2]], False, True)
+
+
+# what importing ``dataclasses`` loads: ``inspect`` and, through it, ``ast``,
+# ``dis`` and ``tokenize``, about 10 ms before a command's first check
+DATACLASS_MODULES = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect():
+    argvs = [[command, *GOLDEN_ARGS[command], "--format", fmt]
+             for command in sorted(GOLDEN_ARGS) for fmt in ("text", "json")]
+    codes, loaded, control = run_python(
+        "import contextlib, io, json, sys\n"
+        "from tiltlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        f"loaded = [m for m in {DATACLASS_MODULES!r} if m in sys.modules]\n"
+        "import dataclasses\n"  # the control: the probe sees the import
+        f"print(json.dumps([codes, loaded, [m for m in {DATACLASS_MODULES!r} if m in sys.modules]]))\n"
+    )
+    assert (codes, loaded, control) == ([0] * 10, [], DATACLASS_MODULES)
 
 
 def test_factoring_over_finite_fields_leaves_sympy_unloaded():

@@ -46,6 +46,25 @@ def test_invariant_factor_chain_enforced():
     assert from_pieces(0, [4, 6]) == FgZModule(0, (2, 12))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FgZModule(-1, ()), ValueError, "negative free rank"),
+    (lambda: FgZModule(0, (1,)), ValueError, "invariant factors must be >= 2"),
+    (lambda: PrimeSet((3, 2)), ValueError, "primes must be sorted and distinct"),
+    (lambda: PrimeSet((2, 2)), ValueError, "primes must be sorted and distinct"),
+    (lambda: PrimeSet((4,)), NotPrime, "4 is not prime"),
+    (lambda: OreSet((6, 0)), ValueError, "Ore set generators must be nonzero"),
+], ids=["negative-rank", "unit-factor", "unsorted-primes", "repeated-prime", "not-prime", "zero-generator"])
+def test_records_check_their_arguments(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_records_compare_by_value():
+    assert PrimeSet.of(3, 2) == PrimeSet((2, 3)) != PrimeSet((2,))
+    assert FgZModule(1, (2,)) == FgZModule(1, (2,)) != FgZModule(0, (2,))
+    assert OreSet((6,)) == OreSet((6,)) != OreSet((3,))
+
+
 def test_hom_ext_tor_closed_forms():
     z4, z6 = FgZModule.cyclic(4), FgZModule.cyclic(6)
     assert ext1(z4, z6) == FgZModule(0, (2,))
@@ -190,13 +209,13 @@ def test_classify_tilting_builds_each_prime_set_once(monkeypatch):
     """One ``PrimeSet`` per prime of the universe (6) plus the universe
     itself, not one per subset."""
     calls = []
-    validate = PrimeSet.__post_init__
+    validate = PrimeSet.__init__
 
-    def counting(self):
-        calls.append(self.primes)
-        validate(self)
+    def counting(self, primes):
+        calls.append(primes)
+        validate(self, primes)
 
-    monkeypatch.setattr(PrimeSet, "__post_init__", counting)
+    monkeypatch.setattr(PrimeSet, "__init__", counting)
     table = classify_tilting(PrimeSet.of(2, 3, 5, 7, 11, 13))
     assert table.num_classes == 64 and len(table.witnesses) == 64 * 63 // 2
     assert len(calls) <= 6 + 1

@@ -289,6 +289,20 @@ def test_word_product_cancels_like_full_reduction(a, b):
         assert got == want and hash(got) == hash(want)
 
 
+def test_free_word_checks_its_letters():
+    with pytest.raises(ValueError, match="word is not reduced"):
+        FreeWord((("x", 1), ("y", 1), ("y", -1)))
+    with pytest.raises(ValueError, match="exponents must be"):
+        FreeWord((("x", 2),))
+
+
+def test_equal_words_merge_as_dict_keys():
+    a, b = FreeWord((("x", 1), ("y", -1))), word("x") * word("y", -1)
+    assert a is not b and a == b and hash(a) == hash(b) and a != word("x")
+    assert len({a: 1, b: 2}) == 1
+    assert (GroupAlgElem.of(F7, a) + GroupAlgElem.of(F7, b)).terms == {a: 2}
+
+
 def test_xdiv_module_rejects_singular_action():
     with pytest.raises(ValueError):
         XDivModule(F7, ("x",), {"x": Matrix(F7, [[0]])})

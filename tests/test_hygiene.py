@@ -2,8 +2,8 @@
 method of the library is reached by a use that binds to it, somewhere and
 outside tests too (but for a short list of kept names), every parameter of
 a library function is read, sympy loads only inside the functions that call
-it, and every field class in ``exactlin`` implements the whole field
-protocol.  No linter is a dependency, so the checks walk the syntax tree
+it, no library module imports ``dataclasses``, and every field class in
+``exactlin`` implements the whole field protocol.  No linter is a dependency, so the checks walk the syntax tree
 themselves."""
 
 import ast
@@ -290,6 +290,44 @@ def test_no_module_level_sympy_import():
         path.name: lines
         for path in sorted((ROOT / "src/tiltlab").glob("*.py"))
         if (lines := module_level_sympy_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
+def dataclasses_imports(tree: ast.Module) -> list[int]:
+    """Lines that import ``dataclasses``, inside functions too.  It loads
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``, about 10 ms of every
+    cold command, so the library's records are plain slotted classes."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name == "dataclasses" or name.startswith("dataclasses.") for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_detector_flags_a_dataclasses_import():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "import os, dataclasses as dc\n"
+        "import dataclasses_json\n"
+        "from .dataclasses import field\n"
+        "def f():\n"
+        "    from dataclasses import field\n"
+    )
+    assert dataclasses_imports(tree) == [1, 2, 6]
+
+
+def test_no_library_module_imports_dataclasses():
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src/tiltlab").glob("*.py"))
+        if (lines := dataclasses_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
 

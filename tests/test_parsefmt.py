@@ -3,6 +3,7 @@ the reason it reports, and the interleaved blocks that parse."""
 
 import pytest
 
+from tiltlab.dedekind import FgZModule
 from tiltlab.errors import ParseError
 from tiltlab.exactlin import PrimeField
 from tiltlab.parsefmt import parse_input
@@ -90,6 +91,12 @@ ERRORS = [
     ("field-not-integer", "field F x\n", 1, "invalid literal for int() with base 10: 'x'"),
     ("zmod-zero-factor", "zmod free 1 factors 2,0\n", 1, "factors must be positive"),
     ("zmod-negative-factor", "zmod free 0 factors -3\n", 1, "factors must be positive"),
+    ("zmod-free-rank-past-cap", "zmod free 20000\n", 1, "free rank plus factor count 20000 exceeds cap 32"),
+    ("zmod-pieces-past-cap", "zmod free 30 factors 2,2,6\n", 1, "free rank plus factor count 33 exceeds cap 32"),
+    ("matrix-q-exponent", QUIVER + "field Q\nrep m dim 1 1\nmatrix a [[\"1e1000000\"]]\n", 6,
+     "arrow 'a': entries may not hold an exponent"),
+    ("matrix-q-capital-exponent", QUIVER + "field Q\nrep m dim 1 1\nmatrix a [[\"2.5E3\"]]\n", 6,
+     "arrow 'a': entries may not hold an exponent"),
     ("alphabet-repeated", "alphabet x,y,x\n", 1, "alphabet needs distinct nonempty symbols"),
     ("alphabet-empty", "alphabet ,\n", 1, "alphabet needs distinct nonempty symbols"),
     ("word-before-alphabet", "word x\n", 1, "word before any alphabet line"),
@@ -150,3 +157,8 @@ def test_rep_takes_the_open_quiver_or_the_last_closed_one(tmp_path):
     assert parsed.reps["n"].quiver is parsed.quivers["r"]
     assert parsed.reps["n"].dims == (0,)
     assert parsed.reps["n"].maps == ()
+
+
+def test_zmod_line_at_the_cap_parses(tmp_path):
+    parsed = parse_text(tmp_path, "zmod free 30 factors 6,2\n")
+    assert parsed.zmods == [FgZModule(30, (2, 6))]

@@ -50,6 +50,17 @@ def test_quiver_rejects_cycles():
         Quiver(2, (Arrow("a", 0, 1), Arrow("b", 1, 0)))
 
 
+def test_equal_quivers_hash_alike_and_share_cached_projectives():
+    q1, q2 = kronecker(), kronecker()
+    assert q1 is not q2 and q1 == q2 and hash(q1) == hash(q2)
+    assert q1 != Quiver(2, (Arrow("a", 0, 1),)) and q1 != q1.opposite()
+    assert Arrow("a", 0, 1) == Arrow("a", 0, 1) != Arrow("a", 1, 0)
+    quiverrep.proj_sum.cache_clear()
+    first = quiverrep.proj_sum(q1, F5, (0, 1))
+    assert quiverrep.proj_sum(q2, F5, (0, 1)) is first
+    assert quiverrep.proj_sum.cache_info().hits == 1
+
+
 def test_topological_order_points_every_arrow_forward():
     for q in (KRON, A3, Quiver(3, (Arrow("x", 2, 0), Arrow("y", 0, 1)))):
         order = q.topological_order()
