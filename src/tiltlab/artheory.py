@@ -61,6 +61,9 @@ from .quiverrep import (
 
 SEARCH_BUDGET = 200_000  # vertex subspaces one exhaustive submodule search may choose
 DIM_CAP = 12  # largest total dimension the submodule searches accept
+# most members a tube catalog builds, one per field element plus its
+# non-homogeneous tube: 1024 a31 members build in about 0.4 s
+MAX_TUBE_MEMBERS = 1024
 
 # ---------------------------------------------------------------------------
 # transpose and translates
@@ -555,11 +558,11 @@ def is_simple_regular(M: QuiverRep, df: DefectFunction) -> bool:
 
 def build_extension(C: QuiverRep, A: QuiverRep) -> QuiverRep:
     """Middle term ``E`` of a non-split extension ``0 -> A -> E -> C -> 0``.
-    The first column of ``hom_system(C, A).complement()``, a basis of
+    The first column of ``hom_system(C, A)[0].span().complement``, a basis of
     ``Ext^1(C, A)``, gives blocks ``g_a: C_i -> A_j``; then ``E_v = A_v +
     C_v`` and ``E_a = [[A_a, g_a], [0, C_a]]``, with inclusion ``[I; 0]``
     and projection ``[0 I]``."""
-    classes = hom_system(C, A)[0].complement()
+    classes = hom_system(C, A)[0].span().complement
     if classes.ncols == 0:
         raise NoExtension("Ext^1 is zero, so every extension splits")
     g = iter(classes.column(0))
@@ -701,16 +704,24 @@ def tube_catalog(family: str, field: PrimeField) -> TubeCatalog:
     defect zero and trivial endomorphisms at construction.  The a31
     catalog is the rank-3 tube through the simple at vertex 2, then the
     homogeneous members ``a1 = a2 = a3 = 1, b = lam`` for each ``lam`` in
-    the field, each checked to be fixed by ``tau``."""
+    the field, each checked to be fixed by ``tau``.  A catalog of more
+    than :data:`MAX_TUBE_MEMBERS` members raises
+    :class:`SearchBudgetExceeded` before any member is built."""
     if not isinstance(field, PrimeField):
         raise UnsupportedFamily("tube catalogs are enumerated over finite fields")
+    if family not in ("kronecker", "a31"):
+        raise UnsupportedFamily(f"no tube catalog for family {family!r}")
+    members = field.p + (1 if family == "kronecker" else 3)
+    if members > MAX_TUBE_MEMBERS:
+        raise SearchBudgetExceeded(
+            f"tube catalog over {field} has {members} members, exceeds cap {MAX_TUBE_MEMBERS}")
     if family == "kronecker":
         q = kronecker()
         tubes = []
         for lam in range(field.p):
             tubes.append((QuiverRep.from_entries(q, field, (1, 1), {"a": [[1]], "b": [[lam]]}),))
         tubes.append((QuiverRep.from_entries(q, field, (1, 1), {"a": [[0]], "b": [[1]]}),))
-    elif family == "a31":
+    else:
         q = affine_a3_cycle()
         first = QuiverRep.simple(q, field, 2)
         second = tau(first)
@@ -725,8 +736,6 @@ def tube_catalog(family: str, field: PrimeField) -> TubeCatalog:
             if not is_isomorphic(tau(member), member):
                 raise AssertionError("homogeneous tube member is not fixed by tau")
             tubes.append((member,))
-    else:
-        raise UnsupportedFamily(f"no tube catalog for family {family!r}")
 
     df = defect_function(q)
     for tube in tubes:

@@ -9,6 +9,7 @@ check or an internal invariant fails, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import random
@@ -287,13 +288,15 @@ def run_custom(path: str, seed: int = 0) -> Report:
     from .quiverrep import euler_form, hom_dim, hom_ext_dims
 
     parsed = parse_input(path)
+    with _any_int_digits():
+        zmods = [str(m) for m in parsed.zmods]
     report = Report("custom", {
         "path": path,
         "seed": seed,
         "quivers": {name: {"vertices": q.nvertices, "arrows": len(q.arrows)}
                     for name, q in parsed.quivers.items()},
         "reps": {name: list(rep.dims) for name, rep in parsed.reps.items()},
-        "zmods": [str(m) for m in parsed.zmods],
+        "zmods": zmods,
         "alphabet": list(parsed.alphabet) if parsed.alphabet else None,
         "words": [str(w) for w in parsed.words],
     })
@@ -305,12 +308,29 @@ def run_custom(path: str, seed: int = 0) -> Report:
             euler == h - e and h == hom_dim(rep, rep),
             values={"dims": list(rep.dims), "euler": euler, "hom": h, "ext1": e},
         )
-    for m in parsed.zmods:
-        report.add(f"zmod {m} is in canonical form", classify(m.presentation()) == m,
+    for m, text in zip(parsed.zmods, zmods):
+        report.add(f"zmod {text} is in canonical form", classify(m.presentation()) == m,
                    values={"free_rank": m.free_rank, "factors": list(m.invariant_factors)})
     for w in parsed.words:
         report.add(f"word {str(w)!r} is reduced", reduce_letters(w.letters) == w.letters)
     return report
+
+
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's cap on the digits of an int printed in decimal (4,300
+    by default, where the running Python has one) while results are
+    printed: a zmod line of 32 factors of 1000 bits has an invariant factor
+    of about 9,600 digits.  Input is parsed under the cap, so no integer a
+    report prints is longer than 32 times the cap."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +435,8 @@ def main(argv=None) -> int:
         where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
         print(f"tiltlab: internal check failed: {str(exc) or 'assert'} at {where}", file=sys.stderr)
         return 1
-    rendered = report.to_json() if args.format == "json" else report.to_text()
+    with _any_int_digits():
+        rendered = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(rendered)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

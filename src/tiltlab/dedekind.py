@@ -98,10 +98,17 @@ def _diagonal(free_rank: int, orders) -> IntMatrix:
 
 def from_pieces(free_rank: int, torsion_orders) -> FgZModule:
     """Canonical form of ``Z^free_rank + sum Z/k`` for arbitrary ``k``.
-    Each ``Z/0`` is a free summand, so only the torsion needs a Smith form."""
+    Each ``Z/0`` is a free summand.  The torsion needs no Smith form:
+    ``Z/a + Z/b`` is ``Z/gcd + Z/lcm``, and that step on every pair ``i <
+    j`` in turn leaves ``d_i`` the gcd of ``d_i, d_{i+1}, ...``, so the
+    orders end as a divisibility chain behind the ones."""
     orders = [abs(int(k)) for k in torsion_orders]
-    torsion = classify(_diagonal(0, [k for k in orders if k > 1]))
-    return FgZModule(free_rank + orders.count(0), torsion.invariant_factors)
+    d = [k for k in orders if k > 1]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return FgZModule(free_rank + orders.count(0), tuple(k for k in d if k > 1))
 
 
 def hom(M: FgZModule, N: FgZModule) -> FgZModule:

@@ -33,7 +33,7 @@ class NoExtension(TiltlabError):
 
 
 class SearchBudgetExceeded(TiltlabError):
-    """Submodule enumeration would exceed its fixed budget."""
+    """A submodule search or tube catalog would exceed its fixed budget."""
 
 
 class UnsupportedFamily(TiltlabError):

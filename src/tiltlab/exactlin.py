@@ -23,9 +23,18 @@ of a generator over ``zip`` on rows of 3 to 40 entries (over ``QQ`` the
 ``apply`` make one ``dot`` per entry, and ``IntMatrix`` products use the
 same sum.
 
-Elimination has one loop per representation.  Over ``QQ``, and over
+Elimination is one algorithm: the forward pass, which clears each pivot
+column below the pivot only, in the manner of Dumas, Giorgi and Pernet,
+"FFLAS and FFPACK" (ACM TOMS 35(3), 2008), then back substitution over
+only the columns a reader needs.  The forward pass gives the pivots and one
+normalised echelon row per pivot; ``pivots`` and ``rank`` stop there.
+``kernel_basis`` back-substitutes over the free columns (not at all when
+there is none), ``span`` over the identity columns of ``[A | I]``, and
+``rref`` over every column (``_back_substitute``).
+
+The forward pass has one loop per representation.  Over ``QQ``, and over
 ``GF(p)`` when ``min(nrows, ncols) < PACKED_MIN``, rows are lists and
-``Matrix._eliminate`` makes one row-kernel call per row operation.  Larger
+``Matrix._forward`` makes one row-kernel call per row operation.  Larger
 ``GF(p)`` matrices go to ``_forward_packed``, on rows packed into one
 Python int each, one fixed-width slot per column and column 0 in the top
 slot: a row operation is one big-int multiply-add ``row + (p - f) *
@@ -33,19 +42,7 @@ pivot_row``, and reduction mod ``p`` waits until a row is unpacked.  A
 slot starts below ``p`` and gains at most ``(p - 1)^2`` per row operation,
 and a row takes at most ``k = min(nrows, ncols)`` of them between two
 unpackings, so slots of ``p - 1 + k (p - 1)^2`` never carry into their
-neighbours.
-
-Rank and kernels come from the forward pass, which clears each pivot
-column below the pivot only, in the manner of Dumas, Giorgi and Pernet,
-"FFLAS and FFPACK" (ACM TOMS 35(3), 2008).  It gives the pivots and one
-normalised echelon row per pivot.  ``pivots`` and ``rank`` stop there;
-``kernel_basis`` back-substitutes over the free columns alone
-(``_back_substitute``, packed into one slot per free column), and not at
-all when there is none; ``complement`` reads the pivots of ``[A | I]``.
-``rref``, which ``span`` reads, clears above the pivots too: on lists in
-the same loop (Gauss-Jordan), on packed rows by back substitution over
-every column after the forward pass.  The rref is unique, so both
-representations return the same matrix.
+neighbours.  Back substitution packs its rows the same way.
 
 ``Matrix(field, rows)`` coerces every entry and checks the row lengths,
 for input from outside; the module's own results are built by the private
@@ -65,10 +62,10 @@ import struct
 from fractions import Fraction
 from operator import mul
 
-# Below this min(nrows, ncols) the list loop is faster over GF(p): on rref
-# inputs of the benchmark's Hom/Ext and AR-search workloads the packed loop
-# lost on most matrices under 16 columns and on sparse 32 x 32 systems over
-# GF(2), and won 3-8x over GF(101) from 48 up.
+# Below this min(nrows, ncols) the list loop is faster over GF(p): on the
+# forward passes of the benchmark's Hom/Ext and AR-search workloads the packed
+# loop lost on most matrices under 16 columns and on sparse 32 x 32 systems
+# over GF(2), and won 3-8x over GF(101) from 48 up.
 PACKED_MIN = 48
 
 
@@ -425,18 +422,12 @@ class Matrix:
         return Matrix._of(self.field, [r[:] for r in self.rows] + [r[:] for r in other.rows], self.ncols)
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form; returns the reduced matrix and pivot
-        column indices.  Over ``QQ`` and small ``GF(p)`` matrices this is
-        the in-place Gauss-Jordan loop of :meth:`_eliminate`; packed
-        ``GF(p)`` matrices run the forward pass and then back substitution
-        over every column."""
+        """Reduced row echelon form and its pivot columns: the forward pass,
+        then back substitution over every column."""
         field = self.field
-        if not self._packed():
-            rows, pivots = self._eliminate(full=True)
-            return Matrix._of(field, rows, self.ncols), pivots
-        echelon, pivots = _forward_packed(field.p, self.rows, self.ncols)
-        rows = _back_substitute(field, echelon, pivots, range(self.ncols), packed=True)
-        rows += [[0] * self.ncols for _ in range(self.nrows - len(pivots))]
+        echelon, pivots = self._forward()
+        rows = _back_substitute(field, echelon, pivots, range(self.ncols), self._packed())
+        rows += [[field.zero] * self.ncols for _ in range(self.nrows - len(pivots))]
         return Matrix._of(field, rows, self.ncols), pivots
 
     def _packed(self) -> bool:
@@ -446,18 +437,10 @@ class Matrix:
         """The forward pass: one row per pivot of a row echelon form, each
         scaled to lead with one, and the pivot columns.  Row ``i`` is zero
         left of ``pivots[i]``; its entries at later pivot columns are what
-        back substitution would clear."""
+        back substitution would clear.  Lists take one row-kernel call per
+        row operation, on a copy of the rows."""
         if self._packed():
             return _forward_packed(self.field.p, self.rows, self.ncols)
-        return self._eliminate(full=False)
-
-    def _eliminate(self, full: bool) -> tuple[list[list], list[int]]:
-        """Elimination on a copy of the rows, one row-kernel call per row
-        operation.  Each pivot row is scaled to lead with one, and its
-        column is cleared in the rows below it and, with ``full``, in the
-        rows above it too: that is Gauss-Jordan, and all ``nrows`` rows of
-        the rref come back.  Without ``full`` it is the forward pass, and
-        only the pivot rows come back."""
         field = self.field
         rows = [row[:] for row in self.rows]
         pivots: list[int] = []
@@ -476,15 +459,15 @@ class Matrix:
             # rows r, r+1, ... are zero left of column c, so every row
             # operation below changes only the tail from column c on
             tail = rows[r][c:] = scale_row(field.inv(rows[r][c]), rows[r][c:])
-            for i in range(0 if full else r + 1, len(rows)):
+            for i in range(r + 1, len(rows)):
                 row = rows[i]
-                if i != r and row[c] != zero:
+                if row[c] != zero:
                     row[c:] = sub_scaled(row[c:], row[c], tail)
             pivots.append(c)
             r += 1
             if r == len(rows):
                 break
-        return (rows if full else rows[:r]), pivots
+        return rows[:r], pivots
 
     def pivots(self) -> list[int]:
         """Pivot columns of the row echelon form, the columns outside the
@@ -532,24 +515,18 @@ class Matrix:
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
-    def complement(self) -> "Matrix":
-        """``span().complement`` from the forward pass of ``[A | I]``
-        alone: its pivots in ``I`` are the unit vectors ``e_i`` outside the
-        span of ``A`` and ``e_0, ..., e_{i-1}``."""
-        field, n, m = self.field, self.nrows, self.ncols
-        identity = Matrix.identity(field, n)
-        picked = [c - m for c in self.hstack(identity).pivots() if c >= m]
-        return Matrix._of(field, [[row[c] for c in picked] for row in identity.rows], len(picked))
-
     def span(self) -> "Span":
-        """Column space of ``A`` from one rref of ``[A | I]``.  The rref is
-        ``[E A | E]`` with ``E`` invertible; its first ``rank(A)`` rows have
-        their pivots in ``A`` and the rest in ``I``."""
+        """Column space of ``A`` from the forward pass of ``[A | I]``.  Its
+        rref is ``[E A | E]`` with ``E`` invertible, and the first
+        ``rank(A)`` of its ``n`` pivots lie in ``A``, the rest in ``I``; so
+        back substitution runs over the ``n`` columns of ``I`` alone, and
+        the rows it gives are ``E``."""
         field, n, m = self.field, self.nrows, self.ncols
         identity = Matrix.identity(field, n)
-        R, pivots = self.hstack(identity).rref()
+        AI = self.hstack(identity)
+        echelon, pivots = AI._forward()
+        E = _back_substitute(field, echelon, pivots, range(m, m + n), AI._packed())
         r = sum(1 for c in pivots if c < m)
-        E = [row[m:] for row in R.rows]
         return Span(
             basis=Matrix._of(field, [[row[c] for c in pivots[:r]] for row in self.rows], r),
             coords=Matrix._of(field, E[:r], n),

@@ -834,6 +834,20 @@ def test_unsupported_family():
             tube_catalog(family, F5)
 
 
+def test_tube_catalog_stops_at_the_member_cap(monkeypatch):
+    """The cap counts one member per field element plus the
+    non-homogeneous tube (1 Kronecker member, 3 of a31) and refuses
+    before anything is built."""
+    monkeypatch.setattr(artheory, "MAX_TUBE_MEMBERS", 8)
+    assert len(tube_catalog("kronecker", PrimeField(7)).members) == 8
+    assert len(tube_catalog("a31", PrimeField(5)).members) == 8
+    monkeypatch.setattr(artheory, "tau", None)  # nothing past the cap may reach it
+    monkeypatch.setattr(QuiverRep, "from_entries", None)
+    for family, p, members in (("kronecker", 11, 12), ("a31", 7, 10)):
+        with pytest.raises(SearchBudgetExceeded, match=f"has {members} members, exceeds cap 8"):
+            tube_catalog(family, PrimeField(p))
+
+
 def test_socle_of_layer_two_is_the_socle_member():
     trio = tube_catalog("a31", F5).tubes[0]
     layer2 = build_extension(trio[2], trio[0])

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +136,24 @@ def test_custom_refuses_oversized_input_in_one_line(tmp_path, capsys, text, reas
     path.write_text(text, encoding="utf-8")
     assert main(["custom", str(path)]) == 2
     assert capsys.readouterr().err == f"tiltlab: input error: {reason}\n"
+
+
+def test_custom_prints_a_zmod_line_of_large_factors(tmp_path, capsys):
+    # 32 random orders of 1000 bits: a Smith form of their diagonal took
+    # seconds, and their top invariant factor has more digits than Python
+    # prints by default (4,300)
+    rng = random.Random(5)
+    orders = [rng.getrandbits(1000) | 1 << 999 for _ in range(32)]
+    assert dedekind.from_pieces(0, orders).invariant_factors[-1].bit_length() > 4300 * 10 // 3
+    path = tmp_path / "zmod.txt"
+    path.write_text("zmod free 0 factors " + ",".join(map(str, orders)) + "\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    assert main(["custom", str(path)]) == 0
+    assert main(["custom", str(path), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert sys.get_int_max_str_digits() == limit
+    assert capsys.readouterr().out.count("[PASS] zmod Z/") == 1
 
 
 @pytest.mark.parametrize("line", ["alphabet x^1,y", "alphabet x^-1", "alphabet ^"])
@@ -505,6 +525,20 @@ def test_integers_past_the_primality_bound_are_refused(flag, capsys):
     err = capsys.readouterr().err
     assert err.startswith("tiltlab: ") and err.count("\n") == 1
     assert str(dedekind.MR_BOUND) in err
+
+
+@pytest.mark.parametrize("argv, members", [
+    (["perp-check", "--field", "2147483647"], 2147483648),
+    (["tube-demo", "--field", "1031"], 1034),
+], ids=["perp-check-2^31-1", "tube-demo-1031"])
+def test_tube_catalogs_past_the_member_cap_are_refused_at_once(argv, members, capsys):
+    # a catalog over GF(2^31 - 1) once ran out of memory building members
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    field = argv[-1]
+    assert capsys.readouterr().err == (
+        f"tiltlab: tube catalog over GF({field}) has {members} members, exceeds cap {artheory.MAX_TUBE_MEMBERS}\n")
 
 
 def test_negative_module_dimension_is_an_input_error(capsys):

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 from oracles import ext_oracle, hom_oracle, rand_fgz, tor_oracle, torsion_part
@@ -44,6 +46,30 @@ def test_invariant_factor_chain_enforced():
     with pytest.raises(ValueError):
         FgZModule(0, (4, 6))
     assert from_pieces(0, [4, 6]) == FgZModule(0, (2, 12))
+
+
+def test_from_pieces_matches_the_smith_form_of_its_diagonal():
+    """The gcd/lcm sweep reads the invariant factors that ``classify``
+    reads off the Smith form of the diagonal presentation, on orders with
+    shared primes, units, negatives and zeros."""
+    rng = random.Random(31)
+    for _ in range(400):
+        free_rank = rng.randrange(0, 3)
+        orders = [rng.choice([0, 1, -rng.randrange(2, 50), rng.randrange(2, 500),
+                              2 ** rng.randrange(0, 6) * 3 ** rng.randrange(0, 4) * 5 ** rng.randrange(0, 2)])
+                  for _ in range(rng.randrange(0, 8))]
+        assert from_pieces(free_rank, orders) == classify(dedekind._diagonal(free_rank, orders)), orders
+
+
+def test_from_pieces_on_large_factors_needs_no_smith_form():
+    """32 orders of 1000 bits, the most a ``zmod`` line holds; a Smith
+    form of their diagonal took seconds."""
+    rng = random.Random(5)
+    orders = [rng.getrandbits(1000) | 1 << 999 for _ in range(32)]
+    start = time.perf_counter()
+    m = from_pieces(0, orders)
+    assert time.perf_counter() - start < 0.5
+    assert m.free_rank == 0 and math.prod(m.invariant_factors) == math.prod(orders)
 
 
 @pytest.mark.parametrize("build, error, message", [

@@ -292,7 +292,6 @@ def test_span_matches_greedy_reference(field):
         assert sp.equations.shape == (nrows - r, nrows) and sp.complement.shape == (nrows, nrows - r)
         assert sp.basis.rank() == r and all(c in A.columns() for c in sp.basis.columns())
         assert sp.complement.columns() == greedy_basis_completion(field, sp.basis.columns(), nrows)
-        assert A.complement() == sp.complement
         assert sp.coords @ sp.basis == Matrix.identity(field, r)
         assert (sp.equations @ A).is_zero()
         assert sp.equations @ sp.complement == Matrix.identity(field, nrows - r)
@@ -372,7 +371,6 @@ def test_packed_span_and_kernel_match_reference():
     assert sp.coords.rows == [row[m:] for row in RI[:r]]
     assert sp.equations.rows == [row[m:] for row in RI[r:]]
     assert sp.complement.columns() == [[int(i == c - m) for i in range(n)] for c in pivots_i[r:]]
-    assert A.complement() == sp.complement
     assert sp.coords @ sp.basis == Matrix.identity(field, r)
     assert (sp.equations @ A).is_zero() and sp.equations @ sp.complement == Matrix.identity(field, n - r)
 
@@ -439,14 +437,12 @@ def test_rank_and_kernel_match_reference(field):
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(101), QQ], ids=repr)
 def test_rank_and_kernel_skip_the_full_back_substitution(field, monkeypatch):
-    """Neither ``rank`` nor ``kernel_basis`` calls ``rref`` or the
-    Gauss-Jordan loop, and ``kernel_basis`` back-substitutes over the
-    free columns only, and not at all when there is none."""
-    rref_calls, full_calls, back_cols = [], [], []
-    eliminate = Matrix._eliminate
+    """Neither ``rank`` nor ``kernel_basis`` calls ``rref``, and
+    ``kernel_basis`` back-substitutes over the free columns only, and not
+    at all when there is none."""
+    rref_calls, back_cols = [], []
     back = exactlin._back_substitute
     monkeypatch.setattr(Matrix, "rref", lambda self: rref_calls.append(self.shape))
-    monkeypatch.setattr(Matrix, "_eliminate", lambda self, full: full_calls.append(full) or eliminate(self, full))
     monkeypatch.setattr(exactlin, "_back_substitute",
                         lambda f, e, piv, cols, packed: back_cols.append(list(cols)) or back(f, e, piv, cols, packed))
     rng = random.Random(43)
@@ -458,7 +454,34 @@ def test_rank_and_kernel_skip_the_full_back_substitution(field, monkeypatch):
         A.kernel_basis()
         assert back_cols == ([free] if free else [])
         back_cols.clear()
-    assert rref_calls == [] and full_calls and not any(full_calls)
+    assert rref_calls == []
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(101), QQ], ids=repr)
+def test_span_back_substitutes_over_the_identity_columns_only(field, monkeypatch):
+    """``span`` is the forward pass of ``[A | I]`` and back substitution
+    over the ``n`` columns of ``I`` alone, never ``rref``; its basis,
+    coordinates, equations and complement are the ones read off the
+    Gauss-Jordan form of ``[A | I]``."""
+    rref_calls, back_cols = [], []
+    back = exactlin._back_substitute
+    monkeypatch.setattr(Matrix, "rref", lambda self: rref_calls.append(self.shape))
+    monkeypatch.setattr(exactlin, "_back_substitute",
+                        lambda f, e, piv, cols, packed: back_cols.append(list(cols)) or back(f, e, piv, cols, packed))
+    rng = random.Random(47)
+    p = None if field == QQ else field.p
+    for A in _forward_pass_cases(field, rng):
+        n, m = A.shape
+        R, pivots = gauss_jordan([row + [int(i == j) for j in range(n)] for i, row in enumerate(A.rows)], p)
+        r = sum(1 for c in pivots if c < m)
+        sp = A.span()
+        assert back_cols == [list(range(m, m + n))]
+        back_cols.clear()
+        assert sp.basis.columns() == [A.column(c) for c in pivots[:r]]
+        assert sp.coords.rows == [row[m:] for row in R[:r]]
+        assert sp.equations.rows == [row[m:] for row in R[r:]]
+        assert sp.complement.columns() == [[int(i == c - m) for i in range(n)] for c in pivots[r:]]
+    assert rref_calls == []
 
 
 @pytest.mark.parametrize("field", [F7, QQ], ids=repr)
@@ -476,7 +499,7 @@ def test_internal_results_are_canonical(field):
     results = [
         A.rref()[0], A @ C, C.kernel_basis(), A.transpose(), A.hstack(B), A.vstack(B),
         A + B, -A, A.scale(-3), Matrix.zeros(field, 2, 3), Matrix.identity(field, 3),
-        sp.basis, sp.coords, sp.equations, sp.complement, C.complement(),
+        sp.basis, sp.coords, sp.equations, sp.complement,
     ]
     Q = kronecker()
     M = QuiverRep(Q, field, [2, 3], [_random_matrix(field, rng, 3, 2) for _ in Q.arrows])
