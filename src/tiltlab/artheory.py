@@ -471,7 +471,7 @@ def all_submodules(M: QuiverRep):
     topological order; the subspace at ``v`` is the span ``R`` of the images
     along the arrows into ``v`` plus a subspace of a complement of ``R``, so
     every choice extends to a submodule.  The subspaces of each complement
-    dimension are enumerated once per call, as far as the search reads them.
+    dimension are listed lazily, once per call, in a ``tee`` each read copies.
     Raises :class:`SearchBudgetExceeded` once more than
     :data:`SEARCH_BUDGET` subspaces have been chosen."""
     field = M.field
@@ -481,21 +481,7 @@ def all_submodules(M: QuiverRep):
     order = q.topological_order()
     bases = [None] * q.nvertices
     choices = 0
-    enumerated = {}  # dim -> (the subspaces of field^dim listed so far, the enumeration)
-
-    def subspaces(dim: int):
-        # read by position: a nested read of the same dimension may extend
-        # the list while this one is paused
-        if dim not in enumerated:
-            enumerated[dim] = ([], _all_subspaces(field, dim))
-        listed, rest = enumerated[dim]
-        for i in itertools.count():
-            if i == len(listed):
-                T = next(rest, None)
-                if T is None:
-                    return
-                listed.append(T)
-            yield listed[i]
+    listed = {}  # dim -> a tee of the subspaces of field^dim
 
     def extend(i: int):
         nonlocal choices
@@ -507,7 +493,10 @@ def all_submodules(M: QuiverRep):
         for k in q.arrows_into(v):
             images = images.hstack(M.maps[k] @ bases[q.arrows[k].source])
         R = images.span()
-        for T in subspaces(R.complement.ncols):
+        d = R.complement.ncols
+        if d not in listed:
+            listed[d] = itertools.tee(_all_subspaces(field, d), 1)[0]
+        for T in listed[d].__copy__():
             choices += 1
             if choices > SEARCH_BUDGET:
                 raise SearchBudgetExceeded(f"submodule search exceeds budget of {SEARCH_BUDGET} subspace choices")
@@ -643,10 +632,9 @@ def u_filtration(N: QuiverRep, members) -> Filtration | None:
     if N.total_dim() > DIM_CAP:
         raise SearchBudgetExceeded(f"module dimension {N.total_dim()} exceeds cap {DIM_CAP}")
 
-    def search(X: QuiverRep):
-        """Returns (list of sub-bases-in-X chains bottom-up, factor list)."""
+    def search(X: QuiverRep) -> Filtration | None:
         if X.is_zero():
-            return [], []
+            return Filtration([], [])
         for bases in all_submodules(X):
             sdims = tuple(B.ncols for B in bases)
             if sum(sdims) == 0:
@@ -658,15 +646,10 @@ def u_filtration(N: QuiverRep, members) -> Filtration | None:
             quo, proj = quotient_by(X, bases)
             rest = search(quo)
             if rest is not None:
-                rest_chains, rest_factors = rest
-                return [bases] + [_preimage_bases(proj, c) for c in rest_chains], [idx] + rest_factors
+                return Filtration([bases] + [_preimage_bases(proj, c) for c in rest.chain], [idx] + rest.factors)
         return None
 
-    found = search(N)
-    if found is None:
-        return None
-    chains, factors = found
-    return Filtration(chains, factors)
+    return search(N)
 
 
 def _preimage_bases(proj: RepMap, sub_bases: list[Matrix]) -> list[Matrix]:

@@ -282,6 +282,19 @@ def _gf_powmod(p: int, a: list[int], e: int, m: list[int]) -> list[int]:
     return out
 
 
+def _width(rows: list[list], ncols: int | None) -> int:
+    """The common length of ``rows``, which ``ncols`` must match when it
+    is given; ``ncols`` itself when there are no rows."""
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise ValueError("ragged rows")
+    if ncols is None and not widths:
+        raise ValueError("ncols required for a matrix with no rows")
+    if ncols is not None and widths - {ncols}:
+        raise ValueError("ncols disagrees with row length")
+    return widths.pop() if widths else ncols
+
+
 class Matrix:
     """Immutable-by-convention dense matrix over a :class:`PrimeField` or
     :data:`QQ`.  Rows are lists of field scalars.
@@ -295,18 +308,7 @@ class Matrix:
     def __init__(self, field, rows, ncols: int | None = None):
         self.field = field
         self.rows = [[field.coerce(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            widths = {len(r) for r in self.rows}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols disagrees with row length")
-        else:
-            if ncols is None:
-                raise ValueError("ncols required for a matrix with no rows")
-            self.ncols = ncols
+        self.nrows, self.ncols = len(self.rows), _width(self.rows, ncols)
 
     @classmethod
     def _of(cls, field, rows: list[list], ncols: int) -> "Matrix":
@@ -692,16 +694,7 @@ class IntMatrix:
 
     def __init__(self, rows, ncols: int | None = None):
         self.rows = [[int(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            widths = {len(r) for r in self.rows}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-        else:
-            if ncols is None:
-                raise ValueError("ncols required for a matrix with no rows")
-            self.ncols = ncols
+        self.nrows, self.ncols = len(self.rows), _width(self.rows, ncols)
 
     @classmethod
     def _of(cls, rows: list[list[int]], ncols: int) -> "IntMatrix":

@@ -20,17 +20,20 @@ A quiver block closes at the next ``quiver`` or ``rep`` line; a rep block
 at the next ``rep`` line or when a quiver block opened after it closes, so
 a ``matrix`` line after a new ``quiver`` header still belongs to the rep.
 Both close at the end of the file.  A block is built when it closes, a rep
-over the field in force then, and its errors name its first line.
+over the field in force then, and its errors name its first line.  No
+line may hold an integer past Python's int-string digit cap (4,300).
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 
-from .dedekind import FgZModule, from_pieces
+from .dedekind import from_pieces
 from .errors import ParseError
 from .exactlin import Matrix, PrimeField, QQ
-from .freegrp import FreeWord, parse_alphabet, parse_reduce
+from .freegrp import parse_alphabet, parse_reduce
 from .quiverrep import Arrow, Quiver, QuiverRep
 
 MAX_ZMOD_PIECES = 32  # free rank plus factor count, the size of the Smith forms a zmod line costs
@@ -39,14 +42,9 @@ MAX_ZMOD_PIECES = 32  # free rank plus factor count, the size of the Smith forms
 class ParsedInput:
     __slots__ = ("field", "quivers", "reps", "zmods", "alphabet", "words")
 
-    def __init__(self, field=None, quivers: dict[str, Quiver] | None = None,
-                 reps: dict[str, QuiverRep] | None = None, zmods: list[FgZModule] | None = None,
-                 alphabet: tuple[str, ...] | None = None, words: list[FreeWord] | None = None):
-        self.field, self.alphabet = field, alphabet
-        self.quivers = {} if quivers is None else quivers
-        self.reps = {} if reps is None else reps
-        self.zmods = [] if zmods is None else zmods
-        self.words = [] if words is None else words
+    def __init__(self):
+        self.field = self.alphabet = None
+        self.quivers, self.reps, self.zmods, self.words = {}, {}, [], []
 
     def __eq__(self, other):
         return isinstance(other, ParsedInput) and all(
@@ -57,6 +55,7 @@ def parse_input(path: str) -> ParsedInput:
     """Parse a fixture file; deterministic, with 1-based line numbers in
     every error."""
     out = ParsedInput()
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     quiver = None  # the open quiver block
     rep = None  # the open rep block
 
@@ -93,9 +92,14 @@ def parse_input(path: str) -> ParsedInput:
 
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            tokens = raw.split("#", 1)[0].split()
+            text = raw.split("#", 1)[0]
+            tokens = text.split()
             if not tokens:
                 continue
+            if cap and len(text) > cap:  # a shorter line holds no integer past the cap
+                # digits as int() counts them, single underscores between them skipped
+                digits = max((len(m) - m.count("_") for m in re.findall(r"\d(?:_?\d)*", text)), default=0)
+                check(digits <= cap, f"integer of {digits} digits exceeds cap {cap}")
             key = tokens[0]
             if key == "quiver":
                 check(len(tokens) == 2, "usage: quiver <name>")

@@ -31,7 +31,6 @@ from .errors import NotBound
 from .exactlin import Matrix
 from .quiverrep import (
     QuiverRep,
-    _presented_hom_ext_dims,
     hom_dim,
     hom_system,
     presentation_tensor_matrix,
@@ -96,7 +95,8 @@ def is_divisible(M: QuiverRep, U) -> bool:
 def _is_divisible(M: QuiverRep, presentations) -> bool:
     """:func:`is_divisible` on the presentations of the members, so a
     caller testing many modules presents each member once."""
-    return all(_presented_hom_ext_dims(pres, M)[1] == 0 for pres in presentations)
+    DM = M.dual()
+    return all(pres.tor_dims(DM)[0] == 0 for pres in presentations)
 
 
 def transpose_duality_check(U: QuiverRep, X: QuiverRep) -> tuple[int, int]:

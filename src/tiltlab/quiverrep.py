@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .errors import NotInvariant, QuiverMismatch
 from .exactlin import QQ, Matrix
@@ -480,6 +481,13 @@ class ProjPresentation:
                     out.append((qidx, p, path, coeff))
         return out
 
+    def tor_dims(self, X: QuiverRep) -> tuple[int, int]:
+        """``(dim Tor_1(module, X), dim module (x) X)`` for a left module
+        ``X``, from one rank of ``P (x) X -> Q (x) X``; Hom/Ext^1 pass ``DN``."""
+        psi = presentation_tensor_matrix(self, X)
+        rank = psi.rank()
+        return psi.ncols - rank, psi.nrows - rank
+
 
 def proj_presentation(M: QuiverRep) -> ProjPresentation:
     """Minimal projective presentation built from the projective cover
@@ -526,7 +534,7 @@ def hom_system(M: QuiverRep, N: QuiverRep) -> tuple[Matrix, list[int]]:
     row values, cut into the arrow blocks, is a class ``(g_a: M_i -> N_j)``."""
     _require_parallel(M, N)
     field = M.field
-    offs = _block_offsets([n * m for n, m in zip(N.dims, M.dims)])
+    offs = list(itertools.accumulate((n * m for n, m in zip(N.dims, M.dims)), initial=0))
     total = offs[-1]
     rows: list[list] = []
     zero, neg = field.zero, field.neg
@@ -572,13 +580,6 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
     return system.ncols - system.rank()
 
 
-def _block_offsets(dims: list[int]) -> list[int]:
-    offs = [0]
-    for d in dims:
-        offs.append(offs[-1] + d)
-    return offs
-
-
 def presentation_tensor_matrix(pres: ProjPresentation, X: QuiverRep) -> Matrix:
     """Matrix of ``P (x) X -> Q (x) X`` for a left module ``X`` (a
     representation of the opposite quiver): block ``(q, p)`` evaluates the
@@ -586,9 +587,8 @@ def presentation_tensor_matrix(pres: ProjPresentation, X: QuiverRep) -> Matrix:
     if X.quiver != pres.module.quiver.opposite() or X.field != pres.module.field:
         raise QuiverMismatch("tensor factor must be a representation of the opposite quiver")
     field = X.field
-    pdims = [X.dims[v] for v in pres.P.summands]
-    qdims = [X.dims[v] for v in pres.Q.summands]
-    poffs, qoffs = _block_offsets(pdims), _block_offsets(qdims)
+    poffs = list(itertools.accumulate((X.dims[v] for v in pres.P.summands), initial=0))
+    qoffs = list(itertools.accumulate((X.dims[v] for v in pres.Q.summands), initial=0))
     out = Matrix.zeros(field, qoffs[-1], poffs[-1])
     action = functools.cache(X.path_action)  # entries repeat their (vertex, path)
     for (qi, pi, path, coeff) in pres.path_matrix():
@@ -605,16 +605,9 @@ def hom_ext_dims(M: QuiverRep, N: QuiverRep) -> tuple[int, int]:
     ``Hom(M, N) = D(M (x) DN)`` and ``Ext^1(M, N) = D Tor_1(M, DN)``, so
     they are the cokernel and the kernel of ``P (x) DN -> Q (x) DN``, the
     dual of ``Hom(Q, N) -> Hom(P, N)``."""
-    return _presented_hom_ext_dims(proj_presentation(M), N)
-
-
-def _presented_hom_ext_dims(pres: ProjPresentation, N: QuiverRep) -> tuple[int, int]:
-    """:func:`hom_ext_dims` of ``pres.module`` and ``N``, read from a
-    presentation the caller already holds."""
-    _require_parallel(pres.module, N)
-    psi = presentation_tensor_matrix(pres, N.dual())
-    rank = psi.rank()
-    return psi.nrows - rank, psi.ncols - rank
+    _require_parallel(M, N)
+    ext1, hom = proj_presentation(M).tor_dims(N.dual())
+    return hom, ext1
 
 
 def ext1_dim(M: QuiverRep, N: QuiverRep) -> int:
@@ -623,10 +616,8 @@ def ext1_dim(M: QuiverRep, N: QuiverRep) -> int:
 
 def tor_dims(M: QuiverRep, X: QuiverRep) -> tuple[int, int]:
     """``(dim Tor_1(M, X), dim M (x) X)`` for a right module ``M`` and a
-    left module ``X``: kernel and cokernel of ``P (x) X -> Q (x) X``."""
-    psi = presentation_tensor_matrix(proj_presentation(M), X)
-    rank = psi.rank()
-    return psi.ncols - rank, psi.nrows - rank
+    left module ``X``."""
+    return proj_presentation(M).tor_dims(X)
 
 
 def euler_form(q: Quiver, d, e) -> int:

@@ -28,9 +28,8 @@ class Check:
 class Report:
     __slots__ = ("scenario", "params", "checks")
 
-    def __init__(self, scenario: str, params: dict, checks: list[Check] | None = None):
-        self.scenario, self.params = scenario, params
-        self.checks = [] if checks is None else checks
+    def __init__(self, scenario: str, params: dict):
+        self.scenario, self.params, self.checks = scenario, params, []
 
     def add(self, name: str, passed: bool, inputs: dict | None = None, values: dict | None = None):
         self.checks.append(Check(name, plain(inputs or {}), plain(values or {}), bool(passed)))

@@ -125,11 +125,23 @@ def test_custom_refuses_a_null_entry_in_one_line(tmp_path, capsys):
     assert err == "tiltlab: input error: line 6: arrow 'a': entries must be integers\n"
 
 
+# Python's cap on the digits int() reads from a string, 0 where it has none
+DIGIT_CAP = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+NEEDS_DIGIT_CAP = pytest.mark.skipif(not DIGIT_CAP, reason="this Python reads integers of any length")
+PAST_CAP = f"integer of {DIGIT_CAP + 1} digits exceeds cap {DIGIT_CAP}"
+
+
 @pytest.mark.parametrize("text, reason", [
-    ("zmod free 20000\n", "line 1: free rank plus factor count 20000 exceeds cap 32"),
-    ('quiver q\nvertices 2\narrow a 1 2\nfield Q\nrep m dim 1 1\nmatrix a [["1e10000000"]]\n',
-     "line 6: arrow 'a': entries may not hold an exponent"),
-], ids=["zmod-free-rank", "q-exponent"])
+    pytest.param("zmod free 20000\n", "line 1: free rank plus factor count 20000 exceeds cap 32",
+                 id="zmod-free-rank"),
+    pytest.param('quiver q\nvertices 2\narrow a 1 2\nfield Q\nrep m dim 1 1\nmatrix a [["1e10000000"]]\n',
+                 "line 6: arrow 'a': entries may not hold an exponent", id="q-exponent"),
+    # json.loads alone refuses this entry with a ValueError that names no line
+    pytest.param("quiver q\nvertices 2\narrow a 1 2\nfield F 5\nrep m dim 1 1\nmatrix a [[" + "1" * (DIGIT_CAP + 1)
+                 + "]]\n", f"line 6: {PAST_CAP}", id="matrix-entry-past-digit-cap", marks=NEEDS_DIGIT_CAP),
+    pytest.param("zmod free 0 factors " + "1" * (DIGIT_CAP + 1) + "\n", f"line 1: {PAST_CAP}",
+                 id="zmod-factor-past-digit-cap", marks=NEEDS_DIGIT_CAP),
+])
 def test_custom_refuses_oversized_input_in_one_line(tmp_path, capsys, text, reason):
     # each fixture once took seconds and gigabytes to read
     path = tmp_path / "big.txt"

@@ -165,6 +165,20 @@ def test_snf_empty_shapes():
     check_snf(IntMatrix([[], [], []], ncols=0))
 
 
+@pytest.mark.parametrize("make", [lambda rows, ncols: Matrix(F5, rows, ncols), IntMatrix],
+                         ids=["Matrix", "IntMatrix"])
+@pytest.mark.parametrize("rows, ncols, message", [
+    ([[1, 2], [3]], None, "ragged rows"),
+    ([[1, 2], [3]], 2, "ragged rows"),
+    ([], None, "ncols required for a matrix with no rows"),
+    ([[1, 2]], 3, "ncols disagrees with row length"),
+    ([[], []], 1, "ncols disagrees with row length"),
+], ids=["ragged", "ragged-with-ncols", "no-rows-no-ncols", "ncols-disagrees", "empty-rows-ncols-disagrees"])
+def test_constructors_share_the_row_width_checks(make, rows, ncols, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(rows, ncols)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.lists(

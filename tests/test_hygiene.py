@@ -2,7 +2,8 @@
 method of the library is reached by a use that binds to it, somewhere and
 outside tests too (but for a short list of kept names), every parameter of
 a library function is read, sympy loads only inside the functions that call
-it, no library module imports ``dataclasses``, and every field class in
+it, no library module imports ``dataclasses``, no library module reaches a
+private name of another (but for one kept name), and every field class in
 ``exactlin`` implements the whole field protocol.  No linter is a dependency, so the checks walk the syntax tree
 themselves."""
 
@@ -361,3 +362,55 @@ def test_detector_flags_an_incomplete_field():
 def test_fields_implement_the_whole_protocol():
     found = incomplete_fields(ast.parse((ROOT / "src/tiltlab/exactlin.py").read_text(encoding="utf-8")))
     assert found == {"PrimeField": [], "Rationals": []}
+
+
+def private_imports(mod: str, tree: ast.Module, library: set[str]) -> list[str]:
+    """Underscore names that the module ``mod`` takes from another library
+    module, by ``from lib import _name`` or as ``alias._name`` with
+    ``alias`` bound to a library module.  A private name is one module's
+    own; a second module that needs it is a second route to its job."""
+    package = mod.rpartition(".")[0]
+    modules: dict[str, str] = {}  # local name -> the library module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names if alias.name in library)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, (package, node.module))) if node.level else node.module
+            for alias in node.names:
+                if f"{base}.{alias.name}" in library:
+                    modules[alias.asname or alias.name] = f"{base}.{alias.name}"
+                elif base in library and base != mod and alias.name.startswith("_"):
+                    found.append(f"{base}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+                and modules[node.value.id] != mod and node.attr.startswith("_") and not node.attr.startswith("__")):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return sorted(set(found))
+
+
+def test_detector_flags_a_private_import():
+    library = {"pkg.a", "pkg.b", "pkg.c"}
+    tree = ast.parse(
+        "from .a import _helper, public\n"
+        "from .b import _kept as kept\n"
+        "from . import c\n"
+        "import pkg.a as a\n"
+        "from .d import _outside\n"
+        "def f():\n"
+        "    return c._inner(a._other, a.__name__, public, kept)\n"
+    )
+    assert private_imports("pkg.e", tree, library) == ["pkg.a._helper", "pkg.a._other", "pkg.b._kept", "pkg.c._inner"]
+    assert private_imports("pkg.a", ast.parse("from .a import _own\n"), library) == []
+
+
+# Private names one library module takes from another, each kept for a reason.
+PRIVATE_KEPT = {
+    ("tiltlab.artheory", "tiltlab.exactlin._gf_factor"): "ROADMAP item 15 makes the _gf_* helpers public",
+}
+
+
+def test_no_library_module_imports_a_private_name_of_another():
+    library = trees("src/tiltlab")
+    found = {(mod, name) for mod, tree in library.items() for name in private_imports(mod, tree, set(library))}
+    assert found == set(PRIVATE_KEPT)

@@ -1,6 +1,8 @@
 """The fixture parser: one row per error it can raise, with the line and
 the reason it reports, and the interleaved blocks that parse."""
 
+import sys
+
 import pytest
 
 from tiltlab.dedekind import FgZModule
@@ -123,7 +125,26 @@ ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text, line, reason", [row[1:] for row in ERRORS], ids=[row[0] for row in ERRORS])
+# Python's cap on the digits int() reads from a string, 0 where it has none
+DIGIT_CAP = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+LONG = "1" * (DIGIT_CAP + 1)
+PAST_CAP = f"integer of {DIGIT_CAP + 1} digits exceeds cap {DIGIT_CAP}"
+# integers one digit past the cap: json.loads and int() refuse them with a
+# ValueError that names no fixture line
+DIGIT_CAP_ERRORS = [
+    ("matrix-entry-past-digit-cap", REP + f"matrix a [[{LONG}]]\n", 6, PAST_CAP),
+    ("zmod-factor-past-digit-cap", f"zmod free 0 factors 2,{LONG}\n", 1, PAST_CAP),
+    ("zmod-free-rank-past-digit-cap", f"zmod free {LONG}\n", 1, PAST_CAP),
+    ("zmod-factor-digits-counted-across-underscores", f"zmod free 0 factors 1_{LONG[1:]}\n", 1, PAST_CAP),
+]
+NEEDS_DIGIT_CAP = pytest.mark.skipif(not DIGIT_CAP, reason="this Python reads integers of any length")
+
+
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [pytest.param(*row[1:], id=row[0]) for row in ERRORS]
+    + [pytest.param(*row[1:], id=row[0], marks=NEEDS_DIGIT_CAP) for row in DIGIT_CAP_ERRORS],
+)
 def test_each_parse_error_names_its_line_and_reason(tmp_path, text, line, reason):
     with pytest.raises(ParseError) as info:
         parse_text(tmp_path, text)
@@ -162,3 +183,11 @@ def test_rep_takes_the_open_quiver_or_the_last_closed_one(tmp_path):
 def test_zmod_line_at_the_cap_parses(tmp_path):
     parsed = parse_text(tmp_path, "zmod free 30 factors 6,2\n")
     assert parsed.zmods == [FgZModule(30, (2, 6))]
+
+
+@NEEDS_DIGIT_CAP
+def test_integers_at_the_digit_cap_parse(tmp_path):
+    at_cap = "1" * DIGIT_CAP
+    parsed = parse_text(tmp_path, REP + f"matrix a [[{at_cap}]]\nzmod free 0 factors {at_cap}\n")
+    assert parsed.reps["m"].maps[0].rows == [[int(at_cap) % 5]]
+    assert parsed.zmods == [FgZModule(0, (int(at_cap),))]

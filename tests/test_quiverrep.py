@@ -280,6 +280,22 @@ def test_tor_requires_opposite_quiver():
         tor_dims(M, M)
 
 
+def test_hom_ext_and_tor_read_the_presentation_method():
+    rng = random.Random(30)
+    for q in (KRON, A3):
+        for _ in range(10):
+            M, N = random_rep(q, F5, rng), random_rep(q, F5, rng)
+            pres = proj_presentation(M)
+            assert tor_dims(M, N.dual()) == pres.tor_dims(N.dual()) == hom_ext_dims(M, N)[::-1]
+
+
+def test_hom_ext_dims_names_a_mismatched_pair():
+    with pytest.raises(QuiverMismatch, match="different quivers or fields"):
+        hom_ext_dims(tube_simple(KRON, F5, 1), QuiverRep.simple(A3, F5, 0))
+    with pytest.raises(QuiverMismatch, match="different quivers or fields"):
+        hom_ext_dims(tube_simple(KRON, F5, 1), QuiverRep.simple(KRON, PrimeField(7), 0))
+
+
 def test_euler_form_values_on_kronecker():
     assert euler_form(KRON, (1, 0), (0, 1)) == -2
     assert euler_form(KRON, (2, 3), (0, 0)) == 0
