@@ -12,12 +12,15 @@ whose indecomposable summands have defect zero; morphisms between
 projectives are *full* when they are injective with regular cokernel, and
 *atomic full* when the cokernel is simple regular.
 
-Isomorphism testing and decomposition sample nothing: summands split along
+Isomorphism testing and decomposition sample nothing.  An isomorphism is
+certified by an invertible element of ``Hom(M, N)``, which a deterministic
+walk over its basis finds by adding basis elements that raise the rank.
+Only when that walk stalls does Krull-Schmidt decide: summands split along
 Fitting decompositions of endomorphisms, each is certified indecomposable by
-a local endomorphism ring, and a negative isomorphism verdict compares
-multiplicities by Krull-Schmidt.  Both factor minimal polynomials of
-endomorphisms: over ``GF(p)`` with the library's own Berlekamp factorizer,
-over QQ with sympy, the one use of the optional ``qq`` extra.
+a local endomorphism ring, and the verdict compares multiplicities.  The
+splitting factors minimal polynomials of endomorphisms: over ``GF(p)`` with
+the library's own Berlekamp factorizer, over QQ with sympy, the one use of
+the optional ``qq`` extra.
 """
 
 from __future__ import annotations
@@ -104,21 +107,61 @@ def tau_minus(M: QuiverRep) -> QuiverRep:
 
 
 def is_isomorphic(M: QuiverRep, N: QuiverRep) -> bool:
-    """Certified isomorphism test.  A basis element of ``Hom(M, N)``, or
-    the sum of the basis, that is invertible proves ``M ~ N`` cheaply.
-    Otherwise Krull-Schmidt decides: the dimensions being equal, ``M ~ N``
-    exactly when every indecomposable summand ``W`` of ``M`` occurs in ``N``
-    with its multiplicity in ``M`` (:func:`_multiplicity`)."""
+    """Certified isomorphism test.  An invertible morphism ``M -> N``
+    proves ``M ~ N``; :func:`_raise_rank` looks for one in ``Hom(M, N)``.
+    When it finds none, Krull-Schmidt decides: the dimensions being equal,
+    ``M ~ N`` exactly when every indecomposable summand ``W`` of ``M``
+    occurs in ``N`` with its multiplicity in ``M`` (:func:`_multiplicity`)."""
     if M.quiver != N.quiver or M.field != N.field or M.dims != N.dims:
         return False
-    if M.total_dim() == 0:
+    n = M.total_dim()
+    if n == 0:
         return True
     basis = hom_space(M, N)
     if not basis:
         return False
-    if any(_invertible(f) for f in basis) or _invertible(sum(basis[1:], basis[0])):
+    if _raise_rank(basis, n) == n:
         return True
     return all(_multiplicity(W, residue, N) == m for W, m, residue in _summands(M))
+
+
+def _raise_rank(basis: list[RepMap], n: int) -> int:
+    """The highest total rank, the sum of the vertex blocks' ranks, that a
+    walk through ``Hom(M, N)`` reaches; at ``n = dim M`` the morphism is an
+    isomorphism.  The walk starts at the sum of the basis and goes round
+    the basis, replacing ``f`` by ``f + b`` whenever that raises the rank,
+    until the rank is ``n`` or a whole round raises nothing: at most ``(n
+    + 1) * len(basis)`` steps.  A single basis element, or one pass, often
+    stays singular on a sum with repeated summands over a small field.
+
+    No morphism has more rank at a vertex than the span of the basis'
+    images there, its cap (read only where the start is singular).  So the
+    walk does not start when a cap is below full rank, and a step ranks
+    only the blocks where ``b`` is nonzero, none when ``f`` is at its cap
+    on all of them."""
+    field = basis[0].source.field
+    f = list(sum(basis[1:], basis[0]).maps)
+    ranks = [m.rank() for m in f]
+    caps = [r if r == m.nrows else
+            Matrix._of(field, [[x for b in basis for x in b.maps[v].rows[i]] for i in range(m.nrows)],
+                       m.ncols * len(basis)).rank()
+            for v, (m, r) in enumerate(zip(f, ranks))]
+    if sum(caps) < n:
+        return sum(ranks)
+    supports = [[v for v, m in enumerate(b.maps) if not m.is_zero()] for b in basis]
+    stale = 0
+    for b, support in itertools.cycle(zip(basis, supports)):
+        if sum(ranks) == n or stale == len(basis):
+            return sum(ranks)
+        stale += 1
+        if all(ranks[v] == caps[v] for v in support):
+            continue
+        blocks = [f[v] + b.maps[v] for v in support]
+        new = [m.rank() for m in blocks]
+        if sum(new) > sum(ranks[v] for v in support):
+            for v, m, r in zip(support, blocks, new):
+                f[v], ranks[v] = m, r
+            stale = 0
 
 
 def _invertible(f: RepMap) -> bool:

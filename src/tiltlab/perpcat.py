@@ -27,7 +27,7 @@ restricted to finite-dimensional modules.
 from __future__ import annotations
 
 from .artheory import all_submodules, bound_members, is_bound, transpose
-from .errors import NotBound
+from .errors import NotBound, QuiverMismatch
 from .exactlin import Matrix
 from .quiverrep import (
     QuiverRep,
@@ -96,7 +96,12 @@ def _is_divisible(M: QuiverRep, presentations) -> bool:
     """:func:`is_divisible` on the presentations of the members, so a
     caller testing many modules presents each member once."""
     DM = M.dual()
-    return all(pres.tor_dims(DM)[0] == 0 for pres in presentations)
+    for pres in presentations:
+        if pres.module.quiver != M.quiver or pres.module.field != M.field:
+            raise QuiverMismatch("representations live over different quivers or fields")
+        if pres.tor_dims(DM)[0]:
+            return False
+    return True
 
 
 def transpose_duality_check(U: QuiverRep, X: QuiverRep) -> tuple[int, int]:

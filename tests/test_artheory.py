@@ -199,10 +199,20 @@ def spy_multiplicities(monkeypatch):
     return seen
 
 
+def without_rank_scan(monkeypatch):
+    """Make the rank-raising scan of ``is_isomorphic`` find nothing, so
+    Krull-Schmidt decides every pair."""
+    monkeypatch.setattr(artheory, "_raise_rank", lambda basis, n: 0)
+
+
 def test_is_isomorphic_counts_summands_with_a_radical(monkeypatch):
     seen = spy_multiplicities(monkeypatch)
     M = direct_sum(direct_sum(E2, E2), tube_simple(2))
-    assert is_isomorphic(M, random_basis_change(M, random.Random(0)))
+    N = random_basis_change(M, random.Random(0))
+    assert is_isomorphic(M, N)
+    assert seen == []  # the scan found an isomorphism, nothing was counted
+    without_rank_scan(monkeypatch)
+    assert is_isomorphic(M, N)
     assert sorted(seen) == [((1, 1), 1, 1), ((2, 2), 1, 2)]
     seen.clear()
     assert not is_isomorphic(M, direct_sum(E2, direct_sum(tube_simple(2), direct_sum(tube_simple(2), tube_simple(2)))))
@@ -215,6 +225,56 @@ def test_is_isomorphic_over_a_residue_field_of_degree_two(monkeypatch):
     assert not is_isomorphic(PP, direct_sum(P3, P2))
     assert seen == [((2, 2), 2, 1)]
     assert is_isomorphic(PP, random_basis_change(PP, random.Random(1)))
+
+
+def refuse_summands(monkeypatch):
+    def refuse(M):
+        raise AssertionError("is_isomorphic decomposed M")
+
+    monkeypatch.setattr(artheory, "_summands", refuse)
+
+
+def differential_pairs(q, field, rng):
+    """Random pairs of dimension ``k * (1, ..., 1)``, where isomorphism
+    classes come in families, so most pairs are not isomorphic; then basis
+    changes of ``X + Y + X`` and ``X^3``."""
+    pairs = []
+    for k in (1, 1, 2, 2, 2, 2, 3, 3):
+        dims = (k,) * q.nvertices
+        pairs.append((rep_with_dims(q, field, dims, rng), rep_with_dims(q, field, dims, rng)))
+    for _ in range(2):
+        X, Y = random_rep(q, field, rng, 2), random_rep(q, field, rng, 2)
+        for M in (direct_sum(direct_sum(X, Y), X), direct_sum(direct_sum(X, X), X)):
+            pairs.append((M, random_basis_change(M, rng)))
+    return pairs
+
+
+@pytest.mark.parametrize("q", [KRON, A3], ids=["kronecker", "a31"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_is_isomorphic_gives_the_krull_schmidt_verdict(monkeypatch, q, p):
+    pairs = differential_pairs(q, PrimeField(p), random.Random(p))
+    with_scan = [is_isomorphic(M, N) for M, N in pairs]
+    without_rank_scan(monkeypatch)
+    assert with_scan == [is_isomorphic(M, N) for M, N in pairs]
+    assert with_scan[-4:] == [True] * 4 and False in with_scan
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_is_isomorphic_certifies_a_power_of_a_tube_member(monkeypatch, d):
+    refuse_summands(monkeypatch)
+    for i, E in enumerate(tube_catalog("a31", PrimeField(3)).members):
+        M = functools.reduce(direct_sum, [E] * d)
+        assert is_isomorphic(M, random_basis_change(M, random.Random(i)))
+
+
+def test_is_isomorphic_certifies_five_summands_over_gf2(monkeypatch):
+    field = PrimeField(2)
+    simples = [QuiverRep.simple(KRON, field, v) for v in (0, 1)]
+    M = functools.reduce(direct_sum, tube_catalog("kronecker", field).members + simples)
+    assert M.dims == (4, 4)
+    refuse_summands(monkeypatch)
+    for t in range(10):
+        assert is_isomorphic(M, random_basis_change(M, random.Random(t)))
 
 
 # -- decompose ---------------------------------------------------------------

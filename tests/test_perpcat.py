@@ -12,7 +12,7 @@ from tiltlab.artheory import (
     tau,
     tube_catalog,
 )
-from tiltlab.errors import NotBound
+from tiltlab.errors import NotBound, QuiverMismatch
 from tiltlab.exactlin import Matrix, PrimeField
 from tiltlab.perpcat import (
     class_compare,
@@ -180,6 +180,19 @@ def test_each_member_is_presented_once_per_call(monkeypatch):
     testset = [s, tau_s, tau_minus_s, layer2, tau_layer2]
     assert is_isomorphic(class_compare(BoundSet((layer2, tau_layer2)), triple, testset), s)
     assert len(calls) == 2 + 3
+
+
+@pytest.mark.parametrize("M", [QuiverRep.simple(A3, F5, 0), QuiverRep.simple(KRON, PrimeField(3), 0)],
+                         ids=["quiver", "field"])
+def test_divisibility_refuses_a_module_over_another_quiver_or_field(M):
+    u = BoundSet((KCAT.tubes[0][0],))
+    message = "representations live over different quivers or fields"
+    with pytest.raises(QuiverMismatch, match=message):
+        is_divisible(M, u)
+    with pytest.raises(QuiverMismatch, match=message):
+        class_compare(u, u, [M])
+    with pytest.raises(QuiverMismatch, match=message):
+        divisible_radical(M, u)
 
 
 def test_divisible_radical_quotient_has_no_radical():
