@@ -15,7 +15,9 @@ projectives are *full* when they are injective with regular cokernel, and
 Isomorphism testing and decomposition sample nothing.  An isomorphism is
 certified by an invertible element of ``Hom(M, N)``, which a deterministic
 walk over its basis finds by adding basis elements that raise the rank.
-Only when that walk stalls does Krull-Schmidt decide: summands split along
+When the basis images span less than ``N`` at some vertex, no morphism is
+invertible and the answer is no.  Only when the walk stalls with every
+vertex spanned does Krull-Schmidt decide: summands split along
 Fitting decompositions of endomorphisms, each is certified indecomposable by
 a local endomorphism ring, and the verdict compares multiplicities.  The
 splitting factors minimal polynomials of endomorphisms: over ``GF(p)`` with
@@ -108,10 +110,11 @@ def tau_minus(M: QuiverRep) -> QuiverRep:
 
 def is_isomorphic(M: QuiverRep, N: QuiverRep) -> bool:
     """Certified isomorphism test.  An invertible morphism ``M -> N``
-    proves ``M ~ N``; :func:`_raise_rank` looks for one in ``Hom(M, N)``.
-    When it finds none, Krull-Schmidt decides: the dimensions being equal,
-    ``M ~ N`` exactly when every indecomposable summand ``W`` of ``M``
-    occurs in ``N`` with its multiplicity in ``M`` (:func:`_multiplicity`)."""
+    proves ``M ~ N``; :func:`_raise_rank` looks for one in ``Hom(M, N)``,
+    or shows that none exists.  When its walk stalls, Krull-Schmidt
+    decides: the dimensions being equal, ``M ~ N`` exactly when every
+    indecomposable summand ``W`` of ``M`` occurs in ``N`` with its
+    multiplicity in ``M`` (:func:`_multiplicity`)."""
     if M.quiver != N.quiver or M.field != N.field or M.dims != N.dims:
         return False
     n = M.total_dim()
@@ -120,25 +123,28 @@ def is_isomorphic(M: QuiverRep, N: QuiverRep) -> bool:
     basis = hom_space(M, N)
     if not basis:
         return False
-    if _raise_rank(basis, n) == n:
-        return True
+    verdict = _raise_rank(basis, n)
+    if verdict is not None:
+        return verdict
     return all(_multiplicity(W, residue, N) == m for W, m, residue in _summands(M))
 
 
-def _raise_rank(basis: list[RepMap], n: int) -> int:
-    """The highest total rank, the sum of the vertex blocks' ranks, that a
-    walk through ``Hom(M, N)`` reaches; at ``n = dim M`` the morphism is an
-    isomorphism.  The walk starts at the sum of the basis and goes round
+def _raise_rank(basis: list[RepMap], n: int) -> bool | None:
+    """``True`` when a walk through ``Hom(M, N)`` reaches total rank ``n =
+    dim M``, the sum of the vertex blocks' ranks, so an isomorphism;
+    ``False`` when no morphism is invertible; ``None`` when the walk stalls
+    below ``n``.  The walk starts at the sum of the basis and goes round
     the basis, replacing ``f`` by ``f + b`` whenever that raises the rank,
     until the rank is ``n`` or a whole round raises nothing: at most ``(n
     + 1) * len(basis)`` steps.  A single basis element, or one pass, often
     stays singular on a sum with repeated summands over a small field.
 
     No morphism has more rank at a vertex than the span of the basis'
-    images there, its cap (read only where the start is singular).  So the
-    walk does not start when a cap is below full rank, and a step ranks
-    only the blocks where ``b`` is nonzero, none when ``f`` is at its cap
-    on all of them."""
+    images there, its cap (read only where the start is singular).  So
+    when a cap is below full rank no morphism is onto that vertex, the
+    answer is ``False`` and the walk does not start; and a step ranks only
+    the blocks where ``b`` is nonzero, none when ``f`` is at its cap on all
+    of them."""
     field = basis[0].source.field
     f = list(sum(basis[1:], basis[0]).maps)
     ranks = [m.rank() for m in f]
@@ -147,12 +153,14 @@ def _raise_rank(basis: list[RepMap], n: int) -> int:
                        m.ncols * len(basis)).rank()
             for v, (m, r) in enumerate(zip(f, ranks))]
     if sum(caps) < n:
-        return sum(ranks)
+        return False
     supports = [[v for v, m in enumerate(b.maps) if not m.is_zero()] for b in basis]
     stale = 0
     for b, support in itertools.cycle(zip(basis, supports)):
-        if sum(ranks) == n or stale == len(basis):
-            return sum(ranks)
+        if sum(ranks) == n:
+            return True
+        if stale == len(basis):
+            return None
         stale += 1
         if all(ranks[v] == caps[v] for v in support):
             continue

@@ -42,7 +42,18 @@ pivot_row``, and reduction mod ``p`` waits until a row is unpacked.  A
 slot starts below ``p`` and gains at most ``(p - 1)^2`` per row operation,
 and a row takes at most ``k = min(nrows, ncols)`` of them between two
 unpackings, so slots of ``p - 1 + k (p - 1)^2`` never carry into their
-neighbours.  Back substitution packs its rows the same way.
+neighbours.  A pivot row is reduced and scaled to lead with one in a single
+pass over its unpacked slots.  Back substitution packs its rows the same
+way.
+
+``Matrix.block_sum`` sums scaled blocks into one matrix, and forks the same
+way.  Over ``QQ`` each block row is one ``sub_scaled`` call on a list row.
+Over ``GF(p)`` each output row is one packed int that every block row
+meeting it adds into with one multiply-add ``row + c * (block_row <<
+shift)``, and that is unpacked once; its slots hold ``p - 1 + k (p - 1)^2``
+for ``k`` terms.  Both packed loops follow Dumas, Fousse and Salvy,
+"Simultaneous modular reduction and Kronecker substitution for small
+finite fields" (J. Symb. Comput. 46, 2011).
 
 ``Matrix(field, rows)`` coerces every entry and checks the row lengths,
 for input from outside; the module's own results are built by the private
@@ -340,6 +351,38 @@ class Matrix:
                 m.rows[i][j] = field.coerce(x)
         return m
 
+    @classmethod
+    def block_sum(cls, field, nrows: int, ncols: int, terms) -> "Matrix":
+        """The ``nrows x ncols`` sum of ``coeff * block`` over the terms
+        ``(row, col, coeff, block)``, each block with its top-left entry
+        at ``(row, col)``; blocks may overlap.  Over ``GF(p)`` each output
+        row is one packed int, as in :func:`_forward_packed`, a block row
+        adds in one multiply-add, shifted to its column, and each output
+        row is unpacked once; slots hold what every term adds to one
+        entry, at most ``(p - 1)^2`` each.  Over ``QQ`` each block row is
+        one ``sub_scaled`` call."""
+        terms, coerce = list(terms), field.coerce
+        for r, c, _, B in terms:
+            if not (0 <= r <= nrows - B.nrows and 0 <= c <= ncols - B.ncols) or B.field != field:
+                raise ValueError(f"{B!r} does not fit at ({r}, {c}) in {nrows}x{ncols} over {field}")
+        if isinstance(field, PrimeField):
+            p, nbytes = field.p, _slot_bytes(field.p, len(terms))
+            rows, packed = [0] * nrows, {}  # a block that recurs is packed once
+            for r, c, x, B in terms:
+                brows = packed.get(id(B))
+                if brows is None:
+                    brows = packed[id(B)] = [_pack(brow, nbytes) for brow in B.rows]
+                x, shift = coerce(x), 8 * nbytes * (ncols - c - B.ncols)
+                for i, brow in enumerate(brows, r):
+                    rows[i] += x * brow << shift
+            return cls._of(field, [_unpack(row, ncols, nbytes, p) for row in rows], ncols)
+        rows = [[field.zero] * ncols for _ in range(nrows)]
+        for r, c, x, B in terms:
+            minus, c1 = field.neg(coerce(x)), c + B.ncols
+            for brow, orow in zip(B.rows, rows[r:]):
+                orow[c:c1] = field.sub_scaled(orow[c:c1], minus, brow)
+        return cls._of(field, rows, ncols)
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
@@ -553,7 +596,7 @@ def _forward_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[lis
     row operation, is masked off, and so is a leading slot that reduces to
     zero.  So a row's leading column is read from ``bit_length()`` and the
     next pivot column is the smallest of them.  Each pivot row is
-    unpacked, reduced and normalised once."""
+    unpacked, reduced and normalised once, in one pass over its slots."""
     nrows, last = len(rows), ncols - 1
     nbytes = _slot_bytes(p, min(nrows, ncols))
     w = 8 * nbytes
@@ -568,9 +611,7 @@ def _forward_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[lis
     while leads and (c := min(leads)) < ncols:
         i = leads.index(c)
         del leads[i]
-        vals = _unpack(active.pop(i), ncols - c, nbytes, p)
-        inv = pow(vals[0], -1, p)
-        vals = [x * inv % p for x in vals]
+        vals = _unpack(active.pop(i), ncols - c, nbytes, p, monic=True)
         pivot_row = _pack(vals, nbytes)
         pivots.append(c)
         echelon.append([0] * c + vals)
@@ -660,11 +701,15 @@ def _pack(vals: list[int], nbytes: int) -> int:
     return int.from_bytes(_slot_codec(nbytes, len(vals))[0].pack(*vals), "big")
 
 
-def _unpack(row: int, n: int, nbytes: int, p: int) -> list[int]:
-    """The lowest ``n`` slots of a packed row, reduced mod ``p``."""
+def _unpack(row: int, n: int, nbytes: int, p: int, monic: bool = False) -> list[int]:
+    """The lowest ``n`` slots of a packed row, reduced mod ``p``; ``monic``
+    also divides them by the top one, nonzero mod ``p``, in the same pass."""
     vals = _slot_codec(nbytes, n)[1].unpack(row.to_bytes(n * nbytes, "big"))
     if nbytes == 16:
-        return [(hi << 64 | lo) % p for hi, lo in zip(vals[::2], vals[1::2])]
+        vals = [hi << 64 | lo for hi, lo in zip(vals[::2], vals[1::2])]
+    if monic:
+        inv = pow(vals[0] % p, -1, p)
+        return [x * inv % p for x in vals]
     return [x % p for x in vals]
 
 

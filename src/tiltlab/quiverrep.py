@@ -582,22 +582,17 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
 
 def presentation_tensor_matrix(pres: ProjPresentation, X: QuiverRep) -> Matrix:
     """Matrix of ``P (x) X -> Q (x) X`` for a left module ``X`` (a
-    representation of the opposite quiver): block ``(q, p)`` evaluates the
-    path-matrix entries on ``X`` along the reversed paths."""
+    representation of the opposite quiver), one :meth:`Matrix.block_sum`:
+    each path-matrix entry ``(q, p, w, c)`` adds ``c`` times ``X`` evaluated
+    along the reversed path ``w`` to block ``(q, p)``."""
     if X.quiver != pres.module.quiver.opposite() or X.field != pres.module.field:
         raise QuiverMismatch("tensor factor must be a representation of the opposite quiver")
-    field = X.field
     poffs = list(itertools.accumulate((X.dims[v] for v in pres.P.summands), initial=0))
     qoffs = list(itertools.accumulate((X.dims[v] for v in pres.Q.summands), initial=0))
-    out = Matrix.zeros(field, qoffs[-1], poffs[-1])
     action = functools.cache(X.path_action)  # entries repeat their (vertex, path)
-    for (qi, pi, path, coeff) in pres.path_matrix():
-        block = action(pres.P.summands[pi], tuple(reversed(path)))
-        r0, c0, c1 = qoffs[qi], poffs[pi], poffs[pi + 1]
-        minus = field.neg(coeff)
-        for brow, orow in zip(block.rows, out.rows[r0:qoffs[qi + 1]]):
-            orow[c0:c1] = field.sub_scaled(orow[c0:c1], minus, brow)
-    return out
+    return Matrix.block_sum(X.field, qoffs[-1], poffs[-1], [
+        (qoffs[qi], poffs[pi], coeff, action(pres.P.summands[pi], tuple(reversed(path))))
+        for qi, pi, path, coeff in pres.path_matrix()])
 
 
 def hom_ext_dims(M: QuiverRep, N: QuiverRep) -> tuple[int, int]:

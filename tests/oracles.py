@@ -9,11 +9,13 @@ but not ``snf`` itself.  ``invariant_factors`` is the reference for
 with ``snf``.  The greedy basis completion is the reference for
 ``Matrix.span``'s complement, the brute-force submodule search the
 reference for ``all_submodules``, the plain Gauss-Jordan elimination the
-reference for ``Matrix.rref`` and ``Matrix.inverse``, the
-power-by-power solve the reference for ``artheory._min_poly``, and the
-decompose-then-search route the reference for
-``artheory.is_simple_regular``."""
+reference for ``Matrix.rref`` and ``Matrix.inverse``, the per-row
+``sub_scaled`` loop the reference for ``Matrix.block_sum`` and
+``quiverrep.presentation_tensor_matrix``, the power-by-power solve the
+reference for ``artheory._min_poly``, and the decompose-then-search route
+the reference for ``artheory.is_simple_regular``."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -208,6 +210,28 @@ def gauss_jordan(rows, p=None) -> tuple[list[list], list[int]]:
                     R[i][j] = norm(R[i][j] - f * R[r][j])
         pivots.append(c)
     return R, pivots
+
+
+def block_sum_reference(field, nrows: int, ncols: int, terms) -> Matrix:
+    """``Matrix.block_sum`` by one ``sub_scaled`` call per block row, on a
+    zero matrix of lists."""
+    out = Matrix.zeros(field, nrows, ncols)
+    for r0, c0, coeff, block in terms:
+        minus, c1 = field.neg(field.coerce(coeff)), c0 + block.ncols
+        for brow, orow in zip(block.rows, out.rows[r0:r0 + block.nrows]):
+            orow[c0:c1] = field.sub_scaled(orow[c0:c1], minus, brow)
+    return out
+
+
+def presentation_tensor_reference(pres, X) -> Matrix:
+    """``P (x) X -> Q (x) X``, block ``(q, p)`` summed from the path-matrix
+    entries evaluated on ``X`` along the reversed paths."""
+    poffs = list(itertools.accumulate((X.dims[v] for v in pres.P.summands), initial=0))
+    qoffs = list(itertools.accumulate((X.dims[v] for v in pres.Q.summands), initial=0))
+    action = functools.cache(X.path_action)
+    return block_sum_reference(X.field, qoffs[-1], poffs[-1], [
+        (qoffs[qi], poffs[pi], coeff, action(pres.P.summands[pi], tuple(reversed(path))))
+        for qi, pi, path, coeff in pres.path_matrix()])
 
 
 def min_poly_reference(f, p=None) -> list:

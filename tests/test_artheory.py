@@ -200,9 +200,9 @@ def spy_multiplicities(monkeypatch):
 
 
 def without_rank_scan(monkeypatch):
-    """Make the rank-raising scan of ``is_isomorphic`` find nothing, so
+    """Make the rank-raising scan of ``is_isomorphic`` stall, so
     Krull-Schmidt decides every pair."""
-    monkeypatch.setattr(artheory, "_raise_rank", lambda basis, n: 0)
+    monkeypatch.setattr(artheory, "_raise_rank", lambda basis, n: None)
 
 
 def test_is_isomorphic_counts_summands_with_a_radical(monkeypatch):
@@ -221,6 +221,7 @@ def test_is_isomorphic_counts_summands_with_a_radical(monkeypatch):
 
 def test_is_isomorphic_over_a_residue_field_of_degree_two(monkeypatch):
     seen = spy_multiplicities(monkeypatch)
+    without_rank_scan(monkeypatch)  # the scan alone refutes the first pair
     PP = direct_sum(P3, P3)
     assert not is_isomorphic(PP, direct_sum(P3, P2))
     assert seen == [((2, 2), 2, 1)]
@@ -232,6 +233,15 @@ def refuse_summands(monkeypatch):
         raise AssertionError("is_isomorphic decomposed M")
 
     monkeypatch.setattr(artheory, "_summands", refuse)
+
+
+def test_is_isomorphic_refutes_a_vertex_no_morphism_spans_without_decomposing(monkeypatch):
+    # Hom(P3, P2) = 0, so every morphism P3 + P3 -> P3 + P2 lands in P3
+    refuse_summands(monkeypatch)
+    PP, PQ = direct_sum(P3, P3), direct_sum(P3, P2)
+    assert artheory._raise_rank(hom_space(PP, PQ), PP.total_dim()) is False
+    assert not is_isomorphic(PP, PQ)
+    assert not is_isomorphic(direct_sum(E2, tube_simple(2)), direct_sum(E2, kron_pencil([[3]])))
 
 
 def differential_pairs(q, field, rng):

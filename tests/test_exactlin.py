@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det, gauss_jordan, greedy_basis_completion, invariant_factors
+from oracles import block_sum_reference, det, gauss_jordan, greedy_basis_completion, invariant_factors
 
 from tiltlab import exactlin
 from tiltlab.dedekind import FgZModule, classify
@@ -522,10 +522,82 @@ def test_internal_results_are_canonical(field):
     assert len(homs) >= 4
     results += [m for f in homs for m in f.maps]
     results.append(presentation_tensor_matrix(proj_presentation(M), N.dual()))
+    blocks = [A, B, C, _random_matrix(field, rng, 2, 0)]
+    results += [Matrix.block_sum(field, 9, 8, [(r, c, -k, X) for k, X in enumerate(blocks) for r, c in ((0, 0), (3, 2))]),
+                Matrix.block_sum(field, 0, 3, []), Matrix.block_sum(field, 2, 0, [(0, 0, 5, Matrix.zeros(field, 2, 0))])]
     for R in results:
         assert all(canonical(x) for row in R.rows for x in row), R
         assert all(len(row) == R.ncols for row in R.rows) and len(R.rows) == R.nrows
     assert all(canonical(x) for x in A.apply([rng.randrange(-9, 9) for _ in range(6)]))
+
+
+def test_the_packed_forward_pass_normalises_an_unreduced_pivot_slot(monkeypatch):
+    """Clearing column 0 adds 6 times row 0 to row 1, which leaves 0 + 6 *
+    6 = 36 in column 1, and only the reduction mod 7 makes it the pivot 1;
+    no other row reaches column 1, so that slot is the one normalised."""
+    rng, n = random.Random(61), PACKED_MIN
+    rows = [[1, 6] + [rng.randrange(7) for _ in range(n - 2)], [1, 0] + [rng.randrange(7) for _ in range(n - 2)]]
+    rows += [[0, 0] + [rng.randrange(7) for _ in range(n - 2)] for _ in range(n - 2)]
+    A, tops, unpack = Matrix(F7, rows, n), [], exactlin._unpack
+
+    def spy(row, k, nbytes, p, monic=False):
+        if monic:
+            tops.append(row >> 8 * nbytes * (k - 1))
+        return unpack(row, k, nbytes, p, monic)
+
+    monkeypatch.setattr(exactlin, "_unpack", spy)
+    echelon, pivots = A._forward()
+    assert tops[:2] == [1, 36] and pivots[:2] == [0, 1]
+    assert all(row[c] == 1 and all(type(x) is int and 0 <= x < 7 for x in row) for row, c in zip(echelon, pivots))
+    assert (A.rref()[0].rows, A.rref()[1]) == gauss_jordan(rows, 7)
+
+
+# -- block sums ----------------------------------------------------------------
+
+
+def _block_sum_cases(field, rng):
+    """Random terms on random shapes, blocks recurring and overlapping,
+    with zero coefficients and empty blocks; then every term the same
+    block of ``-1`` entries, times ``-1``, at the same corner."""
+    def coeff():
+        x = rng.choice([0, 1, -1, rng.randrange(-10**9, 10**9)])
+        return Fraction(x, rng.randint(1, 5)) if field == QQ else x
+
+    cases = []
+    for _ in range(30):
+        nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+        blocks = [_random_matrix(field, rng, rng.randint(0, nrows), rng.randint(0, ncols)) for _ in range(3)]
+        terms = []
+        for _ in range(rng.randint(0, 20)):
+            B = rng.choice(blocks)
+            terms.append((rng.randint(0, nrows - B.nrows), rng.randint(0, ncols - B.ncols), coeff(), B))
+        cases.append((nrows, ncols, terms))
+    minus_one = Matrix(field, [[-1] * 4] * 3, 4)
+    cases.append((5, 6, [(1, 2, -1, minus_one)] * 300))
+    return cases
+
+
+@pytest.mark.parametrize("field", [F2, PrimeField(3), PrimeField(101), PrimeField(2**31 - 1), QQ], ids=repr)
+def test_block_sum_matches_the_per_row_loop(field):
+    for nrows, ncols, terms in _block_sum_cases(field, random.Random(17)):
+        out = Matrix.block_sum(field, nrows, ncols, terms)
+        assert out == block_sum_reference(field, nrows, ncols, terms) and out.shape == (nrows, ncols)
+    # the last case sums 300 terms of (p - 1)^2 in each entry it covers,
+    # more than slots sized for one term hold (16 bytes at 2^31 - 1)
+    assert out.rows[1][2:6] == [field.coerce(300)] * 4 and out.rows[0] == [0] * 6
+    if field != QQ:
+        assert exactlin._slot_bytes(field.p, 300) > exactlin._slot_bytes(field.p, 1)
+
+
+def test_block_sum_refuses_a_block_that_does_not_fit():
+    B = Matrix(F5, [[1, 2], [3, 4]])
+    for r, c in ((-1, 0), (2, 0), (0, 3), (0, -1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            Matrix.block_sum(F5, 3, 4, [(r, c, 1, B)])
+    with pytest.raises(ValueError, match="does not fit"):
+        Matrix.block_sum(F7, 3, 4, [(0, 0, 1, B)])
+    empty = [(3, 4, 1, Matrix.zeros(F5, 0, 0)), (0, 1, 2, Matrix.zeros(F5, 0, 3)), (1, 4, 2, Matrix.zeros(F5, 2, 0))]
+    assert Matrix.block_sum(F5, 3, 4, [(1, 2, 1, B)] + empty).rows == [[0] * 4, [0, 0, 1, 2], [0, 0, 3, 4]]
 
 
 # -- factoring over GF(p) ------------------------------------------------------

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from oracles import presentation_tensor_reference
 
 from tiltlab import quiverrep
 from tiltlab.artheory import all_submodules, transpose
 from tiltlab.errors import NotInvariant, QuiverMismatch
-from tiltlab.exactlin import Matrix, PrimeField
+from tiltlab.exactlin import QQ, Matrix, PrimeField
 from tiltlab.quiverrep import (
     Arrow,
     ProjPresentation,
@@ -250,6 +252,30 @@ def test_ext_independent_of_presentation():
         if q is KRON:
             count = 25
     assert count >= 50
+
+
+def dense_rep(q, field, rng, dim_cap):
+    """Random dims in ``1..dim_cap`` and random entries, fractions over ``QQ``."""
+    def draw():
+        return Fraction(rng.randrange(-9, 10), rng.randint(1, 4)) if field == QQ else rng.randrange(field.p)
+
+    dims = [rng.randint(1, dim_cap) for _ in range(q.nvertices)]
+    return QuiverRep(q, field, dims, [Matrix(field, [[draw() for _ in range(dims[a.source])] for _ in range(dims[a.target])],
+                                             dims[a.source]) for a in q.arrows])
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), PrimeField(2**31 - 1), QQ], ids=repr)
+def test_presentation_tensor_matrix_matches_the_per_row_loop(field):
+    """Kronecker and a31 modules and modules over their opposite quivers,
+    against the loop that sums each block row by ``sub_scaled``."""
+    rng, lengths = random.Random(19), set()
+    for q in (KRON, KRON.opposite(), A3, A3.opposite()):
+        for _ in range(5):
+            M, X = dense_rep(q, field, rng, 4), dense_rep(q.opposite(), field, rng, 3)
+            pres = proj_presentation(M)
+            assert presentation_tensor_matrix(pres, X) == presentation_tensor_reference(pres, X)
+            lengths |= {len(w) for _, _, w, _ in pres.path_matrix()}
+    assert {1, 2, 3} <= lengths
 
 
 def test_tor_vanishes_on_projectives():
