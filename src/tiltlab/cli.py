@@ -225,11 +225,20 @@ def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
     return report
 
 
+# The largest --dim-cap perp-check accepts.  A Hom system on two modules of
+# dimension cap at every vertex is 4 cap^2 square on a31, and its dense rows
+# take memory as cap^4: at 32 the worst a31 pair over GF(1019) took 25 s and
+# 346 MB on a 2-vCPU VM, so 64 would need about 5.5 GB.
+MAX_DIM_CAP = 32
+
+
 def run_perp_check(family: str = "kronecker", field_char: int = 5, trials: int = 40,
                    seed: int = 0, dim_cap: int = 4) -> Report:
     """Sample modules against bound modules and confirm that the three
     perpendicular-membership conditions agree, together with the
     bilinear-form identity for morphism and extension dimensions."""
+    if dim_cap > MAX_DIM_CAP:
+        raise ValueError(f"dimension cap {dim_cap} exceeds cap {MAX_DIM_CAP}")
     from .artheory import build_extension, tube_catalog
     from .exactlin import PrimeField
     from .perpcat import perp_conditions

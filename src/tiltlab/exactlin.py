@@ -37,14 +37,17 @@ The forward pass has one loop per representation.  Over ``QQ``, and over
 ``Matrix._forward`` makes one row-kernel call per row operation.  Larger
 ``GF(p)`` matrices go to ``_forward_packed``, on rows packed into one
 Python int each, one fixed-width slot per column and column 0 in the top
-slot: a row operation is one big-int multiply-add ``row + (p - f) *
-pivot_row``, and reduction mod ``p`` waits until a row is unpacked.  A
-slot starts below ``p`` and gains at most ``(p - 1)^2`` per row operation,
-and a row takes at most ``k = min(nrows, ncols)`` of them between two
-unpackings, so slots of ``p - 1 + k (p - 1)^2`` never carry into their
-neighbours.  A pivot row is reduced and scaled to lead with one in a single
-pass over its unpacked slots.  Back substitution packs its rows the same
-way.
+slot.  It sweeps the columns from left to right, as the list loop does,
+over the rows that are not yet pivots, in input order.  A row's slot at
+the swept column is one shift, since every slot left of it is zero; a row
+operation is one big-int multiply-add ``row + (p - f) * pivot_row`` and a
+mask that clears that slot, and reduction mod ``p`` waits until a row is
+unpacked.  A slot starts below ``p`` and gains at most ``(p - 1)^2`` per
+row operation, and a row takes at most ``k = min(nrows, ncols)`` of them
+between two unpackings, so slots of ``p - 1 + k (p - 1)^2`` never carry
+into their neighbours.  A pivot row is reduced and scaled to lead with one
+in a single pass over its unpacked slots.  Back substitution packs its
+rows the same way.
 
 ``Matrix.block_sum`` sums scaled blocks into one matrix, and forks the same
 way.  Over ``QQ`` each block row is one ``sub_scaled`` call on a list row.
@@ -482,8 +485,10 @@ class Matrix:
         """The forward pass: one row per pivot of a row echelon form, each
         scaled to lead with one, and the pivot columns.  Row ``i`` is zero
         left of ``pivots[i]``; its entries at later pivot columns are what
-        back substitution would clear.  Lists take one row-kernel call per
-        row operation, on a copy of the rows."""
+        back substitution would clear.  Both loops sweep the columns from
+        left to right.  Lists take one row-kernel call per row operation,
+        on a copy of the rows; packed rows take one multiply-add and a mask,
+        with no row swaps (:func:`_forward_packed`)."""
         if self._packed():
             return _forward_packed(self.field.p, self.rows, self.ncols)
         field = self.field
@@ -591,46 +596,40 @@ def _forward_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[lis
     ``GF(p)`` rows ``rows``, with each row packed into one int: column
     ``j`` is the slot ``ncols - 1 - j`` slots above the bottom one.
 
-    The rows that are not yet pivots keep every slot left of the leading
-    one exactly zero: the eliminated slot, a multiple of ``p`` after the
-    row operation, is masked off, and so is a leading slot that reduces to
-    zero.  So a row's leading column is read from ``bit_length()`` and the
-    next pivot column is the smallest of them.  Each pivot row is
-    unpacked, reduced and normalised once, in one pass over its slots."""
-    nrows, last = len(rows), ncols - 1
-    nbytes = _slot_bytes(p, min(nrows, ncols))
+    The pass sweeps the columns from left to right over the rows that are
+    not yet pivots, kept in input order.  Every slot left of the swept
+    column ``c`` is exactly zero in them, so ``row >> shift`` is the slot
+    at ``c``.  The first row whose slot is nonzero mod ``p`` is the pivot;
+    it is unpacked, reduced and normalised once, in one pass over its
+    slots.  A later row whose slot is nonzero mod ``p`` takes a row
+    operation, which leaves a multiple of ``p`` there; that slot, like one
+    that already held an unreduced zero, is masked off.  A row that
+    reaches zero drops out."""
+    nbytes = _slot_bytes(p, min(len(rows), ncols))
     w = 8 * nbytes
-    active, leads = [], []
-    for r in rows:
-        row = _pack(r, nbytes)
-        if row:
-            active.append(row)
-            leads.append(last - (row.bit_length() - 1) // w)
+    active = [row for row in (_pack(r, nbytes) for r in rows) if row]
     pivots, echelon = [], []
-    # a row that reduces to zero stays in place with lead ``ncols``
-    while leads and (c := min(leads)) < ncols:
-        i = leads.index(c)
-        del leads[i]
-        vals = _unpack(active.pop(i), ncols - c, nbytes, p, monic=True)
-        pivot_row = _pack(vals, nbytes)
-        pivots.append(c)
-        echelon.append([0] * c + vals)
-        shift = (last - c) * w
+    for c in range(ncols):
+        if not active:
+            break
+        shift = (ncols - 1 - c) * w
         below = (1 << shift) - 1
-        for i, lead in enumerate(leads):
-            if lead != c:
-                continue
-            row = active[i]
-            f = (row >> shift) % p
-            row = (row + (p - f) * pivot_row) & below if f else row & below
-            while row:
-                lead = last - (row.bit_length() - 1) // w
-                s = (last - lead) * w
-                x = row >> s
-                if x % p:
-                    break
-                row ^= x << s
-            active[i], leads[i] = row, (lead if row else ncols)
+        pivot_row, kept = None, []
+        for row in active:
+            t = row >> shift
+            if t:
+                f = t % p
+                if f and pivot_row is None:
+                    vals = _unpack(row, ncols - c, nbytes, p, monic=True)
+                    pivot_row = _pack(vals, nbytes)
+                    pivots.append(c)
+                    echelon.append([0] * c + vals)
+                    continue
+                row = (row + (p - f) * pivot_row) & below if f else row & below
+                if not row:
+                    continue
+            kept.append(row)
+        active = kept
     return echelon, pivots
 
 

@@ -85,7 +85,7 @@ class Quiver:
         return order
 
     def opposite(self) -> "Quiver":
-        return Quiver(self.nvertices, tuple(Arrow(a.name, a.target, a.source) for a in self.arrows))
+        return _opposite(self)
 
     def arrows_from(self, v: int) -> list[int]:
         return [k for k, a in enumerate(self.arrows) if a.source == v]
@@ -103,6 +103,14 @@ def affine_a3_cycle() -> Quiver:
     arrow 0->3; its regular modules form one rank-3 tube and a family of
     homogeneous tubes."""
     return Quiver(4, (Arrow("a1", 0, 1), Arrow("a2", 1, 2), Arrow("a3", 2, 3), Arrow("b", 0, 3)))
+
+
+@functools.lru_cache(maxsize=None)
+def _opposite(q: Quiver) -> Quiver:
+    """``q`` with every arrow reversed, built and checked once per quiver:
+    ``presentation_tensor_matrix`` and ``QuiverRep.dual`` ask for it on
+    every call."""
+    return Quiver(q.nvertices, tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
 
 
 @functools.lru_cache(maxsize=None)

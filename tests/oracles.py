@@ -9,7 +9,8 @@ but not ``snf`` itself.  ``invariant_factors`` is the reference for
 with ``snf``.  The greedy basis completion is the reference for
 ``Matrix.span``'s complement, the brute-force submodule search the
 reference for ``all_submodules``, the plain Gauss-Jordan elimination the
-reference for ``Matrix.rref`` and ``Matrix.inverse``, the per-row
+reference for ``Matrix.rref`` and ``Matrix.inverse``, the lead-tracking
+packed loop the reference for ``exactlin._forward_packed``, the per-row
 ``sub_scaled`` loop the reference for ``Matrix.block_sum`` and
 ``quiverrep.presentation_tensor_matrix``, the power-by-power solve the
 reference for ``artheory._min_poly``, and the decompose-then-search route
@@ -24,7 +25,7 @@ from tiltlab import artheory
 from tiltlab.artheory import _all_subspaces, all_submodules, decompose, defect, is_regular
 from tiltlab.dedekind import FgZModule, classify, from_pieces
 from tiltlab.errors import SearchBudgetExceeded
-from tiltlab.exactlin import IntMatrix, Matrix, snf
+from tiltlab.exactlin import IntMatrix, Matrix, _pack, _slot_bytes, _unpack, snf
 from tiltlab.quiverrep import subrep
 
 
@@ -210,6 +211,49 @@ def gauss_jordan(rows, p=None) -> tuple[list[list], list[int]]:
                     R[i][j] = norm(R[i][j] - f * R[r][j])
         pivots.append(c)
     return R, pivots
+
+
+def forward_packed_reference(p: int, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """``exactlin._forward_packed`` by tracking each row's leading column.
+    The next pivot column is the least lead, and its pivot the first row,
+    in input order, that leads there.  After each row operation the row's
+    new lead is read from ``bit_length()``, and leading slots that reduce
+    to zero are masked off one by one."""
+    nrows, last = len(rows), ncols - 1
+    nbytes = _slot_bytes(p, min(nrows, ncols))
+    w = 8 * nbytes
+    active, leads = [], []
+    for r in rows:
+        row = _pack(r, nbytes)
+        if row:
+            active.append(row)
+            leads.append(last - (row.bit_length() - 1) // w)
+    pivots, echelon = [], []
+    # a row that reduces to zero stays in place with lead ``ncols``
+    while leads and (c := min(leads)) < ncols:
+        i = leads.index(c)
+        del leads[i]
+        vals = _unpack(active.pop(i), ncols - c, nbytes, p, monic=True)
+        pivot_row = _pack(vals, nbytes)
+        pivots.append(c)
+        echelon.append([0] * c + vals)
+        shift = (last - c) * w
+        below = (1 << shift) - 1
+        for i, lead in enumerate(leads):
+            if lead != c:
+                continue
+            row = active[i]
+            f = (row >> shift) % p
+            row = (row + (p - f) * pivot_row) & below if f else row & below
+            while row:
+                lead = last - (row.bit_length() - 1) // w
+                s = (last - lead) * w
+                x = row >> s
+                if x % p:
+                    break
+                row ^= x << s
+            active[i], leads[i] = row, (lead if row else ncols)
+    return echelon, pivots
 
 
 def block_sum_reference(field, nrows: int, ncols: int, terms) -> Matrix:

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from tiltlab import artheory, dedekind
+from tiltlab import artheory, dedekind, exactlin
 from tiltlab.cli import (
+    MAX_DIM_CAP,
     main,
     run_dedekind_classify,
     run_free_envelope,
@@ -252,6 +253,34 @@ def test_cli_custom_fixture(capsys):
     assert main(["custom", fixture("kronecker.txt")]) == 0
     out = capsys.readouterr().out
     assert '"quivers": {"kron": {"arrows": 2, "vertices": 2}}' in out
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2], ids=["gf-2^31-1", "gf-2"])
+def test_custom_runs_the_packed_forward_pass(tmp_path, capsys, monkeypatch, p):
+    """A dense Kronecker (10, 10) module: ``hom_dim`` eliminates its 200 x
+    200 Hom system and ``hom_ext_dims`` a 100 x 100 tensor matrix, both
+    packed, in 16-byte slots over ``GF(2^31 - 1)``."""
+    rng = random.Random(p)
+
+    def matrix():
+        return json.dumps([[rng.randrange(p) for _ in range(10)] for _ in range(10)])
+
+    path = tmp_path / "dense.txt"
+    path.write_text(f"quiver kron\nvertices 2\narrow a 1 2\narrow b 1 2\nfield F {p}\n"
+                    f"rep dense dim 10 10\nmatrix a {matrix()}\nmatrix b {matrix()}\n")
+    calls, forward = [], exactlin._forward_packed
+
+    def spy(q, rows, ncols):
+        calls.append((len(rows), ncols, exactlin._slot_bytes(q, min(len(rows), ncols))))
+        return forward(q, rows, ncols)
+
+    monkeypatch.setattr(exactlin, "_forward_packed", spy)
+    assert main(["custom", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '[PASS] rep dense: bilinear form equals hom minus ext\n' in out
+    assert '"ext1": 10, "hom": 10}' in out and out.endswith("summary: 1/1 passed, 0 failed\n")
+    nbytes = 16 if p > 2**16 else 1
+    assert (200, 200, nbytes) in calls and (100, 100, nbytes) in calls
 
 
 def test_custom_zmod_check_can_fail(capsys, monkeypatch):
@@ -553,6 +582,24 @@ def test_tube_catalogs_past_the_member_cap_are_refused_at_once(argv, members, ca
     field = argv[-1]
     assert capsys.readouterr().err == (
         f"tiltlab: tube catalog over GF({field}) has {members} members, exceeds cap {artheory.MAX_TUBE_MEMBERS}\n")
+
+
+class _Built(Exception):
+    pass
+
+
+def test_dim_caps_past_the_bound_are_refused_before_anything_is_built(capsys, monkeypatch):
+    # a cap of 10000 would allocate Hom systems of about 2 * 10^8 x 2 * 10^8
+    # entries instead of exiting
+    def refuse(*args):
+        raise _Built
+
+    monkeypatch.setattr(artheory, "tube_catalog", refuse)
+    assert main(["perp-check", "--dim-cap", "10000"]) == 2
+    assert capsys.readouterr().err == f"tiltlab: dimension cap 10000 exceeds cap {MAX_DIM_CAP}\n"
+    assert main(["perp-check", "--dim-cap", str(MAX_DIM_CAP + 1)]) == 2
+    with pytest.raises(_Built):
+        main(["perp-check", "--dim-cap", str(MAX_DIM_CAP)])
 
 
 def test_negative_module_dimension_is_an_input_error(capsys):

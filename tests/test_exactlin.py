@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_sum_reference, det, gauss_jordan, greedy_basis_completion, invariant_factors
+from oracles import (block_sum_reference, det, forward_packed_reference, gauss_jordan, greedy_basis_completion,
+                     invariant_factors)
 
 from tiltlab import exactlin
 from tiltlab.dedekind import FgZModule, classify
 from tiltlab.exactlin import PACKED_MIN, QQ, IntMatrix, Matrix, PrimeField, _forward_packed, snf
-from tiltlab.quiverrep import QuiverRep, hom_space, kronecker, presentation_tensor_matrix, proj_presentation
+from tiltlab.quiverrep import (QuiverRep, affine_a3_cycle, hom_space, hom_system, kronecker, presentation_tensor_matrix,
+                               proj_presentation)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -549,6 +551,72 @@ def test_the_packed_forward_pass_normalises_an_unreduced_pivot_slot(monkeypatch)
     echelon, pivots = A._forward()
     assert tops[:2] == [1, 36] and pivots[:2] == [0, 1]
     assert all(row[c] == 1 and all(type(x) is int and 0 <= x < 7 for x in row) for row, c in zip(echelon, pivots))
+    assert (A.rref()[0].rows, A.rref()[1]) == gauss_jordan(rows, 7)
+
+
+def _packed_differential_cases(field, rng):
+    """Inputs of the packed forward pass: dense squares of 48 and 100,
+    wide and tall low-rank products, whose later rows vanish partway
+    through, all-zero columns in the middle, and the Hom systems of dense
+    Kronecker (7, 7) and (10, 10) pairs and of affine A3 pairs."""
+    def low_rank(m, n, k):
+        return _random_matrix(field, rng, m, k) @ _random_matrix(field, rng, k, n)
+
+    def rep(q, dims):
+        return QuiverRep(q, field, dims, [_random_matrix(field, rng, dims[a.target], dims[a.source])
+                                          for a in q.arrows], check=False)
+
+    def hom_pair(q, dims_m, dims_n):
+        return hom_system(rep(q, dims_m), rep(q, dims_n))[0]
+
+    zero_cols = _random_matrix(field, rng, 60, 70)
+    for row in zero_cols.rows:
+        row[20:30] = [0] * 10
+    return [
+        _random_matrix(field, rng, 48, 48),
+        _random_matrix(field, rng, 100, 100),
+        low_rank(60, 150, 30),
+        low_rank(150, 60, 25),
+        zero_cols,
+        hom_pair(kronecker(), (7, 7), (7, 7)),
+        hom_pair(kronecker(), (10, 10), (10, 10)),
+        hom_pair(affine_a3_cycle(), (5, 5, 5, 5), (5, 5, 5, 5)),
+        hom_pair(affine_a3_cycle(), (4, 5, 3, 5), (5, 4, 5, 3)),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521, 2**31 - 1])
+def test_the_packed_sweep_matches_the_lead_tracking_loop(p):
+    """The column sweep picks the same pivot rows as the loop that tracks
+    each row's lead, so the echelon rows agree exactly, not only the rref;
+    ``2^31 - 1`` takes 16-byte slots."""
+    field = PrimeField(p)
+    for A in _packed_differential_cases(field, random.Random(p)):
+        assert min(A.shape) >= PACKED_MIN
+        assert _forward_packed(p, A.rows, A.ncols) == forward_packed_reference(p, A.rows, A.ncols)
+
+
+def test_the_packed_sweep_masks_an_unreduced_zero_and_never_pivots_on_it(monkeypatch):
+    """Clearing column 0 adds 6 times row 0 to row 1, which leaves 6 + 6 *
+    6 = 42 in row 1's slot at column 1: nonzero, but zero mod 7.  So row 2
+    is the pivot at column 1, and row 1's slot there is masked off before
+    it becomes the pivot at column 2 with slot 3 + 6 * 0 = 3."""
+    rng, n = random.Random(67), PACKED_MIN
+    rows = [[1, 6, 0] + [rng.randrange(7) for _ in range(n - 3)], [1, 6, 3] + [rng.randrange(7) for _ in range(n - 3)],
+            [0, 1] + [rng.randrange(7) for _ in range(n - 2)]]
+    rows += [[0, 0, 0] + [rng.randrange(7) for _ in range(n - 3)] for _ in range(n - 3)]
+    tops, unpack = [], exactlin._unpack
+
+    def spy(row, k, nbytes, p, monic=False):
+        if monic:
+            tops.append(row >> 8 * nbytes * (k - 1))
+        return unpack(row, k, nbytes, p, monic)
+
+    monkeypatch.setattr(exactlin, "_unpack", spy)
+    echelon, pivots = _forward_packed(7, rows, n)
+    assert tops[:3] == [1, 1, 3] and pivots[:3] == [0, 1, 2] and echelon[1] == rows[2]
+    assert (echelon, pivots) == forward_packed_reference(7, rows, n)
+    A = Matrix(F7, rows, n)
     assert (A.rref()[0].rows, A.rref()[1]) == gauss_jordan(rows, 7)
 
 

@@ -63,6 +63,13 @@ def test_equal_quivers_hash_alike_and_share_cached_projectives():
     assert quiverrep.proj_sum.cache_info().hits == 1
 
 
+def test_the_opposite_quiver_is_built_once_and_reverses_back():
+    for q in (kronecker(), affine_a3_cycle(), Quiver(3, (Arrow("x", 2, 0), Arrow("y", 0, 1)))):
+        op = q.opposite()
+        assert op is q.opposite() and op.opposite() == q and op != q
+        assert [(a.name, a.source, a.target) for a in op.arrows] == [(a.name, a.target, a.source) for a in q.arrows]
+
+
 def test_topological_order_points_every_arrow_forward():
     for q in (KRON, A3, Quiver(3, (Arrow("x", 2, 0), Arrow("y", 0, 1)))):
         order = q.topological_order()
