@@ -35,28 +35,33 @@ there is none), ``span`` over the identity columns of ``[A | I]``, and
 The forward pass has one loop per representation.  Over ``QQ``, and over
 ``GF(p)`` when ``min(nrows, ncols) < PACKED_MIN``, rows are lists and
 ``Matrix._forward`` makes one row-kernel call per row operation.  Larger
-``GF(p)`` matrices go to ``_forward_packed``, on rows packed into one
-Python int each, one fixed-width slot per column and column 0 in the top
-slot.  It sweeps the columns from left to right, as the list loop does,
-over the rows that are not yet pivots, in input order.  A row's slot at
-the swept column is one shift, since every slot left of it is zero; a row
-operation is one big-int multiply-add ``row + (p - f) * pivot_row`` and a
-mask that clears that slot, and reduction mod ``p`` waits until a row is
+``GF(p)`` matrices are packed and go to ``_forward_packed``, on rows packed
+into one Python int each, one fixed-width slot per column and column 0 in
+the top slot.  It sweeps the columns from left to right, as the list loop
+does, over the rows that are not yet pivots, in input order.  A row's slot
+at the swept column is one shift, since every slot left of it is zero; a
+row operation is one big-int multiply-add ``row + (p - f) * pivot_row`` and
+a mask that clears that slot, and reduction mod ``p`` waits until a row is
 unpacked.  A slot starts below ``p`` and gains at most ``(p - 1)^2`` per
 row operation, and a row takes at most ``k = min(nrows, ncols)`` of them
 between two unpackings, so slots of ``p - 1 + k (p - 1)^2`` never carry
 into their neighbours.  A pivot row is reduced and scaled to lead with one
-in a single pass over its unpacked slots.  Back substitution packs its
-rows the same way.
+in a single pass over its unpacked slots.  Back substitution always runs
+on lists: the pivot rows come out of the forward pass as lists, and a
+packed back substitution lost to the list loop when few columns are free.
 
 ``Matrix.block_sum`` sums scaled blocks into one matrix, and forks the same
 way.  Over ``QQ`` each block row is one ``sub_scaled`` call on a list row.
 Over ``GF(p)`` each output row is one packed int that every block row
 meeting it adds into with one multiply-add ``row + c * (block_row <<
-shift)``, and that is unpacked once; its slots hold ``p - 1 + k (p - 1)^2``
-for ``k`` terms.  Both packed loops follow Dumas, Fousse and Salvy,
-"Simultaneous modular reduction and Kronecker substitution for small
-finite fields" (J. Symb. Comput. 46, 2011).
+shift)`` (``_packed_block_sum``); its slots hold ``p - 1 + t (p - 1)^2``
+for ``t`` terms, and ``block_sum`` unpacks each row once.
+``Matrix.block_sum_rank`` reads the rank of the same sum and, from
+``PACKED_MIN`` on over ``GF(p)``, hands the packed rows to
+``_forward_packed`` unreduced, with slots sized for ``t + k`` terms, so no
+row is unpacked until it becomes a pivot.  Both packed loops follow Dumas,
+Fousse and Salvy, "Simultaneous modular reduction and Kronecker
+substitution for small finite fields" (J. Symb. Comput. 46, 2011).
 
 ``Matrix(field, rows)`` coerces every entry and checks the row lengths,
 for input from outside; the module's own results are built by the private
@@ -69,18 +74,21 @@ Berlekamp's algorithm, whose one linear-algebra step is a
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import struct
 from fractions import Fraction
 from operator import mul
 
-# Below this min(nrows, ncols) the list loop is faster over GF(p): on the
-# forward passes of the benchmark's Hom/Ext and AR-search workloads the packed
-# loop lost on most matrices under 16 columns and on sparse 32 x 32 systems
-# over GF(2), and won 3-8x over GF(101) from 48 up.
-PACKED_MIN = 48
+# Below this min(nrows, ncols) the list loop is faster over GF(p).  Timed on
+# the forward passes of one pass of each benchmark workload at seed 77 (best
+# of 7, 2-vCPU VM, Python 3.11), with back substitution on lists either way:
+# from 8 to 47 columns the packed loop took 33.1 ms against the list loop's
+# 39.3 ms on ar-search's GF(2), GF(3) and GF(5) systems (7.2 against 10.9 ms
+# over GF(5); only the 8-15 column systems over GF(2) and GF(3) lost, 2.21
+# against 1.97 ms), and 20.3 against 34.7 ms on homext-dense's 8-15 column
+# GF(101) systems; under 8 columns it took 1.05-1.44 times as long.
+PACKED_MIN = 8
 
 
 class PrimeField:
@@ -358,33 +366,38 @@ class Matrix:
     def block_sum(cls, field, nrows: int, ncols: int, terms) -> "Matrix":
         """The ``nrows x ncols`` sum of ``coeff * block`` over the terms
         ``(row, col, coeff, block)``, each block with its top-left entry
-        at ``(row, col)``; blocks may overlap.  Over ``GF(p)`` each output
-        row is one packed int, as in :func:`_forward_packed`, a block row
-        adds in one multiply-add, shifted to its column, and each output
-        row is unpacked once; slots hold what every term adds to one
-        entry, at most ``(p - 1)^2`` each.  Over ``QQ`` each block row is
-        one ``sub_scaled`` call."""
-        terms, coerce = list(terms), field.coerce
-        for r, c, _, B in terms:
-            if not (0 <= r <= nrows - B.nrows and 0 <= c <= ncols - B.ncols) or B.field != field:
-                raise ValueError(f"{B!r} does not fit at ({r}, {c}) in {nrows}x{ncols} over {field}")
+        at ``(row, col)``; blocks may overlap.  Over ``GF(p)`` the rows are
+        summed packed (:func:`_packed_block_sum`) in slots that hold what
+        every term adds to one entry, at most ``(p - 1)^2`` each, and each
+        row is unpacked once.  Over ``QQ`` each block row is one
+        ``sub_scaled`` call."""
+        terms = _fitting_terms(field, nrows, ncols, terms)
         if isinstance(field, PrimeField):
             p, nbytes = field.p, _slot_bytes(field.p, len(terms))
-            rows, packed = [0] * nrows, {}  # a block that recurs is packed once
-            for r, c, x, B in terms:
-                brows = packed.get(id(B))
-                if brows is None:
-                    brows = packed[id(B)] = [_pack(brow, nbytes) for brow in B.rows]
-                x, shift = coerce(x), 8 * nbytes * (ncols - c - B.ncols)
-                for i, brow in enumerate(brows, r):
-                    rows[i] += x * brow << shift
+            rows = _packed_block_sum(field, nrows, ncols, terms, nbytes)
             return cls._of(field, [_unpack(row, ncols, nbytes, p) for row in rows], ncols)
-        rows = [[field.zero] * ncols for _ in range(nrows)]
+        coerce, rows = field.coerce, [[field.zero] * ncols for _ in range(nrows)]
         for r, c, x, B in terms:
             minus, c1 = field.neg(coerce(x)), c + B.ncols
             for brow, orow in zip(B.rows, rows[r:]):
                 orow[c:c1] = field.sub_scaled(orow[c:c1], minus, brow)
         return cls._of(field, rows, ncols)
+
+    @classmethod
+    def block_sum_rank(cls, field, nrows: int, ncols: int, terms) -> int:
+        """``block_sum(field, nrows, ncols, terms).rank()``.  Where the
+        forward pass is packed, the packed rows of the sum go into it
+        unreduced and are never unpacked: a slot starts at ``len(terms)``
+        terms of at most ``(p - 1)^2`` and gains at most ``k = min(nrows,
+        ncols)`` more in row operations, so slots sized for ``len(terms) +
+        k`` terms hold it."""
+        k = min(nrows, ncols)
+        if not (isinstance(field, PrimeField) and k >= PACKED_MIN):
+            return cls.block_sum(field, nrows, ncols, terms).rank()
+        terms = _fitting_terms(field, nrows, ncols, terms)
+        nbytes = _slot_bytes(field.p, len(terms) + k)
+        rows = _packed_block_sum(field, nrows, ncols, terms, nbytes)
+        return len(_forward_packed(field.p, rows, ncols, nbytes)[1])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -474,12 +487,9 @@ class Matrix:
         then back substitution over every column."""
         field = self.field
         echelon, pivots = self._forward()
-        rows = _back_substitute(field, echelon, pivots, range(self.ncols), self._packed())
+        rows = _back_substitute(field, echelon, pivots, range(self.ncols))
         rows += [[field.zero] * self.ncols for _ in range(self.nrows - len(pivots))]
         return Matrix._of(field, rows, self.ncols), pivots
-
-    def _packed(self) -> bool:
-        return isinstance(self.field, PrimeField) and min(self.nrows, self.ncols) >= PACKED_MIN
 
     def _forward(self) -> tuple[list[list], list[int]]:
         """The forward pass: one row per pivot of a row echelon form, each
@@ -489,9 +499,10 @@ class Matrix:
         left to right.  Lists take one row-kernel call per row operation,
         on a copy of the rows; packed rows take one multiply-add and a mask,
         with no row swaps (:func:`_forward_packed`)."""
-        if self._packed():
-            return _forward_packed(self.field.p, self.rows, self.ncols)
-        field = self.field
+        field, k = self.field, min(self.nrows, self.ncols)
+        if isinstance(field, PrimeField) and k >= PACKED_MIN:
+            nbytes = _slot_bytes(field.p, k)
+            return _forward_packed(field.p, [_pack(row, nbytes) for row in self.rows], self.ncols, nbytes)
         rows = [row[:] for row in self.rows]
         pivots: list[int] = []
         r = 0
@@ -547,7 +558,7 @@ class Matrix:
         if not free:
             return K
         scale_row, minus_one = field.scale_row, field.neg(field.one)
-        for pc, row in zip(pivots, _back_substitute(field, echelon, pivots, free, self._packed())):
+        for pc, row in zip(pivots, _back_substitute(field, echelon, pivots, free)):
             K.rows[pc] = scale_row(minus_one, row)
         for j, fc in enumerate(free):
             K.rows[fc][j] = field.one
@@ -575,7 +586,7 @@ class Matrix:
         identity = Matrix.identity(field, n)
         AI = self.hstack(identity)
         echelon, pivots = AI._forward()
-        E = _back_substitute(field, echelon, pivots, range(m, m + n), AI._packed())
+        E = _back_substitute(field, echelon, pivots, range(m, m + n))
         r = sum(1 for c in pivots if c < m)
         return Span(
             basis=Matrix._of(field, [[row[c] for c in pivots[:r]] for row in self.rows], r),
@@ -591,10 +602,40 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-def _forward_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """The forward pass of :meth:`Matrix._forward` on the canonical
-    ``GF(p)`` rows ``rows``, with each row packed into one int: column
-    ``j`` is the slot ``ncols - 1 - j`` slots above the bottom one.
+def _fitting_terms(field, nrows: int, ncols: int, terms) -> list:
+    """``terms`` as a list, each a ``(row, col, coeff, block)`` whose block
+    lies over ``field`` and fits in ``nrows x ncols`` at ``(row, col)``."""
+    terms = list(terms)
+    for r, c, _, B in terms:
+        if not (0 <= r <= nrows - B.nrows and 0 <= c <= ncols - B.ncols) or B.field != field:
+            raise ValueError(f"{B!r} does not fit at ({r}, {c}) in {nrows}x{ncols} over {field}")
+    return terms
+
+
+def _packed_block_sum(field: PrimeField, nrows: int, ncols: int, terms: list, nbytes: int) -> list[int]:
+    """The ``nrows`` rows of the block sum of the fitting ``terms``, each
+    packed into one int of ``ncols`` slots of ``nbytes`` bytes as in
+    :func:`_forward_packed`.  A block row adds in one multiply-add ``row +
+    c * (block_row << shift)``, with nothing reduced, so a slot gains at
+    most ``(p - 1)^2`` per term; a block that recurs is packed once."""
+    coerce, rows, packed = field.coerce, [0] * nrows, {}
+    for r, c, x, B in terms:
+        brows = packed.get(id(B))
+        if brows is None:
+            brows = packed[id(B)] = [_pack(brow, nbytes) for brow in B.rows]
+        x, shift = coerce(x), 8 * nbytes * (ncols - c - B.ncols)
+        for i, brow in enumerate(brows, r):
+            rows[i] += x * brow << shift
+    return rows
+
+
+def _forward_packed(p: int, rows: list[int], ncols: int, nbytes: int) -> tuple[list[list[int]], list[int]]:
+    """The forward pass of :meth:`Matrix._forward` on ``GF(p)`` rows
+    packed into one int each, ``ncols`` slots of ``nbytes`` bytes: column
+    ``j`` is the slot ``ncols - 1 - j`` slots above the bottom one.  Slots
+    need not be reduced mod ``p``; the caller sizes them to hold their
+    start plus ``min(len(rows), ncols)`` row operations of at most ``(p -
+    1)^2`` each.
 
     The pass sweeps the columns from left to right over the rows that are
     not yet pivots, kept in input order.  Every slot left of the swept
@@ -605,9 +646,8 @@ def _forward_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[lis
     operation, which leaves a multiple of ``p`` there; that slot, like one
     that already held an unreduced zero, is masked off.  A row that
     reaches zero drops out."""
-    nbytes = _slot_bytes(p, min(len(rows), ncols))
     w = 8 * nbytes
-    active = [row for row in (_pack(r, nbytes) for r in rows) if row]
+    active = [row for row in rows if row]
     pivots, echelon = [], []
     for c in range(ncols):
         if not active:
@@ -633,35 +673,14 @@ def _forward_packed(p: int, rows: list[list[int]], ncols: int) -> tuple[list[lis
     return echelon, pivots
 
 
-def _back_substitute(field, echelon: list[list], pivots: list[int], cols, packed: bool) -> list[list]:
+def _back_substitute(field, echelon: list[list], pivots: list[int], cols) -> list[list]:
     """The rows of the rref at the ascending columns ``cols``, from the
     rows of the forward pass: from the last pivot row up, row ``i`` less
     ``echelon[i][pivots[j]]`` times the finished row ``j``, for each later
     pivot ``j``.  Finished rows vanish at every pivot column but their
-    own, so these multiples are read off the forward pass.  ``packed``
-    rows are ints of ``len(cols)`` slots, as in :func:`_forward_packed`; a
-    row takes fewer than ``r = len(pivots)`` row operations between its
-    packing and its unpacking, so slots of ``p - 1 + r (p - 1)^2`` hold
-    them."""
+    own, so these multiples are read off the forward pass."""
     r = len(pivots)
     out: list[list] = [[] for _ in range(r)]
-    if packed:
-        p, k = field.p, len(cols)
-        nbytes = _slot_bytes(p, r)
-        rows = [0] * r
-        for i in range(r - 1, -1, -1):
-            # row i is zero left of its pivot, so only the columns from it
-            # on take slots; over all the columns they are a slice
-            e, lo = echelon[i], bisect.bisect_left(cols, pivots[i])
-            row = _pack(e[pivots[i]:] if k == len(e) else [e[c] for c in cols[lo:]], nbytes)
-            for j in range(i + 1, r):
-                f = e[pivots[j]]
-                if f:
-                    row += (p - f) * rows[j]
-            vals = _unpack(row, k - lo, nbytes, p)
-            rows[i] = _pack(vals, nbytes)
-            out[i] = [0] * lo + vals
-        return out
     zero, sub_scaled = field.zero, field.sub_scaled
     for i in range(r - 1, -1, -1):
         e = echelon[i]

@@ -11,13 +11,14 @@ test module ``M``, three conditions are equivalent:
 
 The equivalence is used as an oracle: :func:`perp_conditions` computes all
 three and reports whether they agree.  Route (i) evaluates the
-presentation of ``U`` on ``DM`` with ``presentation_tensor_matrix``; that
-matrix is the dual of ``Hom(Q, M) -> Hom(P, M)``.  Routes (i) and (ii)
-share the presentation of ``U`` (route (ii) through its transpose) and
-the evaluator (route (ii) tensors ``M``'s own presentation with ``Tr
-U``), so a fault in either reaches both.  Route (iii) reads both halves
-off the commuting-square system ``hom_system(U, M)`` and shares neither,
-so an evaluator fault still flips ``consistent``.
+presentation of ``U`` on ``DM`` with ``presentation_tensor_terms`` and
+reads the rank of that block sum; its matrix is the dual of ``Hom(Q, M)
+-> Hom(P, M)``.  Routes (i) and (ii) share the presentation of ``U``
+(route (ii) through its transpose) and the evaluator (route (ii) tensors
+``M``'s own presentation with ``Tr U``), so a fault in either reaches
+both.  Route (iii) reads both halves off the commuting-square system
+``hom_system(U, M)`` and shares neither, so an evaluator fault still
+flips ``consistent``.
 
 Divisibility classes (vanishing of ``Ext^1(U, -)``) stand in for the
 tilting classes of the localizations attached to sets of bound modules,
@@ -33,7 +34,7 @@ from .quiverrep import (
     QuiverRep,
     hom_dim,
     hom_system,
-    presentation_tensor_matrix,
+    presentation_tensor_terms,
     proj_presentation,
     subrep,
     tor_dims,
@@ -70,7 +71,8 @@ def perp_conditions(M: QuiverRep, U: QuiverRep) -> PerpReport:
     # (i) invertibility of the induced map on tensor products with the
     # dualized presentation; in generator coordinates this is the square
     # test plus full rank of P (x) DM -> Q (x) DM
-    cond_invert = presentation_tensor_matrix(pres, M.dual()).is_invertible()
+    nrows, ncols, terms = presentation_tensor_terms(pres, M.dual())
+    cond_invert = nrows == ncols and Matrix.block_sum_rank(M.field, nrows, ncols, terms) == nrows
 
     # (ii) vanishing of Tor_1(M, Tr U) and M (x) Tr U, computed from M's
     # own presentation tensored against the transpose

@@ -42,12 +42,16 @@ class Arrow:
 
 
 class Quiver:
-    """Acyclic quiver with named arrows; vertices are ``0..nvertices-1``."""
+    """Acyclic quiver with named arrows; vertices are ``0..nvertices-1``.
+    Its hash is computed once, since the caches keyed by a quiver
+    (``_opposite``, ``_paths_by_source``, ``proj_sum``) ask for it on every
+    lookup."""
 
-    __slots__ = ("nvertices", "arrows")
+    __slots__ = ("nvertices", "arrows", "_hash")
 
     def __init__(self, nvertices: int, arrows: tuple[Arrow, ...]):
         self.nvertices, self.arrows = nvertices, arrows
+        self._hash = hash((nvertices, arrows))
         if self.nvertices <= 0:
             raise ValueError("quiver needs at least one vertex")
         names = set()
@@ -64,7 +68,7 @@ class Quiver:
         return isinstance(other, Quiver) and self.nvertices == other.nvertices and self.arrows == other.arrows
 
     def __hash__(self):
-        return hash((self.nvertices, self.arrows))
+        return self._hash
 
     def topological_order(self) -> list[int]:
         """Vertices ordered so that every arrow points forward (Kahn's
@@ -108,7 +112,7 @@ def affine_a3_cycle() -> Quiver:
 @functools.lru_cache(maxsize=None)
 def _opposite(q: Quiver) -> Quiver:
     """``q`` with every arrow reversed, built and checked once per quiver:
-    ``presentation_tensor_matrix`` and ``QuiverRep.dual`` ask for it on
+    ``presentation_tensor_terms`` and ``QuiverRep.dual`` ask for it on
     every call."""
     return Quiver(q.nvertices, tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
 
@@ -491,10 +495,11 @@ class ProjPresentation:
 
     def tor_dims(self, X: QuiverRep) -> tuple[int, int]:
         """``(dim Tor_1(module, X), dim module (x) X)`` for a left module
-        ``X``, from one rank of ``P (x) X -> Q (x) X``; Hom/Ext^1 pass ``DN``."""
-        psi = presentation_tensor_matrix(self, X)
-        rank = psi.rank()
-        return psi.ncols - rank, psi.nrows - rank
+        ``X``, from one rank of ``P (x) X -> Q (x) X``, read off its block
+        sum by :meth:`Matrix.block_sum_rank`; Hom/Ext^1 pass ``DN``."""
+        nrows, ncols, terms = presentation_tensor_terms(self, X)
+        rank = Matrix.block_sum_rank(X.field, nrows, ncols, terms)
+        return ncols - rank, nrows - rank
 
 
 def proj_presentation(M: QuiverRep) -> ProjPresentation:
@@ -588,19 +593,21 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
     return system.ncols - system.rank()
 
 
-def presentation_tensor_matrix(pres: ProjPresentation, X: QuiverRep) -> Matrix:
-    """Matrix of ``P (x) X -> Q (x) X`` for a left module ``X`` (a
-    representation of the opposite quiver), one :meth:`Matrix.block_sum`:
-    each path-matrix entry ``(q, p, w, c)`` adds ``c`` times ``X`` evaluated
-    along the reversed path ``w`` to block ``(q, p)``."""
+def presentation_tensor_terms(pres: ProjPresentation, X: QuiverRep) -> tuple[int, int, list]:
+    """``P (x) X -> Q (x) X`` for a left module ``X`` (a representation of
+    the opposite quiver) as a block sum ``(nrows, ncols, terms)``, the
+    arguments of :meth:`Matrix.block_sum` and :meth:`Matrix.block_sum_rank`
+    after the field: each path-matrix entry ``(q, p, w, c)`` adds ``c``
+    times ``X`` evaluated along the reversed path ``w`` to block ``(q,
+    p)``."""
     if X.quiver != pres.module.quiver.opposite() or X.field != pres.module.field:
         raise QuiverMismatch("tensor factor must be a representation of the opposite quiver")
     poffs = list(itertools.accumulate((X.dims[v] for v in pres.P.summands), initial=0))
     qoffs = list(itertools.accumulate((X.dims[v] for v in pres.Q.summands), initial=0))
     action = functools.cache(X.path_action)  # entries repeat their (vertex, path)
-    return Matrix.block_sum(X.field, qoffs[-1], poffs[-1], [
+    return qoffs[-1], poffs[-1], [
         (qoffs[qi], poffs[pi], coeff, action(pres.P.summands[pi], tuple(reversed(path))))
-        for qi, pi, path, coeff in pres.path_matrix()])
+        for qi, pi, path, coeff in pres.path_matrix()]
 
 
 def hom_ext_dims(M: QuiverRep, N: QuiverRep) -> tuple[int, int]:

@@ -12,7 +12,7 @@ reference for ``all_submodules``, the plain Gauss-Jordan elimination the
 reference for ``Matrix.rref`` and ``Matrix.inverse``, the lead-tracking
 packed loop the reference for ``exactlin._forward_packed``, the per-row
 ``sub_scaled`` loop the reference for ``Matrix.block_sum`` and
-``quiverrep.presentation_tensor_matrix``, the power-by-power solve the
+``quiverrep.presentation_tensor_terms``, the power-by-power solve the
 reference for ``artheory._min_poly``, and the decompose-then-search route
 the reference for ``artheory.is_simple_regular``."""
 

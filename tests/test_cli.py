@@ -259,7 +259,10 @@ def test_cli_custom_fixture(capsys):
 def test_custom_runs_the_packed_forward_pass(tmp_path, capsys, monkeypatch, p):
     """A dense Kronecker (10, 10) module: ``hom_dim`` eliminates its 200 x
     200 Hom system and ``hom_ext_dims`` a 100 x 100 tensor matrix, both
-    packed, in 16-byte slots over ``GF(2^31 - 1)``."""
+    packed, in 16-byte slots over ``GF(2^31 - 1)``.  The tensor matrix
+    goes into the pass as its packed block sum, with slots for its terms
+    as well as its row operations: 63 + 100 of them over ``GF(2)`` still
+    fit one byte."""
     rng = random.Random(p)
 
     def matrix():
@@ -270,9 +273,9 @@ def test_custom_runs_the_packed_forward_pass(tmp_path, capsys, monkeypatch, p):
                     f"rep dense dim 10 10\nmatrix a {matrix()}\nmatrix b {matrix()}\n")
     calls, forward = [], exactlin._forward_packed
 
-    def spy(q, rows, ncols):
-        calls.append((len(rows), ncols, exactlin._slot_bytes(q, min(len(rows), ncols))))
-        return forward(q, rows, ncols)
+    def spy(q, rows, ncols, nbytes):
+        calls.append((len(rows), ncols, nbytes))
+        return forward(q, rows, ncols, nbytes)
 
     monkeypatch.setattr(exactlin, "_forward_packed", spy)
     assert main(["custom", str(path)]) == 0

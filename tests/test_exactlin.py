@@ -13,7 +13,7 @@ from oracles import (block_sum_reference, det, forward_packed_reference, gauss_j
 from tiltlab import exactlin
 from tiltlab.dedekind import FgZModule, classify
 from tiltlab.exactlin import PACKED_MIN, QQ, IntMatrix, Matrix, PrimeField, _forward_packed, snf
-from tiltlab.quiverrep import (QuiverRep, affine_a3_cycle, hom_space, hom_system, kronecker, presentation_tensor_matrix,
+from tiltlab.quiverrep import (QuiverRep, affine_a3_cycle, hom_space, hom_system, kronecker, presentation_tensor_terms,
                                proj_presentation)
 
 F2 = PrimeField(2)
@@ -332,8 +332,8 @@ def test_rref_matches_reference(field):
 
 
 def _structured_cases(field, rng):
-    """Matrices on both sides of ``PACKED_MIN``: dense, sparse rows, a
-    low-rank product, and zero rows and all-zero columns."""
+    """Matrices on both sides of ``PACKED_MIN`` and of 48: dense, sparse
+    rows, low-rank products, and zero rows and all-zero columns."""
     def sparse(m, n, density):
         return Matrix(field, [[rng.randrange(1, field.p) if rng.random() < density else 0 for _ in range(n)]
                               for _ in range(m)], n)
@@ -343,14 +343,25 @@ def _structured_cases(field, rng):
         return Matrix(field, [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
                               for i, row in enumerate(A.rows)], A.ncols)
 
-    edge = PACKED_MIN
-    return [
+    edge = 48
+    cases = [
         _random_matrix(field, rng, edge - 1, edge - 1),
         _random_matrix(field, rng, edge, edge),
         sparse(edge, edge, 0.08),
         with_zero_lines(_random_matrix(field, rng, edge, edge + 5), 6, 4),
         _random_matrix(field, rng, 60, 20) @ _random_matrix(field, rng, 20, 130),  # rank 20 at most
         with_zero_lines(sparse(130, 60, 0.05), 10, 5),
+    ]
+    edge = PACKED_MIN
+    return cases + [
+        _random_matrix(field, rng, edge - 1, edge - 1),
+        _random_matrix(field, rng, edge - 1, edge + 9),
+        _random_matrix(field, rng, edge, edge),
+        _random_matrix(field, rng, edge + 1, edge + 1),
+        sparse(edge, edge, 0.2),
+        with_zero_lines(_random_matrix(field, rng, edge, edge + 5), 2, 3),
+        _random_matrix(field, rng, 20, 3) @ _random_matrix(field, rng, 3, edge),  # rank 3 at most
+        with_zero_lines(sparse(20, edge + 2, 0.3), 4, 2),
     ]
 
 
@@ -392,37 +403,54 @@ def test_packed_span_and_kernel_match_reference():
 
 
 def _forward_pass_cases(field, rng):
-    """Both sides of ``PACKED_MIN`` over ``GF(p)`` (small shapes only over
-    ``QQ``, which never packs): dense squares, rank-deficient wide and tall
-    products, a full column rank input with no free column, the zero
-    matrix, and zero-row and zero-column shapes."""
-    def full_column_rank(m, n):  # the rows of I_n among m - n random rows
-        rows = Matrix.identity(field, n).rows + _random_matrix(field, rng, m - n, n).rows
-        rng.shuffle(rows)
-        return Matrix(field, rows, n)
-
+    """Both sides of ``PACKED_MIN`` and of 48 over ``GF(p)`` (small shapes
+    only over ``QQ``, which never packs): dense squares, rank-deficient
+    wide and tall products, inputs with no free column, one and a few, the
+    zero matrix, and zero-row and zero-column shapes."""
     def low_rank(m, n, k):
         return _random_matrix(field, rng, m, k) @ _random_matrix(field, rng, k, n)
 
+    def free_columns(m, n, free):
+        return _with_free_columns(field, rng, m, n, free)
+
     if field == QQ:
-        return [_random_matrix(field, rng, 6, 6), low_rank(4, 9, 3), low_rank(9, 4, 2), full_column_rank(7, 4),
-                Matrix.zeros(field, 3, 5), Matrix.zeros(field, 0, 4), Matrix.zeros(field, 4, 0),
-                Matrix.zeros(field, 0, 0)] + [_random_matrix(field, rng, m, n) for m, n in ((1, 3), (3, 1), (5, 8))]
-    edge = PACKED_MIN
-    return [
-        _random_matrix(field, rng, edge - 1, edge - 1),
-        _random_matrix(field, rng, edge, edge),
-        low_rank(edge - 1, edge + 20, 30),  # wide, rank-deficient, list loop
-        low_rank(edge, edge + 40, 30),  # wide, rank-deficient, packed
-        low_rank(edge + 30, edge - 1, 20),  # tall, rank-deficient, list loop
-        low_rank(edge + 30, edge, 40),  # tall, rank-deficient, packed
-        full_column_rank(edge + 10, edge - 1),
-        full_column_rank(edge + 10, edge),
-        Matrix.zeros(field, edge - 1, edge - 1),
-        Matrix.zeros(field, edge, edge),
-        Matrix.zeros(field, 0, edge), Matrix.zeros(field, edge, 0), Matrix.zeros(field, 0, 0),
-        _random_matrix(field, rng, 3, 7), _random_matrix(field, rng, 7, 3),
-    ]
+        return [_random_matrix(field, rng, 6, 6), low_rank(4, 9, 3), low_rank(9, 4, 2), free_columns(7, 4, 0),
+                free_columns(7, 6, 1), Matrix.zeros(field, 3, 5), Matrix.zeros(field, 0, 4),
+                Matrix.zeros(field, 4, 0), Matrix.zeros(field, 0, 0)] + [
+                    _random_matrix(field, rng, m, n) for m, n in ((1, 3), (3, 1), (5, 8))]
+    cases = []
+    for edge in (PACKED_MIN, 48):
+        k = edge * 5 // 8  # 30 at 48, 5 at 8
+        cases += [
+            _random_matrix(field, rng, edge - 1, edge - 1),
+            _random_matrix(field, rng, edge, edge),
+            low_rank(edge - 1, edge + 20, k),  # wide, rank-deficient, list loop
+            low_rank(edge, edge + 40, k),  # wide, rank-deficient, packed
+            low_rank(edge + 30, edge - 1, edge * 5 // 12),  # tall, rank-deficient, list loop
+            low_rank(edge + 30, edge, edge * 5 // 6),  # tall, rank-deficient, packed
+            free_columns(edge + 10, edge - 1, 0),
+            free_columns(edge + 10, edge, 0),  # no free column, packed
+            free_columns(edge + 3, edge, 1),
+            free_columns(edge, edge + 3, 3),
+            Matrix.zeros(field, edge - 1, edge - 1),
+            Matrix.zeros(field, edge, edge),
+            Matrix.zeros(field, 0, edge), Matrix.zeros(field, edge, 0),
+        ]
+    return cases + [Matrix.zeros(field, 0, 0), _random_matrix(field, rng, 3, 7), _random_matrix(field, rng, 7, 3)]
+
+
+def _with_free_columns(field, rng, m, n, free):
+    """An ``m x n`` matrix with exactly ``free`` free columns, for ``n -
+    free <= m``: ``B C`` with ``B`` of full column rank ``n - free`` (the
+    rows of the identity among random rows) and ``C`` the identity beside
+    ``free`` random columns, its columns shuffled, of full row rank."""
+    r = n - free
+    rows = Matrix.identity(field, r).rows + _random_matrix(field, rng, m - r, r).rows
+    rng.shuffle(rows)
+    C = [row + extra for row, extra in zip(Matrix.identity(field, r).rows, _random_matrix(field, rng, r, free).rows)]
+    order = list(range(n))
+    rng.shuffle(order)
+    return Matrix(field, rows, r) @ Matrix(field, [[row[j] for j in order] for row in C], n)
 
 
 def _kernel_from_rref(R: list[list], pivots: list[int], field, ncols: int) -> list[list]:
@@ -460,7 +488,7 @@ def test_rank_and_kernel_skip_the_full_back_substitution(field, monkeypatch):
     back = exactlin._back_substitute
     monkeypatch.setattr(Matrix, "rref", lambda self: rref_calls.append(self.shape))
     monkeypatch.setattr(exactlin, "_back_substitute",
-                        lambda f, e, piv, cols, packed: back_cols.append(list(cols)) or back(f, e, piv, cols, packed))
+                        lambda f, e, piv, cols: back_cols.append(list(cols)) or back(f, e, piv, cols))
     rng = random.Random(43)
     for A in _forward_pass_cases(field, rng):
         pivots = A.pivots()
@@ -483,7 +511,7 @@ def test_span_back_substitutes_over_the_identity_columns_only(field, monkeypatch
     back = exactlin._back_substitute
     monkeypatch.setattr(Matrix, "rref", lambda self: rref_calls.append(self.shape))
     monkeypatch.setattr(exactlin, "_back_substitute",
-                        lambda f, e, piv, cols, packed: back_cols.append(list(cols)) or back(f, e, piv, cols, packed))
+                        lambda f, e, piv, cols: back_cols.append(list(cols)) or back(f, e, piv, cols))
     rng = random.Random(47)
     p = None if field == QQ else field.p
     for A in _forward_pass_cases(field, rng):
@@ -523,7 +551,7 @@ def test_internal_results_are_canonical(field):
     homs = hom_space(M, N)  # dim Hom(M, N) >= <(2, 3), (3, 2)> = 4
     assert len(homs) >= 4
     results += [m for f in homs for m in f.maps]
-    results.append(presentation_tensor_matrix(proj_presentation(M), N.dual()))
+    results.append(Matrix.block_sum(field, *presentation_tensor_terms(proj_presentation(M), N.dual())))
     blocks = [A, B, C, _random_matrix(field, rng, 2, 0)]
     results += [Matrix.block_sum(field, 9, 8, [(r, c, -k, X) for k, X in enumerate(blocks) for r, c in ((0, 0), (3, 2))]),
                 Matrix.block_sum(field, 0, 3, []), Matrix.block_sum(field, 2, 0, [(0, 0, 5, Matrix.zeros(field, 2, 0))])]
@@ -552,6 +580,13 @@ def test_the_packed_forward_pass_normalises_an_unreduced_pivot_slot(monkeypatch)
     assert tops[:2] == [1, 36] and pivots[:2] == [0, 1]
     assert all(row[c] == 1 and all(type(x) is int and 0 <= x < 7 for x in row) for row, c in zip(echelon, pivots))
     assert (A.rref()[0].rows, A.rref()[1]) == gauss_jordan(rows, 7)
+
+
+def _forward_packed_on(p, rows, ncols):
+    """``_forward_packed`` on the canonical rows ``rows``, packed as
+    ``Matrix._forward`` packs them."""
+    nbytes = exactlin._slot_bytes(p, min(len(rows), ncols))
+    return _forward_packed(p, [exactlin._pack(row, nbytes) for row in rows], ncols, nbytes)
 
 
 def _packed_differential_cases(field, rng):
@@ -593,7 +628,7 @@ def test_the_packed_sweep_matches_the_lead_tracking_loop(p):
     field = PrimeField(p)
     for A in _packed_differential_cases(field, random.Random(p)):
         assert min(A.shape) >= PACKED_MIN
-        assert _forward_packed(p, A.rows, A.ncols) == forward_packed_reference(p, A.rows, A.ncols)
+        assert _forward_packed_on(p, A.rows, A.ncols) == forward_packed_reference(p, A.rows, A.ncols)
 
 
 def test_the_packed_sweep_masks_an_unreduced_zero_and_never_pivots_on_it(monkeypatch):
@@ -613,7 +648,7 @@ def test_the_packed_sweep_masks_an_unreduced_zero_and_never_pivots_on_it(monkeyp
         return unpack(row, k, nbytes, p, monic)
 
     monkeypatch.setattr(exactlin, "_unpack", spy)
-    echelon, pivots = _forward_packed(7, rows, n)
+    echelon, pivots = _forward_packed_on(7, rows, n)
     assert tops[:3] == [1, 1, 3] and pivots[:3] == [0, 1, 2] and echelon[1] == rows[2]
     assert (echelon, pivots) == forward_packed_reference(7, rows, n)
     A = Matrix(F7, rows, n)
@@ -655,6 +690,72 @@ def test_block_sum_matches_the_per_row_loop(field):
     assert out.rows[1][2:6] == [field.coerce(300)] * 4 and out.rows[0] == [0] * 6
     if field != QQ:
         assert exactlin._slot_bytes(field.p, 300) > exactlin._slot_bytes(field.p, 1)
+
+
+def _block_sum_rank_cases(field, rng):
+    """Sums of 7, 8, 9, 47 and 48 columns, either side of ``PACKED_MIN``
+    and of 48: blocks that overlap and recur, with zero and large
+    coefficients; a sum of three rank-one blocks; and 251, then 300,
+    terms of ``(p - 1)^2`` meeting in every entry, plus the identity.
+    Over ``GF(2)`` an entry of 251 terms fits a one-byte slot, and only
+    slots sized for the row operations too, ``len(terms) + min(nrows,
+    ncols)`` terms, hold what those add to it.  ``300 J + I``, for the
+    all-ones ``J``, has determinant ``1 + 300 n``, a unit for every ``p``
+    and ``n`` tested."""
+    def coeff():
+        return rng.choice([0, 1, -1, rng.randrange(-10**9, 10**9)])
+
+    cases = []
+    for ncols in (7, 8, 9, 47, 48):
+        for nrows in (ncols - 1, ncols, ncols + 5):
+            blocks = [_random_matrix(field, rng, rng.randint(1, nrows), rng.randint(1, ncols)) for _ in range(4)]
+            blocks.append(_random_matrix(field, rng, nrows, ncols))
+            terms = []
+            for _ in range(rng.randint(5, 25)):
+                B = rng.choice(blocks)
+                terms.append((rng.randint(0, nrows - B.nrows), rng.randint(0, ncols - B.ncols), coeff(), B))
+            cases.append((nrows, ncols, terms))
+        rank_one = [_random_matrix(field, rng, ncols + 2, 1) @ _random_matrix(field, rng, 1, ncols) for _ in range(3)]
+        cases.append((ncols + 2, ncols, [(0, 0, coeff(), B) for B in rank_one]))
+        minus_one = Matrix(field, [[-1] * ncols] * ncols, ncols)
+        for count in (251, 300):
+            cases.append((ncols, ncols, [(0, 0, -1, minus_one)] * count + [(0, 0, 1, Matrix.identity(field, ncols))]))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521, 2**31 - 1])
+def test_block_sum_rank_matches_the_rank_of_the_block_sum(p, monkeypatch):
+    """From ``PACKED_MIN`` on, the rank reader hands the unreduced packed
+    sum to the forward pass, which gives the echelon rows of the reduced
+    sum exactly; below it, it reads ``block_sum(...).rank()``.  Both agree
+    with the rank of the per-row reference sum."""
+    field, forward = PrimeField(p), _forward_packed
+    passes, block_sums = [], []
+
+    def spy(q, rows, ncols, nbytes):
+        passes.append((rows[:], ncols, nbytes))
+        return forward(q, rows, ncols, nbytes)
+
+    block_sum = Matrix.block_sum
+    monkeypatch.setattr(exactlin, "_forward_packed", spy)
+    monkeypatch.setattr(Matrix, "block_sum", lambda *args: block_sums.append(args) or block_sum(*args))
+    for nrows, ncols, terms in _block_sum_rank_cases(field, random.Random(p)):
+        expected = block_sum_reference(field, nrows, ncols, terms)
+        rank = Matrix.block_sum_rank(field, nrows, ncols, terms)
+        packed = min(nrows, ncols) >= PACKED_MIN
+        assert (len(block_sums), len(passes)) == ((0, 1) if packed else (1, 0))
+        if packed:
+            rows, _, nbytes = passes[0]
+            assert nbytes == exactlin._slot_bytes(p, len(terms) + min(nrows, ncols))
+            assert forward(p, rows, ncols, nbytes) == _forward_packed_on(p, expected.rows, ncols)
+        assert rank == len(gauss_jordan(expected.rows, p)[1]) == block_sum(field, nrows, ncols, terms).rank()
+        passes.clear()
+        block_sums.clear()
+    # the last case holds 300 (p - 1)^2 in every entry before its row
+    # operations, more than slots sized for 48 terms hold at small p
+    assert rank == 48 and expected.rows[0][0] != 0
+    if p < 5:
+        assert exactlin._slot_bytes(p, 348) > exactlin._slot_bytes(p, 48)
 
 
 def test_block_sum_refuses_a_block_that_does_not_fit():

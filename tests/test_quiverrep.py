@@ -25,7 +25,7 @@ from tiltlab.quiverrep import (
     injective,
     is_projective,
     kronecker,
-    presentation_tensor_matrix,
+    presentation_tensor_terms,
     proj_presentation,
     proj_sum,
     projective,
@@ -53,6 +53,8 @@ def test_quiver_rejects_cycles():
 
 
 def test_equal_quivers_hash_alike_and_share_cached_projectives():
+    # each quiver stores its hash when built; equal quivers built apart
+    # must still meet in every cache keyed by a quiver
     q1, q2 = kronecker(), kronecker()
     assert q1 is not q2 and q1 == q2 and hash(q1) == hash(q2)
     assert q1 != Quiver(2, (Arrow("a", 0, 1),)) and q1 != q1.opposite()
@@ -61,6 +63,10 @@ def test_equal_quivers_hash_alike_and_share_cached_projectives():
     first = quiverrep.proj_sum(q1, F5, (0, 1))
     assert quiverrep.proj_sum(q2, F5, (0, 1)) is first
     assert quiverrep.proj_sum.cache_info().hits == 1
+    a1, a2 = affine_a3_cycle(), affine_a3_cycle()
+    assert a1 is not a2 and hash(a1) == hash(a2) and a1.opposite() is a2.opposite()
+    assert quiverrep.proj_sum(a1, F5, (0, 2)) is quiverrep.proj_sum(a2, F5, (0, 2))
+    assert quiverrep.proj_sum.cache_info().hits == 2
 
 
 def test_the_opposite_quiver_is_built_once_and_reverses_back():
@@ -252,7 +258,7 @@ def test_ext_independent_of_presentation():
             M, N = random_rep(q, F5, rng), random_rep(q, F5, rng)
             pres = proj_presentation(M)
             pres2 = padded_presentation(pres, rng.randrange(q.nvertices))
-            psi = presentation_tensor_matrix(pres2, N.dual())
+            psi = Matrix.block_sum(F5, *presentation_tensor_terms(pres2, N.dual()))
             rank = psi.rank()
             assert hom_ext_dims(M, N) == (psi.nrows - rank, psi.ncols - rank)
             count += 1
@@ -280,7 +286,10 @@ def test_presentation_tensor_matrix_matches_the_per_row_loop(field):
         for _ in range(5):
             M, X = dense_rep(q, field, rng, 4), dense_rep(q.opposite(), field, rng, 3)
             pres = proj_presentation(M)
-            assert presentation_tensor_matrix(pres, X) == presentation_tensor_reference(pres, X)
+            nrows, ncols, terms = presentation_tensor_terms(pres, X)
+            psi = presentation_tensor_reference(pres, X)
+            assert Matrix.block_sum(field, nrows, ncols, terms) == psi
+            assert Matrix.block_sum_rank(field, nrows, ncols, terms) == psi.rank()
             lengths |= {len(w) for _, _, w, _ in pres.path_matrix()}
     assert {1, 2, 3} <= lengths
 
