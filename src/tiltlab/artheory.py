@@ -19,10 +19,10 @@ When the basis images span less than ``N`` at some vertex, no morphism is
 invertible and the answer is no.  Only when the walk stalls with every
 vertex spanned does Krull-Schmidt decide: summands split along
 Fitting decompositions of endomorphisms, each is certified indecomposable by
-a local endomorphism ring, and the verdict compares multiplicities.  The
-splitting factors minimal polynomials of endomorphisms: over ``GF(p)`` with
-the library's own Berlekamp factorizer, over QQ with sympy, the one use of
-the optional ``qq`` extra.
+a local endomorphism ring, and the verdict compares the decompositions of
+``M`` and ``N`` group by group.  The splitting factors minimal polynomials
+of endomorphisms: over ``GF(p)`` with the library's own Berlekamp
+factorizer, over QQ with sympy, the one use of the optional ``qq`` extra.
 """
 
 from __future__ import annotations
@@ -112,9 +112,12 @@ def is_isomorphic(M: QuiverRep, N: QuiverRep) -> bool:
     """Certified isomorphism test.  An invertible morphism ``M -> N``
     proves ``M ~ N``; :func:`_raise_rank` looks for one in ``Hom(M, N)``,
     or shows that none exists.  When its walk stalls, Krull-Schmidt
-    decides: the dimensions being equal, ``M ~ N`` exactly when every
-    indecomposable summand ``W`` of ``M`` occurs in ``N`` with its
-    multiplicity in ``M`` (:func:`_multiplicity`)."""
+    decides: ``M ~ N`` exactly when :func:`decompose` gives ``M`` and ``N``
+    equally many groups and each group of ``M`` has a group of ``N`` with
+    its multiplicity and an isomorphic summand (:func:`_same_indecomposable`).
+    The groups of one decomposition are pairwise non-isomorphic, so that
+    pairing is one to one.  Only a stalled walk decomposes, and so only it
+    may raise :class:`NonSplitField`, for ``M`` or for ``N``."""
     if M.quiver != N.quiver or M.field != N.field or M.dims != N.dims:
         return False
     n = M.total_dim()
@@ -126,7 +129,9 @@ def is_isomorphic(M: QuiverRep, N: QuiverRep) -> bool:
     verdict = _raise_rank(basis, n)
     if verdict is not None:
         return verdict
-    return all(_multiplicity(W, residue, N) == m for W, m, residue in _summands(M))
+    ours, theirs = decompose(M), decompose(N)
+    return len(ours) == len(theirs) and all(
+        any(m == k and _same_indecomposable(W, V) for V, k in theirs) for W, m in ours)
 
 
 def _raise_rank(basis: list[RepMap], n: int) -> bool | None:
@@ -172,27 +177,18 @@ def _raise_rank(basis: list[RepMap], n: int) -> bool | None:
             stale = 0
 
 
-def _invertible(f: RepMap) -> bool:
-    return all(m.is_invertible() for m in f.maps)
+def _same_indecomposable(W: QuiverRep, V: QuiverRep) -> bool:
+    """Whether the certified indecomposables ``W`` and ``V`` are
+    isomorphic: some basis element of ``Hom(W, V)`` is invertible.  The
+    non-invertible morphisms form the proper subspace ``rad``, as ``End W``
+    is local, so if any morphism is invertible, some basis element is."""
+    return W.dims == V.dims and any(all(m.is_invertible() for m in f.maps) for f in hom_space(W, V))
 
 
 def _flat(f: RepMap) -> list:
     """The vertex blocks of a morphism, flattened row by row into one
     vector."""
     return [x for m in f.maps for row in m.rows for x in row]
-
-
-def _multiplicity(W: QuiverRep, residue: Matrix, N: QuiverRep) -> int:
-    """How often the indecomposable ``W`` occurs as a summand of ``N``:
-    the rank of the pairing ``Hom(W, N) x Hom(N, W) -> End W / rad W``,
-    ``(f, g) -> g f``, divided by ``dim End W / rad W``.  ``residue`` maps
-    the flattened endomorphisms of ``W`` onto coordinates of that quotient.
-    Writing ``N = W^m + N'``, no ``g f`` through ``N'`` is invertible, so
-    the pairing kills ``Hom(W, N')``, and on ``m`` copies of ``End W`` its
-    left kernel is ``m`` copies of ``rad W``."""
-    into, back = hom_space(W, N), hom_space(N, W)
-    rows = [[x for g in back for x in residue.apply(_flat(g @ f))] for f in into]
-    return Matrix._of(W.field, rows, len(back) * residue.nrows).rank() // residue.nrows
 
 
 def _min_poly(f: RepMap) -> list:
@@ -289,12 +285,10 @@ def _primary(X: QuiverRep, g: RepMap) -> tuple[list[QuiverRep], RepMap | None, i
     return [], pi_g, len(factors[0][0]) - 1
 
 
-def _split_or_certify(X: QuiverRep, endos: list[RepMap]) -> list[QuiverRep] | Matrix:
+def _split_or_certify(X: QuiverRep, endos: list[RepMap]) -> list[QuiverRep]:
     """Split ``X`` in two along the Fitting decomposition of an
-    endomorphism, or certify that ``End X`` (basis ``endos``) is local and
-    return a residue map for ``End X / rad``: a matrix with ``dim End X /
-    rad`` rows, applied to flattened endomorphisms (:func:`_flat`), whose
-    kernel on ``End X`` is the radical.
+    endomorphism, and return the two pieces; or certify that ``End X``
+    (basis ``endos``) is local, and return ``[]``.
 
     Candidates, in order (:func:`_primary`): each basis element that is
     not a scalar; the pairwise sums of basis elements; the elements of the
@@ -350,10 +344,8 @@ def _split_or_certify(X: QuiverRep, endos: list[RepMap]) -> list[QuiverRep] | Ma
         equations = Matrix.from_columns(field, ideal, length).span().equations
         pending += [h @ f for f in endos] + [f @ h for f in endos]
     else:
-        on_end = equations @ Matrix.from_columns(field, [_flat(f) for f in endos], length)
-        rows = on_end.transpose().pivots()
-        if len(rows) in degrees:
-            return Matrix._of(field, [equations.rows[i][:] for i in rows], length)
+        if (equations @ Matrix.from_columns(field, [_flat(f) for f in endos], length)).rank() in degrees:
+            return []
     scalars = [field.coerce(c) for c in (range(2, field.p) if isinstance(field, PrimeField) else (-1, 2, -2, 3, -3))]
     products = (a @ b for a, b in itertools.permutations(endos, 2))
     combinations = (a + b.scale(c) for a, b in itertools.combinations(endos, 2) for c in scalars)
@@ -364,41 +356,34 @@ def _split_or_certify(X: QuiverRep, endos: list[RepMap]) -> list[QuiverRep] | Ma
     raise NonSplitField("no endomorphism found that splits X, and End X is not certified local")
 
 
-def _summands(M: QuiverRep) -> list[tuple[QuiverRep, int, Matrix]]:
-    """The indecomposable summands of ``M`` with their multiplicities and
-    the residue maps of :func:`_split_or_certify`.  Two certified summands
-    ``W`` and ``V`` are isomorphic exactly when some basis element of
-    ``Hom(W, V)`` is invertible: the non-invertible morphisms form the
-    proper subspace ``rad``, as ``End W`` is local."""
-    local: list[tuple[QuiverRep, Matrix]] = []
+def decompose(M: QuiverRep) -> list[tuple[QuiverRep, int]]:
+    """Decompose into indecomposables with multiplicities, smallest first,
+    one group per isomorphism class.  Each summand comes from a Fitting
+    splitting and is certified indecomposable by a local endomorphism ring
+    (:func:`_split_or_certify`); two summands share a group when
+    :func:`_same_indecomposable` finds them isomorphic.  Nothing is
+    sampled."""
+    local: list[QuiverRep] = []
     stack = [M]
     while stack:
         X = stack.pop()
         if X.is_zero():
             continue
-        out = _split_or_certify(X, hom_space(X, X))
-        if isinstance(out, Matrix):
-            local.append((X, out))
+        pieces = _split_or_certify(X, hom_space(X, X))
+        if pieces:
+            stack.extend(pieces)
         else:
-            stack.extend(out)
-    local.sort(key=lambda item: (item[0].total_dim(), item[0].dims))
-    grouped: list[tuple[QuiverRep, int, Matrix]] = []
-    for W, residue in local:
-        for i, (V, mult, res) in enumerate(grouped):
-            if V.dims == W.dims and any(_invertible(f) for f in hom_space(W, V)):
-                grouped[i] = (V, mult + 1, res)
+            local.append(X)
+    local.sort(key=lambda W: (W.total_dim(), W.dims))
+    grouped: list[tuple[QuiverRep, int]] = []
+    for W in local:
+        for i, (V, mult) in enumerate(grouped):
+            if _same_indecomposable(W, V):
+                grouped[i] = (V, mult + 1)
                 break
         else:
-            grouped.append((W, 1, residue))
+            grouped.append((W, 1))
     return grouped
-
-
-def decompose(M: QuiverRep) -> list[tuple[QuiverRep, int]]:
-    """Decompose into indecomposables with multiplicities.  Each summand
-    comes from a Fitting splitting and is certified indecomposable by a
-    local endomorphism ring (:func:`_split_or_certify`); nothing is
-    sampled."""
-    return [(W, mult) for W, mult, _ in _summands(M)]
 
 
 def strip_projective_summands(M: QuiverRep) -> QuiverRep:

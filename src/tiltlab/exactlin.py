@@ -50,18 +50,17 @@ in a single pass over its unpacked slots.  Back substitution always runs
 on lists: the pivot rows come out of the forward pass as lists, and a
 packed back substitution lost to the list loop when few columns are free.
 
-``Matrix.block_sum`` sums scaled blocks into one matrix, and forks the same
-way.  Over ``QQ`` each block row is one ``sub_scaled`` call on a list row.
-Over ``GF(p)`` each output row is one packed int that every block row
-meeting it adds into with one multiply-add ``row + c * (block_row <<
-shift)`` (``_packed_block_sum``); its slots hold ``p - 1 + t (p - 1)^2``
-for ``t`` terms, and ``block_sum`` unpacks each row once.
-``Matrix.block_sum_rank`` reads the rank of the same sum and, from
-``PACKED_MIN`` on over ``GF(p)``, hands the packed rows to
-``_forward_packed`` unreduced, with slots sized for ``t + k`` terms, so no
-row is unpacked until it becomes a pivot.  Both packed loops follow Dumas,
-Fousse and Salvy, "Simultaneous modular reduction and Kronecker
-substitution for small finite fields" (J. Symb. Comput. 46, 2011).
+``Matrix.block_sum`` sums scaled blocks into one matrix of list rows, one
+``sub_scaled`` call per block row over every field.  Only
+``Matrix.block_sum_rank`` sums packed: from ``PACKED_MIN`` on over
+``GF(p)``, each output row is one packed int that every block row meeting
+it adds into with one multiply-add ``row + c * (block_row << shift)``
+(``_packed_block_sum``), and the rows go to ``_forward_packed`` unreduced,
+in slots of ``p - 1 + (t + k) (p - 1)^2`` for ``t`` terms, so no row is
+unpacked until it becomes a pivot.  Below ``PACKED_MIN`` and over
+``QQ`` it ranks ``block_sum``.  The packed loops follow Dumas, Fousse and
+Salvy, "Simultaneous modular reduction and Kronecker substitution for small
+finite fields" (J. Symb. Comput. 46, 2011).
 
 ``Matrix(field, rows)`` coerces every entry and checks the row lengths,
 for input from outside; the module's own results are built by the private
@@ -366,18 +365,10 @@ class Matrix:
     def block_sum(cls, field, nrows: int, ncols: int, terms) -> "Matrix":
         """The ``nrows x ncols`` sum of ``coeff * block`` over the terms
         ``(row, col, coeff, block)``, each block with its top-left entry
-        at ``(row, col)``; blocks may overlap.  Over ``GF(p)`` the rows are
-        summed packed (:func:`_packed_block_sum`) in slots that hold what
-        every term adds to one entry, at most ``(p - 1)^2`` each, and each
-        row is unpacked once.  Over ``QQ`` each block row is one
-        ``sub_scaled`` call."""
-        terms = _fitting_terms(field, nrows, ncols, terms)
-        if isinstance(field, PrimeField):
-            p, nbytes = field.p, _slot_bytes(field.p, len(terms))
-            rows = _packed_block_sum(field, nrows, ncols, terms, nbytes)
-            return cls._of(field, [_unpack(row, ncols, nbytes, p) for row in rows], ncols)
+        at ``(row, col)``; blocks may overlap.  Each block row is one
+        ``sub_scaled`` call on a list row."""
         coerce, rows = field.coerce, [[field.zero] * ncols for _ in range(nrows)]
-        for r, c, x, B in terms:
+        for r, c, x, B in _fitting_terms(field, nrows, ncols, terms):
             minus, c1 = field.neg(coerce(x)), c + B.ncols
             for brow, orow in zip(B.rows, rows[r:]):
                 orow[c:c1] = field.sub_scaled(orow[c:c1], minus, brow)
@@ -660,7 +651,7 @@ def _forward_packed(p: int, rows: list[int], ncols: int, nbytes: int) -> tuple[l
             if t:
                 f = t % p
                 if f and pivot_row is None:
-                    vals = _unpack(row, ncols - c, nbytes, p, monic=True)
+                    vals = _unpack(row, ncols - c, nbytes, p)
                     pivot_row = _pack(vals, nbytes)
                     pivots.append(c)
                     echelon.append([0] * c + vals)
@@ -719,16 +710,14 @@ def _pack(vals: list[int], nbytes: int) -> int:
     return int.from_bytes(_slot_codec(nbytes, len(vals))[0].pack(*vals), "big")
 
 
-def _unpack(row: int, n: int, nbytes: int, p: int, monic: bool = False) -> list[int]:
-    """The lowest ``n`` slots of a packed row, reduced mod ``p``; ``monic``
-    also divides them by the top one, nonzero mod ``p``, in the same pass."""
+def _unpack(row: int, n: int, nbytes: int, p: int) -> list[int]:
+    """The lowest ``n`` slots of a packed pivot row, reduced mod ``p`` and
+    divided by the top one, nonzero mod ``p``, in one pass."""
     vals = _slot_codec(nbytes, n)[1].unpack(row.to_bytes(n * nbytes, "big"))
     if nbytes == 16:
         vals = [hi << 64 | lo for hi, lo in zip(vals[::2], vals[1::2])]
-    if monic:
-        inv = pow(vals[0] % p, -1, p)
-        return [x * inv % p for x in vals]
-    return [x % p for x in vals]
+    inv = pow(vals[0] % p, -1, p)
+    return [x * inv % p for x in vals]
 
 
 class Span:

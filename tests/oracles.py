@@ -10,8 +10,9 @@ with ``snf``.  The greedy basis completion is the reference for
 ``Matrix.span``'s complement, the brute-force submodule search the
 reference for ``all_submodules``, the plain Gauss-Jordan elimination the
 reference for ``Matrix.rref`` and ``Matrix.inverse``, the lead-tracking
-packed loop the reference for ``exactlin._forward_packed``, the per-row
-``sub_scaled`` loop the reference for ``Matrix.block_sum`` and
+packed loop the reference for ``exactlin._forward_packed``, the sum entry
+by entry in the scalar ``add`` and ``mul``, with no row kernel, the
+reference for ``Matrix.block_sum`` and
 ``quiverrep.presentation_tensor_terms``, the power-by-power solve the
 reference for ``artheory._min_poly``, and the decompose-then-search route
 the reference for ``artheory.is_simple_regular``."""
@@ -233,7 +234,7 @@ def forward_packed_reference(p: int, rows: list[list[int]], ncols: int) -> tuple
     while leads and (c := min(leads)) < ncols:
         i = leads.index(c)
         del leads[i]
-        vals = _unpack(active.pop(i), ncols - c, nbytes, p, monic=True)
+        vals = _unpack(active.pop(i), ncols - c, nbytes, p)
         pivot_row = _pack(vals, nbytes)
         pivots.append(c)
         echelon.append([0] * c + vals)
@@ -257,14 +258,16 @@ def forward_packed_reference(p: int, rows: list[list[int]], ncols: int) -> tuple
 
 
 def block_sum_reference(field, nrows: int, ncols: int, terms) -> Matrix:
-    """``Matrix.block_sum`` by one ``sub_scaled`` call per block row, on a
-    zero matrix of lists."""
-    out = Matrix.zeros(field, nrows, ncols)
+    """``Matrix.block_sum`` entry by entry: each block entry times its
+    coefficient is added into its output entry with the scalar
+    ``field.add`` and ``field.mul``, and no row kernel runs."""
+    add, mul, out = field.add, field.mul, [[field.zero] * ncols for _ in range(nrows)]
     for r0, c0, coeff, block in terms:
-        minus, c1 = field.neg(field.coerce(coeff)), c0 + block.ncols
-        for brow, orow in zip(block.rows, out.rows[r0:r0 + block.nrows]):
-            orow[c0:c1] = field.sub_scaled(orow[c0:c1], minus, brow)
-    return out
+        x = field.coerce(coeff)
+        for orow, brow in zip(out[r0:], block.rows):
+            for j, y in enumerate(brow, c0):
+                orow[j] = add(orow[j], mul(x, y))
+    return Matrix(field, out, ncols)
 
 
 def presentation_tensor_reference(pres, X) -> Matrix:

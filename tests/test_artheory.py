@@ -15,7 +15,6 @@ from tiltlab.artheory import (
     _factor_min_poly,
     _flat,
     _min_poly,
-    _summands,
     all_submodules,
     build_extension,
     decompose,
@@ -185,17 +184,18 @@ E2 = kron_pencil([[2, 1], [0, 2]])  # self-extension of the point 2: End is F[e]
 P3, P2 = kron_pencil([[0, 3], [1, 0]]), kron_pencil([[0, 2], [1, 0]])  # points x^2 - 3, x^2 - 2: End is GF(25)
 
 
-def spy_multiplicities(monkeypatch):
-    """Record ``(W.dims, dim End W / rad W, multiplicity in N)`` for every
-    summand ``is_isomorphic`` counts in ``N``."""
+def spy_decompositions(monkeypatch):
+    """Record ``[(W.dims, multiplicity), ...]`` for every decomposition,
+    in call order; ``is_isomorphic`` compares ``M``'s with ``N``'s."""
     seen = []
-    multiplicity = artheory._multiplicity
+    decompose = artheory.decompose
 
-    def spy(W, residue, N):
-        seen.append((W.dims, residue.nrows, multiplicity(W, residue, N)))
-        return seen[-1][2]
+    def spy(M):
+        parts = decompose(M)
+        seen.append([(W.dims, mult) for W, mult in parts])
+        return parts
 
-    monkeypatch.setattr(artheory, "_multiplicity", spy)
+    monkeypatch.setattr(artheory, "decompose", spy)
     return seen
 
 
@@ -206,33 +206,49 @@ def without_rank_scan(monkeypatch):
 
 
 def test_is_isomorphic_counts_summands_with_a_radical(monkeypatch):
-    seen = spy_multiplicities(monkeypatch)
+    seen = spy_decompositions(monkeypatch)
     M = direct_sum(direct_sum(E2, E2), tube_simple(2))
     N = random_basis_change(M, random.Random(0))
     assert is_isomorphic(M, N)
-    assert seen == []  # the scan found an isomorphism, nothing was counted
+    assert seen == []  # the scan found an isomorphism, nothing was decomposed
     without_rank_scan(monkeypatch)
     assert is_isomorphic(M, N)
-    assert sorted(seen) == [((1, 1), 1, 1), ((2, 2), 1, 2)]
+    assert seen == [[((1, 1), 1), ((2, 2), 2)]] * 2
     seen.clear()
     assert not is_isomorphic(M, direct_sum(E2, direct_sum(tube_simple(2), direct_sum(tube_simple(2), tube_simple(2)))))
-    assert seen == [((1, 1), 1, 3)]  # the smaller summand R_2 is counted first and already differs
+    assert seen == [[((1, 1), 1), ((2, 2), 2)], [((1, 1), 3), ((2, 2), 1)]]
 
 
 def test_is_isomorphic_over_a_residue_field_of_degree_two(monkeypatch):
-    seen = spy_multiplicities(monkeypatch)
+    seen = spy_decompositions(monkeypatch)
     without_rank_scan(monkeypatch)  # the scan alone refutes the first pair
     PP = direct_sum(P3, P3)
     assert not is_isomorphic(PP, direct_sum(P3, P2))
-    assert seen == [((2, 2), 2, 1)]
+    assert seen == [[((2, 2), 2)], [((2, 2), 1), ((2, 2), 1)]]
     assert is_isomorphic(PP, random_basis_change(PP, random.Random(1)))
+
+
+def test_a_stalled_walk_compares_isomorphism_types_not_only_dimension_vectors(monkeypatch):
+    """Each refuted pair decomposes into groups of equal dimension vectors
+    and multiplicities, which differ only in which members they hold."""
+    without_rank_scan(monkeypatch)
+    X = tube_catalog("kronecker", F5).members
+    H = [tube[0] for tube in tube_catalog("a31", PrimeField(3)).tubes[1:]]
+
+    def plus(*parts):
+        return functools.reduce(direct_sum, parts)
+
+    assert not is_isomorphic(plus(X[1], X[2]), plus(X[1], X[3]))
+    assert not is_isomorphic(plus(X[1], X[1], X[2]), plus(X[1], X[2], X[2]))
+    assert not is_isomorphic(plus(H[0], H[1]), plus(H[0], H[2]))
+    assert is_isomorphic(plus(X[1], X[2]), plus(X[2], X[1]))
 
 
 def refuse_summands(monkeypatch):
     def refuse(M):
         raise AssertionError("is_isomorphic decomposed M")
 
-    monkeypatch.setattr(artheory, "_summands", refuse)
+    monkeypatch.setattr(artheory, "decompose", refuse)
 
 
 def test_is_isomorphic_refutes_a_vertex_no_morphism_spans_without_decomposing(monkeypatch):
@@ -338,9 +354,8 @@ def test_decompose_finds_extension_field_points_indecomposable():
 def test_decompose_certifies_the_self_extension_of_a_degree_two_point():
     C = [[0, 3], [1, 0]]
     Q = kron_pencil([C[0] + [1, 0], C[1] + [0, 1], [0, 0] + C[0], [0, 0] + C[1]])
-    (W, mult, residue), = _summands(Q)
+    (W, mult), = decompose(Q)
     assert (W.dims, mult) == ((4, 4), 1)
-    assert residue.nrows == 2  # End Q / rad = GF(25)
     assert not is_isomorphic(Q, direct_sum(P3, P3))
 
 
@@ -372,7 +387,7 @@ def split_stages(monkeypatch, M):
         monkeypatch.setattr(artheory, "_primary", primary_spy)
         out = split_or_certify(X, endos)
         monkeypatch.setattr(artheory, "_primary", primary)
-        if isinstance(out, list):
+        if out:  # [] certifies End X local
             stages.append(first[0] if first else "ideal")
         return out
 

@@ -570,10 +570,9 @@ def test_the_packed_forward_pass_normalises_an_unreduced_pivot_slot(monkeypatch)
     rows += [[0, 0] + [rng.randrange(7) for _ in range(n - 2)] for _ in range(n - 2)]
     A, tops, unpack = Matrix(F7, rows, n), [], exactlin._unpack
 
-    def spy(row, k, nbytes, p, monic=False):
-        if monic:
-            tops.append(row >> 8 * nbytes * (k - 1))
-        return unpack(row, k, nbytes, p, monic)
+    def spy(row, k, nbytes, p):
+        tops.append(row >> 8 * nbytes * (k - 1))
+        return unpack(row, k, nbytes, p)
 
     monkeypatch.setattr(exactlin, "_unpack", spy)
     echelon, pivots = A._forward()
@@ -642,10 +641,9 @@ def test_the_packed_sweep_masks_an_unreduced_zero_and_never_pivots_on_it(monkeyp
     rows += [[0, 0, 0] + [rng.randrange(7) for _ in range(n - 3)] for _ in range(n - 3)]
     tops, unpack = [], exactlin._unpack
 
-    def spy(row, k, nbytes, p, monic=False):
-        if monic:
-            tops.append(row >> 8 * nbytes * (k - 1))
-        return unpack(row, k, nbytes, p, monic)
+    def spy(row, k, nbytes, p):
+        tops.append(row >> 8 * nbytes * (k - 1))
+        return unpack(row, k, nbytes, p)
 
     monkeypatch.setattr(exactlin, "_unpack", spy)
     echelon, pivots = _forward_packed_on(7, rows, n)
@@ -685,11 +683,8 @@ def test_block_sum_matches_the_per_row_loop(field):
     for nrows, ncols, terms in _block_sum_cases(field, random.Random(17)):
         out = Matrix.block_sum(field, nrows, ncols, terms)
         assert out == block_sum_reference(field, nrows, ncols, terms) and out.shape == (nrows, ncols)
-    # the last case sums 300 terms of (p - 1)^2 in each entry it covers,
-    # more than slots sized for one term hold (16 bytes at 2^31 - 1)
+    # the last case adds (-1) * (-1) to each entry it covers 300 times
     assert out.rows[1][2:6] == [field.coerce(300)] * 4 and out.rows[0] == [0] * 6
-    if field != QQ:
-        assert exactlin._slot_bytes(field.p, 300) > exactlin._slot_bytes(field.p, 1)
 
 
 def _block_sum_rank_cases(field, rng):
