@@ -10,12 +10,16 @@ the right.
 
 An :class:`XDivModule` keeps one letter table, from each letter ``(sym,
 +-1)`` to the rows of the transposed action of ``sym`` or of its inverse,
-so one letter costs ``dim`` field ``dot`` products.  ``envelope_value``
-walks a word's letters through the table; ``envelope_value_alg`` evaluates
-the words of a group-algebra element in sorted order and reuses the value
-at the prefix each word shares with the word before, so it makes one action
-per distinct prefix of the terms, not one per letter.  Words multiply by
-cancelling at the junction only, since both factors are reduced.
+and a block table built from it on demand, from each run of up to
+:data:`BLOCK_LEN` letters to the rows of their composed transposed action.
+``envelope_value`` walks a word :data:`BLOCK_LEN` letters at a time, so a
+block, like a letter, costs ``dim`` field ``dot`` products.
+``envelope_value_alg`` evaluates the words of a group-algebra element in
+sorted order and reuses the value at the prefix each word shares with the
+word before, so it makes one letter action per distinct prefix of the
+terms, not one per letter.  Words multiply by cancelling at the junction
+only, since both factors are reduced, and every word holds the one shared
+tuple of each of its letters.
 """
 
 from __future__ import annotations
@@ -25,22 +29,44 @@ from .exactlin import Matrix
 
 MAX_WORD_LEN = 16  # longest reduced word parse_reduce accepts
 
+# Letters per block of envelope_value.  On 187 random reduced words of
+# 50-1,498 letters (GF(7), dim 3, two generators; Python 3.11, Xeon) a
+# warm walk ran 2.3x as fast as letter by letter at 3, 3.3x at 4, 5.4x at
+# 6 (1,456 blocks) and 6.2x at 8 (11,932 blocks), and the first pass at 8
+# took 3.7x its warm time (1.2x at 4).  The table grows as (2k - 1)^len
+# with k generators, which the free-envelope command lets a user choose:
+# at 4 it holds at most sum over j = 1..4 of 2k (2k - 1)^(j - 1) blocks,
+# 160 for two generators and 936 for three (23,436 for three at 6).
+BLOCK_LEN = 4
+
+# One tuple per letter, shared by every word: a long word holds pointers,
+# not a fresh (sym, e) pair per letter.  Entries equal their keys, so words
+# compare and hash as they would without it.
+_intern = {}.setdefault
+
 
 class FreeWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters: tuple[tuple[str, int], ...]):
-        for i, (sym, e) in enumerate(letters):
-            if e not in (1, -1):
+        interned, last = [], None
+        for letter in letters:
+            sym, e = letter
+            # an int, so that no ``1.0`` or ``True`` enters the intern table
+            # and every later word's letters
+            if type(e) is not int or e not in (1, -1):
                 raise ValueError("exponents must be +1 or -1")
-            if i and letters[i - 1][0] == sym and letters[i - 1][1] == -e:
+            if last is not None and last[0] == sym and last[1] == -e:
                 raise ValueError("word is not reduced")
-        self.letters = letters
+            last = _intern(letter, letter)
+            interned.append(last)
+        self.letters = tuple(interned)
 
     @classmethod
     def _of(cls, letters: tuple[tuple[str, int], ...]) -> "FreeWord":
-        """Wrap ``letters`` without checking them.  The caller guarantees
-        a reduced tuple of ``(generator, +-1)`` letters."""
+        """Wrap ``letters`` without checking or interning them.  The caller
+        guarantees a reduced tuple of interned ``(generator, +-1)``
+        letters."""
         w = object.__new__(cls)
         w.letters = letters
         return w
@@ -65,7 +91,8 @@ class FreeWord:
 
     def inverse(self) -> "FreeWord":
         # the reversed inverse letters of a reduced word are reduced
-        return FreeWord._of(tuple((sym, -e) for sym, e in reversed(self.letters)))
+        inverted = [(sym, -e) for sym, e in reversed(self.letters)]
+        return FreeWord._of(tuple([_intern(letter, letter) for letter in inverted]))
 
     def __str__(self):
         if not self.letters:
@@ -182,7 +209,13 @@ class GroupAlgElem:
 class XDivModule:
     """Finite-dimensional right module on which every generator acts by an
     invertible matrix (so right division by a generator is possible and
-    unique).  ``actions`` keeps the generator matrices as given."""
+    unique).  ``actions`` keeps the generator matrices as given.
+
+    ``_letters`` maps each letter to the rows of its transposed action, and
+    ``_blocks`` maps a tuple of up to :data:`BLOCK_LEN` letters to the rows
+    of the transposed action of the letters in turn.  Blocks are built on
+    first use, each from the letter table and the block one letter
+    shorter, so the letter table is the one source of every block."""
 
     def __init__(self, field, alphabet, actions: dict[str, Matrix]):
         self.field = field
@@ -208,6 +241,7 @@ class XDivModule:
             raise ValueError("actions must share one dimension")
         self.dim = dims.pop()
         self.actions = {sym: actions[sym] for sym in self.alphabet}
+        self._blocks = {}
 
     def act(self, vec, sym: str, e: int = 1) -> tuple:
         """Right action ``vec * sym^e``, ``e`` being ``1`` or ``-1``, on a
@@ -222,6 +256,28 @@ class XDivModule:
         dot = self.field.dot
         return tuple([dot(row, vec) for row in self._letters[sym, e]])
 
+    def _block(self, letters: tuple) -> tuple:
+        """Rows of the transposed action of ``letters`` in turn, memoized:
+        ``vec`` acted on by each letter is the block's rows dotted with
+        ``vec``.  The block of ``c + (l,)`` is ``L^T B^T``, ``B^T`` being
+        the block of ``c`` and ``L^T`` the table rows of ``l``: one letter
+        action on each column of ``B^T``."""
+        block = self._blocks.get(letters)
+        if block is None:
+            last = self._letters[letters[-1]]
+            if len(letters) == 1:
+                block = last
+            else:
+                block = _compose(last, self._block(letters[:-1]), self.field.dot)
+            self._blocks[letters] = block
+        return block
+
+
+def _compose(a: tuple, b: tuple, dot) -> tuple:
+    """Rows of the product ``a b`` of two square matrices given by rows."""
+    columns = list(zip(*b))
+    return tuple(tuple([dot(row, col) for col in columns]) for row in a)
+
 
 def _base(m0, M: XDivModule) -> tuple:
     value = tuple(M.field.coerce(x) for x in m0)
@@ -235,12 +291,17 @@ def envelope_value(m0, g: FreeWord, M: XDivModule) -> tuple:
     of the free monoid algebra into the group algebra, by induction on the
     word length: the value at a word is the value at the word without its
     last letter, acted on by that letter (positive letter) or divided by it
-    (negative letter, unique because the action is invertible).  Each
-    letter is one read of the letter table."""
+    (negative letter, unique because the action is invertible).  The
+    letters are walked :data:`BLOCK_LEN` at a time, each run one read of
+    the module's block table."""
     value = _base(m0, M)
-    table, dot = M._letters, M.field.dot
-    for letter in g.letters:
-        value = tuple([dot(row, value) for row in table[letter]])
+    blocks, dot, letters = M._blocks, M.field.dot, g.letters
+    for i in range(0, len(letters), BLOCK_LEN):
+        chunk = letters[i:i + BLOCK_LEN]
+        rows = blocks.get(chunk)
+        if rows is None:  # a dim-0 block is ``()``
+            rows = M._block(chunk)
+        value = tuple([dot(row, value) for row in rows])
     return value
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from tiltlab import artheory, dedekind, exactlin
+from tiltlab import artheory, dedekind, exactlin, freegrp
 from tiltlab.cli import (
     MAX_DIM_CAP,
     main,
@@ -323,6 +323,17 @@ def test_envelope_positive_word_check_can_fail(capsys, monkeypatch):
     monkeypatch.setattr(XDivModule, "__init__", faulty_table)
     assert main(["free-envelope"]) == 1
     assert "[FAIL] positive words act through the monoid action" in capsys.readouterr().out
+
+
+def test_envelope_checks_fail_on_blocks_composed_in_the_wrong_order(capsys, monkeypatch):
+    # B^T L^T applies the last letter of a block first
+    compose = freegrp._compose
+    monkeypatch.setattr(freegrp, "_compose", lambda a, b, dot: compose(b, a, dot))
+    assert main(["free-envelope"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] extension respects the action on sampled words" in out
+    assert "[FAIL] positive words act through the monoid action" in out
+    assert "[PASS] flatness witness is nonzero with zero image" in out
 
 
 def test_ore_set_check_can_fail(monkeypatch):

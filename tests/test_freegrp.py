@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from tiltlab.errors import ParseError, SameGenerator
 from tiltlab.exactlin import QQ, Matrix, PrimeField
 from tiltlab.freegrp import (
+    BLOCK_LEN,
     FreeWord,
     GroupAlgElem,
     XDivModule,
@@ -182,16 +184,16 @@ def test_flatness_witness_needs_distinct_generators():
         flatness_witness(AB, "x", "x", F7)
 
 
-def _module_over(field, rng, dim):
+def _module_over(field, rng, dim, alphabet=AB):
     """Random invertible actions with entries in [-3, 3]."""
     actions = {}
-    for sym in AB:
+    for sym in alphabet:
         while True:
             m = Matrix(field, [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)], dim)
             if m.is_invertible():
                 actions[sym] = m
                 break
-    return XDivModule(field, AB, actions)
+    return XDivModule(field, alphabet, actions)
 
 
 @pytest.mark.parametrize("field", [F7, QQ], ids=str)
@@ -225,6 +227,45 @@ def test_act_rejects_an_exponent_other_than_plus_or_minus_one(e):
 
 def _rand_reduced(rng, n):
     return reduce_letters([(rng.choice(AB), rng.choice((1, -1))) for _ in range(n)])
+
+
+def _reduced_of_length(rng, alphabet, n):
+    """Uniform reduced word of exactly ``n`` letters."""
+    letters = []
+    while len(letters) < n:
+        sym, e = rng.choice(alphabet), rng.choice((1, -1))
+        if not letters or letters[-1] != (sym, -e):
+            letters.append((sym, e))
+    return FreeWord(tuple(letters))
+
+
+ALPHABETS = [("x",), AB, ("x", "y", "z")]
+
+
+@pytest.mark.parametrize("dim", [0, 1, 3])
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=len)
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(101), QQ], ids=str)
+def test_block_walk_matches_the_letter_by_letter_action(field, alphabet, dim):
+    """Lengths 0-13 take every remainder mod the block length and up to
+    three full blocks."""
+    rng = random.Random(45)
+    module = _module_over(field, rng, dim, alphabet)
+    base = tuple(field.coerce(rng.randint(-5, 5)) for _ in range(dim))
+    for n in range(14):
+        for _ in range(4):
+            w = _reduced_of_length(rng, alphabet, n)
+            expected = functools.reduce(lambda v, letter: module.act(v, *letter), w.letters, base)
+            assert envelope_value(base, w, module) == expected
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=len)
+def test_block_table_holds_at_most_the_reduced_runs_of_block_length(alphabet):
+    rng = random.Random(46)
+    module = _module_over(F7, rng, 2, alphabet)
+    for _ in range(200):
+        envelope_value((1, 0), _reduced_of_length(rng, alphabet, rng.randrange(0, 40)), module)
+    k = len(alphabet)
+    assert len(module._blocks) <= sum(2 * k * (2 * k - 1) ** (j - 1) for j in range(1, BLOCK_LEN + 1))
 
 
 def _rand_elem_with_shared_prefixes(field, rng):
@@ -292,8 +333,9 @@ def test_word_product_cancels_like_full_reduction(a, b):
 def test_free_word_checks_its_letters():
     with pytest.raises(ValueError, match="word is not reduced"):
         FreeWord((("x", 1), ("y", 1), ("y", -1)))
-    with pytest.raises(ValueError, match="exponents must be"):
-        FreeWord((("x", 2),))
+    for e in (2, 1.0, True):
+        with pytest.raises(ValueError, match="exponents must be"):
+            FreeWord((("x", e),))
 
 
 def test_equal_words_merge_as_dict_keys():
@@ -301,6 +343,19 @@ def test_equal_words_merge_as_dict_keys():
     assert a is not b and a == b and hash(a) == hash(b) and a != word("x")
     assert len({a: 1, b: 2}) == 1
     assert (GroupAlgElem.of(F7, a) + GroupAlgElem.of(F7, b)).terms == {a: 2}
+
+
+def test_words_share_their_letter_objects():
+    def fresh(letters):
+        # tuples built at run time, so no two are one shared constant
+        return tuple([tuple([sym, e]) for sym, e in letters])
+
+    assert fresh([("x", 1)])[0] is not fresh([("x", 1)])[0]
+    u, v = parse_reduce("x y^-1 y^-1 x", AB), parse_reduce("x^-1 y x", AB)
+    for w in (u, FreeWord(fresh(u.letters)), u * v, u.inverse(), v.inverse() * u.inverse()):
+        same = FreeWord(fresh(w.letters))
+        assert all(a is b for a, b in zip(w.letters, same.letters))
+        assert w == same and hash(w) == hash(same)
 
 
 def test_xdiv_module_rejects_singular_action():
