@@ -200,9 +200,10 @@ def _min_poly(f: RepMap) -> list:
     stops there with a one: it is the minimal polynomial."""
     field = f.source.field
     n = f.source.total_dim()
-    powers = [Matrix.identity(field, d) for d in f.source.dims]
-    cols = []
-    for k in range(n + 1):
+    one, zero = field.one, field.zero
+    cols = [[one if i == j else zero for d in f.source.dims for i in range(d) for j in range(d)]]  # f^0
+    powers = f.maps
+    for k in range(1, n + 1):
         cols.append([x for m in powers for row in m.rows for x in row])
         if k < n:
             powers = [m @ g for m, g in zip(powers, f.maps)]
@@ -231,15 +232,16 @@ def _factor_min_poly(field, coeffs: list) -> list[tuple[list, int]]:
 
 
 def _evaluate_poly(f: RepMap, coeffs: list) -> RepMap:
-    """Evaluate a polynomial at an endomorphism, vertex by vertex."""
+    """Evaluate a nonzero polynomial at an endomorphism, vertex by vertex:
+    the constant term times the identity, then one product per further
+    power, up to the top coefficient's."""
     field = f.source.field
     maps = []
     for v, d in enumerate(f.source.dims):
-        acc = Matrix.zeros(field, d, d)
-        power = Matrix.identity(field, d)
-        for c in coeffs:
+        acc, power = Matrix.identity(field, d).scale(coeffs[0]), None
+        for c in coeffs[1:]:
+            power = f.maps[v] if power is None else power @ f.maps[v]
             acc = acc + power.scale(c)
-            power = power @ f.maps[v]
         maps.append(acc)
     return RepMap(f.source, f.source, maps)
 
@@ -262,9 +264,11 @@ def _fitting(X: QuiverRep, g: RepMap) -> tuple[int, list[QuiverRep]]:
 
 
 def _is_scalar(f: RepMap) -> bool:
-    """Whether ``f`` is a multiple ``lam * 1`` of the identity."""
+    """Whether ``f`` is a multiple ``lam * 1`` of the identity, read entry
+    by entry."""
     lam = next(m.rows[0][0] for m in f.maps if m.nrows)
-    return all(m == Matrix.identity(m.field, m.nrows).scale(lam) for m in f.maps)
+    zero = f.source.field.zero
+    return all(x == (lam if i == j else zero) for m in f.maps for i, row in enumerate(m.rows) for j, x in enumerate(row))
 
 
 def _primary(X: QuiverRep, g: RepMap) -> tuple[list[QuiverRep], RepMap | None, int]:

@@ -29,7 +29,8 @@ column below the pivot only, in the manner of Dumas, Giorgi and Pernet,
 only the columns a reader needs.  The forward pass gives the pivots and one
 normalised echelon row per pivot; ``pivots`` and ``rank`` stop there.
 ``kernel_basis`` back-substitutes over the free columns (not at all when
-there is none), ``span`` over the identity columns of ``[A | I]``, and
+there is none; ``kernel_and_free`` also returns those columns, at which the
+basis is the identity), ``span`` over the identity columns of ``[A | I]``, and
 ``rref`` over every column (``_back_substitute``).
 
 The forward pass has one loop per representation.  Over ``QQ``, and over
@@ -541,19 +542,26 @@ class Matrix:
         pass runs over the free columns only, and not at all when there is
         none.
         """
+        return self.kernel_and_free()[0]
+
+    def kernel_and_free(self) -> tuple["Matrix", list[int]]:
+        """:meth:`kernel_basis` and the free columns of the same forward
+        pass, ascending.  The basis is the identity at the free rows, so
+        the entries at ``free`` of a kernel vector are its coordinates in
+        the basis."""
         field = self.field
         echelon, pivots = self._forward()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         K = Matrix.zeros(field, self.ncols, len(free))
         if not free:
-            return K
+            return K, free
         scale_row, minus_one = field.scale_row, field.neg(field.one)
         for pc, row in zip(pivots, _back_substitute(field, echelon, pivots, free)):
             K.rows[pc] = scale_row(minus_one, row)
         for j, fc in enumerate(free):
             K.rows[fc][j] = field.one
-        return K
+        return K, free
 
     def inverse(self) -> "Matrix | None":
         """``A^-1``, or ``None`` unless ``A`` is square of full rank: the

@@ -200,9 +200,14 @@ class QuiverRep:
 
     def path_action(self, start: int, path: Path) -> Matrix:
         """Composite of the arrow matrices along ``path`` starting at
-        ``start`` (identity when the path is empty)."""
-        out = Matrix.identity(self.field, self.dims[start])
-        for k in path:
+        ``start``: the identity when the path is empty, and for one arrow
+        that arrow's own matrix, not a copy (matrices are immutable by
+        convention, and ``Matrix.block_sum_rank`` packs a block that recurs
+        once, by ``id``)."""
+        if not path:
+            return Matrix.identity(self.field, self.dims[start])
+        out = self.maps[path[0]]
+        for k in path[1:]:
             out = self.maps[k] @ out
         return out
 
@@ -356,22 +361,43 @@ def socle(M: QuiverRep) -> tuple[QuiverRep, RepMap]:
     return subrep(M, bases)
 
 
-def _top(X: QuiverRep, bases: list[Matrix]) -> tuple[tuple[int, ...], list[list]]:
-    """Vertices and vectors of ``X`` lifting a basis of ``S / rad S``, where
-    the subrepresentation ``S`` has the columns of ``bases[v]`` as basis at
-    each vertex ``v``: the columns of ``bases[v]`` outside the span of the
-    arrow images into ``v`` (``rad S``), read off the pivots of ``[images |
-    bases[v]]``.  With identity bases this is the top of ``X`` itself."""
-    q = X.quiver
+def _top(X: QuiverRep, bases: list[tuple[Matrix, list[int]]] | None) -> tuple[tuple[int, ...], list[list]]:
+    """Vertices and vectors of ``X`` lifting a basis of ``S / rad S``.  With
+    ``bases`` ``None``, ``S`` is ``X`` and its basis at each vertex is the
+    unit vectors.  Otherwise ``bases[v]`` is a pair ``(B, free)`` from
+    :meth:`Matrix.kernel_and_free`: ``S`` has the columns of ``B`` as basis
+    at ``v``, and a vector of ``S`` has its entries at the rows ``free`` as
+    coordinates in it.
+
+    The lifts at ``v`` are the basis vectors ``b_c`` outside ``rad S +
+    span(b_0, ..., b_{c-1})``, where ``rad S`` is spanned by the arrow
+    images into ``v``.  That holds exactly when no vector of ``rad S`` has
+    its last nonzero coordinate at ``c``, so when ``c`` is not a pivot of
+    the images' coordinate rows with their columns reversed: one forward
+    pass over the images, with no basis vector in it."""
+    q, field = X.quiver, X.field
+    dot = field.dot
     verts: list[int] = []
     gens: list[list] = []
     for v in range(q.nvertices):
-        images = [col for k in q.arrows_into(v) for col in (X.maps[k] @ bases[q.arrows[k].source]).columns()]
-        B, m = bases[v], len(images)
-        for c in Matrix._of(X.field, images + B.columns(), X.dims[v]).transpose().pivots():
-            if c >= m:
+        n = X.dims[v] if bases is None else bases[v][0].ncols
+        rows = []
+        for k in q.arrows_into(v):
+            if bases is None:  # an image is its own coordinate vector
+                rows += [list(col[::-1]) for col in zip(*X.maps[k].rows)]
+            else:
+                at = [X.maps[k].rows[i] for i in reversed(bases[v][1])]
+                rows += [[dot(row, col) for row in at] for col in zip(*bases[q.arrows[k].source][0].rows)]
+        lead = {n - 1 - c for c in Matrix._of(field, rows, n).pivots()}
+        for c in range(n):
+            if c not in lead:
+                if bases is None:
+                    gen = [field.zero] * n
+                    gen[c] = field.one
+                else:
+                    gen = bases[v][0].column(c)
                 verts.append(v)
-                gens.append(B.column(c - m))
+                gens.append(gen)
     return tuple(verts), gens
 
 
@@ -505,23 +531,28 @@ class ProjPresentation:
 def proj_presentation(M: QuiverRep) -> ProjPresentation:
     """Minimal projective presentation built from the projective cover
     ``Q -> M`` (lifting a basis of ``M / rad M``).  The kernel ``K`` stays
-    inside ``Q``: its top is read in ``Q``'s coordinates from the kernel
-    bases of the cover, and ``K`` is projective because the path algebra
-    is hereditary."""
+    inside ``Q``: its top is read in the coordinates of the cover's kernel
+    bases, the entries at their free rows, and ``K`` is projective because
+    the path algebra is hereditary.  No identity matrix is built and no
+    matrix product is taken: :func:`_top` eliminates the arrow images
+    alone, and ``alpha``'s injectivity is one rank at the free rows."""
     q, field = M.quiver, M.field
-    verts, gens = _top(M, [Matrix.identity(field, d) for d in M.dims])
+    verts, gens = _top(M, None)
     Qs = proj_sum(q, field, verts)
     projection = extend_generators(Qs, M, gens)
-    kernel = [m.kernel_basis() for m in projection.maps]
+    kernel = [m.kernel_and_free() for m in projection.maps]
     # rank = ncols - nullity, so the kernel bases show surjectivity too
-    if any(m.ncols - K.ncols != m.nrows for m, K in zip(projection.maps, kernel)):
+    if any(m.ncols - K.ncols != m.nrows for m, (K, _) in zip(projection.maps, kernel)):
         raise AssertionError("projective cover failed to be surjective")
     kverts, kgens = _top(Qs.rep, kernel)
     Ps = proj_sum(q, field, kverts)
-    if Ps.rep.dims != tuple(B.ncols for B in kernel):
+    if Ps.rep.dims != tuple(K.ncols for K, _ in kernel):
         raise AssertionError("kernel of a cover is not projective; quiver not hereditary?")
     alpha = extend_generators(Ps, Qs.rep, kgens)
-    if not alpha.is_injective():
+    # alpha's block at v is square at the free rows, and a full rank there
+    # makes its columns independent
+    if any(Matrix._of(field, [m.rows[i][:] for i in free], m.ncols).rank() != m.ncols
+           for m, (_, free) in zip(alpha.maps, kernel)):
         raise AssertionError("presentation map is not injective")
     return ProjPresentation(Ps, Qs, alpha, M, projection)
 
@@ -529,7 +560,7 @@ def proj_presentation(M: QuiverRep) -> ProjPresentation:
 def is_projective(M: QuiverRep) -> bool:
     """The projective cover maps onto ``M``, so ``M`` is projective exactly
     when the cover has the dimensions of ``M``."""
-    verts, _ = _top(M, [Matrix.identity(M.field, d) for d in M.dims])
+    verts, _ = _top(M, None)
     return proj_sum(M.quiver, M.field, verts).rep.dims == M.dims
 
 

@@ -14,8 +14,9 @@ packed loop the reference for ``exactlin._forward_packed``, the sum entry
 by entry in the scalar ``add`` and ``mul``, with no row kernel, the
 reference for ``Matrix.block_sum`` and
 ``quiverrep.presentation_tensor_terms``, the power-by-power solve the
-reference for ``artheory._min_poly``, and the decompose-then-search route
-the reference for ``artheory.is_simple_regular``."""
+reference for ``artheory._min_poly``, the pivots of ``[images | B]`` the
+reference for ``quiverrep._top``, and the decompose-then-search route the
+reference for ``artheory.is_simple_regular``."""
 
 import functools
 import itertools
@@ -279,6 +280,24 @@ def presentation_tensor_reference(pres, X) -> Matrix:
     return block_sum_reference(X.field, qoffs[-1], poffs[-1], [
         (qoffs[qi], poffs[pi], coeff, action(pres.P.summands[pi], tuple(reversed(path))))
         for qi, pi, path, coeff in pres.path_matrix()])
+
+
+def top_reference(X, bases) -> tuple[tuple[int, ...], list[list]]:
+    """``quiverrep._top`` with the basis of ``S`` at each vertex ``v``
+    given as the matrix ``bases[v]``: the columns of ``bases[v]`` outside
+    the span of the arrow images into ``v`` and the columns before them,
+    read off the pivots of ``[images | bases[v]]`` transposed."""
+    q = X.quiver
+    verts: list[int] = []
+    gens: list[list] = []
+    for v in range(q.nvertices):
+        images = [col for k in q.arrows_into(v) for col in (X.maps[k] @ bases[q.arrows[k].source]).columns()]
+        B, m = bases[v], len(images)
+        for c in Matrix._of(X.field, images + B.columns(), X.dims[v]).transpose().pivots():
+            if c >= m:
+                verts.append(v)
+                gens.append(B.column(c - m))
+    return tuple(verts), gens
 
 
 def min_poly_reference(f, p=None) -> list:

@@ -491,6 +491,34 @@ def test_min_poly_matches_reference(field):
         assert _min_poly(f) == min_poly_reference(f, p)
 
 
+@pytest.mark.parametrize("field", [PrimeField(2), F5, PrimeField(101), QQ], ids=repr)
+def test_evaluate_poly_and_is_scalar_match_their_definitions(field):
+    """``_evaluate_poly`` against ``sum c_i f^i`` from ``f^0 = 1`` by
+    repeated products, and ``_is_scalar`` against a comparison with
+    ``lam * 1``, on endomorphisms of Kronecker modules, the scalars
+    among them."""
+    rng = random.Random(37)
+    draw = (lambda: rng.randrange(-3, 4)) if field == QQ else (lambda: rng.randrange(field.p))
+    endos = []
+    for dims in ((1, 1), (2, 2), (2, 3), (0, 2)):
+        X = QuiverRep(KRON, field, dims, [
+            Matrix(field, [[draw() for _ in range(dims[0])] for _ in range(dims[1])], dims[0]) for _ in KRON.arrows])
+        endos += hom_space(X, X) + [identity_map(X).scale(draw()) for _ in range(2)]
+    scalars = 0
+    for f in endos:
+        lam = next(m.rows[0][0] for m in f.maps if m.nrows)
+        expected = all(m == Matrix.identity(field, m.nrows).scale(lam) for m in f.maps)
+        assert artheory._is_scalar(f) == expected
+        scalars += expected
+        for degree in range(4):
+            coeffs = [field.coerce(draw()) for _ in range(degree)] + [field.one]
+            power, total = identity_map(f.source), identity_map(f.source).scale(0)
+            for c in coeffs:
+                total, power = total + power.scale(c), power @ f
+            assert artheory._evaluate_poly(f, coeffs).maps == total.maps
+    assert 0 < scalars < len(endos)
+
+
 # -- defect ------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ import pytest
 from tiltlab import artheory, dedekind, exactlin, freegrp
 from tiltlab.cli import (
     MAX_DIM_CAP,
+    MAX_ENVELOPE_DIM,
     main,
     run_dedekind_classify,
     run_free_envelope,
@@ -614,6 +615,20 @@ def test_dim_caps_past_the_bound_are_refused_before_anything_is_built(capsys, mo
     assert main(["perp-check", "--dim-cap", str(MAX_DIM_CAP + 1)]) == 2
     with pytest.raises(_Built):
         main(["perp-check", "--dim-cap", str(MAX_DIM_CAP)])
+
+
+def test_envelope_dims_past_the_bound_are_refused_before_anything_is_built(capsys, monkeypatch):
+    # a dimension of 100000 would draw 10^10 entries per generator instead
+    # of exiting
+    def refuse(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(freegrp, "random_xdiv_module", refuse)
+    assert main(["free-envelope", "--dim", "100000", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == f"tiltlab: module dimension 100000 exceeds cap {MAX_ENVELOPE_DIM}\n"
+    assert main(["free-envelope", "--dim", str(MAX_ENVELOPE_DIM + 1)]) == 2
+    with pytest.raises(_Built):
+        main(["free-envelope", "--dim", str(MAX_ENVELOPE_DIM)])
 
 
 def test_negative_module_dimension_is_an_input_error(capsys):

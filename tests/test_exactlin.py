@@ -251,6 +251,18 @@ def test_snf_coefficients_stay_bounded_on_200_random_5x5():
     assert over_cap == []
 
 
+@pytest.mark.xfail(strict=True, reason="snf does not size-reduce the kernel part of U and V (ROADMAP item 9)")
+def test_snf_coefficients_stay_bounded_on_a_seeded_tall_rank_5_product():
+    # A is a 6 x 5 product L R of rank 5, factors in [-100, 100].  The row
+    # of U in A's left kernel is fixed only up to kernel vectors, and
+    # nothing reduces it: it reaches 384 bits here, while V stays near 35.
+    rng = random.Random(3)
+    L = IntMatrix([[rng.randint(-100, 100) for _ in range(5)] for _ in range(6)])
+    A = L @ IntMatrix([[rng.randint(-100, 100) for _ in range(5)] for _ in range(5)])
+    assert A.shape == (6, 5) and 0 not in check_snf(A)
+    assert _max_bits(*snf(A)) <= 256
+
+
 def _random_shapes(rng, count):
     """Integer matrices from 0 x 0 to 5 x 5: dense, low rank (products of
     thinner factors), sparse with repeated factors, and 5 x 5 with entries

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import presentation_tensor_reference
+from oracles import presentation_tensor_reference, top_reference
 
 from tiltlab import quiverrep
 from tiltlab.artheory import all_submodules, transpose
@@ -150,6 +150,86 @@ def test_cover_that_misses_a_generator_is_refused(monkeypatch):
     for M in (QuiverRep.simple(KRON, F5, 0), tube_simple(KRON, F5, 2), projective(A3, F5, 0)):
         with pytest.raises(AssertionError, match="projective cover failed to be surjective"):
             proj_presentation(M)
+
+
+LINEAR_A3 = Quiver(3, (Arrow("a", 0, 1), Arrow("b", 1, 2)))
+
+
+def low_rank_rep(q, field, rng):
+    """Dims in ``0..3`` and each arrow map a product ``L R`` through a
+    random inner dimension up to the smaller side, so zero maps and
+    rank-deficient maps are common; fractions over ``QQ``."""
+    def draw():
+        return Fraction(rng.randrange(-3, 4), rng.randint(1, 3)) if field == QQ else rng.randrange(field.p)
+
+    dims = [rng.randrange(0, 4) for _ in range(q.nvertices)]
+    maps = []
+    for a in q.arrows:
+        rows, cols = dims[a.target], dims[a.source]
+        inner = rng.randrange(0, min(rows, cols) + 1)
+        L = Matrix(field, [[draw() for _ in range(inner)] for _ in range(rows)], inner)
+        maps.append(L @ Matrix(field, [[draw() for _ in range(cols)] for _ in range(inner)], cols))
+    return QuiverRep(q, field, dims, maps)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), QQ], ids=repr)
+def test_top_matches_the_pivots_of_images_beside_the_basis(field):
+    """Both calls of ``_top`` in ``proj_presentation``, the cover's on the
+    module and the kernel's on the cover, against the pivots of ``[images
+    | B]`` with ``B`` the identity and the kernel basis."""
+    from tiltlab.quiverrep import extend_generators
+
+    rng = random.Random(23)
+    seen = {"zero dim": 0, "rank deficient": 0, "kernel top at several vertices": 0}
+    for q in (KRON, A3, LINEAR_A3):
+        for _ in range(25):
+            M = low_rank_rep(q, field, rng)
+            top = quiverrep._top(M, None)
+            assert top == top_reference(M, [Matrix.identity(field, d) for d in M.dims])
+            Qs = proj_sum(q, field, top[0])
+            kernel = [m.kernel_and_free() for m in extend_generators(Qs, M, top[1]).maps]
+            ktop = quiverrep._top(Qs.rep, kernel)
+            assert ktop == top_reference(Qs.rep, [K for K, _ in kernel])
+            seen["zero dim"] += 0 in M.dims
+            seen["rank deficient"] += any(0 < m.rank() < min(m.shape) for m in M.maps)
+            seen["kernel top at several vertices"] += len(set(ktop[0])) > 1
+    assert min(seen.values()) >= 3, seen
+
+
+def _is_identity(m: Matrix) -> bool:
+    one, zero = m.field.one, m.field.zero
+    return m.nrows == m.ncols >= 1 and all(x == (one if i == j else zero)
+                                           for i, row in enumerate(m.rows) for j, x in enumerate(row))
+
+
+def test_presentations_build_no_identity_and_take_no_product_with_one(monkeypatch):
+    """``proj_presentation``, ``is_projective`` and the tensor terms on
+    Kronecker and a31 modules with dense maps, where paths of length 2 and
+    3 make products along ``X``."""
+    rng = random.Random(29)
+    cases = []
+    for q in (KRON, A3):
+        for _ in range(6):
+            cases.append((dense_rep(q, PrimeField(101), rng, 4), dense_rep(q.opposite(), PrimeField(101), rng, 3)))
+    cases.append((QuiverRep.simple(A3, F5, 0), QuiverRep.simple(A3.opposite(), F5, 3)))
+    built, products = [], []
+    identity, matmul = Matrix.identity, Matrix.__matmul__
+
+    def spy_matmul(A, B):
+        if _is_identity(A) or _is_identity(B):
+            products.append((A.shape, B.shape))
+        return matmul(A, B)
+
+    monkeypatch.setattr(Matrix, "identity", staticmethod(lambda field, n: built.append(n) or identity(field, n)))
+    monkeypatch.setattr(Matrix, "__matmul__", spy_matmul)
+    lengths = set()
+    for M, X in cases:
+        pres = proj_presentation(M)
+        is_projective(M)
+        presentation_tensor_terms(pres, X)
+        lengths |= {len(w) for _, _, w, _ in pres.path_matrix()}
+    assert built == [] and products == []
+    assert {2, 3} <= lengths
 
 
 def test_presentation_of_kronecker_simple():
