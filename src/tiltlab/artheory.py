@@ -20,9 +20,12 @@ invertible and the answer is no.  Only when the walk stalls with every
 vertex spanned does Krull-Schmidt decide: summands split along
 Fitting decompositions of endomorphisms, each is certified indecomposable by
 a local endomorphism ring, and the verdict compares the decompositions of
-``M`` and ``N`` group by group.  The splitting factors minimal polynomials
-of endomorphisms: over ``GF(p)`` with the library's own Berlekamp
-factorizer, over QQ with sympy, the one use of the optional ``qq`` extra.
+``M`` and ``N`` group by group.  A Fitting split ``X = ker g^e + im g^e``
+reads its rank and both pieces off one elimination of ``g^e`` per vertex,
+the kernel basis with its free columns, and builds no span.  The
+splitting factors minimal polynomials of endomorphisms: over ``GF(p)``
+with the library's own Berlekamp factorizer, over QQ with sympy, the one
+use of the optional ``qq`` extra.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     NonProjective,
     NonSplitField,
     NotBound,
+    NotInvariant,
     SearchBudgetExceeded,
     UnsupportedFamily,
 )
@@ -138,11 +142,13 @@ def _raise_rank(basis: list[RepMap], n: int) -> bool | None:
     """``True`` when a walk through ``Hom(M, N)`` reaches total rank ``n =
     dim M``, the sum of the vertex blocks' ranks, so an isomorphism;
     ``False`` when no morphism is invertible; ``None`` when the walk stalls
-    below ``n``.  The walk starts at the sum of the basis and goes round
-    the basis, replacing ``f`` by ``f + b`` whenever that raises the rank,
-    until the rank is ``n`` or a whole round raises nothing: at most ``(n
-    + 1) * len(basis)`` steps.  A single basis element, or one pass, often
-    stays singular on a sum with repeated summands over a small field.
+    below ``n``.  The walk starts at the sum of the basis, formed vertex by
+    vertex with one ``dot`` against a vector of ones per entry, and goes
+    round the basis, replacing ``f`` by ``f + b`` whenever that raises the
+    rank, until the rank is ``n`` or a whole round raises nothing: at most
+    ``(n + 1) * len(basis)`` steps.  A single basis element, or one pass,
+    often stays singular on a sum with repeated summands over a small
+    field.
 
     No morphism has more rank at a vertex than the span of the basis'
     images there, its cap (read only where the start is singular).  So
@@ -151,7 +157,12 @@ def _raise_rank(basis: list[RepMap], n: int) -> bool | None:
     the blocks where ``b`` is nonzero, none when ``f`` is at its cap on all
     of them."""
     field = basis[0].source.field
-    f = list(sum(basis[1:], basis[0]).maps)
+    ones = [field.one] * len(basis)
+    f = []
+    for v, m in enumerate(basis[0].maps):  # the sum of the basis, one dot per entry
+        at_v = [b.maps[v].rows for b in basis]
+        f.append(Matrix._of(field, [[field.dot(col, ones) for col in zip(*(rows[i] for rows in at_v))]
+                                    for i in range(m.nrows)], m.ncols))
     ranks = [m.rank() for m in f]
     caps = [r if r == m.nrows else
             Matrix._of(field, [[x for b in basis for x in b.maps[v].rows[i]] for i in range(m.nrows)],
@@ -247,20 +258,51 @@ def _evaluate_poly(f: RepMap, coeffs: list) -> RepMap:
 
 
 def _fitting(X: QuiverRep, g: RepMap) -> tuple[int, list[QuiverRep]]:
-    """The rank of ``g^e``, with ``e`` a power of two no smaller than any
-    vertex dimension, so past the Fitting index at every vertex.  When the
-    rank lies strictly between 0 and ``dim X``, also Fitting's splitting
-    ``X = ker g^e + im g^e`` into two nonzero submodules; otherwise ``g`` is
-    nilpotent (rank 0) or invertible and the list is empty."""
+    """The rank of ``A = g^e``, with ``e`` a power of two no smaller than
+    any vertex dimension, so past the Fitting index at every vertex.  When
+    the rank lies strictly between 0 and ``dim X``, also Fitting's
+    splitting ``X = ker A + im A`` into two nonzero submodules; otherwise
+    ``g`` is nilpotent (rank 0) or invertible and the list is empty.
+
+    One :meth:`Matrix.kernel_and_free` per vertex gives all three.  The
+    rank at ``v`` is ``n_v`` less the free columns ``F``.  The kernel piece
+    has basis ``K_v``, and a kernel vector's coordinates are its entries at
+    ``F``, so its arrow map is the rows ``F_t`` of ``M_a K_s``.  The image
+    piece has the pivot columns ``P`` of ``A`` as basis; as ``A[:, F] =
+    -A[:, P] K[P, :]``, the coordinates of ``A y`` are ``y_P - K[P, :]
+    y_F``, and as ``A`` commutes with ``M_a``, its arrow map is ``M_a[P_t,
+    P_s] - K_t[P_t, :] M_a[F_t, P_s]``.  Raises :class:`NotInvariant` when
+    ``A`` does not commute with every arrow, before reading a piece."""
     powers = list(g.maps)
     e = 1
     while e < max(X.dims):
         powers = [m @ m for m in powers]
         e *= 2
-    rank = sum(m.rank() for m in powers)
+    kernels = [m.kernel_and_free() for m in powers]
+    rank = sum(d - len(free) for d, (_, free) in zip(X.dims, kernels))
     if rank in (0, X.total_dim()):
         return rank, []
-    return rank, [subrep(X, [m.kernel_basis() for m in powers])[0], subrep(X, powers)[0]]
+    q, field = X.quiver, X.field
+    for k, a in enumerate(q.arrows):
+        if powers[a.target] @ X.maps[k] != X.maps[k] @ powers[a.source]:
+            raise NotInvariant(f"g^{e} does not commute with arrow {a.name}")
+    dot, sub_scaled = field.dot, field.sub_scaled
+    pivots = [sorted(set(range(d)).difference(free)) for d, (_, free) in zip(X.dims, kernels)]
+    ker_maps, im_maps = [], []
+    for k, a in enumerate(q.arrows):
+        rows = X.maps[k].rows
+        (Ks, Fs), (Kt, Ft) = kernels[a.source], kernels[a.target]
+        Ps, Pt = pivots[a.source], pivots[a.target]
+        kernel_cols = list(zip(*Ks.rows))
+        ker_maps.append(Matrix._of(field, [[dot(rows[i], col) for col in kernel_cols] for i in Ft], len(Fs)))
+        free_cols = [[rows[f][j] for f in Ft] for j in Ps]  # M_a[F_t, P_s], column by column
+        im_maps.append(Matrix._of(field, [
+            sub_scaled([rows[i][j] for j in Ps], field.one, [dot(Kt.rows[i], col) for col in free_cols])
+            for i in Pt], len(Ps)))
+    ker_dims = [len(free) for _, free in kernels]
+    im_dims = [len(P) for P in pivots]
+    return rank, [QuiverRep(q, field, ker_dims, ker_maps, check=False),
+                  QuiverRep(q, field, im_dims, im_maps, check=False)]
 
 
 def _is_scalar(f: RepMap) -> bool:

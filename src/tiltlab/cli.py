@@ -159,6 +159,12 @@ def run_dedekind_classify(primes=(2, 3, 5), ore_sets=(), random_ore: int = 0, se
 # 384 with --trials 1, and at the default 100 trials 7.6 s and 31 MB at 128
 # against 61 s and 78 MB at 256.
 MAX_ENVELOPE_DIM = 128
+# The largest --trials free-envelope accepts.  Past the module's set-up the
+# time grows linearly in the trials: whole commands on a 2-vCPU VM (Python
+# 3.11) took 14 s and 37 MB at both caps (1,000 trials at dimension 128),
+# 7.4 s at 100 trials there, and 0.08 s at 1,000 trials at the default
+# dimension 2, where 10^8 trials would run for about 40 minutes.
+MAX_ENVELOPE_TRIALS = 1000
 
 
 def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
@@ -167,6 +173,8 @@ def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
     a module with invertible generator actions."""
     if dim > MAX_ENVELOPE_DIM:
         raise ValueError(f"module dimension {dim} exceeds cap {MAX_ENVELOPE_DIM}")
+    if trials > MAX_ENVELOPE_TRIALS:
+        raise ValueError(f"trials {trials} exceed cap {MAX_ENVELOPE_TRIALS}")
     from .exactlin import PrimeField
     from .freegrp import (
         FreeWord, envelope_value, flatness_witness, parse_reduce, random_xdiv_module, reduce_letters, word)
@@ -240,6 +248,12 @@ def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
 # take memory as cap^4: at 32 the worst a31 pair over GF(1019) took 25 s and
 # 346 MB on a 2-vCPU VM, so 64 would need about 5.5 GB.
 MAX_DIM_CAP = 32
+# The largest --trials perp-check accepts.  The time grows linearly in the
+# trials: whole commands on a 2-vCPU VM (Python 3.11) took 0.72 s at 1,000
+# trials and 3.2 s at 5,000 at the default dimension cap 4, and at both
+# caps (1,000 trials at cap 32) 303 s and 225 MB on a31 (31 s at 100
+# trials) and 6.3 s at 100 trials on the Kronecker quiver.
+MAX_PERP_TRIALS = 1000
 
 
 def run_perp_check(family: str = "kronecker", field_char: int = 5, trials: int = 40,
@@ -249,6 +263,8 @@ def run_perp_check(family: str = "kronecker", field_char: int = 5, trials: int =
     bilinear-form identity for morphism and extension dimensions."""
     if dim_cap > MAX_DIM_CAP:
         raise ValueError(f"dimension cap {dim_cap} exceeds cap {MAX_DIM_CAP}")
+    if trials > MAX_PERP_TRIALS:
+        raise ValueError(f"trials {trials} exceed cap {MAX_PERP_TRIALS}")
     from .artheory import build_extension, tube_catalog
     from .exactlin import PrimeField
     from .perpcat import perp_conditions

@@ -575,7 +575,10 @@ def hom_system(M: QuiverRep, N: QuiverRep) -> tuple[Matrix, list[int]]:
     ``offs[v]`` up to ``offs[v+1]`` hold ``f_v: M_v -> N_v`` row by row; the
     rows hold ``N_a f_i - f_j M_a``, arrow by arrow and row by row.  The
     kernel is ``Hom(M, N)`` and the cokernel is ``Ext^1(M, N)``: a vector of
-    row values, cut into the arrow blocks, is a class ``(g_a: M_i -> N_j)``."""
+    row values, cut into the arrow blocks, is a class ``(g_a: M_i -> N_j)``.
+    Each row is written as two slices: row ``r`` of ``N_a`` at stride
+    ``dim M_i`` from column ``offs[i] + c``, and the negated column ``c`` of
+    ``M_a`` contiguously from ``offs[j] + r dim M_j``."""
     _require_parallel(M, N)
     field = M.field
     offs = list(itertools.accumulate((n * m for n, m in zip(N.dims, M.dims)), initial=0))
@@ -584,39 +587,28 @@ def hom_system(M: QuiverRep, N: QuiverRep) -> tuple[Matrix, list[int]]:
     zero, neg = field.zero, field.neg
     for k, a in enumerate(M.quiver.arrows):
         i, j = a.source, a.target
-        Na, Ma = N.maps[k], M.maps[k]
-        for r in range(N.dims[j]):
-            for c in range(M.dims[i]):
+        mi, mj = M.dims[i], M.dims[j]
+        neg_cols = [[neg(row[c]) for row in M.maps[k].rows] for c in range(mi)]
+        for r, n_row in enumerate(N.maps[k].rows):
+            start = offs[j] + r * mj
+            for c, neg_col in enumerate(neg_cols):
                 # i != j (the quiver is acyclic), so the two blocks never overlap
                 row = [zero] * total
-                for t in range(N.dims[i]):
-                    row[offs[i] + t * M.dims[i] + c] = Na.rows[r][t]
-                for l in range(M.dims[j]):
-                    row[offs[j] + r * M.dims[j] + l] = neg(Ma.rows[l][c])
+                row[offs[i] + c: offs[i + 1]: mi] = n_row
+                row[start: start + mj] = neg_col
                 rows.append(row)
     return Matrix._of(field, rows, total), offs
 
 
 def hom_space(M: QuiverRep, N: QuiverRep) -> list[RepMap]:
-    """Basis of the space of morphisms ``M -> N``: the kernel of
-    :func:`hom_system`."""
+    """Basis of the space of morphisms ``M -> N``: the columns of the
+    kernel basis of :func:`hom_system`, in order, each read in one pass
+    over the kernel's rows and cut into its vertex blocks."""
     system, offs = hom_system(M, N)
-    K = system.kernel_basis()
-    basis = []
-    for jcol in range(K.ncols):
-        vec = K.column(jcol)
-        maps = []
-        for v in range(M.quiver.nvertices):
-            entries = vec[offs[v]: offs[v + 1]]
-            maps.append(
-                Matrix._of(
-                    M.field,
-                    [entries[r * M.dims[v]: (r + 1) * M.dims[v]] for r in range(N.dims[v])],
-                    M.dims[v],
-                )
-            )
-        basis.append(RepMap(M, N, maps))
-    return basis
+    field, blocks = M.field, list(zip(offs, M.dims, N.dims))
+    return [RepMap(M, N, [Matrix._of(field, [list(vec[o + r * m: o + (r + 1) * m]) for r in range(n)], m)
+                          for o, m, n in blocks])
+            for vec in zip(*system.kernel_basis().rows)]
 
 
 def hom_dim(M: QuiverRep, N: QuiverRep) -> int:

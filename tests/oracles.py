@@ -15,8 +15,11 @@ by entry in the scalar ``add`` and ``mul``, with no row kernel, the
 reference for ``Matrix.block_sum`` and
 ``quiverrep.presentation_tensor_terms``, the power-by-power solve the
 reference for ``artheory._min_poly``, the pivots of ``[images | B]`` the
-reference for ``quiverrep._top``, and the decompose-then-search route the
-reference for ``artheory.is_simple_regular``."""
+reference for ``quiverrep._top``, the decompose-then-search route the
+reference for ``artheory.is_simple_regular``, the split through ``subrep``
+of the kernel basis and of the powers the reference for
+``artheory._fitting``, and the per-entry loop the reference for
+``quiverrep.hom_system``."""
 
 import functools
 import itertools
@@ -340,3 +343,42 @@ def simple_regular_reference(M, df) -> bool:
         if 0 < sum(B.ncols for B in bases) < M.total_dim() and is_regular(subrep(M, bases)[0], df):
             return False
     return True
+
+
+def fitting_reference(X, g) -> tuple[int, list]:
+    """``artheory._fitting`` through ``subrep``: the rank of ``A = g^e``
+    from ``Matrix.rank``, then the kernel piece as the submodule spanned by
+    ``kernel_basis`` and the image piece as the one spanned by the columns
+    of ``A``, each read off ``Matrix.span``."""
+    powers = list(g.maps)
+    e = 1
+    while e < max(X.dims):
+        powers = [m @ m for m in powers]
+        e *= 2
+    rank = sum(m.rank() for m in powers)
+    if rank in (0, X.total_dim()):
+        return rank, []
+    return rank, [subrep(X, [m.kernel_basis() for m in powers])[0], subrep(X, powers)[0]]
+
+
+def hom_system_reference(M, N) -> tuple[Matrix, list[int]]:
+    """``quiverrep.hom_system`` entry by entry: row ``(a, r, c)`` holds
+    ``N_a[r, t]`` at the entry ``(t, c)`` of ``f_i`` and ``-M_a[l, c]`` at
+    the entry ``(r, l)`` of ``f_j``."""
+    field = M.field
+    offs = list(itertools.accumulate((n * m for n, m in zip(N.dims, M.dims)), initial=0))
+    total = offs[-1]
+    rows: list[list] = []
+    zero, neg = field.zero, field.neg
+    for k, a in enumerate(M.quiver.arrows):
+        i, j = a.source, a.target
+        Na, Ma = N.maps[k], M.maps[k]
+        for r in range(N.dims[j]):
+            for c in range(M.dims[i]):
+                row = [zero] * total
+                for t in range(N.dims[i]):
+                    row[offs[i] + t * M.dims[i] + c] = Na.rows[r][t]
+                for l in range(M.dims[j]):
+                    row[offs[j] + r * M.dims[j] + l] = neg(Ma.rows[l][c])
+                rows.append(row)
+    return Matrix._of(field, rows, total), offs

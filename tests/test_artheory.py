@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import identity_map, random_basis_change
 from oracles import brute_force_submodules, gauss_jordan, min_poly_reference
-from oracles import simple_regular_reference
+from oracles import fitting_reference, simple_regular_reference
 
 from tiltlab import artheory
 
@@ -38,6 +38,7 @@ from tiltlab.errors import (
     NonProjective,
     NonSplitField,
     NotBound,
+    NotInvariant,
     SearchBudgetExceeded,
     UnsupportedFamily,
 )
@@ -359,9 +360,9 @@ def test_decompose_certifies_the_self_extension_of_a_degree_two_point():
     assert not is_isomorphic(Q, direct_sum(P3, P3))
 
 
-def rep_with_dims(q, field, dims, rng):
+def rep_with_dims(q, field, dims, rng, draw=lambda field, rng: rng.randrange(field.p)):
     return QuiverRep(q, field, dims, [
-        Matrix(field, [[rng.randrange(field.p) for _ in range(dims[a.source])] for _ in range(dims[a.target])],
+        Matrix(field, [[draw(field, rng) for _ in range(dims[a.source])] for _ in range(dims[a.target])],
                dims[a.source]) for a in q.arrows])
 
 
@@ -411,6 +412,129 @@ def test_decompose_splits_a_power_of_an_a31_brick_at_each_stage(monkeypatch, p, 
     parts, found = split_stages(monkeypatch, random_basis_change(X, rng))
     assert [(V.dims, mult) for V, mult in parts] == [(W.dims, n)]
     assert found == stages
+
+
+A3_LINEAR = Quiver(3, (Arrow("x", 0, 1), Arrow("y", 1, 2)))
+
+
+def _draw(field, rng):
+    return rng.randrange(-3, 4) if field == QQ else rng.randrange(field.p)
+
+
+def _conjugated(M, maps_of, rng):
+    """``M`` and the endomorphisms given by ``maps_of`` (lists of vertex
+    matrices) moved to a random basis: arrows ``g_t M_a g_s^-1`` and
+    endomorphisms ``g_v f_v g_v^-1``."""
+    field = M.field
+    while True:
+        gl = [Matrix(field, [[_draw(field, rng) for _ in range(d)] for _ in range(d)], d) for d in M.dims]
+        if all(g.is_invertible() for g in gl):
+            break
+    inv = [g.inverse() for g in gl]
+    N = QuiverRep(M.quiver, field, M.dims, [gl[a.target] @ M.maps[k] @ inv[a.source]
+                                           for k, a in enumerate(M.quiver.arrows)])
+    return N, [RepMap(N, N, [g @ f @ h for g, f, h in zip(gl, maps, inv)]) for maps in maps_of]
+
+
+def fitting_cases(q, field, seed):
+    """``(X, g)`` pairs on ``X + Y + X`` in a random basis, ``X`` nonzero:
+    ``n``, the first ``X`` sent to the last one (nilpotent); ``1 + n``
+    (invertible); ``e + n`` with ``e`` the projection onto the first ``X``
+    (rank ``dim X``, a proper nonzero Fitting split); then the basis of
+    ``End`` and one random combination of it."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(3):
+        X = rep_with_dims(q, field, [rng.randrange(1, 3) for _ in range(q.nvertices)], rng, _draw)
+        Y = rep_with_dims(q, field, [rng.randrange(0, 3) for _ in range(q.nvertices)], rng, _draw)
+        M = direct_sum(direct_sum(X, Y), X)
+        shifts, units, halves = [], [], []
+        for dx, dy in zip(X.dims, Y.dims):
+            n = 2 * dx + dy
+            shift = [[int(i == j + dx + dy and j < dx) for j in range(n)] for i in range(n)]
+            shifts.append(Matrix(field, shift, n))
+            units.append(Matrix(field, [[int(i == j) + shift[i][j] for j in range(n)] for i in range(n)], n))
+            halves.append(Matrix(field, [[int(i == j < dx) + shift[i][j] for j in range(n)] for i in range(n)], n))
+        N, endos = _conjugated(M, [shifts, units, halves], rng)
+        basis = hom_space(N, N)
+        mixed = functools.reduce(lambda f, b: f + b.scale(_draw(field, rng)), basis[1:], basis[0])
+        cases += [(N, g) for g in endos + basis + [mixed]]
+    return cases
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), QQ], ids=repr)
+@pytest.mark.parametrize("q", [KRON, A3, A3_LINEAR], ids=["kronecker", "a31", "a3"])
+def test_fitting_matches_the_split_through_subrep(q, field):
+    kinds = set()
+    for X, g in fitting_cases(q, field, 41):
+        rank, pieces = artheory._fitting(X, g)
+        ref_rank, ref_pieces = fitting_reference(X, g)
+        assert rank == ref_rank
+        assert [W.dims for W in pieces] == [W.dims for W in ref_pieces]
+        assert [W.maps for W in pieces] == [W.maps for W in ref_pieces]
+        kinds.add("nilpotent" if rank == 0 else "invertible" if rank == X.total_dim() else "split")
+    assert kinds == {"nilpotent", "invertible", "split"}
+
+
+def test_decompose_returns_the_summands_of_the_subrep_split(monkeypatch):
+    modules = [N for q in (KRON, A3) for N, _ in fitting_cases(q, PrimeField(3), 43)[::9]]
+    ours = [[(W.dims, W.maps, m) for W, m in decompose(M)] for M in modules]
+    monkeypatch.setattr(artheory, "_fitting", fitting_reference)
+    assert ours == [[(W.dims, W.maps, m) for W, m in decompose(M)] for M in modules]
+    assert any(len(parts) > 1 for parts in ours)
+
+
+def test_fitting_runs_one_elimination_per_vertex_and_no_span(monkeypatch):
+    forwards = []
+    forward = Matrix._forward
+
+    def counted(self):
+        forwards.append(self.shape)
+        return forward(self)
+
+    def refuse(*args):
+        raise AssertionError("_fitting built a span")
+
+    cases = fitting_cases(A3, PrimeField(3), 47)[:9]
+    monkeypatch.setattr(Matrix, "_forward", counted)
+    monkeypatch.setattr(Matrix, "span", refuse)
+    monkeypatch.setattr(artheory, "subrep", refuse)
+    splits = 0
+    for X, g in cases:
+        forwards.clear()
+        rank, pieces = artheory._fitting(X, g)
+        assert forwards == [(d, d) for d in X.dims]
+        splits += bool(pieces)
+    assert splits
+
+
+def test_fitting_refuses_an_endomorphism_that_does_not_commute():
+    # g is the identity at the source and zero at the target of a and b, so
+    # g a = 0 != a = a g, and g has rank 1 of 2
+    X = tube_simple(2)
+    g = RepMap(X, X, [Matrix.identity(F5, 1), Matrix.zeros(F5, 1, 1)])
+    with pytest.raises(NotInvariant):
+        artheory._fitting(X, g)
+
+
+def test_raise_rank_starts_from_the_sum_of_the_basis(monkeypatch):
+    ranked = []
+    rank = Matrix.rank
+
+    def spy(self):
+        ranked.append(self)
+        return rank(self)
+
+    M = direct_sum(direct_sum(E2, E2), tube_simple(2))
+    for N in (M, random_basis_change(M, random.Random(3))):
+        basis = hom_space(M, N)
+        assert len(basis) > 2
+        ranked.clear()
+        monkeypatch.setattr(Matrix, "rank", spy)
+        artheory._raise_rank(basis, M.total_dim())
+        monkeypatch.setattr(Matrix, "rank", rank)
+        start = functools.reduce(lambda f, b: f + b, basis[1:], basis[0])
+        assert ranked[:len(M.dims)] == list(start.maps)
 
 
 def test_decompose_refuses_a_noncommutative_division_ring():

@@ -12,6 +12,8 @@ from tiltlab import artheory, dedekind, exactlin, freegrp
 from tiltlab.cli import (
     MAX_DIM_CAP,
     MAX_ENVELOPE_DIM,
+    MAX_ENVELOPE_TRIALS,
+    MAX_PERP_TRIALS,
     main,
     run_dedekind_classify,
     run_free_envelope,
@@ -629,6 +631,23 @@ def test_envelope_dims_past_the_bound_are_refused_before_anything_is_built(capsy
     assert main(["free-envelope", "--dim", str(MAX_ENVELOPE_DIM + 1)]) == 2
     with pytest.raises(_Built):
         main(["free-envelope", "--dim", str(MAX_ENVELOPE_DIM)])
+
+
+def test_trials_past_the_bound_are_refused_before_anything_is_built(capsys, monkeypatch):
+    # 10^8 free-envelope trials would run for about 40 minutes instead of
+    # exiting
+    def refuse(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(artheory, "tube_catalog", refuse)
+    monkeypatch.setattr(freegrp, "random_xdiv_module", refuse)
+    for command, cap in (("perp-check", MAX_PERP_TRIALS), ("free-envelope", MAX_ENVELOPE_TRIALS)):
+        assert main([command, "--trials", "100000000"]) == 2
+        assert capsys.readouterr().err == f"tiltlab: trials 100000000 exceed cap {cap}\n"
+        assert main([command, "--trials", str(cap + 1)]) == 2
+        assert capsys.readouterr().err == f"tiltlab: trials {cap + 1} exceed cap {cap}\n"
+        with pytest.raises(_Built):
+            main([command, "--trials", str(cap)])
 
 
 def test_negative_module_dimension_is_an_input_error(capsys):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import presentation_tensor_reference, top_reference
+from oracles import hom_system_reference, presentation_tensor_reference, top_reference
 
 from tiltlab import quiverrep
 from tiltlab.artheory import all_submodules, transpose
@@ -286,6 +286,39 @@ def test_hom_via_presentation_agrees_with_solver():
                 rank = S.rank()
                 assert hom_ext_dims(M, N) == (S.ncols - rank, S.nrows - rank)
                 assert hom_ext_dims(M, N)[0] == hom_dim(M, N) == len(hom_space(M, N))
+
+
+A3_LINEAR = Quiver(3, (Arrow("x", 0, 1), Arrow("y", 1, 2)))
+
+
+def hom_pairs(q, field, rng):
+    """Pairs with every dimension from 0 to 3, so zero dimensions at source,
+    target and both ends of an arrow, over a prime field or QQ."""
+    draw = (lambda: rng.randrange(-3, 4)) if field == QQ else (lambda: rng.randrange(field.p))
+
+    def rep(dims):
+        return QuiverRep(q, field, dims, [Matrix(field, [[draw() for _ in range(dims[a.source])]
+                                                         for _ in range(dims[a.target])], dims[a.source])
+                                          for a in q.arrows])
+
+    shapes = [tuple(rng.randrange(4) for _ in range(q.nvertices)) for _ in range(12)]
+    shapes += [(0,) * q.nvertices, (3,) + (0,) * (q.nvertices - 1), (0,) * (q.nvertices - 1) + (3,)]
+    pairs = [(rep(d), rep(e)) for d, e in zip(shapes, shapes[1:] + shapes[:1])]
+    return pairs + [(M, M) for M, _ in pairs[:4]]
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), QQ], ids=repr)
+@pytest.mark.parametrize("q", [KRON, A3, A3_LINEAR], ids=["kronecker", "a31", "a3"])
+def test_hom_system_and_hom_space_match_the_entry_loop(q, field):
+    for M, N in hom_pairs(q, field, random.Random(53)):
+        system, offs = hom_system(M, N)
+        ref, ref_offs = hom_system_reference(M, N)
+        assert offs == ref_offs
+        assert system.shape == ref.shape and system.rows == ref.rows
+        K = ref.kernel_basis()
+        expected = [[Matrix._of(field, [K.column(j)[o + r * m: o + (r + 1) * m] for r in range(n)], m)
+                     for o, m, n in zip(offs, M.dims, N.dims)] for j in range(K.ncols)]
+        assert [list(f.maps) for f in hom_space(M, N)] == expected
 
 
 def padded_presentation(pres: ProjPresentation, vertex: int) -> ProjPresentation:
