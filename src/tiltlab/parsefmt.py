@@ -155,7 +155,7 @@ def parse_input(path: str) -> ParsedInput:
                 check(arrow is not None, f"unknown arrow {aname!r}")
                 try:
                     entries = json.loads(" ".join(tokens[2:]))
-                except json.JSONDecodeError:
+                except (json.JSONDecodeError, RecursionError):
                     check(False, f"arrow {aname!r}: entries are not a JSON array of rows")
                 rows, cols = rep["dims"][arrow.target], rep["dims"][arrow.source]
                 check(isinstance(entries, list) and len(entries) == rows

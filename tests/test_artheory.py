@@ -294,14 +294,33 @@ def test_is_isomorphic_certifies_a_power_of_a_tube_member(monkeypatch, d):
         assert is_isomorphic(M, random_basis_change(M, random.Random(i)))
 
 
-def test_is_isomorphic_certifies_five_summands_over_gf2(monkeypatch):
+def five_summands_over_gf2():
+    """The three tube members of the GF(2) Kronecker catalog and both
+    simples, summed."""
     field = PrimeField(2)
     simples = [QuiverRep.simple(KRON, field, v) for v in (0, 1)]
     M = functools.reduce(direct_sum, tube_catalog("kronecker", field).members + simples)
     assert M.dims == (4, 4)
+    return M
+
+
+def test_is_isomorphic_certifies_five_summands_over_gf2(monkeypatch):
+    M = five_summands_over_gf2()
     refuse_summands(monkeypatch)
     for t in range(10):
         assert is_isomorphic(M, random_basis_change(M, random.Random(t)))
+
+
+def test_decompose_splits_five_summands_over_gf2_without_subrep(monkeypatch):
+    M = five_summands_over_gf2()
+
+    def refuse(*args):
+        raise AssertionError("decompose built a submodule through subrep")
+
+    monkeypatch.setattr(artheory, "subrep", refuse)
+    for t in range(10):
+        parts = sorted((W.dims, m) for W, m in decompose(random_basis_change(M, random.Random(t))))
+        assert parts == [((0, 1), 1), ((1, 0), 1), ((1, 1), 1), ((1, 1), 1), ((1, 1), 1)]
 
 
 # -- decompose ---------------------------------------------------------------
@@ -538,6 +557,7 @@ def test_raise_rank_starts_from_the_sum_of_the_basis(monkeypatch):
 
 
 def test_decompose_refuses_a_noncommutative_division_ring():
+    pytest.importorskip("sympy")  # the minimal polynomial is factored over QQ
     # left multiplication by i and j on the rational quaternions: End is the
     # quaternions acting on the right, local but not certifiable here
     q = Quiver(2, (Arrow("a", 0, 1), Arrow("b", 0, 1), Arrow("c", 0, 1)))
@@ -563,6 +583,8 @@ def poly_mul(field, a, b):
     (QQ, [([-2, 0, 1], 1), ([Fraction(-1, 2), 1], 3)]),  # (x^2 - 2)(x - 1/2)^3
 ], ids=["GF(5)", "QQ"])
 def test_factor_min_poly_multiplies_back(field, pieces):
+    if field == QQ:
+        pytest.importorskip("sympy")
     poly = [field.one]
     for coeffs, mult in pieces:
         for _ in range(mult):
@@ -942,10 +964,11 @@ def test_all_submodules_stops_at_the_search_budget(monkeypatch):
 
 def test_simple_regular_detection():
     df = defect_function(A3)
-    trio = tube_catalog("a31", F5).tubes[0]
-    assert is_simple_regular(trio[0], df)
-    layer2 = build_extension(trio[2], trio[0])
-    assert not is_simple_regular(layer2, df)
+    for field in (PrimeField(2), F5):
+        trio = tube_catalog("a31", field).tubes[0]
+        assert all(is_simple_regular(m, df) for m in trio)
+        layer2 = build_extension(trio[2], trio[0])
+        assert not is_simple_regular(layer2, df)
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from tiltlab import artheory, dedekind, exactlin, freegrp
+from tiltlab import artheory, dedekind, exactlin, freegrp, perpcat, quiverrep
 from tiltlab.cli import (
     MAX_DIM_CAP,
     MAX_ENVELOPE_DIM,
     MAX_ENVELOPE_TRIALS,
     MAX_PERP_TRIALS,
+    MAX_RANDOM_ORE,
     main,
     run_dedekind_classify,
     run_free_envelope,
@@ -218,24 +219,36 @@ def test_tube_demo_report_passes():
 def test_tube_demo_field_independent():
     # the pass/fail pattern does not depend on the (odd) characteristic
     five = run_tube_demo(field_char=5)
-    seven = run_tube_demo(field_char=7)
-    assert [c.passed for c in five.checks] == [c.passed for c in seven.checks]
-    assert seven.all_passed
+    for p in (3, 7):
+        other = run_tube_demo(field_char=p)
+        assert [c.passed for c in five.checks] == [c.passed for c in other.checks]
+        assert other.all_passed
 
 
 def test_dedekind_report_passes():
     report = run_dedekind_classify(primes=(2, 3), ore_sets=((6,),), random_ore=2, seed=0)
     assert report.all_passed
+    # the largest universe the command accepts
+    report = run_dedekind_classify(primes=(2, 3, 5, 7, 11, 13))
+    assert report.all_passed
+    assert (report.checks[0].values["classes"], report.checks[0].values["witness_pairs"]) == (64, 2016)
 
 
 def test_free_envelope_report_passes():
     report = run_free_envelope(trials=30, words=("x y y^-1",))
     assert report.all_passed
+    # three generators and a 16-letter word, walked in four blocks
+    report = run_free_envelope(alphabet=("x", "y", "z"), dim=3, field_char=101, trials=400,
+                               words=("x y z x^-1 y^-1 z^-1 x y z x y z x y z x",))
+    assert report.all_passed and report.summary["total"] == 4
+    report = run_free_envelope(dim=0)
+    assert report.all_passed and report.summary["total"] == 3
 
 
 def test_perp_check_report_passes():
     report = run_perp_check(trials=15)
     assert report.all_passed
+    assert run_perp_check(family="a31", field_char=3).all_passed
 
 
 def test_cli_exit_codes(capsys, tmp_path):
@@ -249,6 +262,8 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert capsys.readouterr().err == "tiltlab: no tube catalog for family 'affine_a3'\n"
     assert main(["dedekind", "--primes", "2,4"]) == 2
     capsys.readouterr()
+    assert main(["dedekind", "--primes", "2,3,5,7,11,13,17"]) == 2
+    assert capsys.readouterr().err == "tiltlab: universe capped at 6 primes\n"
     assert main(["custom", str(tmp_path / "missing.txt")]) == 2
 
 
@@ -258,22 +273,24 @@ def test_cli_custom_fixture(capsys):
     assert '"quivers": {"kron": {"arrows": 2, "vertices": 2}}' in out
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 2], ids=["gf-2^31-1", "gf-2"])
-def test_custom_runs_the_packed_forward_pass(tmp_path, capsys, monkeypatch, p):
-    """A dense Kronecker (10, 10) module: ``hom_dim`` eliminates its 200 x
-    200 Hom system and ``hom_ext_dims`` a 100 x 100 tensor matrix, both
+@pytest.mark.parametrize("p, d, nbytes", [(2**31 - 1, 10, 16), (2, 10, 1), (3, 4, 1), (65521, 4, 8)],
+                         ids=["gf-2^31-1", "gf-2", "gf-3-4x4", "gf-65521-4x4"])
+def test_custom_runs_the_packed_forward_pass(tmp_path, capsys, monkeypatch, p, d, nbytes):
+    """A dense Kronecker (d, d) module: ``hom_dim`` eliminates its 2d^2 x
+    2d^2 Hom system and ``hom_ext_dims`` a d^2 x d^2 tensor matrix, both
     packed, in 16-byte slots over ``GF(2^31 - 1)``.  The tensor matrix
     goes into the pass as its packed block sum, with slots for its terms
     as well as its row operations: 63 + 100 of them over ``GF(2)`` still
-    fit one byte."""
+    fit one byte.  At d = 4 both systems are still wide enough to pack,
+    and ``GF(65521)`` takes 8-byte slots."""
     rng = random.Random(p)
 
     def matrix():
-        return json.dumps([[rng.randrange(p) for _ in range(10)] for _ in range(10)])
+        return json.dumps([[rng.randrange(p) for _ in range(d)] for _ in range(d)])
 
     path = tmp_path / "dense.txt"
     path.write_text(f"quiver kron\nvertices 2\narrow a 1 2\narrow b 1 2\nfield F {p}\n"
-                    f"rep dense dim 10 10\nmatrix a {matrix()}\nmatrix b {matrix()}\n")
+                    f"rep dense dim {d} {d}\nmatrix a {matrix()}\nmatrix b {matrix()}\n")
     calls, forward = [], exactlin._forward_packed
 
     def spy(q, rows, ncols, nbytes):
@@ -284,9 +301,38 @@ def test_custom_runs_the_packed_forward_pass(tmp_path, capsys, monkeypatch, p):
     assert main(["custom", str(path)]) == 0
     out = capsys.readouterr().out
     assert '[PASS] rep dense: bilinear form equals hom minus ext\n' in out
-    assert '"ext1": 10, "hom": 10}' in out and out.endswith("summary: 1/1 passed, 0 failed\n")
-    nbytes = 16 if p > 2**16 else 1
-    assert (200, 200, nbytes) in calls and (100, 100, nbytes) in calls
+    assert f'"ext1": {d}, "hom": {d}}}' in out and out.endswith("summary: 1/1 passed, 0 failed\n")
+    assert (2 * d * d, 2 * d * d, nbytes) in calls and (d * d, d * d, nbytes) in calls
+
+
+def a31_low_rank_fixture(field):
+    """An a31 (5, 4, 5, 3) rep whose map ``a2`` has rank 2, so the kernel
+    of its projective cover has its top at three vertices."""
+    rng = random.Random(37)
+
+    def draw(rows, cols):
+        return [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
+
+    left, right = draw(5, 2), draw(2, 4)
+    low = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+    return (f"quiver a31\nvertices 4\narrow a1 1 2\narrow a2 2 3\narrow a3 3 4\narrow b 1 4\nfield {field}\n"
+            f"rep mixed dim 5 4 5 3\nmatrix a1 {json.dumps(draw(4, 5))}\nmatrix a2 {json.dumps(low)}\n"
+            f"matrix a3 {json.dumps(draw(3, 5))}\nmatrix b {json.dumps(draw(3, 5))}\n")
+
+
+@pytest.mark.parametrize("text, reps", [
+    ('quiver kron\nvertices 2\narrow a 1 2\narrow b 1 2\nfield Q\nrep tube dim 1 1\nmatrix a [[1]]\n'
+     'matrix b [["1/2"]]\nrep pencil dim 2 2\nmatrix a [[1, 0], [0, 1]]\nmatrix b [["2/3", 1], [0, "2/3"]]\n', 2),
+    (a31_low_rank_fixture("F 101"), 1),
+    (a31_low_rank_fixture("Q"), 1),
+], ids=["kronecker-q-fractions", "a31-low-rank-gf101", "a31-low-rank-q"])
+def test_custom_passes_every_check(tmp_path, capsys, text, reps):
+    path = tmp_path / "fixture.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["custom", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS] ") == reps and "[FAIL] " not in out
+    assert out.endswith(f"summary: {reps}/{reps} passed, 0 failed\n")
 
 
 def test_custom_zmod_check_can_fail(capsys, monkeypatch):
@@ -416,6 +462,28 @@ def test_tube_defect_check_can_fail(monkeypatch):
     assert [c.name for c in report.checks if not c.passed] == ["tube members have zero defect"]
 
 
+def test_perp_membership_check_can_fail(capsys, monkeypatch):
+    # a Tor^1 that never vanishes contradicts the other two conditions
+    # wherever a sample is a member
+    monkeypatch.setattr(perpcat, "tor_dims", lambda *args: (1, 1))
+    assert main(["perp-check"]) == 1
+    out = capsys.readouterr().out
+    assert '[FAIL] membership conditions agree on all samples\n    inputs: {"trials": 40}\n' \
+           '    values: {"disagreements": 4, "members": 4}\n' in out
+    assert "[PASS] bilinear form equals hom minus ext on all samples" in out
+
+
+def test_perp_bilinear_form_check_can_fail(capsys, monkeypatch):
+    # a Hom one too large disagrees with the presentation's Hom on every pair
+    hom_dim = quiverrep.hom_dim
+    monkeypatch.setattr(quiverrep, "hom_dim", lambda M, N: hom_dim(M, N) + 1)
+    assert main(["perp-check"]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] membership conditions agree on all samples" in out
+    assert '[FAIL] bilinear form equals hom minus ext on all samples\n    inputs: {"trials": 40}\n' \
+           '    values: {"failures": 40}\n' in out
+
+
 def test_internal_check_failure_exits_cleanly(capsys, monkeypatch):
     def broken_catalog(family, field):
         raise AssertionError("rank-3 tube did not close up")
@@ -528,6 +596,7 @@ assert not artheory.is_isomorphic(random_basis_change(E, random.Random(0)), dire
 
 
 def test_no_subcommand_loads_sympy():
+    pytest.importorskip("sympy")  # the control imports it
     argvs = [["tube-demo"], ["dedekind"], ["dedekind", "--ore", "1000000016000000063", "--random-ore", "3"],
              ["free-envelope"], ["perp-check"], ["custom", "tests/fixtures/kronecker.txt"]]
     codes, factored, loaded, control = sympy_loaded_after(*argvs, then=FACTOR_OVER_QQ)
@@ -555,6 +624,7 @@ def test_no_subcommand_loads_dataclasses_or_inspect():
 
 
 def test_factoring_over_finite_fields_leaves_sympy_unloaded():
+    pytest.importorskip("sympy")  # the control imports it
     _, factored, loaded, control = sympy_loaded_after(work=FINITE_FIELD_WORK, then=FACTOR_OVER_QQ)
     assert (factored[-1], loaded, control) == (["QQ", [2]], False, True)
     # the positive control: both fields reached the factorizer with a
@@ -605,49 +675,42 @@ class _Built(Exception):
     pass
 
 
-def test_dim_caps_past_the_bound_are_refused_before_anything_is_built(capsys, monkeypatch):
-    # a cap of 10000 would allocate Hom systems of about 2 * 10^8 x 2 * 10^8
-    # entries instead of exiting
-    def refuse(*args):
-        raise _Built
+# (argv without the value, the cap, a value far past it, the message); each
+# far value would otherwise run for minutes or exhaust memory
+CAPS = [
+    # Hom systems of about 2 * 10^8 x 2 * 10^8 entries
+    pytest.param(["perp-check", "--dim-cap"], MAX_DIM_CAP, 10000, "dimension cap {} exceeds cap {}",
+                 id="perp-check-dim-cap"),
+    # 10^10 entries per generator
+    pytest.param(["free-envelope", "--dim"], MAX_ENVELOPE_DIM, 100000, "module dimension {} exceeds cap {}",
+                 id="free-envelope-dim"),
+    pytest.param(["perp-check", "--trials"], MAX_PERP_TRIALS, 10**8, "trials {} exceed cap {}",
+                 id="perp-check-trials"),
+    # about 40 minutes
+    pytest.param(["free-envelope", "--trials"], MAX_ENVELOPE_TRIALS, 10**8, "trials {} exceed cap {}",
+                 id="free-envelope-trials"),
+    # about 40 minutes and 11 GB of report
+    pytest.param(["dedekind", "--random-ore"], MAX_RANDOM_ORE, 10**8, "random Ore sets {} exceed cap {}",
+                 id="dedekind-random-ore"),
+]
 
-    monkeypatch.setattr(artheory, "tube_catalog", refuse)
-    assert main(["perp-check", "--dim-cap", "10000"]) == 2
-    assert capsys.readouterr().err == f"tiltlab: dimension cap 10000 exceeds cap {MAX_DIM_CAP}\n"
-    assert main(["perp-check", "--dim-cap", str(MAX_DIM_CAP + 1)]) == 2
-    with pytest.raises(_Built):
-        main(["perp-check", "--dim-cap", str(MAX_DIM_CAP)])
 
-
-def test_envelope_dims_past_the_bound_are_refused_before_anything_is_built(capsys, monkeypatch):
-    # a dimension of 100000 would draw 10^10 entries per generator instead
-    # of exiting
+@pytest.mark.parametrize("argv, cap, far, message", CAPS)
+def test_values_past_a_cap_are_refused_in_one_line_before_anything_is_built(capsys, monkeypatch, argv, cap, far,
+                                                                            message):
     def refuse(*args, **kwargs):
         raise _Built
 
-    monkeypatch.setattr(freegrp, "random_xdiv_module", refuse)
-    assert main(["free-envelope", "--dim", "100000", "--trials", "1"]) == 2
-    assert capsys.readouterr().err == f"tiltlab: module dimension 100000 exceeds cap {MAX_ENVELOPE_DIM}\n"
-    assert main(["free-envelope", "--dim", str(MAX_ENVELOPE_DIM + 1)]) == 2
+    for module, name in ((artheory, "tube_catalog"), (freegrp, "random_xdiv_module"),
+                         (dedekind, "classify_tilting")):
+        monkeypatch.setattr(module, name, refuse)
+    for value in (far, cap + 1):
+        start = time.perf_counter()
+        assert main([*argv, str(value)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"tiltlab: {message.format(value, cap)}\n"
     with pytest.raises(_Built):
-        main(["free-envelope", "--dim", str(MAX_ENVELOPE_DIM)])
-
-
-def test_trials_past_the_bound_are_refused_before_anything_is_built(capsys, monkeypatch):
-    # 10^8 free-envelope trials would run for about 40 minutes instead of
-    # exiting
-    def refuse(*args, **kwargs):
-        raise _Built
-
-    monkeypatch.setattr(artheory, "tube_catalog", refuse)
-    monkeypatch.setattr(freegrp, "random_xdiv_module", refuse)
-    for command, cap in (("perp-check", MAX_PERP_TRIALS), ("free-envelope", MAX_ENVELOPE_TRIALS)):
-        assert main([command, "--trials", "100000000"]) == 2
-        assert capsys.readouterr().err == f"tiltlab: trials 100000000 exceed cap {cap}\n"
-        assert main([command, "--trials", str(cap + 1)]) == 2
-        assert capsys.readouterr().err == f"tiltlab: trials {cap + 1} exceed cap {cap}\n"
-        with pytest.raises(_Built):
-            main([command, "--trials", str(cap)])
+        main([*argv, str(cap)])
 
 
 def test_negative_module_dimension_is_an_input_error(capsys):
@@ -732,6 +795,15 @@ def test_out_flag_writes_identical_copy(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("target", ["", "missing/report.txt"], ids=["directory", "missing-parent"])
+def test_out_flag_to_an_unwritable_path_is_refused_in_one_line(tmp_path, capsys, target):
+    path = str(tmp_path / target)
+    assert main(["dedekind", "--primes", "2", "--out", path]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("scenario: dedekind_classify\n")
+    assert err.startswith("tiltlab: ") and err.count("\n") == 1 and path.rstrip(os.sep) in err
 
 
 def test_report_failure_accounting():

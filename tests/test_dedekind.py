@@ -129,7 +129,7 @@ def sympy_support(n):
 
 
 def test_number_theory_matches_sympy_on_small_and_random_integers():
-    import sympy
+    sympy = pytest.importorskip("sympy")
 
     rng = random.Random(19)
     samples = [*range(20001), *(rng.randrange(10**12) for _ in range(1000)),
@@ -154,7 +154,7 @@ def test_number_theory_matches_sympy_on_small_and_random_integers():
     dedekind.MR_BOUND - 1,
 ])
 def test_number_theory_matches_sympy_on_hard_integers(n):
-    import sympy
+    sympy = pytest.importorskip("sympy")
 
     assert is_prime(n) == sympy.isprime(n)
     assert prime_support(n) == sympy_support(n)

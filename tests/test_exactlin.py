@@ -806,6 +806,7 @@ def sympy_factors(p, f):
 def test_gf_factor_matches_sympy_order_included(p):
     # products of 1-4 random monic factors of degree 1-4, some repeated;
     # below 10, up to p + 1 times, so that the characteristic-p step runs
+    pytest.importorskip("sympy")
     rng = random.Random(p)
     mults = (1, 1, 2, 3, p, p + 1) if p < 10 else (1, 1, 2, 3)
     for _ in range(40):
@@ -829,7 +830,9 @@ def test_gf_factor_matches_sympy_order_included(p):
 ], ids=["x4+1/GF2", "(x3-x)^3/GF3", "x2-x/GF2", "x5-x/GF5", "x7-x/GF7", "x3+x+1/GF2", "x2+1/GF3", "x3+x+1/GF101",
         "x+7/GF101", "x+1/GF2"])
 def test_gf_factor_on_inseparable_irreducible_and_linear_inputs(p, f, expected):
-    assert exactlin._gf_factor(PrimeField(p), f) == expected == sympy_factors(p, f)
+    assert exactlin._gf_factor(PrimeField(p), f) == expected
+    pytest.importorskip("sympy")
+    assert sympy_factors(p, f) == expected
 
 
 def test_gf_factor_is_fast_at_the_largest_prime():

@@ -83,6 +83,9 @@ ERRORS = [
     ("matrix-in-quiver-block", QUIVER + "matrix a [[1]]\n", 4, "matrix outside a rep block"),
     ("matrix-unknown-arrow", REP + "matrix b [[1]]\n", 6, "unknown arrow 'b'"),
     ("matrix-not-json", REP + "matrix a [[1]\n", 6, "arrow 'a': entries are not a JSON array of rows"),
+    # json.loads raises RecursionError, not JSONDecodeError, this deep
+    ("matrix-nested-past-recursion-limit", REP + "matrix a " + "[" * 100000 + "\n", 6,
+     "arrow 'a': entries are not a JSON array of rows"),
     ("matrix-too-wide", REP + "matrix a [[1,2]]\n", 6, "arrow 'a': matrix must have shape 1x1"),
     ("matrix-scalar", REP + "matrix a 1\n", 6, "arrow 'a': matrix must have shape 1x1"),
     ("matrix-flat-row", REP + "matrix a [1]\n", 6, "arrow 'a': matrix must have shape 1x1"),
