@@ -59,6 +59,7 @@ from .quiverrep import (
     hom_space,
     hom_system,
     is_projective,
+    kernel_piece,
     kronecker,
     proj_presentation,
     proj_sum,
@@ -78,14 +79,12 @@ MAX_TUBE_MEMBERS = 1024
 # transpose and translates
 
 
-def transpose(U: QuiverRep, pres: ProjPresentation | None = None) -> QuiverRep:
-    """Transpose of ``U``: the cokernel of the dualized presentation map,
-    a representation of the opposite quiver.  The transpose of a projective
-    is zero."""
-    if pres is None:
-        pres = proj_presentation(U)
-    qop = U.quiver.opposite()
-    field = U.field
+def transpose(pres: ProjPresentation) -> QuiverRep:
+    """Transpose of the presented module: the cokernel of the dualized
+    presentation map, a representation of the opposite quiver.  The
+    transpose of a projective is zero."""
+    field = pres.module.field
+    qop = pres.module.quiver.opposite()
     q_star = proj_sum(qop, field, pres.Q.summands)
     p_star = proj_sum(qop, field, pres.P.summands)
     gen_images = [[field.zero] * p_star.rep.dims[v] for v in pres.Q.summands]
@@ -93,19 +92,17 @@ def transpose(U: QuiverRep, pres: ProjPresentation | None = None) -> QuiverRep:
         vtx = pres.Q.summands[qi]
         pos = p_star.index[vtx][(pi, tuple(reversed(path)))]
         gen_images[qi][pos] = field.add(gen_images[qi][pos], coeff)
-    alpha_star = extend_generators(q_star, p_star.rep, gen_images)
-    tr, _ = cokernel(alpha_star)
-    return tr
+    return cokernel(extend_generators(q_star, p_star.rep, gen_images))[0]
 
 
 def tau(M: QuiverRep) -> QuiverRep:
     """Translate ``D Tr``; kills projective summands."""
-    return transpose(M).dual()
+    return transpose(proj_presentation(M)).dual()
 
 
 def tau_minus(M: QuiverRep) -> QuiverRep:
     """Inverse translate ``Tr D``; kills injective summands."""
-    return transpose(M.dual())
+    return transpose(proj_presentation(M.dual()))
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +262,9 @@ def _fitting(X: QuiverRep, g: RepMap) -> tuple[int, list[QuiverRep]]:
     ``g`` is nilpotent (rank 0) or invertible and the list is empty.
 
     One :meth:`Matrix.kernel_and_free` per vertex gives all three.  The
-    rank at ``v`` is ``n_v`` less the free columns ``F``.  The kernel piece
-    has basis ``K_v``, and a kernel vector's coordinates are its entries at
-    ``F``, so its arrow map is the rows ``F_t`` of ``M_a K_s``.  The image
-    piece has the pivot columns ``P`` of ``A`` as basis; as ``A[:, F] =
+    rank at ``v`` is ``n_v`` less the free columns ``F``, and
+    :func:`kernel_piece` reads the kernel piece off the same pairs.  The
+    image piece has the pivot columns ``P`` of ``A`` as basis; as ``A[:, F] =
     -A[:, P] K[P, :]``, the coordinates of ``A y`` are ``y_P - K[P, :]
     y_F``, and as ``A`` commutes with ``M_a``, its arrow map is ``M_a[P_t,
     P_s] - K_t[P_t, :] M_a[F_t, P_s]``.  Raises :class:`NotInvariant` when
@@ -288,21 +284,15 @@ def _fitting(X: QuiverRep, g: RepMap) -> tuple[int, list[QuiverRep]]:
             raise NotInvariant(f"g^{e} does not commute with arrow {a.name}")
     dot, sub_scaled = field.dot, field.sub_scaled
     pivots = [sorted(set(range(d)).difference(free)) for d, (_, free) in zip(X.dims, kernels)]
-    ker_maps, im_maps = [], []
+    im_maps = []
     for k, a in enumerate(q.arrows):
         rows = X.maps[k].rows
-        (Ks, Fs), (Kt, Ft) = kernels[a.source], kernels[a.target]
-        Ps, Pt = pivots[a.source], pivots[a.target]
-        kernel_cols = list(zip(*Ks.rows))
-        ker_maps.append(Matrix._of(field, [[dot(rows[i], col) for col in kernel_cols] for i in Ft], len(Fs)))
+        (Kt, Ft), Ps, Pt = kernels[a.target], pivots[a.source], pivots[a.target]
         free_cols = [[rows[f][j] for f in Ft] for j in Ps]  # M_a[F_t, P_s], column by column
         im_maps.append(Matrix._of(field, [
             sub_scaled([rows[i][j] for j in Ps], field.one, [dot(Kt.rows[i], col) for col in free_cols])
             for i in Pt], len(Ps)))
-    ker_dims = [len(free) for _, free in kernels]
-    im_dims = [len(P) for P in pivots]
-    return rank, [QuiverRep(q, field, ker_dims, ker_maps, check=False),
-                  QuiverRep(q, field, im_dims, im_maps, check=False)]
+    return rank, [kernel_piece(X, kernels), QuiverRep(q, field, [len(P) for P in pivots], im_maps, check=False)]
 
 
 def _is_scalar(f: RepMap) -> bool:

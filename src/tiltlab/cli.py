@@ -27,8 +27,8 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0) -> Re
     to a rank-three tube: the length-two layers (and their translates)
     admit the socle simple in their class, the three simples do not."""
     from .artheory import (
-        BoundSet, build_extension, defect, defect_function, is_isomorphic, tube_catalog, u_filtration)
-    from .exactlin import PrimeField
+        BoundSet, Filtration, build_extension, defect, defect_function, is_isomorphic, tube_catalog)
+    from .exactlin import Matrix, PrimeField
     from .perpcat import class_compare, is_divisible
     from .quiverrep import ext1_dim, injective, projective, socle
 
@@ -78,13 +78,15 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0) -> Re
         },
     )
 
-    filt = u_filtration(layer2, (simple, tminus_simple))
+    # build_extension lays the socle simple down on the first coordinates
+    # of layer2, so its chain is that submodule, then all of layer2
+    whole = [Matrix.identity(field, n) for n in layer2.dims]
+    filt = Filtration([[Matrix.from_columns(field, I.columns()[:d], I.nrows) for I, d in zip(whole, simple.dims)],
+                       whole], [0, 1])
     report.add(
         "layer2 is filtered by the socle simple and its inverse translate",
-        filt is not None
-        and filt.factors == [0, 1]
-        and filt.validate(layer2, (simple, tminus_simple)),
-        values={"factors": None if filt is None else filt.factors},
+        filt.validate(layer2, (simple, tminus_simple)),
+        values={"factors": filt.factors},
     )
     # normalized to one on the regular module, the defect is positive on
     # the indecomposable projectives and negative on the injectives

@@ -24,7 +24,7 @@ tuple of each of its letters.
 
 from __future__ import annotations
 
-from .errors import ParseError, SameGenerator
+from .errors import SameGenerator
 from .exactlin import Matrix
 
 MAX_WORD_LEN = 16  # longest reduced word parse_reduce accepts
@@ -130,8 +130,9 @@ def parse_alphabet(text: str) -> tuple[str, ...] | None:
 
 def parse_reduce(text: str, alphabet) -> FreeWord:
     """Parse a whitespace-separated word (tokens ``x`` or ``x^-1``) and
-    return its reduced form.  Rejects unknown symbols and reduced words
-    longer than :data:`MAX_WORD_LEN`."""
+    return its reduced form.  Raises ``ValueError`` with the reason, and
+    no line number, on an unknown symbol or a reduced word longer than
+    :data:`MAX_WORD_LEN`."""
     alphabet = tuple(alphabet)
     letters = []
     for token in text.split():
@@ -142,11 +143,11 @@ def parse_reduce(text: str, alphabet) -> FreeWord:
         else:
             sym, e = token, 1
         if sym not in alphabet:
-            raise ParseError(1, f"unknown generator {sym!r}")
+            raise ValueError(f"unknown generator {sym!r}")
         letters.append((sym, e))
     reduced = reduce_letters(letters)
     if len(reduced) > MAX_WORD_LEN:
-        raise ParseError(1, f"reduced word length {len(reduced)} exceeds cap {MAX_WORD_LEN}")
+        raise ValueError(f"reduced word length {len(reduced)} exceeds cap {MAX_WORD_LEN}")
     return FreeWord(reduced)
 
 

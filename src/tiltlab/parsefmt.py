@@ -196,8 +196,8 @@ def parse_input(path: str) -> ParsedInput:
                 check(out.alphabet is not None, "word before any alphabet line")
                 try:
                     out.words.append(parse_reduce(" ".join(tokens[1:]), out.alphabet))
-                except ParseError as exc:
-                    check(False, exc.reason)
+                except ValueError as exc:
+                    check(False, str(exc))
             else:
                 check(False, f"unknown directive {key!r}")
     close_quiver()

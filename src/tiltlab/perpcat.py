@@ -76,7 +76,7 @@ def perp_conditions(M: QuiverRep, U: QuiverRep) -> PerpReport:
 
     # (ii) vanishing of Tor_1(M, Tr U) and M (x) Tr U, computed from M's
     # own presentation tensored against the transpose
-    tr = transpose(U, pres)
+    tr = transpose(pres)
     tor1, tensor = tor_dims(M, tr)
     cond_tor = tor1 == 0 and tensor == 0
 
@@ -111,8 +111,8 @@ def transpose_duality_check(U: QuiverRep, X: QuiverRep) -> tuple[int, int]:
     two dimensions agree."""
     if not is_bound(U):
         raise NotBound("transpose duality requires a bound module")
-    tor1, _ = tor_dims(U, X)
-    return tor1, hom_dim(transpose(U), X)
+    pres = proj_presentation(U)
+    return pres.tor_dims(X)[0], hom_dim(transpose(pres), X)
 
 
 def class_compare(U1, U2, testset) -> QuiverRep | None:

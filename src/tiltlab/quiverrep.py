@@ -349,56 +349,48 @@ def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
 
 def socle(M: QuiverRep) -> tuple[QuiverRep, RepMap]:
     """Largest semisimple subrepresentation: at each vertex, the joint
-    kernel of the outgoing arrow maps."""
-    field = M.field
-    bases = []
-    for v in range(M.quiver.nvertices):
-        out = M.quiver.arrows_from(v)
-        stacked = Matrix.zeros(field, 0, M.dims[v])
-        for k in out:
-            stacked = stacked.vstack(M.maps[k])
-        bases.append(stacked.kernel_basis())
-    return subrep(M, bases)
+    kernel of the outgoing arrow maps, on which every arrow acts by
+    zero."""
+    field, q = M.field, M.quiver
+    bases = [Matrix._of(field, [row[:] for k in q.arrows_from(v) for row in M.maps[k].rows], M.dims[v]).kernel_basis()
+             for v in range(q.nvertices)]
+    S = QuiverRep(q, field, [B.ncols for B in bases],
+                  [Matrix.zeros(field, bases[a.target].ncols, bases[a.source].ncols) for a in q.arrows], check=False)
+    return S, RepMap(S, M, bases)
 
 
-def _top(X: QuiverRep, bases: list[tuple[Matrix, list[int]]] | None) -> tuple[tuple[int, ...], list[list]]:
-    """Vertices and vectors of ``X`` lifting a basis of ``S / rad S``.  With
-    ``bases`` ``None``, ``S`` is ``X`` and its basis at each vertex is the
-    unit vectors.  Otherwise ``bases[v]`` is a pair ``(B, free)`` from
-    :meth:`Matrix.kernel_and_free`: ``S`` has the columns of ``B`` as basis
-    at ``v``, and a vector of ``S`` has its entries at the rows ``free`` as
-    coordinates in it.
-
-    The lifts at ``v`` are the basis vectors ``b_c`` outside ``rad S +
-    span(b_0, ..., b_{c-1})``, where ``rad S`` is spanned by the arrow
-    images into ``v``.  That holds exactly when no vector of ``rad S`` has
-    its last nonzero coordinate at ``c``, so when ``c`` is not a pivot of
-    the images' coordinate rows with their columns reversed: one forward
-    pass over the images, with no basis vector in it."""
+def kernel_piece(X: QuiverRep, kernels: list[tuple[Matrix, list[int]]]) -> QuiverRep:
+    """The kernel of a morphism out of ``X`` as a representation, from the
+    pairs ``(K_v, F_v)`` that :meth:`Matrix.kernel_and_free` gives per
+    vertex.  ``K_v`` is its basis at ``v``, and a kernel vector has its
+    entries at the free rows ``F_v`` as coordinates, so an arrow ``a: s ->
+    t`` acts by the rows ``F_t`` of ``M_a K_s``, one ``dot`` per entry."""
     q, field = X.quiver, X.field
     dot = field.dot
-    verts: list[int] = []
-    gens: list[list] = []
+    maps = []
+    for k, a in enumerate(q.arrows):
+        rows, Ks = X.maps[k].rows, kernels[a.source][0]
+        cols = list(zip(*Ks.rows))
+        maps.append(Matrix._of(field, [[dot(rows[i], col) for col in cols] for i in kernels[a.target][1]], Ks.ncols))
+    return QuiverRep(q, field, [len(F) for _, F in kernels], maps, check=False)
+
+
+def _top(X: QuiverRep) -> list[tuple[int, int]]:
+    """The ``(vertex, index)`` pairs of the unit vectors of ``X`` that lift
+    a basis of ``X / rad X``.  Unit vector ``e_c`` at ``v`` is kept when it
+    lies outside ``rad X + span(e_0, ..., e_{c-1})``, where ``rad X`` is
+    spanned by the arrow images into ``v``.  That holds exactly when no
+    vector of ``rad X`` has its last nonzero entry at ``c``, so when ``c``
+    is not a pivot of the images with their entries reversed: one forward
+    pass over the images, with no basis vector in it."""
+    q = X.quiver
+    top = []
     for v in range(q.nvertices):
-        n = X.dims[v] if bases is None else bases[v][0].ncols
-        rows = []
-        for k in q.arrows_into(v):
-            if bases is None:  # an image is its own coordinate vector
-                rows += [list(col[::-1]) for col in zip(*X.maps[k].rows)]
-            else:
-                at = [X.maps[k].rows[i] for i in reversed(bases[v][1])]
-                rows += [[dot(row, col) for row in at] for col in zip(*bases[q.arrows[k].source][0].rows)]
-        lead = {n - 1 - c for c in Matrix._of(field, rows, n).pivots()}
-        for c in range(n):
-            if c not in lead:
-                if bases is None:
-                    gen = [field.zero] * n
-                    gen[c] = field.one
-                else:
-                    gen = bases[v][0].column(c)
-                verts.append(v)
-                gens.append(gen)
-    return tuple(verts), gens
+        n = X.dims[v]
+        rows = [list(col) for k in q.arrows_into(v) for col in zip(*reversed(X.maps[k].rows))]
+        lead = {n - 1 - c for c in Matrix._of(X.field, rows, n).pivots()}
+        top += [(v, c) for c in range(n) if c not in lead]
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +523,26 @@ class ProjPresentation:
 def proj_presentation(M: QuiverRep) -> ProjPresentation:
     """Minimal projective presentation built from the projective cover
     ``Q -> M`` (lifting a basis of ``M / rad M``).  The kernel ``K`` stays
-    inside ``Q``: its top is read in the coordinates of the cover's kernel
-    bases, the entries at their free rows, and ``K`` is projective because
+    inside ``Q``: :func:`kernel_piece` reads it in the coordinates of the
+    cover's kernel bases, the entries at their free rows, its top lifts
+    through the columns of those bases, and ``K`` is projective because
     the path algebra is hereditary.  No identity matrix is built and no
     matrix product is taken: :func:`_top` eliminates the arrow images
     alone, and ``alpha``'s injectivity is one rank at the free rows."""
     q, field = M.quiver, M.field
-    verts, gens = _top(M, None)
-    Qs = proj_sum(q, field, verts)
-    projection = extend_generators(Qs, M, gens)
+    top = _top(M)
+    Qs = proj_sum(q, field, tuple(v for v, _ in top))
+    units = [[field.one if i == c else field.zero for i in range(M.dims[v])] for v, c in top]
+    projection = extend_generators(Qs, M, units)
     kernel = [m.kernel_and_free() for m in projection.maps]
     # rank = ncols - nullity, so the kernel bases show surjectivity too
     if any(m.ncols - K.ncols != m.nrows for m, (K, _) in zip(projection.maps, kernel)):
         raise AssertionError("projective cover failed to be surjective")
-    kverts, kgens = _top(Qs.rep, kernel)
-    Ps = proj_sum(q, field, kverts)
+    ktop = _top(kernel_piece(Qs.rep, kernel))
+    Ps = proj_sum(q, field, tuple(v for v, _ in ktop))
     if Ps.rep.dims != tuple(K.ncols for K, _ in kernel):
         raise AssertionError("kernel of a cover is not projective; quiver not hereditary?")
-    alpha = extend_generators(Ps, Qs.rep, kgens)
+    alpha = extend_generators(Ps, Qs.rep, [kernel[v][0].column(c) for v, c in ktop])
     # alpha's block at v is square at the free rows, and a full rank there
     # makes its columns independent
     if any(Matrix._of(field, [m.rows[i][:] for i in free], m.ncols).rank() != m.ncols
@@ -560,8 +554,7 @@ def proj_presentation(M: QuiverRep) -> ProjPresentation:
 def is_projective(M: QuiverRep) -> bool:
     """The projective cover maps onto ``M``, so ``M`` is projective exactly
     when the cover has the dimensions of ``M``."""
-    verts, _ = _top(M, None)
-    return proj_sum(M.quiver, M.field, verts).rep.dims == M.dims
+    return proj_sum(M.quiver, M.field, tuple(v for v, _ in _top(M))).rep.dims == M.dims
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ by entry in the scalar ``add`` and ``mul``, with no row kernel, the
 reference for ``Matrix.block_sum`` and
 ``quiverrep.presentation_tensor_terms``, the power-by-power solve the
 reference for ``artheory._min_poly``, the pivots of ``[images | B]`` the
-reference for ``quiverrep._top``, the decompose-then-search route the
+reference for ``quiverrep._top``, the ``subrep`` of the joint kernels the
+reference for ``quiverrep.socle``, the decompose-then-search route the
 reference for ``artheory.is_simple_regular``, the split through ``subrep``
 of the kernel basis and of the powers the reference for
 ``artheory._fitting``, and the per-entry loop the reference for
@@ -286,8 +287,9 @@ def presentation_tensor_reference(pres, X) -> Matrix:
 
 
 def top_reference(X, bases) -> tuple[tuple[int, ...], list[list]]:
-    """``quiverrep._top`` with the basis of ``S`` at each vertex ``v``
-    given as the matrix ``bases[v]``: the columns of ``bases[v]`` outside
+    """``quiverrep._top`` of the submodule ``S`` of ``X`` with basis
+    ``bases[v]`` at each vertex ``v``, lifted through those bases (the
+    identity for ``S = X``): the columns of ``bases[v]`` outside
     the span of the arrow images into ``v`` and the columns before them,
     read off the pivots of ``[images | bases[v]]`` transposed."""
     q = X.quiver
@@ -301,6 +303,18 @@ def top_reference(X, bases) -> tuple[tuple[int, ...], list[list]]:
                 verts.append(v)
                 gens.append(B.column(c - m))
     return tuple(verts), gens
+
+
+def socle_reference(M):
+    """``quiverrep.socle`` through ``subrep``: the submodule spanned by the
+    joint kernel of the outgoing arrow maps at each vertex."""
+    bases = []
+    for v in range(M.quiver.nvertices):
+        stacked = Matrix.zeros(M.field, 0, M.dims[v])
+        for k in M.quiver.arrows_from(v):
+            stacked = stacked.vstack(M.maps[k])
+        bases.append(stacked.kernel_basis())
+    return subrep(M, bases)
 
 
 def min_poly_reference(f, p=None) -> list:

@@ -78,11 +78,11 @@ def tube_simple(lam):
 
 def test_transpose_of_projective_is_zero():
     for i in range(2):
-        assert transpose(projective(KRON, F5, i)).is_zero()
+        assert transpose(proj_presentation(projective(KRON, F5, i))).is_zero()
 
 
 def test_transpose_of_kronecker_simple():
-    tr = transpose(QuiverRep.simple(KRON, F5, 0))
+    tr = transpose(proj_presentation(QuiverRep.simple(KRON, F5, 0)))
     # dual of P(1)^2 has dims (4, 2), dual of P(0) has dims (1, 0)
     assert tr.quiver == KRON.opposite()
     assert tr.dims == (3, 2)
@@ -92,7 +92,8 @@ def test_transpose_involutive_on_bound_modules():
     cat = tube_catalog("kronecker", F5)
     members = cat.members + [build_extension(cat.members[0], cat.members[0])]
     for U in members:
-        assert is_isomorphic(transpose(transpose(U)), U)
+        tr = transpose(proj_presentation(U))
+        assert is_isomorphic(transpose(proj_presentation(tr)), U)
 
 
 # -- translates --------------------------------------------------------------
@@ -1118,5 +1119,5 @@ def test_socle_of_layer_two_is_the_socle_member():
 def test_transpose_duality_spot_check():
     # Tor_1(U, Tr U) pairs with morphisms from Tr U to itself
     u = tube_simple(1)
-    tru = transpose(u)
+    tru = transpose(proj_presentation(u))
     assert tor_dims(u, tru)[0] == hom_dim(tru, tru)

@@ -267,6 +267,15 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["custom", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("word, reason", [
+    ("x z", "unknown generator 'z'"),
+    (" ".join(["x"] * 17), "reduced word length 17 exceeds cap 16"),
+], ids=["unknown", "too-long"])
+def test_bad_word_flag_is_refused_in_one_line_without_a_line_number(word, reason, capsys):
+    assert main(["free-envelope", "--word", word]) == 2
+    assert capsys.readouterr().err == f"tiltlab: {reason}\n"
+
+
 def test_cli_custom_fixture(capsys):
     assert main(["custom", fixture("kronecker.txt")]) == 0
     out = capsys.readouterr().out
@@ -439,20 +448,43 @@ def test_ore_line_factors_each_generator_once(monkeypatch):
 
 
 def test_tube_filtration_check_can_fail(capsys, monkeypatch):
-    # the chain reversed, with the same factors, is no filtration: its
-    # first layer is all of layer2, not the socle simple
-    search = artheory.u_filtration
-
-    def reversed_chain(N, members):
-        filt = search(N, members)
-        return artheory.Filtration(filt.chain[::-1], filt.factors)
-
-    monkeypatch.setattr(artheory, "u_filtration", reversed_chain)
+    # the construction's chain reversed, with the same factors, is no
+    # filtration: its first layer is all of layer2, not the socle simple
+    built = artheory.Filtration
+    monkeypatch.setattr(artheory, "Filtration", lambda chain, factors: built(chain[::-1], factors))
     report = run_tube_demo()
     assert [c.name for c in report.checks if not c.passed] == [
         "layer2 is filtered by the socle simple and its inverse translate"]
     assert main(["tube-demo"]) == 1
     assert "[FAIL] layer2 is filtered by the socle simple and its inverse translate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tube_filtration_validates_the_chain_the_search_finds(p, monkeypatch):
+    # the chain build_extension lays down is, entry for entry, the first
+    # one the exhaustive search finds
+    simple, _, tminus = artheory.tube_catalog("a31", exactlin.PrimeField(p)).tubes[0]
+    found = artheory.u_filtration(artheory.build_extension(tminus, simple), (simple, tminus))
+    built, chains = artheory.Filtration, []
+    monkeypatch.setattr(artheory, "Filtration",
+                        lambda chain, factors: chains.append((chain, factors)) or built(chain, factors))
+    assert run_tube_demo(field_char=p).all_passed
+    assert chains == [(found.chain, found.factors)]
+
+
+def test_no_subcommand_runs_the_submodule_search(capsys, monkeypatch):
+    def search(*args):
+        raise RuntimeError("the exhaustive submodule search ran")
+
+    for module in (artheory, perpcat):
+        monkeypatch.setattr(module, "all_submodules", search)
+    monkeypatch.setattr(artheory, "u_filtration", search)
+    monkeypatch.chdir(REPO_ROOT)
+    for command in sorted(GOLDEN_ARGS):
+        for fmt, ext in (("text", "txt"), ("json", "json")):
+            assert main([command, *GOLDEN_ARGS[command], "--format", fmt]) == 0
+            with open(fixture(os.path.join("golden", f"{command}.{ext}")), encoding="utf-8", newline="") as fh:
+                assert capsys.readouterr().out == fh.read()
 
 
 def test_tube_defect_check_can_fail(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltlab.errors import ParseError, SameGenerator
+from tiltlab.errors import SameGenerator
 from tiltlab.exactlin import QQ, Matrix, PrimeField
 from tiltlab.freegrp import (
     BLOCK_LEN,
@@ -39,7 +39,7 @@ def test_parse_leading_cancellation():
 
 
 def test_parse_unknown_symbol():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError, match="^unknown generator 'z'$"):
         parse_reduce("x z", AB)
 
 
@@ -60,7 +60,7 @@ def test_envelope_value_on_a_long_word():
 
 
 def test_parse_length_cap():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError, match="^reduced word length 17 exceeds cap 16$"):
         parse_reduce(" ".join(["x"] * 17), AB)
 
 

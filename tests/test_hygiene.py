@@ -1,10 +1,12 @@
 """Source hygiene: every imported name is used, every function, class and
 method of the library is reached by a use that binds to it, somewhere and
-outside tests too (but for a short list of kept names), every parameter of
-a library function is read, sympy loads only inside the functions that call
-it, no library module imports ``dataclasses``, no library module reaches a
-private name of another (but for one kept name), and every field class in
-``exactlin`` implements the whole field protocol.  No linter is a dependency, so the checks walk the syntax tree
+outside tests too (but for a short list of kept names), every name that
+only the benchmark reaches is listed with the item that retires it, every
+parameter of a library function is read, sympy loads only inside the
+functions that call it, no library module imports ``dataclasses``, no
+library module reaches a private name of another (but for one kept name),
+and every field class in ``exactlin`` implements the whole field protocol.
+No linter is a dependency, so the checks walk the syntax tree
 themselves."""
 
 import ast
@@ -205,6 +207,29 @@ def test_no_library_definition_is_reached_only_from_tests():
     """What the library and the benchmark reach, without the tests."""
     library, bench = trees("src/tiltlab"), trees("perfbench")
     assert unreferenced(library, library | bench, list(bench.values())) == sorted(TEST_ONLY_KEPT)
+
+
+# Library definitions that no library code reaches and that are not
+# TEST_ONLY_KEPT: perfbench times, traces or verifies with them, so each is
+# kept until the ROADMAP item named here retires it or gives it a caller.
+BENCH_ONLY_KEPT = {
+    "GroupAlgElem.zero": "ROADMAP item 16: goes with envelope_value_alg",
+    "Matrix.rref": "ROADMAP item 9: the exactlin.rref counters wrap the forward pass instead",
+    "RepMap.is_valid": "ROADMAP item 16: moves into perfbench as a checker, or checks item 12's relations",
+    "TubeCatalog.ranks": "ROADMAP item 16: item 5's sum of (r - 1) line",
+    "divisible_radical": "ROADMAP items 16 and 19: goes with the submodule search",
+    "envelope_value_alg": "ROADMAP item 16: goes unless free-envelope gains a group-algebra line",
+    "hom": "ROADMAP item 16: item 15's Hom(T1, T0) line",
+    "tor1": "ROADMAP item 16: item 15's Hom(T1, T0) line",
+    "u_filtration": "ROADMAP item 19: moves to tests/oracles.py with the submodule search",
+}
+
+
+def test_library_definitions_only_the_benchmark_reaches_are_listed():
+    """What the library reaches from itself alone, without the tests and
+    the benchmark, beside the names that only tests reach."""
+    library = trees("src/tiltlab")
+    assert sorted(set(unreferenced(library, library, [])) - set(TEST_ONLY_KEPT)) == sorted(BENCH_ONLY_KEPT)
 
 
 def unread_parameters(tree: ast.Module) -> list[str]:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import hom_system_reference, presentation_tensor_reference, top_reference
+from oracles import hom_system_reference, presentation_tensor_reference, socle_reference, top_reference
 
 from tiltlab import quiverrep
 from tiltlab.artheory import all_submodules, transpose
@@ -24,6 +24,7 @@ from tiltlab.quiverrep import (
     hom_system,
     injective,
     is_projective,
+    kernel_piece,
     kronecker,
     presentation_tensor_terms,
     proj_presentation,
@@ -146,7 +147,7 @@ def test_cover_that_misses_a_generator_is_refused(monkeypatch):
     # a top without its last generator spans a proper submodule, so the
     # cover's kernel bases show a rank deficit
     top = quiverrep._top
-    monkeypatch.setattr(quiverrep, "_top", lambda X, bases: tuple(part[:-1] for part in top(X, bases)))
+    monkeypatch.setattr(quiverrep, "_top", lambda X: top(X)[:-1])
     for M in (QuiverRep.simple(KRON, F5, 0), tube_simple(KRON, F5, 2), projective(A3, F5, 0)):
         with pytest.raises(AssertionError, match="projective cover failed to be surjective"):
             proj_presentation(M)
@@ -172,11 +173,18 @@ def low_rank_rep(q, field, rng):
     return QuiverRep(q, field, dims, maps)
 
 
+def lifted(top, bases):
+    """``_top``'s ``(vertex, index)`` pairs as ``top_reference`` gives them:
+    the vertices, and column ``index`` of ``bases[vertex]`` for each."""
+    return tuple(v for v, _ in top), [bases[v].column(c) for v, c in top]
+
+
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), QQ], ids=repr)
 def test_top_matches_the_pivots_of_images_beside_the_basis(field):
-    """Both calls of ``_top`` in ``proj_presentation``, the cover's on the
-    module and the kernel's on the cover, against the pivots of ``[images
-    | B]`` with ``B`` the identity and the kernel basis."""
+    """Both tops in ``proj_presentation``, the module's and the cover
+    kernel's, lifted through the identity and the kernel bases, against
+    the pivots of ``[images | B]``; and the kernel read by
+    ``kernel_piece`` against the ``subrep`` its bases span."""
     from tiltlab.quiverrep import extend_generators
 
     rng = random.Random(23)
@@ -184,16 +192,36 @@ def test_top_matches_the_pivots_of_images_beside_the_basis(field):
     for q in (KRON, A3, LINEAR_A3):
         for _ in range(25):
             M = low_rank_rep(q, field, rng)
-            top = quiverrep._top(M, None)
-            assert top == top_reference(M, [Matrix.identity(field, d) for d in M.dims])
-            Qs = proj_sum(q, field, top[0])
-            kernel = [m.kernel_and_free() for m in extend_generators(Qs, M, top[1]).maps]
-            ktop = quiverrep._top(Qs.rep, kernel)
-            assert ktop == top_reference(Qs.rep, [K for K, _ in kernel])
+            units = [Matrix.identity(field, d) for d in M.dims]
+            verts, gens = lifted(quiverrep._top(M), units)
+            assert (verts, gens) == top_reference(M, units)
+            Qs = proj_sum(q, field, verts)
+            kernel = [m.kernel_and_free() for m in extend_generators(Qs, M, gens).maps]
+            bases = [K for K, _ in kernel]
+            K = kernel_piece(Qs.rep, kernel)
+            assert K == subrep(Qs.rep, bases)[0]
+            ktop = lifted(quiverrep._top(K), bases)
+            assert ktop == top_reference(Qs.rep, bases)
             seen["zero dim"] += 0 in M.dims
             seen["rank deficient"] += any(0 < m.rank() < min(m.shape) for m in M.maps)
             seen["kernel top at several vertices"] += len(set(ktop[0])) > 1
     assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), QQ], ids=repr)
+def test_socle_matches_the_subrep_of_its_kernel_bases(field):
+    """``socle`` builds zero arrow maps on the joint kernels; the
+    ``subrep`` route reads them off spans, entry for entry the same."""
+    rng = random.Random(31)
+    nonzero = 0
+    for q in (KRON, A3):
+        for _ in range(25):
+            M = low_rank_rep(q, field, rng)
+            soc, incl = socle(M)
+            ref, ref_incl = socle_reference(M)
+            assert soc == ref and incl.maps == ref_incl.maps
+            nonzero += not soc.is_zero() and soc.dims != M.dims
+    assert nonzero >= 5
 
 
 def _is_identity(m: Matrix) -> bool:
@@ -576,7 +604,7 @@ def test_shared_proj_sums_survive_hom_and_ext_work():
         hom_ext_dims(M, N)
         hom_ext_dims(pres.Q.rep, M)
         tor_dims(M, N.dual())
-        transpose(M)
+        transpose(pres)
         proj_presentation(N)
         for ps in (pres.P, pres.Q, proj_sum(q.opposite(), F5, pres.Q.summands)):
             assert proj_sum(ps.quiver, F5, ps.summands) is ps
