@@ -147,12 +147,13 @@ def _raise_rank(basis: list[RepMap], n: int) -> bool | None:
     often stays singular on a sum with repeated summands over a small
     field.
 
-    No morphism has more rank at a vertex than the span of the basis'
-    images there, its cap (read only where the start is singular).  So
-    when a cap is below full rank no morphism is onto that vertex, the
-    answer is ``False`` and the walk does not start; and a step ranks only
-    the blocks where ``b`` is nonzero, none when ``f`` is at its cap on all
-    of them."""
+    A start of full rank returns ``True`` at once, before anything else
+    is ranked.  No morphism has more rank at a vertex than the span of
+    the basis' images there, its cap (read only where the start is
+    singular).  So when a cap is below full rank no morphism is onto that
+    vertex, the answer is ``False`` and the walk does not start; and a
+    step ranks only the blocks where ``b`` is nonzero, none when ``f`` is
+    at its cap on all of them."""
     field = basis[0].source.field
     ones = [field.one] * len(basis)
     f = []
@@ -161,6 +162,8 @@ def _raise_rank(basis: list[RepMap], n: int) -> bool | None:
         f.append(Matrix._of(field, [[field.dot(col, ones) for col in zip(*(rows[i] for rows in at_v))]
                                     for i in range(m.nrows)], m.ncols))
     ranks = [m.rank() for m in f]
+    if sum(ranks) == n:
+        return True
     caps = [r if r == m.nrows else
             Matrix._of(field, [[x for b in basis for x in b.maps[v].rows[i]] for i in range(m.nrows)],
                        m.ncols * len(basis)).rank()
@@ -170,8 +173,6 @@ def _raise_rank(basis: list[RepMap], n: int) -> bool | None:
     supports = [[v for v, m in enumerate(b.maps) if not m.is_zero()] for b in basis]
     stale = 0
     for b, support in itertools.cycle(zip(basis, supports)):
-        if sum(ranks) == n:
-            return True
         if stale == len(basis):
             return None
         stale += 1
@@ -182,6 +183,8 @@ def _raise_rank(basis: list[RepMap], n: int) -> bool | None:
         if sum(new) > sum(ranks[v] for v in support):
             for v, m, r in zip(support, blocks, new):
                 f[v], ranks[v] = m, r
+            if sum(ranks) == n:
+                return True
             stale = 0
 
 

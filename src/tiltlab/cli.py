@@ -191,6 +191,8 @@ def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
     from .freegrp import (
         FreeWord, envelope_value, flatness_witness, parse_reduce, random_xdiv_module, reduce_letters, word)
 
+    # a bad word is refused before any module is built or trial run
+    parsed = [parse_reduce(text, alphabet) for text in words]
     report = Report(
         "free_envelope",
         {"alphabet": list(alphabet), "field": field_char, "seed": seed,
@@ -235,8 +237,7 @@ def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
         values={"failures": positive_fail},
     )
 
-    for text in words:
-        w = parse_reduce(text, alphabet)
+    for w in parsed:
         value = envelope_value(base, w, module)
         report.add(
             f"envelope value of {str(w)!r} returns to the base along the inverse word",

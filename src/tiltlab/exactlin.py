@@ -33,35 +33,50 @@ there is none; ``kernel_and_free`` also returns those columns, at which the
 basis is the identity), ``span`` over the identity columns of ``[A | I]``, and
 ``rref`` over every column (``_back_substitute``).
 
-The forward pass has one loop per representation.  Over ``QQ``, and over
-``GF(p)`` when ``min(nrows, ncols) < PACKED_MIN``, rows are lists and
-``Matrix._forward`` makes one row-kernel call per row operation.  Larger
-``GF(p)`` matrices are packed and go to ``_forward_packed``, on rows packed
-into one Python int each, one fixed-width slot per column and column 0 in
-the top slot.  It sweeps the columns from left to right, as the list loop
-does, over the rows that are not yet pivots, in input order.  A row's slot
-at the swept column is one shift, since every slot left of it is zero; a
-row operation is one big-int multiply-add ``row + (p - f) * pivot_row`` and
-a mask that clears that slot, and reduction mod ``p`` waits until a row is
-unpacked.  A slot starts below ``p`` and gains at most ``(p - 1)^2`` per
-row operation, and a row takes at most ``k = min(nrows, ncols)`` of them
-between two unpackings, so slots of ``p - 1 + k (p - 1)^2`` never carry
-into their neighbours.  A pivot row is reduced and scaled to lead with one
-in a single pass over its unpacked slots.  Back substitution always runs
-on lists: the pivot rows come out of the forward pass as lists, and a
-packed back substitution lost to the list loop when few columns are free.
+The forward pass has three loops, one per representation of a row:
+
+* lists, over ``QQ`` and over ``GF(p)`` with ``p > 2`` when ``min(nrows,
+  ncols) < PACKED_MIN``: ``Matrix._forward`` makes one row-kernel call per
+  row operation;
+* packed slots, over ``GF(p)`` with ``p > 2`` from ``PACKED_MIN`` on
+  (``_forward_packed``);
+* XOR bytes, over ``GF(2)`` at every size (``_forward_gf2``).
+
+``_forward_packed`` works on rows packed into one Python int each, one
+fixed-width slot per column and column 0 in the top slot.  It sweeps the
+columns from left to right, as the list loop does, over the rows that are
+not yet pivots, in input order.  A row's slot at the swept column is one
+shift, since every slot left of it is zero; a row operation is one big-int
+multiply-add ``row + (p - f) * pivot_row`` and a mask that clears that
+slot, and reduction mod ``p`` waits until a row is unpacked.  A slot starts
+below ``p`` and gains at most ``(p - 1)^2`` per row operation, and a row
+takes at most ``k = min(nrows, ncols)`` of them between two unpackings, so
+slots of ``p - 1 + k (p - 1)^2`` never carry into their neighbours.  A
+pivot row is reduced and scaled to lead with one in a single pass over its
+unpacked slots.  Back substitution always runs on lists: the pivot rows
+come out of the forward pass as lists, and a packed back substitution lost
+to the list loop when few columns are free.
+
+Over ``GF(2)`` addition is XOR, so a row packed one byte per entry never
+grows and every pivot already leads with one, as in M4RI (Albrecht, Bard
+and Hart, "Algorithm 898: Efficient multiplication of dense matrices over
+GF(2)", ACM TOMS 37(1), 2010).  ``_forward_gf2`` is the same column sweep
+with ``row ^ pivot_row`` as its row operation: nothing is reduced, masked
+or rescaled, and a pivot row comes back as its bytes.
 
 ``Matrix.block_sum`` sums scaled blocks into one matrix of list rows, one
 ``sub_scaled`` call per block row over every field.  Only
-``Matrix.block_sum_rank`` sums packed: from ``PACKED_MIN`` on over
-``GF(p)``, each output row is one packed int that every block row meeting
-it adds into with one multiply-add ``row + c * (block_row << shift)``
-(``_packed_block_sum``), and the rows go to ``_forward_packed`` unreduced,
-in slots of ``p - 1 + (t + k) (p - 1)^2`` for ``t`` terms, so no row is
-unpacked until it becomes a pivot.  Below ``PACKED_MIN`` and over
-``QQ`` it ranks ``block_sum``.  The packed loops follow Dumas, Fousse and
-Salvy, "Simultaneous modular reduction and Kronecker substitution for small
-finite fields" (J. Symb. Comput. 46, 2011).
+``Matrix.block_sum_rank`` sums packed.  Over ``GF(2)``, at every size, a
+term with an odd coefficient XORs its block rows into the one-byte rows
+(``_gf2_block_sum``), which go to ``_forward_gf2``.  From ``PACKED_MIN`` on
+over ``GF(p)`` with ``p > 2``, each output row is one packed int that every
+block row meeting it adds into with one multiply-add ``row + c * (block_row
+<< shift)`` (``_packed_block_sum``), and the rows go to ``_forward_packed``
+unreduced, in slots of ``p - 1 + (t + k) (p - 1)^2`` for ``t`` terms, so no
+row is unpacked until it becomes a pivot.  Below ``PACKED_MIN`` for
+``p > 2`` and over ``QQ`` it ranks ``block_sum``.  The packed loops follow
+Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
+substitution for small finite fields" (J. Symb. Comput. 46, 2011).
 
 ``Matrix(field, rows)`` coerces every entry and checks the row lengths,
 for input from outside; the module's own results are built by the private
@@ -80,9 +95,10 @@ import struct
 from fractions import Fraction
 from operator import mul
 
-# Below this min(nrows, ncols) the list loop is faster over GF(p).  Timed on
-# the forward passes of one pass of each benchmark workload at seed 77 (best
-# of 7, 2-vCPU VM, Python 3.11), with back substitution on lists either way:
+# Below this min(nrows, ncols) the list loop is faster over GF(p) for p > 2;
+# GF(2) takes the XOR loop at every size.  Timed on the forward passes of
+# one pass of each benchmark workload at seed 77 (best of 7, 2-vCPU VM,
+# Python 3.11), with back substitution on lists either way:
 # from 8 to 47 columns the packed loop took 33.1 ms against the list loop's
 # 39.3 ms on ar-search's GF(2), GF(3) and GF(5) systems (7.2 against 10.9 ms
 # over GF(5); only the 8-15 column systems over GF(2) and GF(3) lost, 2.21
@@ -377,16 +393,19 @@ class Matrix:
 
     @classmethod
     def block_sum_rank(cls, field, nrows: int, ncols: int, terms) -> int:
-        """``block_sum(field, nrows, ncols, terms).rank()``.  Where the
-        forward pass is packed, the packed rows of the sum go into it
-        unreduced and are never unpacked: a slot starts at ``len(terms)``
-        terms of at most ``(p - 1)^2`` and gains at most ``k = min(nrows,
-        ncols)`` more in row operations, so slots sized for ``len(terms) +
-        k`` terms hold it."""
+        """``block_sum(field, nrows, ncols, terms).rank()``.  Over ``GF(2)``
+        the sum is built by XOR in the XOR loop's one-byte rows, at every
+        size.  Where the forward pass is packed, the packed rows of the sum
+        go into it unreduced and are never unpacked: a slot starts at
+        ``len(terms)`` terms of at most ``(p - 1)^2`` and gains at most ``k
+        = min(nrows, ncols)`` more in row operations, so slots sized for
+        ``len(terms) + k`` terms hold it."""
         k = min(nrows, ncols)
-        if not (isinstance(field, PrimeField) and k >= PACKED_MIN):
+        if not (isinstance(field, PrimeField) and (field.p == 2 or k >= PACKED_MIN)):
             return cls.block_sum(field, nrows, ncols, terms).rank()
         terms = _fitting_terms(field, nrows, ncols, terms)
+        if field.p == 2:
+            return len(_forward_gf2(_gf2_block_sum(field, nrows, ncols, terms), ncols)[1])
         nbytes = _slot_bytes(field.p, len(terms) + k)
         rows = _packed_block_sum(field, nrows, ncols, terms, nbytes)
         return len(_forward_packed(field.p, rows, ncols, nbytes)[1])
@@ -487,14 +506,21 @@ class Matrix:
         """The forward pass: one row per pivot of a row echelon form, each
         scaled to lead with one, and the pivot columns.  Row ``i`` is zero
         left of ``pivots[i]``; its entries at later pivot columns are what
-        back substitution would clear.  Both loops sweep the columns from
-        left to right.  Lists take one row-kernel call per row operation,
-        on a copy of the rows; packed rows take one multiply-add and a mask,
-        with no row swaps (:func:`_forward_packed`)."""
+        back substitution would clear.  All three loops sweep the columns
+        from left to right.  Lists, over ``QQ`` and over ``GF(p)`` with ``p
+        > 2`` below ``PACKED_MIN``, take one row-kernel call per row
+        operation, on a copy of the rows.  Packed slots, over ``GF(p)`` with
+        ``p > 2`` from ``PACKED_MIN`` on, take one multiply-add and a mask
+        per row operation, with no row swaps (:func:`_forward_packed`).
+        XOR bytes, over ``GF(2)`` at every size, take one XOR, with no
+        swaps and nothing reduced or rescaled (:func:`_forward_gf2`)."""
         field, k = self.field, min(self.nrows, self.ncols)
-        if isinstance(field, PrimeField) and k >= PACKED_MIN:
-            nbytes = _slot_bytes(field.p, k)
-            return _forward_packed(field.p, [_pack(row, nbytes) for row in self.rows], self.ncols, nbytes)
+        if isinstance(field, PrimeField):
+            if field.p == 2:
+                return _forward_gf2([int.from_bytes(bytes(row), "big") for row in self.rows], self.ncols)
+            if k >= PACKED_MIN:
+                nbytes = _slot_bytes(field.p, k)
+                return _forward_packed(field.p, [_pack(row, nbytes) for row in self.rows], self.ncols, nbytes)
         rows = [row[:] for row in self.rows]
         pivots: list[int] = []
         r = 0
@@ -626,6 +652,58 @@ def _packed_block_sum(field: PrimeField, nrows: int, ncols: int, terms: list, nb
         for i, brow in enumerate(brows, r):
             rows[i] += x * brow << shift
     return rows
+
+
+def _gf2_block_sum(field: PrimeField, nrows: int, ncols: int, terms: list) -> list[int]:
+    """The ``nrows`` rows of the ``GF(2)`` block sum of the fitting
+    ``terms``, each packed one byte per entry as in :func:`_forward_gf2`.
+    A term with an odd coefficient XORs each of its block rows in at its
+    offset, and one with an even coefficient adds nothing, so no byte ever
+    holds more than one; a block that recurs is packed once."""
+    rows, packed = [0] * nrows, {}
+    for r, c, x, B in terms:
+        if not field.coerce(x):
+            continue
+        brows = packed.get(id(B))
+        if brows is None:
+            brows = packed[id(B)] = [int.from_bytes(bytes(brow), "big") for brow in B.rows]
+        shift = 8 * (ncols - c - B.ncols)
+        for i, brow in enumerate(brows, r):
+            rows[i] ^= brow << shift
+    return rows
+
+
+def _forward_gf2(rows: list[int], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """The forward pass of :meth:`Matrix._forward` on ``GF(2)`` rows
+    packed one byte per entry, column 0 in the top byte.  It is the column
+    sweep of :func:`_forward_packed` with addition as XOR: at column ``c``
+    the pivot is the first row left, in input order, whose byte at ``c``
+    is set, and every later row with that byte set becomes ``row ^
+    pivot_row``.  Every byte left of ``c`` is zero in the rows left, so
+    that byte is set exactly when the row is at least ``top``, a one in
+    it.  A byte is always 0 or 1, so nothing is reduced or masked, and a
+    pivot row already leads with one: it is returned as its bytes.  A row
+    that reaches zero drops out."""
+    active = [row for row in rows if row]
+    pivots, echelon = [], []
+    for c in range(ncols):
+        if not active:
+            break
+        top = 1 << 8 * (ncols - 1 - c)
+        pivot_row, kept = None, []
+        for row in active:
+            if row >= top:
+                if pivot_row is None:
+                    pivot_row = row
+                    pivots.append(c)
+                    echelon.append(list(row.to_bytes(ncols, "big")))
+                    continue
+                row ^= pivot_row
+                if not row:
+                    continue
+            kept.append(row)
+        active = kept
+    return echelon, pivots
 
 
 def _forward_packed(p: int, rows: list[int], ncols: int, nbytes: int) -> tuple[list[list[int]], list[int]]:

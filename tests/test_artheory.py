@@ -557,6 +557,37 @@ def test_raise_rank_starts_from_the_sum_of_the_basis(monkeypatch):
         assert ranked[:len(M.dims)] == list(start.maps)
 
 
+def test_raise_rank_returns_before_any_cap_when_the_start_is_invertible(monkeypatch):
+    """A start of full rank is an isomorphism: ``_raise_rank`` ranks its
+    vertex blocks and nothing else, and tests no block for zero."""
+    ranked = []
+    rank = Matrix.rank
+
+    def spy(self):
+        ranked.append(self.shape)
+        return rank(self)
+
+    def refuse(self):
+        raise AssertionError("_raise_rank tested a block for zero")
+
+    M = direct_sum(E2, tube_simple(2))
+    starts = 0
+    for seed in range(6):
+        N = random_basis_change(M, random.Random(seed))
+        basis = hom_space(M, N)
+        start = functools.reduce(lambda f, b: f + b, basis[1:], basis[0])
+        if sum(m.rank() for m in start.maps) < M.total_dim():
+            continue
+        starts += 1
+        ranked.clear()
+        monkeypatch.setattr(Matrix, "rank", spy)
+        monkeypatch.setattr(Matrix, "is_zero", refuse)
+        assert artheory._raise_rank(basis, M.total_dim()) is True
+        monkeypatch.undo()
+        assert ranked == [m.shape for m in start.maps]
+    assert starts
+
+
 def test_decompose_refuses_a_noncommutative_division_ring():
     pytest.importorskip("sympy")  # the minimal polynomial is factored over QQ
     # left multiplication by i and j on the rational quaternions: End is the

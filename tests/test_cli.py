@@ -189,22 +189,27 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+# golden report name -> argv; the GF(2) reports pin the XOR forward pass,
+# which no default report reaches
 GOLDEN_ARGS = {
-    "tube-demo": [],
-    "dedekind": [],
-    "free-envelope": [],
-    "perp-check": [],
-    "custom": ["tests/fixtures/kronecker.txt"],
+    "tube-demo": ["tube-demo"],
+    "tube-demo-gf2": ["tube-demo", "--field", "2"],
+    "dedekind": ["dedekind"],
+    "free-envelope": ["free-envelope"],
+    "perp-check": ["perp-check"],
+    "perp-check-gf2": ["perp-check", "--field", "2"],
+    "custom": ["custom", "tests/fixtures/kronecker.txt"],
 }
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
 def test_report_matches_golden(command, fmt, capsys, monkeypatch):
-    # golden files hold each subcommand's report at default flags; the
-    # custom report names its fixture path, so run from the repo root
+    # golden files hold each subcommand's report at default flags, and two
+    # at --field 2; the custom report names its fixture path, so run from
+    # the repo root
     monkeypatch.chdir(REPO_ROOT)
-    assert main([command, *GOLDEN_ARGS[command], "--format", fmt]) == 0
+    assert main([*GOLDEN_ARGS[command], "--format", fmt]) == 0
     golden = fixture(os.path.join("golden", f"{command}.{'txt' if fmt == 'text' else 'json'}"))
     with open(golden, encoding="utf-8", newline="") as fh:
         assert capsys.readouterr().out == fh.read()
@@ -289,9 +294,10 @@ def test_custom_runs_the_packed_forward_pass(tmp_path, capsys, monkeypatch, p, d
     2d^2 Hom system and ``hom_ext_dims`` a d^2 x d^2 tensor matrix, both
     packed, in 16-byte slots over ``GF(2^31 - 1)``.  The tensor matrix
     goes into the pass as its packed block sum, with slots for its terms
-    as well as its row operations: 63 + 100 of them over ``GF(2)`` still
-    fit one byte.  At d = 4 both systems are still wide enough to pack,
-    and ``GF(65521)`` takes 8-byte slots."""
+    as well as its row operations.  At d = 4 both systems are still wide
+    enough to pack, and ``GF(65521)`` takes 8-byte slots.  Over ``GF(2)``
+    both go to the XOR loop, one byte per entry, and none to the packed
+    loop."""
     rng = random.Random(p)
 
     def matrix():
@@ -300,18 +306,22 @@ def test_custom_runs_the_packed_forward_pass(tmp_path, capsys, monkeypatch, p, d
     path = tmp_path / "dense.txt"
     path.write_text(f"quiver kron\nvertices 2\narrow a 1 2\narrow b 1 2\nfield F {p}\n"
                     f"rep dense dim {d} {d}\nmatrix a {matrix()}\nmatrix b {matrix()}\n")
-    calls, forward = [], exactlin._forward_packed
+    calls, xor_calls, forward, forward_gf2 = [], [], exactlin._forward_packed, exactlin._forward_gf2
 
     def spy(q, rows, ncols, nbytes):
         calls.append((len(rows), ncols, nbytes))
         return forward(q, rows, ncols, nbytes)
 
     monkeypatch.setattr(exactlin, "_forward_packed", spy)
+    monkeypatch.setattr(exactlin, "_forward_gf2",
+                        lambda rows, ncols: xor_calls.append((len(rows), ncols, 1)) or forward_gf2(rows, ncols))
     assert main(["custom", str(path)]) == 0
     out = capsys.readouterr().out
     assert '[PASS] rep dense: bilinear form equals hom minus ext\n' in out
     assert f'"ext1": {d}, "hom": {d}}}' in out and out.endswith("summary: 1/1 passed, 0 failed\n")
-    assert (2 * d * d, 2 * d * d, nbytes) in calls and (d * d, d * d, nbytes) in calls
+    ran, idle = (xor_calls, calls) if p == 2 else (calls, xor_calls)
+    assert (2 * d * d, 2 * d * d, nbytes) in ran and (d * d, d * d, nbytes) in ran
+    assert idle == []
 
 
 def a31_low_rank_fixture(field):
@@ -482,9 +492,28 @@ def test_no_subcommand_runs_the_submodule_search(capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     for command in sorted(GOLDEN_ARGS):
         for fmt, ext in (("text", "txt"), ("json", "json")):
-            assert main([command, *GOLDEN_ARGS[command], "--format", fmt]) == 0
+            assert main([*GOLDEN_ARGS[command], "--format", fmt]) == 0
             with open(fixture(os.path.join("golden", f"{command}.{ext}")), encoding="utf-8", newline="") as fh:
                 assert capsys.readouterr().out == fh.read()
+
+
+def test_gf2_reports_eliminate_by_xor_alone(capsys, monkeypatch):
+    """The GF(2) golden reports run their forward passes through the XOR
+    loop and none through the packed one."""
+    xor_calls, forward, forward_gf2 = [], exactlin._forward_packed, exactlin._forward_gf2
+
+    def packed(q, rows, ncols, nbytes):
+        assert q != 2, "a GF(2) matrix reached the packed loop"
+        return forward(q, rows, ncols, nbytes)
+
+    monkeypatch.setattr(exactlin, "_forward_packed", packed)
+    monkeypatch.setattr(exactlin, "_forward_gf2",
+                        lambda rows, ncols: xor_calls.append(ncols) or forward_gf2(rows, ncols))
+    for command in ("tube-demo-gf2", "perp-check-gf2"):
+        xor_calls.clear()
+        assert main(GOLDEN_ARGS[command]) == 0
+        assert capsys.readouterr().out.endswith(" passed, 0 failed\n")
+        assert xor_calls
 
 
 def test_tube_defect_check_can_fail(monkeypatch):
@@ -590,10 +619,11 @@ def test_each_subcommand_loads_only_the_modules_it_runs(command):
     code, loaded = tiltlab_modules_after(
         "from tiltlab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({[command, *GOLDEN_ARGS[command]]!r})"
+        f"    code = main({GOLDEN_ARGS[command]!r})"
     )
     assert code == 0
-    assert loaded == sorted(f"tiltlab.{m}" for m in ("cli", "errors", "report", *MODULES_RUN[command]))
+    run = MODULES_RUN[GOLDEN_ARGS[command][0]]
+    assert loaded == sorted(f"tiltlab.{m}" for m in ("cli", "errors", "report", *run))
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -641,8 +671,7 @@ DATACLASS_MODULES = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
 
 
 def test_no_subcommand_loads_dataclasses_or_inspect():
-    argvs = [[command, *GOLDEN_ARGS[command], "--format", fmt]
-             for command in sorted(GOLDEN_ARGS) for fmt in ("text", "json")]
+    argvs = [[*GOLDEN_ARGS[command], "--format", fmt] for command in sorted(GOLDEN_ARGS) for fmt in ("text", "json")]
     codes, loaded, control = run_python(
         "import contextlib, io, json, sys\n"
         "from tiltlab.cli import main\n"
@@ -652,7 +681,7 @@ def test_no_subcommand_loads_dataclasses_or_inspect():
         "import dataclasses\n"  # the control: the probe sees the import
         f"print(json.dumps([codes, loaded, [m for m in {DATACLASS_MODULES!r} if m in sys.modules]]))\n"
     )
-    assert (codes, loaded, control) == ([0] * 10, [], DATACLASS_MODULES)
+    assert (codes, loaded, control) == ([0] * len(argvs), [], DATACLASS_MODULES)
 
 
 def test_factoring_over_finite_fields_leaves_sympy_unloaded():
@@ -743,6 +772,18 @@ def test_values_past_a_cap_are_refused_in_one_line_before_anything_is_built(caps
         assert capsys.readouterr().err == f"tiltlab: {message.format(value, cap)}\n"
     with pytest.raises(_Built):
         main([*argv, str(cap)])
+
+
+def test_a_bad_word_is_refused_in_one_line_before_anything_is_built(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(freegrp, "random_xdiv_module", refuse)
+    start = time.perf_counter()
+    assert main(["free-envelope", "--trials", str(MAX_ENVELOPE_TRIALS), "--dim", str(MAX_ENVELOPE_DIM),
+                 "--word", "x y", "--word", "x z"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "tiltlab: unknown generator 'z'\n"
 
 
 def test_negative_module_dimension_is_an_input_error(capsys):

@@ -12,7 +12,7 @@ from oracles import (block_sum_reference, det, forward_packed_reference, gauss_j
 
 from tiltlab import exactlin
 from tiltlab.dedekind import FgZModule, classify
-from tiltlab.exactlin import PACKED_MIN, QQ, IntMatrix, Matrix, PrimeField, _forward_packed, snf
+from tiltlab.exactlin import PACKED_MIN, QQ, IntMatrix, Matrix, PrimeField, _forward_gf2, _forward_packed, snf
 from tiltlab.quiverrep import (QuiverRep, affine_a3_cycle, hom_space, hom_system, kronecker, presentation_tensor_terms,
                                proj_presentation)
 
@@ -379,18 +379,25 @@ def _structured_cases(field, rng):
 
 @pytest.mark.parametrize("p", [2, 3, 7, 101, 65521, 2**31 - 1])
 def test_packed_rref_matches_reference(p, monkeypatch):
-    """From ``PACKED_MIN`` on, GF(p) rows are packed into ints with slots
-    wide enough for ``p - 1 + k (p - 1)^2``; at ``2^31 - 1`` that is more
-    than 64 bits."""
+    """From ``PACKED_MIN`` on, GF(p) rows for odd ``p`` are packed into
+    ints with slots wide enough for ``p - 1 + k (p - 1)^2``; at ``2^31 -
+    1`` that is more than 64 bits.  GF(2) rows go to the XOR loop at every
+    size, and never to the packed one."""
     field = PrimeField(p)
-    packed_calls = []
+    packed_calls, xor_calls = [], []
     monkeypatch.setattr(exactlin, "_forward_packed",
                         lambda *args: packed_calls.append(args) or _forward_packed(*args))
+    monkeypatch.setattr(exactlin, "_forward_gf2",
+                        lambda rows, ncols: xor_calls.append((len(rows), ncols)) or _forward_gf2(rows, ncols))
     for A in _structured_cases(field, random.Random(p)):
         R, pivots = A.rref()
         assert (R.rows, pivots) == gauss_jordan(A.rows, p)
-        assert len(packed_calls) == (min(A.shape) >= PACKED_MIN)
+        if p == 2:
+            assert (packed_calls, xor_calls) == ([], [A.shape])
+        else:
+            assert (len(packed_calls), xor_calls) == (min(A.shape) >= PACKED_MIN, [])
         packed_calls.clear()
+        xor_calls.clear()
 
 
 def test_packed_span_and_kernel_match_reference():
@@ -642,6 +649,26 @@ def test_the_packed_sweep_matches_the_lead_tracking_loop(p):
         assert _forward_packed_on(p, A.rows, A.ncols) == forward_packed_reference(p, A.rows, A.ncols)
 
 
+def _gf2_packed(rows):
+    """``rows`` packed one byte per entry, as ``Matrix._forward`` packs
+    ``GF(2)`` rows for the XOR loop."""
+    return [int.from_bytes(bytes(row), "big") for row in rows]
+
+
+def test_the_xor_sweep_matches_the_lead_tracking_loop():
+    """Over ``GF(2)`` the XOR loop picks the pivot rows of the packed
+    loop's reference, so the echelon rows and pivots agree exactly, on
+    both sides of ``PACKED_MIN`` and of 48 and on empty, zero-row and
+    zero-column matrices."""
+    rng = random.Random(2)
+    cases = _structured_cases(F2, rng) + _packed_differential_cases(F2, rng) + [
+        Matrix.zeros(F2, *shape) for shape in ((0, 0), (0, 5), (5, 0), (4, 4), (PACKED_MIN, PACKED_MIN))]
+    assert {min(A.shape) >= PACKED_MIN for A in cases} == {False, True}
+    for A in cases:
+        assert _forward_gf2(_gf2_packed(A.rows), A.ncols) == forward_packed_reference(2, A.rows, A.ncols)
+        assert A._forward() == forward_packed_reference(2, A.rows, A.ncols)
+
+
 def test_the_packed_sweep_masks_an_unreduced_zero_and_never_pivots_on_it(monkeypatch):
     """Clearing column 0 adds 6 times row 0 to row 1, which leaves 6 + 6 *
     6 = 42 in row 1's slot at column 1: nonzero, but zero mod 7.  So row 2
@@ -734,10 +761,12 @@ def _block_sum_rank_cases(field, rng):
 def test_block_sum_rank_matches_the_rank_of_the_block_sum(p, monkeypatch):
     """From ``PACKED_MIN`` on, the rank reader hands the unreduced packed
     sum to the forward pass, which gives the echelon rows of the reduced
-    sum exactly; below it, it reads ``block_sum(...).rank()``.  Both agree
-    with the rank of the per-row reference sum."""
+    sum exactly; below it, it reads ``block_sum(...).rank()``.  Over
+    ``GF(2)`` it hands the XOR loop the sum in its one-byte layout at
+    every size, the reduced sum itself.  All agree with the rank of the
+    per-row reference sum."""
     field, forward = PrimeField(p), _forward_packed
-    passes, block_sums = [], []
+    passes, xor_passes, block_sums = [], [], []
 
     def spy(q, rows, ncols, nbytes):
         passes.append((rows[:], ncols, nbytes))
@@ -745,24 +774,48 @@ def test_block_sum_rank_matches_the_rank_of_the_block_sum(p, monkeypatch):
 
     block_sum = Matrix.block_sum
     monkeypatch.setattr(exactlin, "_forward_packed", spy)
+    monkeypatch.setattr(exactlin, "_forward_gf2",
+                        lambda rows, ncols: xor_passes.append((rows[:], ncols)) or _forward_gf2(rows, ncols))
     monkeypatch.setattr(Matrix, "block_sum", lambda *args: block_sums.append(args) or block_sum(*args))
     for nrows, ncols, terms in _block_sum_rank_cases(field, random.Random(p)):
         expected = block_sum_reference(field, nrows, ncols, terms)
         rank = Matrix.block_sum_rank(field, nrows, ncols, terms)
         packed = min(nrows, ncols) >= PACKED_MIN
-        assert (len(block_sums), len(passes)) == ((0, 1) if packed else (1, 0))
-        if packed:
+        if p == 2:
+            assert (block_sums, passes, xor_passes) == ([], [], [(_gf2_packed(expected.rows), ncols)])
+        else:
+            assert (len(block_sums), len(passes), xor_passes) == ((0, 1, []) if packed else (1, 0, []))
+        if packed and p > 2:
             rows, _, nbytes = passes[0]
             assert nbytes == exactlin._slot_bytes(p, len(terms) + min(nrows, ncols))
             assert forward(p, rows, ncols, nbytes) == _forward_packed_on(p, expected.rows, ncols)
         assert rank == len(gauss_jordan(expected.rows, p)[1]) == block_sum(field, nrows, ncols, terms).rank()
         passes.clear()
+        xor_passes.clear()
         block_sums.clear()
     # the last case holds 300 (p - 1)^2 in every entry before its row
     # operations, more than slots sized for 48 terms hold at small p
     assert rank == 48 and expected.rows[0][0] != 0
     if p < 5:
         assert exactlin._slot_bytes(p, 348) > exactlin._slot_bytes(p, 48)
+
+
+@pytest.mark.parametrize("n", [PACKED_MIN - 1, PACKED_MIN, 20])
+def test_gf2_block_sum_rank_cancels_a_block_taken_an_even_number_of_times(n):
+    """Over ``GF(2)`` the terms add by XOR: the identity block taken an
+    even number of times, by odd coefficients, cancels and leaves the two
+    rows above it; taken an odd number of times it stays, of rank ``n``.
+    Even coefficients add nothing either way."""
+    rng = random.Random(n)
+    I, top = Matrix.identity(F2, n), _random_matrix(F2, rng, 2, n)
+    odd = [1, -1, 3, Fraction(1, 3), 10**9 + 7]
+    for count in range(1, 7):
+        terms = [(2, 0, rng.choice(odd), I) for _ in range(count)]
+        terms += [(0, 0, 1, top), (2, 0, 2, I), (1, 0, Fraction(4, 3), I)]
+        rng.shuffle(terms)
+        rank = Matrix.block_sum_rank(F2, n + 2, n, terms)
+        assert rank == len(gauss_jordan(block_sum_reference(F2, n + 2, n, terms).rows, 2)[1])
+        assert rank == (top.rank() if count % 2 == 0 else n)
 
 
 def test_block_sum_refuses_a_block_that_does_not_fit():
