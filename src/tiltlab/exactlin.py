@@ -66,15 +66,14 @@ or rescaled, and a pivot row comes back as its bytes.
 
 ``Matrix.block_sum`` sums scaled blocks into one matrix of list rows, one
 ``sub_scaled`` call per block row over every field.  Only
-``Matrix.block_sum_rank`` sums packed.  Over ``GF(2)``, at every size, a
-term with an odd coefficient XORs its block rows into the one-byte rows
-(``_gf2_block_sum``), which go to ``_forward_gf2``.  From ``PACKED_MIN`` on
-over ``GF(p)`` with ``p > 2``, each output row is one packed int that every
+``Matrix.block_sum_rank`` sums packed: from ``PACKED_MIN`` on over
+``GF(p)`` with ``p > 2``, each output row is one packed int that every
 block row meeting it adds into with one multiply-add ``row + c * (block_row
 << shift)`` (``_packed_block_sum``), and the rows go to ``_forward_packed``
 unreduced, in slots of ``p - 1 + (t + k) (p - 1)^2`` for ``t`` terms, so no
-row is unpacked until it becomes a pivot.  Below ``PACKED_MIN`` for
-``p > 2`` and over ``QQ`` it ranks ``block_sum``.  The packed loops follow
+row is unpacked until it becomes a pivot.  Over ``GF(2)``, over ``QQ`` and
+below ``PACKED_MIN`` it ranks ``block_sum``, whose ``GF(2)`` forward pass
+is ``_forward_gf2``.  The packed loops follow
 Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
 substitution for small finite fields" (J. Symb. Comput. 46, 2011).
 
@@ -95,15 +94,15 @@ import struct
 from fractions import Fraction
 from operator import mul
 
-# Below this min(nrows, ncols) the list loop is faster over GF(p) for p > 2;
-# GF(2) takes the XOR loop at every size.  Timed on the forward passes of
-# one pass of each benchmark workload at seed 77 (best of 7, 2-vCPU VM,
-# Python 3.11), with back substitution on lists either way:
-# from 8 to 47 columns the packed loop took 33.1 ms against the list loop's
-# 39.3 ms on ar-search's GF(2), GF(3) and GF(5) systems (7.2 against 10.9 ms
-# over GF(5); only the 8-15 column systems over GF(2) and GF(3) lost, 2.21
-# against 1.97 ms), and 20.3 against 34.7 ms on homext-dense's 8-15 column
-# GF(101) systems; under 8 columns it took 1.05-1.44 times as long.
+# Below this min(nrows, ncols) GF(p) for p > 2 takes the list loop, and
+# GF(2) takes the XOR loop at every size.  Timed on the GF(p), p > 2,
+# forward passes of one pass of ar-search and of homext-dense at seed 77
+# (best of 7, 2-vCPU VM, Python 3.11): from 8 to 47 columns the packed
+# loop took 11.5 ms against the list loop's 16.0 ms on ar-search's GF(3)
+# and GF(5) systems (only the 8-15 column ones over GF(3) lost, 1.24
+# against 1.17 ms), and 11.1 against 18.5 ms on homext-dense's GF(101)
+# ones; under 8 columns it took 1.25-1.26 times as long over GF(3) and
+# GF(5), and 0.94 times as long over GF(101).
 PACKED_MIN = 8
 
 
@@ -393,19 +392,16 @@ class Matrix:
 
     @classmethod
     def block_sum_rank(cls, field, nrows: int, ncols: int, terms) -> int:
-        """``block_sum(field, nrows, ncols, terms).rank()``.  Over ``GF(2)``
-        the sum is built by XOR in the XOR loop's one-byte rows, at every
-        size.  Where the forward pass is packed, the packed rows of the sum
-        go into it unreduced and are never unpacked: a slot starts at
-        ``len(terms)`` terms of at most ``(p - 1)^2`` and gains at most ``k
-        = min(nrows, ncols)`` more in row operations, so slots sized for
-        ``len(terms) + k`` terms hold it."""
+        """``block_sum(field, nrows, ncols, terms).rank()``.  Where the
+        forward pass is packed, the packed rows of the sum go into it
+        unreduced and are never unpacked: a slot starts at ``len(terms)``
+        terms of at most ``(p - 1)^2`` and gains at most ``k = min(nrows,
+        ncols)`` more in row operations, so slots sized for ``len(terms) +
+        k`` terms hold it."""
         k = min(nrows, ncols)
-        if not (isinstance(field, PrimeField) and (field.p == 2 or k >= PACKED_MIN)):
+        if not (isinstance(field, PrimeField) and field.p > 2 and k >= PACKED_MIN):
             return cls.block_sum(field, nrows, ncols, terms).rank()
         terms = _fitting_terms(field, nrows, ncols, terms)
-        if field.p == 2:
-            return len(_forward_gf2(_gf2_block_sum(field, nrows, ncols, terms), ncols)[1])
         nbytes = _slot_bytes(field.p, len(terms) + k)
         rows = _packed_block_sum(field, nrows, ncols, terms, nbytes)
         return len(_forward_packed(field.p, rows, ncols, nbytes)[1])
@@ -651,25 +647,6 @@ def _packed_block_sum(field: PrimeField, nrows: int, ncols: int, terms: list, nb
         x, shift = coerce(x), 8 * nbytes * (ncols - c - B.ncols)
         for i, brow in enumerate(brows, r):
             rows[i] += x * brow << shift
-    return rows
-
-
-def _gf2_block_sum(field: PrimeField, nrows: int, ncols: int, terms: list) -> list[int]:
-    """The ``nrows`` rows of the ``GF(2)`` block sum of the fitting
-    ``terms``, each packed one byte per entry as in :func:`_forward_gf2`.
-    A term with an odd coefficient XORs each of its block rows in at its
-    offset, and one with an even coefficient adds nothing, so no byte ever
-    holds more than one; a block that recurs is packed once."""
-    rows, packed = [0] * nrows, {}
-    for r, c, x, B in terms:
-        if not field.coerce(x):
-            continue
-        brows = packed.get(id(B))
-        if brows is None:
-            brows = packed[id(B)] = [int.from_bytes(bytes(brow), "big") for brow in B.rows]
-        shift = 8 * (ncols - c - B.ncols)
-        for i, brow in enumerate(brows, r):
-            rows[i] ^= brow << shift
     return rows
 
 

@@ -761,10 +761,9 @@ def _block_sum_rank_cases(field, rng):
 def test_block_sum_rank_matches_the_rank_of_the_block_sum(p, monkeypatch):
     """From ``PACKED_MIN`` on, the rank reader hands the unreduced packed
     sum to the forward pass, which gives the echelon rows of the reduced
-    sum exactly; below it, it reads ``block_sum(...).rank()``.  Over
-    ``GF(2)`` it hands the XOR loop the sum in its one-byte layout at
-    every size, the reduced sum itself.  All agree with the rank of the
-    per-row reference sum."""
+    sum exactly; below it, and over ``GF(2)`` at every size, it reads
+    ``block_sum(...).rank()``, whose ``GF(2)`` forward pass is the XOR
+    loop.  All agree with the rank of the per-row reference sum."""
     field, forward = PrimeField(p), _forward_packed
     passes, xor_passes, block_sums = [], [], []
 
@@ -782,7 +781,7 @@ def test_block_sum_rank_matches_the_rank_of_the_block_sum(p, monkeypatch):
         rank = Matrix.block_sum_rank(field, nrows, ncols, terms)
         packed = min(nrows, ncols) >= PACKED_MIN
         if p == 2:
-            assert (block_sums, passes, xor_passes) == ([], [], [(_gf2_packed(expected.rows), ncols)])
+            assert (len(block_sums), passes, xor_passes) == (1, [], [(_gf2_packed(expected.rows), ncols)])
         else:
             assert (len(block_sums), len(passes), xor_passes) == ((0, 1, []) if packed else (1, 0, []))
         if packed and p > 2:
