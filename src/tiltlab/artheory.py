@@ -8,9 +8,7 @@ translates ``tau = D Tr`` and ``tau^- = Tr D``.
 The defect is the rank function obtained by pairing dimension vectors with
 the radical vector of the symmetrized Euler form, normalized so the path
 algebra itself has defect one.  Regular modules are exactly the modules
-whose indecomposable summands have defect zero; morphisms between
-projectives are *full* when they are injective with regular cokernel, and
-*atomic full* when the cokernel is simple regular.
+whose indecomposable summands have defect zero.
 
 Isomorphism testing and decomposition sample nothing.  An isomorphism is
 certified by an invertible element of ``Hom(M, N)``, which a deterministic
@@ -37,7 +35,6 @@ from fractions import Fraction
 from .errors import (
     MissingExtra,
     NoExtension,
-    NonProjective,
     NonSplitField,
     NotBound,
     NotInvariant,
@@ -487,31 +484,6 @@ def defect(df: DefectFunction, d) -> Fraction:
     the radical vector divided by the normalizer.  Additive, one on the
     regular representation."""
     return Fraction(euler_form(df.quiver, tuple(d), df.radical_vector), df.normalizer)
-
-
-def is_regular(M: QuiverRep, df: DefectFunction) -> bool:
-    """True when every indecomposable summand has defect zero (summand-wise
-    test: defects of opposite sign must not cancel)."""
-    return all(defect(df, rep.dims) == 0 for rep, _ in decompose(M))
-
-
-def is_full(alpha: RepMap, df: DefectFunction) -> bool:
-    """A morphism between projectives is full when it is injective and its
-    cokernel is regular (torsion for the defect rank function)."""
-    if not (is_projective(alpha.source) and is_projective(alpha.target)):
-        raise NonProjective("fullness is defined for morphisms between projectives")
-    if not alpha.is_injective():
-        return False
-    coker, _ = cokernel(alpha)
-    return is_regular(coker, df)
-
-
-def is_atomic_full(alpha: RepMap, df: DefectFunction) -> bool:
-    """Full with simple regular cokernel; a simple regular cokernel is
-    regular, so no separate fullness test is needed."""
-    if not (is_projective(alpha.source) and is_projective(alpha.target)):
-        raise NonProjective("fullness is defined for morphisms between projectives")
-    return alpha.is_injective() and is_simple_regular(cokernel(alpha)[0], df)
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,14 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; empty items are skipped."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text}") from None
+
+
 def _alphabet(text: str) -> tuple[str, ...]:
     from .freegrp import parse_alphabet
 
@@ -426,15 +434,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dedekind", help="classify divisibility classes over a prime universe")
     common(p)
-    p.add_argument("--primes", default="2,3,5", help="comma-separated primes (at most 6)")
-    p.add_argument("--ore", action="append", default=[],
+    p.add_argument("--primes", type=_int_list, default="2,3,5", help="comma-separated primes (at most 6)")
+    p.add_argument("--ore", type=_int_list, action="append", default=[],
                    help="comma-separated generators of a multiplicative set (repeatable)")
     p.add_argument("--random-ore", type=_nonnegative_int, default=0,
                    help="number of random generator sets to cross-check")
     p.set_defaults(run=lambda a: run_dedekind_classify(
-        primes=tuple(int(x) for x in a.primes.split(",") if x.strip()),
-        ore_sets=tuple(tuple(int(g) for g in s.split(",") if g.strip()) for s in a.ore),
-        random_ore=a.random_ore, seed=a.seed))
+        primes=a.primes, ore_sets=tuple(a.ore), random_ore=a.random_ore, seed=a.seed))
 
     p = sub.add_parser("free-envelope", help="inductive extension along free-group words")
     common(p)

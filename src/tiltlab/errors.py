@@ -13,10 +13,6 @@ class NotInvariant(TiltlabError):
     """Vertex-wise subspaces are not stable under the arrow maps."""
 
 
-class NonProjective(TiltlabError):
-    """A morphism between projectives was expected."""
-
-
 class NonSplitField(TiltlabError):
     """Decomposition found no endomorphism that splits a module and could
     not certify its endomorphism ring local either; a non-commutative

@@ -33,22 +33,22 @@ there is none; ``kernel_and_free`` also returns those columns, at which the
 basis is the identity), ``span`` over the identity columns of ``[A | I]``, and
 ``rref`` over every column (``_back_substitute``).
 
-The forward pass has three loops, one per representation of a row:
+The forward pass has three loops, one per representation of a row, and
+the field alone picks the loop, at every size:
 
-* lists, over ``QQ`` and over ``GF(p)`` with ``p > 2`` when ``min(nrows,
-  ncols) < PACKED_MIN``: ``Matrix._forward`` makes one row-kernel call per
+* lists, over ``QQ``: ``Matrix._forward`` makes one row-kernel call per
   row operation;
-* packed slots, over ``GF(p)`` with ``p > 2`` from ``PACKED_MIN`` on
-  (``_forward_packed``);
-* XOR bytes, over ``GF(2)`` at every size (``_forward_gf2``).
+* packed slots, over ``GF(p)`` with ``p > 2`` (``_forward_packed``);
+* XOR bytes, over ``GF(2)`` (``_forward_gf2``).
 
 ``_forward_packed`` works on rows packed into one Python int each, one
-fixed-width slot per column and column 0 in the top slot.  It sweeps the
-columns from left to right, as the list loop does, over the rows that are
-not yet pivots, in input order.  A row's slot at the swept column is one
-shift, since every slot left of it is zero; a row operation is one big-int
-multiply-add ``row + (p - f) * pivot_row`` and a mask that clears that
-slot, and reduction mod ``p`` waits until a row is unpacked.  A slot starts
+fixed-width slot per column and column 0 in the top slot; a one-byte slot
+is packed and unpacked as a plain byte.  It sweeps the columns from left
+to right, as the list loop does, over the rows that are not yet pivots, in
+input order.  A row's slot at the swept column is one shift, since every
+slot left of it is zero; a row operation is one big-int multiply-add
+``row + (p - f) * pivot_row`` and a mask that clears that slot, and
+reduction mod ``p`` waits until a row is unpacked.  A slot starts
 below ``p`` and gains at most ``(p - 1)^2`` per row operation, and a row
 takes at most ``k = min(nrows, ncols)`` of them between two unpackings, so
 slots of ``p - 1 + k (p - 1)^2`` never carry into their neighbours.  A
@@ -66,16 +66,15 @@ or rescaled, and a pivot row comes back as its bytes.
 
 ``Matrix.block_sum`` sums scaled blocks into one matrix of list rows, one
 ``sub_scaled`` call per block row over every field.  Only
-``Matrix.block_sum_rank`` sums packed: from ``PACKED_MIN`` on over
-``GF(p)`` with ``p > 2``, each output row is one packed int that every
-block row meeting it adds into with one multiply-add ``row + c * (block_row
-<< shift)`` (``_packed_block_sum``), and the rows go to ``_forward_packed``
-unreduced, in slots of ``p - 1 + (t + k) (p - 1)^2`` for ``t`` terms, so no
-row is unpacked until it becomes a pivot.  Over ``GF(2)``, over ``QQ`` and
-below ``PACKED_MIN`` it ranks ``block_sum``, whose ``GF(2)`` forward pass
-is ``_forward_gf2``.  The packed loops follow
-Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
-substitution for small finite fields" (J. Symb. Comput. 46, 2011).
+``Matrix.block_sum_rank`` sums packed: over ``GF(p)`` with ``p > 2``,
+each output row is one packed int that every block row meeting it adds
+into with one multiply-add ``row + c * (block_row << shift)``
+(``_packed_block_sum``), and the rows go to ``_forward_packed`` unreduced,
+in slots of ``p - 1 + (t + k) (p - 1)^2`` for ``t`` terms, so no row is
+unpacked until it becomes a pivot.  Over ``GF(2)`` and ``QQ`` it ranks
+``block_sum``.  The packed loops follow Dumas, Fousse and Salvy,
+"Simultaneous modular reduction and Kronecker substitution for small
+finite fields" (J. Symb. Comput. 46, 2011).
 
 ``Matrix(field, rows)`` coerces every entry and checks the row lengths,
 for input from outside; the module's own results are built by the private
@@ -93,17 +92,6 @@ import math
 import struct
 from fractions import Fraction
 from operator import mul
-
-# Below this min(nrows, ncols) GF(p) for p > 2 takes the list loop, and
-# GF(2) takes the XOR loop at every size.  Timed on the GF(p), p > 2,
-# forward passes of one pass of ar-search and of homext-dense at seed 77
-# (best of 7, 2-vCPU VM, Python 3.11): from 8 to 47 columns the packed
-# loop took 11.5 ms against the list loop's 16.0 ms on ar-search's GF(3)
-# and GF(5) systems (only the 8-15 column ones over GF(3) lost, 1.24
-# against 1.17 ms), and 11.1 against 18.5 ms on homext-dense's GF(101)
-# ones; under 8 columns it took 1.25-1.26 times as long over GF(3) and
-# GF(5), and 0.94 times as long over GF(101).
-PACKED_MIN = 8
 
 
 class PrimeField:
@@ -392,17 +380,17 @@ class Matrix:
 
     @classmethod
     def block_sum_rank(cls, field, nrows: int, ncols: int, terms) -> int:
-        """``block_sum(field, nrows, ncols, terms).rank()``.  Where the
-        forward pass is packed, the packed rows of the sum go into it
-        unreduced and are never unpacked: a slot starts at ``len(terms)``
-        terms of at most ``(p - 1)^2`` and gains at most ``k = min(nrows,
-        ncols)`` more in row operations, so slots sized for ``len(terms) +
-        k`` terms hold it."""
-        k = min(nrows, ncols)
-        if not (isinstance(field, PrimeField) and field.p > 2 and k >= PACKED_MIN):
+        """``block_sum(field, nrows, ncols, terms).rank()``.  Over ``GF(p)``
+        with ``p > 2``, where the forward pass is packed, the packed rows of
+        the sum go into it unreduced and are never unpacked: a slot starts
+        at ``len(terms)`` terms of at most ``(p - 1)^2`` and gains at most
+        ``min(nrows, ncols)`` more in row operations, so slots sized for
+        that many terms hold it.  Over ``GF(2)`` and ``QQ`` it ranks
+        ``block_sum``."""
+        if not isinstance(field, PrimeField) or field.p == 2:
             return cls.block_sum(field, nrows, ncols, terms).rank()
         terms = _fitting_terms(field, nrows, ncols, terms)
-        nbytes = _slot_bytes(field.p, len(terms) + k)
+        nbytes = _slot_bytes(field.p, len(terms) + min(nrows, ncols))
         rows = _packed_block_sum(field, nrows, ncols, terms, nbytes)
         return len(_forward_packed(field.p, rows, ncols, nbytes)[1])
 
@@ -502,21 +490,20 @@ class Matrix:
         """The forward pass: one row per pivot of a row echelon form, each
         scaled to lead with one, and the pivot columns.  Row ``i`` is zero
         left of ``pivots[i]``; its entries at later pivot columns are what
-        back substitution would clear.  All three loops sweep the columns
-        from left to right.  Lists, over ``QQ`` and over ``GF(p)`` with ``p
-        > 2`` below ``PACKED_MIN``, take one row-kernel call per row
-        operation, on a copy of the rows.  Packed slots, over ``GF(p)`` with
-        ``p > 2`` from ``PACKED_MIN`` on, take one multiply-add and a mask
-        per row operation, with no row swaps (:func:`_forward_packed`).
-        XOR bytes, over ``GF(2)`` at every size, take one XOR, with no
-        swaps and nothing reduced or rescaled (:func:`_forward_gf2`)."""
-        field, k = self.field, min(self.nrows, self.ncols)
+        back substitution would clear.  The field picks the loop, at every
+        size, and all three sweep the columns from left to right.  Lists,
+        over ``QQ``, take one row-kernel call per row operation, on a copy
+        of the rows.  Packed slots, over ``GF(p)`` with ``p > 2``, take one
+        multiply-add and a mask per row operation, with no row swaps
+        (:func:`_forward_packed`).  XOR bytes, over ``GF(2)``, take one
+        XOR, with no swaps and nothing reduced or rescaled
+        (:func:`_forward_gf2`)."""
+        field = self.field
         if isinstance(field, PrimeField):
             if field.p == 2:
                 return _forward_gf2([int.from_bytes(bytes(row), "big") for row in self.rows], self.ncols)
-            if k >= PACKED_MIN:
-                nbytes = _slot_bytes(field.p, k)
-                return _forward_packed(field.p, [_pack(row, nbytes) for row in self.rows], self.ncols, nbytes)
+            nbytes = _slot_bytes(field.p, min(self.nrows, self.ncols))
+            return _forward_packed(field.p, [_pack(row, nbytes) for row in self.rows], self.ncols, nbytes)
         rows = [row[:] for row in self.rows]
         pivots: list[int] = []
         r = 0
@@ -770,13 +757,19 @@ def _slot_codec(nbytes: int, n: int) -> tuple[struct.Struct, struct.Struct]:
 
 
 def _pack(vals: list[int], nbytes: int) -> int:
+    if nbytes == 1:
+        return int.from_bytes(bytes(vals), "big")
     return int.from_bytes(_slot_codec(nbytes, len(vals))[0].pack(*vals), "big")
 
 
 def _unpack(row: int, n: int, nbytes: int, p: int) -> list[int]:
     """The lowest ``n`` slots of a packed pivot row, reduced mod ``p`` and
-    divided by the top one, nonzero mod ``p``, in one pass."""
-    vals = _slot_codec(nbytes, n)[1].unpack(row.to_bytes(n * nbytes, "big"))
+    divided by the top one, nonzero mod ``p``, in one pass.  One-byte
+    slots are read as plain bytes, wider ones through ``struct``."""
+    if nbytes == 1:
+        vals = row.to_bytes(n, "big")
+    else:
+        vals = _slot_codec(nbytes, n)[1].unpack(row.to_bytes(n * nbytes, "big"))
     if nbytes == 16:
         vals = [hi << 64 | lo for hi, lo in zip(vals[::2], vals[1::2])]
     inv = pow(vals[0] % p, -1, p)
@@ -864,10 +857,15 @@ def snf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     diagonal entries.  The reductions keep the entries of ``U``, ``D`` and
     ``V`` small: on random 5 x 5 matrices with entries in [-100, 100] the
     tests hold them to at most 512 bits (72 at most over 600 inputs).  A
-    row of ``U`` (column of ``V``) is fixed only up to vectors of the left
-    (right) kernel of ``A``, which are not reduced, so an input with a
-    kernel can leave a few hundred bits there (645 at most over 3,000
-    random low-rank shapes up to 6 x 6).
+    row of ``U`` (column of ``V``) at a nonzero ``d_i`` is fixed only up to
+    the left (right) kernel lattice of ``A``, whose basis is the rows of
+    ``U`` (columns of ``V``) at the zeros.  Each such row is size-reduced
+    against that basis by subtracting the nearest integer multiple of each
+    kernel vector in turn: the nearest lattice point for a one-dimensional
+    kernel, and only greedy beyond that.  Over 3,000 random products
+    ``L R`` with ``L`` ``m x k`` and ``R`` ``k x n`` for ``m, k, n`` up to
+    6, entries in [-100, 100], it brought the largest entry from 578 to
+    355 bits, and the number over 256 bits from 52 to 9.
     """
     m, n = A.nrows, A.ncols
     D = [row[:] for row in A.rows]
@@ -899,6 +897,16 @@ def snf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 U[i], U[j] = _combine_rows(U[i], U[j], x, y, -bg, ag)
                 Vt[i], Vt[j] = _combine_rows(Vt[i], Vt[j], 1, 1, -y * bg, x * ag)
                 D[i][i], D[j][j] = g, ag * b
+    # rows r.. of U and of Vt span the left and right kernel lattices of A,
+    # and adding them to rows 0..r-1 leaves U A V = D and both unimodular
+    r = sum(1 for i in range(k) if D[i][i])
+    for B in (U, Vt):
+        for v in B[r:]:
+            vv = sum(map(mul, v, v))
+            for i in range(r):
+                q = (2 * sum(map(mul, B[i], v)) + vv) // (2 * vv)  # nearest to <B_i, v> / <v, v>
+                if q:
+                    B[i] = [s - q * t for s, t in zip(B[i], v)]
     return IntMatrix._of(U, m), IntMatrix._of(D, n), IntMatrix._of([list(col) for col in zip(*Vt)], n)
 
 

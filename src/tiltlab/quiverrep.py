@@ -282,9 +282,6 @@ class RepMap:
         """The composite ``self o other``."""
         return RepMap(other.source, self.target, [a @ b for a, b in zip(self.maps, other.maps)])
 
-    def is_injective(self) -> bool:
-        return all(m.rank() == m.ncols for m in self.maps)
-
     def __repr__(self):
         return f"RepMap({self.source.dims} -> {self.target.dims})"
 

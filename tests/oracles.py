@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from tiltlab import artheory
-from tiltlab.artheory import _all_subspaces, all_submodules, decompose, defect, is_regular
+from tiltlab.artheory import _all_subspaces, all_submodules, decompose, defect
 from tiltlab.dedekind import FgZModule, classify, from_pieces
 from tiltlab.errors import SearchBudgetExceeded
 from tiltlab.exactlin import IntMatrix, Matrix, _pack, _slot_bytes, _unpack, snf
@@ -354,8 +354,10 @@ def simple_regular_reference(M, df) -> bool:
     if M.total_dim() > artheory.DIM_CAP:
         raise SearchBudgetExceeded(f"module dimension {M.total_dim()} exceeds cap {artheory.DIM_CAP}")
     for bases in all_submodules(M):
-        if 0 < sum(B.ncols for B in bases) < M.total_dim() and is_regular(subrep(M, bases)[0], df):
-            return False
+        if 0 < sum(B.ncols for B in bases) < M.total_dim():
+            # regular: every summand, not only the sum, has defect zero
+            if all(defect(df, rep.dims) == 0 for rep, _ in decompose(subrep(M, bases)[0])):
+                return False
     return True
 
 

@@ -20,11 +20,8 @@ from tiltlab.artheory import (
     decompose,
     defect,
     defect_function,
-    is_atomic_full,
     is_bound,
-    is_full,
     is_isomorphic,
-    is_regular,
     is_simple_regular,
     strip_projective_summands,
     tau,
@@ -35,7 +32,6 @@ from tiltlab.artheory import (
 )
 from tiltlab.errors import (
     NoExtension,
-    NonProjective,
     NonSplitField,
     NotBound,
     NotInvariant,
@@ -715,60 +711,6 @@ def test_defect_axioms_on_projectives():
         assert defect(df, regular_dims(q)) == 1
         for i in range(q.nvertices):
             assert defect(df, projective(q, F5, i).dims) > 0
-
-
-def test_is_regular_on_tube_simple_and_ordinary_simple():
-    df = defect_function(KRON)
-    assert is_regular(tube_simple(0), df)
-    assert not is_regular(QuiverRep.simple(KRON, F5, 0), df)
-
-
-def test_is_regular_rejects_cancelling_defects():
-    df = defect_function(KRON)
-    m = direct_sum(projective(KRON, F5, 1), QuiverRep.simple(KRON, F5, 0))
-    # aggregate defect vanishes but no summand is regular
-    assert defect(df, m.dims) == 0
-    assert not is_regular(m, df)
-
-
-# -- fullness ----------------------------------------------------------------
-
-
-def test_identity_is_full():
-    df = defect_function(KRON)
-    p = projective(KRON, F5, 0)
-    assert is_full(identity_map(p), df)
-
-
-def test_presentation_of_tube_simple_is_atomic_full():
-    df = defect_function(KRON)
-    pres = proj_presentation(tube_simple(2))
-    assert is_full(pres.alpha, df)
-    assert is_atomic_full(pres.alpha, df)
-
-
-def test_presentation_of_ordinary_simple_is_not_full():
-    df = defect_function(KRON)
-    pres = proj_presentation(QuiverRep.simple(KRON, F5, 0))
-    assert not is_full(pres.alpha, df)
-    # past the submodule-search cap, an irregular cokernel is still answered
-    big = proj_presentation(QuiverRep.from_entries(KRON, F5, (13, 0), {}))
-    assert not is_atomic_full(big.alpha, df)
-
-
-def test_length_two_tube_module_is_full_but_not_atomic():
-    df = defect_function(A3)
-    trio = tube_catalog("a31", F5).tubes[0]
-    layer2 = build_extension(trio[2], trio[0])
-    pres = proj_presentation(layer2)
-    assert is_full(pres.alpha, df)
-    assert not is_atomic_full(pres.alpha, df)
-
-
-def test_is_full_requires_projectives():
-    df = defect_function(KRON)
-    with pytest.raises(NonProjective):
-        is_full(identity_map(tube_simple(0)), df)
 
 
 # -- extensions --------------------------------------------------------------

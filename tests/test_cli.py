@@ -294,10 +294,9 @@ def test_custom_runs_the_packed_forward_pass(tmp_path, capsys, monkeypatch, p, d
     2d^2 Hom system and ``hom_ext_dims`` a d^2 x d^2 tensor matrix, both
     packed, in 16-byte slots over ``GF(2^31 - 1)``.  The tensor matrix
     goes into the pass as its packed block sum, with slots for its terms
-    as well as its row operations.  At d = 4 both systems are still wide
-    enough to pack, and ``GF(65521)`` takes 8-byte slots.  Over ``GF(2)``
-    both go to the XOR loop, one byte per entry, and none to the packed
-    loop."""
+    as well as its row operations.  At d = 4 ``GF(3)`` takes one-byte
+    slots and ``GF(65521)`` 8-byte ones.  Over ``GF(2)`` both go to the
+    XOR loop, one byte per entry, and none to the packed loop."""
     rng = random.Random(p)
 
     def matrix():
@@ -813,6 +812,18 @@ def test_counts_must_be_nonnegative(argv, flag, capsys):
         main(argv)
     assert info.value.code == 2
     assert f"{flag}: must be a non-negative integer, got {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dedekind", "--primes", "2,abc"],
+    ["dedekind", "--ore", "6,x"],
+    ["dedekind", "--primes", "2.5"],
+], ids=["primes-word", "ore-word", "primes-decimal"])
+def test_integer_lists_name_their_flag(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {argv[1]}: must be comma-separated integers, got {argv[2]}" in capsys.readouterr().err
 
 
 def test_tube_demo_has_no_dim_cap_flag(capsys):

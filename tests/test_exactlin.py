@@ -12,7 +12,7 @@ from oracles import (block_sum_reference, det, forward_packed_reference, gauss_j
 
 from tiltlab import exactlin
 from tiltlab.dedekind import FgZModule, classify
-from tiltlab.exactlin import PACKED_MIN, QQ, IntMatrix, Matrix, PrimeField, _forward_gf2, _forward_packed, snf
+from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, _forward_gf2, _forward_packed, snf
 from tiltlab.quiverrep import (QuiverRep, affine_a3_cycle, hom_space, hom_system, kronecker, presentation_tensor_terms,
                                proj_presentation)
 
@@ -251,11 +251,11 @@ def test_snf_coefficients_stay_bounded_on_200_random_5x5():
     assert over_cap == []
 
 
-@pytest.mark.xfail(strict=True, reason="snf does not size-reduce the kernel part of U and V (ROADMAP item 9)")
 def test_snf_coefficients_stay_bounded_on_a_seeded_tall_rank_5_product():
-    # A is a 6 x 5 product L R of rank 5, factors in [-100, 100].  The row
-    # of U in A's left kernel is fixed only up to kernel vectors, and
-    # nothing reduces it: it reaches 384 bits here, while V stays near 35.
+    # A is a 6 x 5 product L R of rank 5, factors in [-100, 100].  The rows
+    # of U at its nonzero invariant factors are fixed only up to the row of
+    # U in A's left kernel; unreduced against it they reach 384 bits here,
+    # while V stays near 35.
     rng = random.Random(3)
     L = IntMatrix([[rng.randint(-100, 100) for _ in range(5)] for _ in range(6)])
     A = L @ IntMatrix([[rng.randint(-100, 100) for _ in range(5)] for _ in range(5)])
@@ -344,8 +344,8 @@ def test_rref_matches_reference(field):
 
 
 def _structured_cases(field, rng):
-    """Matrices on both sides of ``PACKED_MIN`` and of 48: dense, sparse
-    rows, low-rank products, and zero rows and all-zero columns."""
+    """Matrices of 7 to 9 and of 47 to 48 columns and rows: dense,
+    sparse rows, low-rank products, and zero rows and all-zero columns."""
     def sparse(m, n, density):
         return Matrix(field, [[rng.randrange(1, field.p) if rng.random() < density else 0 for _ in range(n)]
                               for _ in range(m)], n)
@@ -364,7 +364,7 @@ def _structured_cases(field, rng):
         _random_matrix(field, rng, 60, 20) @ _random_matrix(field, rng, 20, 130),  # rank 20 at most
         with_zero_lines(sparse(130, 60, 0.05), 10, 5),
     ]
-    edge = PACKED_MIN
+    edge = 8
     return cases + [
         _random_matrix(field, rng, edge - 1, edge - 1),
         _random_matrix(field, rng, edge - 1, edge + 9),
@@ -379,10 +379,10 @@ def _structured_cases(field, rng):
 
 @pytest.mark.parametrize("p", [2, 3, 7, 101, 65521, 2**31 - 1])
 def test_packed_rref_matches_reference(p, monkeypatch):
-    """From ``PACKED_MIN`` on, GF(p) rows for odd ``p`` are packed into
-    ints with slots wide enough for ``p - 1 + k (p - 1)^2``; at ``2^31 -
-    1`` that is more than 64 bits.  GF(2) rows go to the XOR loop at every
-    size, and never to the packed one."""
+    """GF(p) rows for odd ``p`` are packed into ints with slots wide
+    enough for ``p - 1 + k (p - 1)^2`` at every size; at ``2^31 - 1`` that
+    is more than 64 bits.  GF(2) rows go to the XOR loop at every size,
+    and never to the packed one."""
     field = PrimeField(p)
     packed_calls, xor_calls = [], []
     monkeypatch.setattr(exactlin, "_forward_packed",
@@ -395,10 +395,52 @@ def test_packed_rref_matches_reference(p, monkeypatch):
         if p == 2:
             assert (packed_calls, xor_calls) == ([], [A.shape])
         else:
-            assert (len(packed_calls), xor_calls) == (min(A.shape) >= PACKED_MIN, [])
+            assert (len(packed_calls), xor_calls) == (1, [])
         packed_calls.clear()
         xor_calls.clear()
 
+
+
+@pytest.mark.parametrize("field", [F2, PrimeField(3), PrimeField(101), PrimeField(2**31 - 1), QQ], ids=repr)
+def test_the_field_alone_picks_the_forward_loop(field, monkeypatch):
+    """Each ``_forward`` call runs exactly one loop, the one its field
+    names, at every size, empty matrices included: XOR bytes over
+    ``GF(2)``, packed slots over ``GF(p)`` with ``p > 2``, lists over
+    ``QQ``.  ``block_sum_rank`` packs every ``GF(p)`` sum with ``p > 2``
+    and ranks ``block_sum`` over the other two."""
+    ran, block_sums, block_sum = [], [], Matrix.block_sum
+    monkeypatch.setattr(exactlin, "_forward_gf2", lambda *args: ran.append("xor") or _forward_gf2(*args))
+    monkeypatch.setattr(exactlin, "_forward_packed", lambda *args: ran.append("packed") or _forward_packed(*args))
+    monkeypatch.setattr(Matrix, "block_sum", lambda *args: block_sums.append(args) or block_sum(*args))
+    loop = "lists" if field == QQ else "xor" if field.p == 2 else "packed"
+    p, rng = None if field == QQ else field.p, random.Random(5)
+    for m, n in ((0, 0), (0, 5), (5, 0), (1, 1), (7, 9), (8, 8), (48, 48)):
+        A = _random_matrix(field, rng, m, n)
+        pivots = gauss_jordan(A.rows, p)[1]
+        assert A.pivots() == pivots
+        assert ran == ([] if loop == "lists" else [loop])
+        ran.clear()
+        assert Matrix.block_sum_rank(field, m, n, [(0, 0, 2, A), (0, 0, -1, A)]) == len(pivots)
+        assert ran == ([] if loop == "lists" else [loop])
+        assert len(block_sums) == (loop != "packed")
+        ran.clear()
+        block_sums.clear()
+
+
+@pytest.mark.parametrize("p", [3, 5, 101])
+def test_one_byte_slots_pack_and_unpack_as_the_struct_codec_does(p):
+    """``_pack`` and ``_unpack`` read a one-byte slot as a plain byte; on
+    rows of 0 to 63 slots, unreduced entries up to 255 included, they
+    agree with the ``struct`` codec of one-byte slots."""
+    rng = random.Random(p)
+    for n in list(range(8)) + [rng.randrange(8, 64) for _ in range(40)]:
+        vals = [rng.randrange(256) for _ in range(n)]
+        packer, unpacker = exactlin._slot_codec(1, n)
+        row = exactlin._pack(vals, 1)
+        assert row == int.from_bytes(packer.pack(*vals), "big")
+        if n and vals[0] % p:
+            inv = pow(vals[0], -1, p)
+            assert exactlin._unpack(row, n, 1, p) == [x * inv % p for x in unpacker.unpack(row.to_bytes(n, "big"))]
 
 def test_packed_span_and_kernel_match_reference():
     field = PrimeField(101)
@@ -422,8 +464,8 @@ def test_packed_span_and_kernel_match_reference():
 
 
 def _forward_pass_cases(field, rng):
-    """Both sides of ``PACKED_MIN`` and of 48 over ``GF(p)`` (small shapes
-    only over ``QQ``, which never packs): dense squares, rank-deficient
+    """Edges of 8 and of 48 over ``GF(p)`` (small shapes only over
+    ``QQ``, which never packs): dense squares, rank-deficient
     wide and tall products, inputs with no free column, one and a few, the
     zero matrix, and zero-row and zero-column shapes."""
     def low_rank(m, n, k):
@@ -438,17 +480,17 @@ def _forward_pass_cases(field, rng):
                 Matrix.zeros(field, 4, 0), Matrix.zeros(field, 0, 0)] + [
                     _random_matrix(field, rng, m, n) for m, n in ((1, 3), (3, 1), (5, 8))]
     cases = []
-    for edge in (PACKED_MIN, 48):
+    for edge in (8, 48):
         k = edge * 5 // 8  # 30 at 48, 5 at 8
         cases += [
             _random_matrix(field, rng, edge - 1, edge - 1),
             _random_matrix(field, rng, edge, edge),
-            low_rank(edge - 1, edge + 20, k),  # wide, rank-deficient, list loop
-            low_rank(edge, edge + 40, k),  # wide, rank-deficient, packed
-            low_rank(edge + 30, edge - 1, edge * 5 // 12),  # tall, rank-deficient, list loop
-            low_rank(edge + 30, edge, edge * 5 // 6),  # tall, rank-deficient, packed
-            free_columns(edge + 10, edge - 1, 0),
-            free_columns(edge + 10, edge, 0),  # no free column, packed
+            low_rank(edge - 1, edge + 20, k),  # wide, rank-deficient
+            low_rank(edge, edge + 40, k),
+            low_rank(edge + 30, edge - 1, edge * 5 // 12),  # tall, rank-deficient
+            low_rank(edge + 30, edge, edge * 5 // 6),
+            free_columns(edge + 10, edge - 1, 0),  # no free column
+            free_columns(edge + 10, edge, 0),
             free_columns(edge + 3, edge, 1),
             free_columns(edge, edge + 3, 3),
             Matrix.zeros(field, edge - 1, edge - 1),
@@ -584,7 +626,7 @@ def test_the_packed_forward_pass_normalises_an_unreduced_pivot_slot(monkeypatch)
     """Clearing column 0 adds 6 times row 0 to row 1, which leaves 0 + 6 *
     6 = 36 in column 1, and only the reduction mod 7 makes it the pivot 1;
     no other row reaches column 1, so that slot is the one normalised."""
-    rng, n = random.Random(61), PACKED_MIN
+    rng, n = random.Random(61), 8
     rows = [[1, 6] + [rng.randrange(7) for _ in range(n - 2)], [1, 0] + [rng.randrange(7) for _ in range(n - 2)]]
     rows += [[0, 0] + [rng.randrange(7) for _ in range(n - 2)] for _ in range(n - 2)]
     A, tops, unpack = Matrix(F7, rows, n), [], exactlin._unpack
@@ -645,7 +687,6 @@ def test_the_packed_sweep_matches_the_lead_tracking_loop(p):
     ``2^31 - 1`` takes 16-byte slots."""
     field = PrimeField(p)
     for A in _packed_differential_cases(field, random.Random(p)):
-        assert min(A.shape) >= PACKED_MIN
         assert _forward_packed_on(p, A.rows, A.ncols) == forward_packed_reference(p, A.rows, A.ncols)
 
 
@@ -658,12 +699,11 @@ def _gf2_packed(rows):
 def test_the_xor_sweep_matches_the_lead_tracking_loop():
     """Over ``GF(2)`` the XOR loop picks the pivot rows of the packed
     loop's reference, so the echelon rows and pivots agree exactly, on
-    both sides of ``PACKED_MIN`` and of 48 and on empty, zero-row and
+    shapes of 7 to 9 and of 47 to 48 and on empty, zero-row and
     zero-column matrices."""
     rng = random.Random(2)
     cases = _structured_cases(F2, rng) + _packed_differential_cases(F2, rng) + [
-        Matrix.zeros(F2, *shape) for shape in ((0, 0), (0, 5), (5, 0), (4, 4), (PACKED_MIN, PACKED_MIN))]
-    assert {min(A.shape) >= PACKED_MIN for A in cases} == {False, True}
+        Matrix.zeros(F2, *shape) for shape in ((0, 0), (0, 5), (5, 0), (4, 4), (8, 8))]
     for A in cases:
         assert _forward_gf2(_gf2_packed(A.rows), A.ncols) == forward_packed_reference(2, A.rows, A.ncols)
         assert A._forward() == forward_packed_reference(2, A.rows, A.ncols)
@@ -674,7 +714,7 @@ def test_the_packed_sweep_masks_an_unreduced_zero_and_never_pivots_on_it(monkeyp
     6 = 42 in row 1's slot at column 1: nonzero, but zero mod 7.  So row 2
     is the pivot at column 1, and row 1's slot there is masked off before
     it becomes the pivot at column 2 with slot 3 + 6 * 0 = 3."""
-    rng, n = random.Random(67), PACKED_MIN
+    rng, n = random.Random(67), 8
     rows = [[1, 6, 0] + [rng.randrange(7) for _ in range(n - 3)], [1, 6, 3] + [rng.randrange(7) for _ in range(n - 3)],
             [0, 1] + [rng.randrange(7) for _ in range(n - 2)]]
     rows += [[0, 0, 0] + [rng.randrange(7) for _ in range(n - 3)] for _ in range(n - 3)]
@@ -727,8 +767,7 @@ def test_block_sum_matches_the_per_row_loop(field):
 
 
 def _block_sum_rank_cases(field, rng):
-    """Sums of 7, 8, 9, 47 and 48 columns, either side of ``PACKED_MIN``
-    and of 48: blocks that overlap and recur, with zero and large
+    """Sums of 7, 8, 9, 47 and 48 columns: blocks that overlap and recur, with zero and large
     coefficients; a sum of three rank-one blocks; and 251, then 300,
     terms of ``(p - 1)^2`` meeting in every entry, plus the identity.
     Over ``GF(2)`` an entry of 251 terms fits a one-byte slot, and only
@@ -759,11 +798,11 @@ def _block_sum_rank_cases(field, rng):
 
 @pytest.mark.parametrize("p", [2, 3, 101, 65521, 2**31 - 1])
 def test_block_sum_rank_matches_the_rank_of_the_block_sum(p, monkeypatch):
-    """From ``PACKED_MIN`` on, the rank reader hands the unreduced packed
-    sum to the forward pass, which gives the echelon rows of the reduced
-    sum exactly; below it, and over ``GF(2)`` at every size, it reads
-    ``block_sum(...).rank()``, whose ``GF(2)`` forward pass is the XOR
-    loop.  All agree with the rank of the per-row reference sum."""
+    """Over ``GF(p)`` with ``p > 2``, at every size, the rank reader
+    hands the unreduced packed sum to the forward pass, which gives the
+    echelon rows of the reduced sum exactly; over ``GF(2)`` it reads
+    ``block_sum(...).rank()``, whose forward pass is the XOR loop.  All
+    agree with the rank of the per-row reference sum."""
     field, forward = PrimeField(p), _forward_packed
     passes, xor_passes, block_sums = [], [], []
 
@@ -779,12 +818,10 @@ def test_block_sum_rank_matches_the_rank_of_the_block_sum(p, monkeypatch):
     for nrows, ncols, terms in _block_sum_rank_cases(field, random.Random(p)):
         expected = block_sum_reference(field, nrows, ncols, terms)
         rank = Matrix.block_sum_rank(field, nrows, ncols, terms)
-        packed = min(nrows, ncols) >= PACKED_MIN
         if p == 2:
             assert (len(block_sums), passes, xor_passes) == (1, [], [(_gf2_packed(expected.rows), ncols)])
         else:
-            assert (len(block_sums), len(passes), xor_passes) == ((0, 1, []) if packed else (1, 0, []))
-        if packed and p > 2:
+            assert (len(block_sums), len(passes), xor_passes) == (0, 1, [])
             rows, _, nbytes = passes[0]
             assert nbytes == exactlin._slot_bytes(p, len(terms) + min(nrows, ncols))
             assert forward(p, rows, ncols, nbytes) == _forward_packed_on(p, expected.rows, ncols)
@@ -799,7 +836,7 @@ def test_block_sum_rank_matches_the_rank_of_the_block_sum(p, monkeypatch):
         assert exactlin._slot_bytes(p, 348) > exactlin._slot_bytes(p, 48)
 
 
-@pytest.mark.parametrize("n", [PACKED_MIN - 1, PACKED_MIN, 20])
+@pytest.mark.parametrize("n", [7, 8, 20])
 def test_gf2_block_sum_rank_cancels_a_block_taken_an_even_number_of_times(n):
     """Over ``GF(2)`` the terms add by XOR: the identity block taken an
     even number of times, by odd coefficients, cancels and leaves the two

@@ -181,8 +181,6 @@ TEST_ONLY_KEPT = {
     "strip_projective_summands": "acceptance criterion C3 (Euler identity and AR formula)",
     "transpose_duality_check": "acceptance criterion C4 (transpose duality)",
     "essential_iff_finite": "acceptance criterion C7 (essential iff finite index)",
-    "is_full": "ROADMAP item 3: localize at the cokernels of full maps",
-    "is_atomic_full": "ROADMAP item 3: localize at the cokernels of atomic full maps",
     "tau_minus": "ROADMAP item 4: the main theorem on every finite tilting module",
 }
 
@@ -220,6 +218,7 @@ BENCH_ONLY_KEPT = {
     "divisible_radical": "ROADMAP items 16 and 19: goes with the submodule search",
     "envelope_value_alg": "ROADMAP item 16: goes unless free-envelope gains a group-algebra line",
     "hom": "ROADMAP item 16: item 15's Hom(T1, T0) line",
+    "is_simple_regular": "ROADMAP item 19: goes with the submodule search",
     "tor1": "ROADMAP item 16: item 15's Hom(T1, T0) line",
     "u_filtration": "ROADMAP item 19: moves to tests/oracles.py with the submodule search",
 }

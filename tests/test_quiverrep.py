@@ -265,7 +265,7 @@ def test_presentation_of_kronecker_simple():
     pres = proj_presentation(s1)
     assert pres.Q.summands == (0,)           # cover P_1
     assert sorted(pres.P.summands) == [1, 1]  # radical P_2^2
-    assert pres.alpha.is_injective()
+    assert all(m.rank() == m.ncols for m in pres.alpha.maps)
 
 
 def test_presentation_of_tube_simple():
@@ -515,7 +515,7 @@ def test_subrep_and_quotient_shapes():
     m = tube_simple(KRON, F5, 1)
     sub, incl = subrep(m, [Matrix.zeros(F5, 1, 0), Matrix(F5, [[1]])])
     assert sub.dims == (0, 1)
-    assert incl.is_valid() and incl.is_injective()
+    assert incl.is_valid() and all(m.rank() == m.ncols for m in incl.maps)
     quo, proj = quotient_by(m, [Matrix.zeros(F5, 1, 0), Matrix(F5, [[1]])])
     assert quo.dims == (1, 0)
     assert proj.is_valid() and all(m.rank() == m.nrows for m in proj.maps)
