@@ -119,8 +119,6 @@ MAX_RANDOM_ORE = 10000
 def run_dedekind_classify(primes=(2, 3, 5), ore_sets=(), random_ore: int = 0, seed: int = 0) -> Report:
     """Enumerate divisibility classes over a prime universe and cross-check
     multiplicative sets against their prime supports."""
-    if random_ore > MAX_RANDOM_ORE:
-        raise ValueError(f"random Ore sets {random_ore} exceed cap {MAX_RANDOM_ORE}")
     from .dedekind import (
         FgZModule, OreSet, PrimeSet, classify_tilting, is_divisible_by, u_set_of_ore, universal_localization_eq)
 
@@ -183,10 +181,6 @@ def run_free_envelope(alphabet=("x", "y"), field_char: int = 7, seed: int = 0,
                       trials: int = 100, words=(), dim: int = 2) -> Report:
     """Exercise the inductive extension of a vector along reduced words on
     a module with invertible generator actions."""
-    if dim > MAX_ENVELOPE_DIM:
-        raise ValueError(f"module dimension {dim} exceeds cap {MAX_ENVELOPE_DIM}")
-    if trials > MAX_ENVELOPE_TRIALS:
-        raise ValueError(f"trials {trials} exceed cap {MAX_ENVELOPE_TRIALS}")
     from .exactlin import PrimeField
     from .freegrp import (
         FreeWord, envelope_value, flatness_witness, parse_reduce, random_xdiv_module, reduce_letters, word)
@@ -274,10 +268,6 @@ def run_perp_check(family: str = "kronecker", field_char: int = 5, trials: int =
     """Sample modules against bound modules and confirm that the three
     perpendicular-membership conditions agree, together with the
     bilinear-form identity for morphism and extension dimensions."""
-    if dim_cap > MAX_DIM_CAP:
-        raise ValueError(f"dimension cap {dim_cap} exceeds cap {MAX_DIM_CAP}")
-    if trials > MAX_PERP_TRIALS:
-        raise ValueError(f"trials {trials} exceed cap {MAX_PERP_TRIALS}")
     from .artheory import build_extension, tube_catalog
     from .exactlin import PrimeField
     from .perpcat import perp_conditions
@@ -385,16 +375,24 @@ def _any_int_digits():
 # argument parsing
 
 
-def _positive_int(text: str) -> int:
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return int(text)
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line in one line, with no usage block;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"tiltlab: {message}\n")
 
 
-def _nonnegative_int(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return int(text)
+def _count(least: int, most: int):
+    """The argparse type of a count flag: an integer from ``least`` to
+    ``most``, so a value past a cap is refused before anything is built."""
+
+    def count(text: str) -> int:
+        if not (text.isdecimal() and least <= int(text) <= most):
+            raise argparse.ArgumentTypeError(f"must be an integer from {least} to {most}, got {text}")
+        return int(text)
+
+    return count
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -415,7 +413,7 @@ def _alphabet(text: str) -> tuple[str, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tiltlab",
         description="Finite-scale verification scenarios for tilting classes and localization arithmetic.",
     )
@@ -437,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", type=_int_list, default="2,3,5", help="comma-separated primes (at most 6)")
     p.add_argument("--ore", type=_int_list, action="append", default=[],
                    help="comma-separated generators of a multiplicative set (repeatable)")
-    p.add_argument("--random-ore", type=_nonnegative_int, default=0,
+    p.add_argument("--random-ore", type=_count(0, MAX_RANDOM_ORE), default=0,
                    help="number of random generator sets to cross-check")
     p.set_defaults(run=lambda a: run_dedekind_classify(
         primes=a.primes, ore_sets=tuple(a.ore), random_ore=a.random_ore, seed=a.seed))
@@ -446,8 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--alphabet", type=_alphabet, default="x,y")
     p.add_argument("--field", type=int, default=7)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--trials", type=_count(1, MAX_ENVELOPE_TRIALS), default=100)
+    p.add_argument("--dim", type=_count(0, MAX_ENVELOPE_DIM), default=2)
     p.add_argument("--word", action="append", default=[], help="word to evaluate (repeatable)")
     p.set_defaults(run=lambda a: run_free_envelope(
         alphabet=a.alphabet, field_char=a.field, seed=a.seed,
@@ -457,8 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--family", default="kronecker")
     p.add_argument("--field", type=int, default=5)
-    p.add_argument("--trials", type=_positive_int, default=40)
-    p.add_argument("--dim-cap", type=_nonnegative_int, default=4)
+    p.add_argument("--trials", type=_count(1, MAX_PERP_TRIALS), default=40)
+    p.add_argument("--dim-cap", type=_count(0, MAX_DIM_CAP), default=4)
     p.set_defaults(run=lambda a: run_perp_check(
         family=a.family, field_char=a.field, trials=a.trials, seed=a.seed, dim_cap=a.dim_cap))
 

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 
-from .errors import NotContained, NotPrime
+from .errors import NotPrime
 from .exactlin import IntMatrix, snf
 
 
@@ -322,41 +322,6 @@ def is_divisible_by(M: FgZModule, P: PrimeSet) -> bool:
     if homological != elementary:
         raise AssertionError("divisibility characterizations disagree")
     return homological
-
-
-# ---------------------------------------------------------------------------
-# ideals
-
-
-class IdealPairReport:
-    __slots__ = ("essential", "finite_quotient", "index")
-
-    def __init__(self, essential: bool, finite_quotient: bool, index: int | None):
-        self.essential, self.finite_quotient, self.index = essential, finite_quotient, index
-
-    def __eq__(self, other):
-        return (isinstance(other, IdealPairReport) and self.essential == other.essential
-                and self.finite_quotient == other.finite_quotient and self.index == other.index)
-
-
-def essential_iff_finite(I_gens, J_gens) -> IdealPairReport:
-    """For nested ideals ``J <= I`` of the integers: ``J`` is essential in
-    ``I`` exactly when ``I/J`` is finite; both sides are computed."""
-    gi, gj = math.gcd(*map(int, I_gens)), math.gcd(*map(int, J_gens))
-    if gj == 0:
-        contained = True
-    elif gi == 0:
-        contained = False
-    else:
-        contained = gj % gi == 0
-    if not contained:
-        raise NotContained(f"({gj}) is not inside ({gi})")
-    if gi == 0:
-        # both ideals are zero; every condition is vacuous
-        return IdealPairReport(True, True, 1)
-    if gj == 0:
-        return IdealPairReport(False, False, None)
-    return IdealPairReport(True, True, gj // gi)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class NotPrime(TiltlabError):
     """An integer that was required to be prime is not."""
 
 
-class NotContained(TiltlabError):
-    """Ideal containment J <= I fails."""
-
-
 class SameGenerator(TiltlabError):
     """Two distinct generators were required."""
 

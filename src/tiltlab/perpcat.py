@@ -32,7 +32,6 @@ from .errors import NotBound, QuiverMismatch
 from .exactlin import Matrix
 from .quiverrep import (
     QuiverRep,
-    hom_dim,
     hom_system,
     presentation_tensor_terms,
     proj_presentation,
@@ -104,15 +103,6 @@ def _is_divisible(M: QuiverRep, presentations) -> bool:
         if pres.tor_dims(DM)[0]:
             return False
     return True
-
-
-def transpose_duality_check(U: QuiverRep, X: QuiverRep) -> tuple[int, int]:
-    """``(dim Tor_1(U, X), dim Hom(Tr U, X))`` for a left module ``X``; the
-    two dimensions agree."""
-    if not is_bound(U):
-        raise NotBound("transpose duality requires a bound module")
-    pres = proj_presentation(U)
-    return pres.tor_dims(X)[0], hom_dim(transpose(pres), X)
 
 
 def class_compare(U1, U2, testset) -> QuiverRep | None:

@@ -148,7 +148,8 @@ def test_ar_formula_sampled():
     rng = random.Random(12)
     checked = 0
     while checked < 12:
-        M = strip_projective_summands(random_rep(KRON, F5, rng, dim_cap=2))
+        # pd M <= 1, so the formula holds with projective summands too
+        M = random_rep(KRON, F5, rng, dim_cap=2)
         N = random_rep(KRON, F5, rng, dim_cap=2)
         if M.is_zero():
             continue
@@ -1094,3 +1095,16 @@ def test_transpose_duality_spot_check():
     u = tube_simple(1)
     tru = transpose(proj_presentation(u))
     assert tor_dims(u, tru)[0] == hom_dim(tru, tru)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tube_catalog("kronecker", QQ), UnsupportedFamily, "tube catalogs are enumerated over finite fields"),
+    (lambda: defect_function(Quiver(2, (Arrow("a", 0, 1),))), UnsupportedFamily,
+     "radical of the symmetrized Euler form has dimension 0, not 1"),
+    (lambda: next(all_submodules(QuiverRep.zero(KRON, QQ))), SearchBudgetExceeded,
+     "exhaustive submodule search requires a finite field"),
+], ids=["tube-catalog-over-qq", "defect-on-a2", "submodules-over-qq"])
+def test_bad_input_is_refused_by_name(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -182,11 +182,25 @@ def test_fixture_alphabet_symbols_must_be_words(tmp_path, line):
     assert (info.value.line, info.value.reason) == (1, "alphabet needs distinct nonempty symbols")
 
 
-def test_unknown_command_is_a_usage_error(capsys):
+def refused(argv, capsys) -> str:
+    """The one stderr line of a command line the parser refuses."""
     with pytest.raises(SystemExit) as info:
-        main(["bogus"])
+        main(argv)
     assert info.value.code == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("tiltlab: ") and err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
+def test_unknown_command_is_a_usage_error(capsys):
+    assert "invalid choice: 'bogus'" in refused(["bogus"], capsys)
+
+
+def test_help_still_prints_the_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["perp-check", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tiltlab perp-check")
 
 
 # golden report name -> argv; the GF(2) reports pin the XOR forward pass,
@@ -735,29 +749,24 @@ class _Built(Exception):
     pass
 
 
-# (argv without the value, the cap, a value far past it, the message); each
-# far value would otherwise run for minutes or exhaust memory
+# (argv without the value, the least value, the cap, a value far past it);
+# each far value would otherwise run for minutes or exhaust memory
 CAPS = [
     # Hom systems of about 2 * 10^8 x 2 * 10^8 entries
-    pytest.param(["perp-check", "--dim-cap"], MAX_DIM_CAP, 10000, "dimension cap {} exceeds cap {}",
-                 id="perp-check-dim-cap"),
+    pytest.param(["perp-check", "--dim-cap"], 0, MAX_DIM_CAP, 10000, id="perp-check-dim-cap"),
     # 10^10 entries per generator
-    pytest.param(["free-envelope", "--dim"], MAX_ENVELOPE_DIM, 100000, "module dimension {} exceeds cap {}",
-                 id="free-envelope-dim"),
-    pytest.param(["perp-check", "--trials"], MAX_PERP_TRIALS, 10**8, "trials {} exceed cap {}",
-                 id="perp-check-trials"),
+    pytest.param(["free-envelope", "--dim"], 0, MAX_ENVELOPE_DIM, 100000, id="free-envelope-dim"),
+    pytest.param(["perp-check", "--trials"], 1, MAX_PERP_TRIALS, 10**8, id="perp-check-trials"),
     # about 40 minutes
-    pytest.param(["free-envelope", "--trials"], MAX_ENVELOPE_TRIALS, 10**8, "trials {} exceed cap {}",
-                 id="free-envelope-trials"),
+    pytest.param(["free-envelope", "--trials"], 1, MAX_ENVELOPE_TRIALS, 10**8, id="free-envelope-trials"),
     # about 40 minutes and 11 GB of report
-    pytest.param(["dedekind", "--random-ore"], MAX_RANDOM_ORE, 10**8, "random Ore sets {} exceed cap {}",
-                 id="dedekind-random-ore"),
+    pytest.param(["dedekind", "--random-ore"], 0, MAX_RANDOM_ORE, 10**8, id="dedekind-random-ore"),
 ]
 
 
-@pytest.mark.parametrize("argv, cap, far, message", CAPS)
-def test_values_past_a_cap_are_refused_in_one_line_before_anything_is_built(capsys, monkeypatch, argv, cap, far,
-                                                                            message):
+@pytest.mark.parametrize("argv, least, cap, far", CAPS)
+def test_values_past_a_cap_are_refused_in_one_line_before_anything_is_built(capsys, monkeypatch, argv, least, cap,
+                                                                            far):
     def refuse(*args, **kwargs):
         raise _Built
 
@@ -766,9 +775,9 @@ def test_values_past_a_cap_are_refused_in_one_line_before_anything_is_built(caps
         monkeypatch.setattr(module, name, refuse)
     for value in (far, cap + 1):
         start = time.perf_counter()
-        assert main([*argv, str(value)]) == 2
+        err = refused([*argv, str(value)], capsys)
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err == f"tiltlab: {message.format(value, cap)}\n"
+        assert err == f"tiltlab: argument {argv[1]}: must be an integer from {least} to {cap}, got {value}\n"
     with pytest.raises(_Built):
         main([*argv, str(cap)])
 
@@ -786,32 +795,26 @@ def test_a_bad_word_is_refused_in_one_line_before_anything_is_built(capsys, monk
 
 
 def test_negative_module_dimension_is_an_input_error(capsys):
-    assert main(["free-envelope", "--dim", "-1"]) == 2
-    assert capsys.readouterr().err == "tiltlab: module dimension must be >= 0, got -1\n"
+    assert refused(["free-envelope", "--dim", "-1"], capsys) == (
+        f"tiltlab: argument --dim: must be an integer from 0 to {MAX_ENVELOPE_DIM}, got -1\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["perp-check", "--trials", "-2"],
-    ["free-envelope", "--trials", "0"],
-    ["free-envelope", "--trials", "x"],
+@pytest.mark.parametrize("argv, cap", [
+    (["perp-check", "--trials", "-2"], MAX_PERP_TRIALS),
+    (["free-envelope", "--trials", "0"], MAX_ENVELOPE_TRIALS),
+    (["free-envelope", "--trials", "x"], MAX_ENVELOPE_TRIALS),
 ], ids=["negative", "zero", "not-a-number"])
-def test_trials_must_be_positive(argv, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    assert "--trials: must be a positive integer" in capsys.readouterr().err
+def test_trials_must_be_positive(argv, cap, capsys):
+    assert refused(argv, capsys) == f"tiltlab: argument --trials: must be an integer from 1 to {cap}, got {argv[-1]}\n"
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["perp-check", "--dim-cap", "-1"], "--dim-cap"),
-    (["perp-check", "--dim-cap", "x"], "--dim-cap"),
-    (["dedekind", "--random-ore", "-2"], "--random-ore"),
+@pytest.mark.parametrize("argv, cap", [
+    (["perp-check", "--dim-cap", "-1"], MAX_DIM_CAP),
+    (["perp-check", "--dim-cap", "x"], MAX_DIM_CAP),
+    (["dedekind", "--random-ore", "-2"], MAX_RANDOM_ORE),
 ], ids=["dim-cap-negative", "dim-cap-not-a-number", "random-ore-negative"])
-def test_counts_must_be_nonnegative(argv, flag, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    assert f"{flag}: must be a non-negative integer, got {argv[-1]}" in capsys.readouterr().err
+def test_counts_must_be_nonnegative(argv, cap, capsys):
+    assert refused(argv, capsys) == f"tiltlab: argument {argv[1]}: must be an integer from 0 to {cap}, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -820,35 +823,25 @@ def test_counts_must_be_nonnegative(argv, flag, capsys):
     ["dedekind", "--primes", "2.5"],
 ], ids=["primes-word", "ore-word", "primes-decimal"])
 def test_integer_lists_name_their_flag(argv, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    assert f"argument {argv[1]}: must be comma-separated integers, got {argv[2]}" in capsys.readouterr().err
+    assert refused(argv, capsys) == f"tiltlab: argument {argv[1]}: must be comma-separated integers, got {argv[2]}\n"
 
 
 def test_tube_demo_has_no_dim_cap_flag(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["tube-demo", "--dim-cap", "3"])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --dim-cap 3" in capsys.readouterr().err
+    assert refused(["tube-demo", "--dim-cap", "3"], capsys) == "tiltlab: unrecognized arguments: --dim-cap 3\n"
 
 
 @pytest.mark.parametrize("alphabet", [",", "x,y,x"], ids=["empty", "repeated"])
 def test_alphabet_must_list_distinct_generators(alphabet, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["free-envelope", "--alphabet", alphabet])
-    assert info.value.code == 2
-    assert f"argument --alphabet: must list one or more distinct generators, got {alphabet}" in capsys.readouterr().err
+    assert refused(["free-envelope", "--alphabet", alphabet], capsys) == (
+        f"tiltlab: argument --alphabet: must list one or more distinct generators, got {alphabet}\n")
 
 
 @pytest.mark.parametrize("alphabet", ["x^-1,y", "x y,z", "x,y^1", "x, y"],
                          ids=["inverse", "space", "exponent", "padded"])
 def test_alphabet_symbols_must_be_nameable_in_words(alphabet, capsys):
     # a symbol with "^" or whitespace could never be named by --word
-    with pytest.raises(SystemExit) as info:
-        main(["free-envelope", "--alphabet", alphabet])
-    assert info.value.code == 2
-    assert f"argument --alphabet: must list one or more distinct generators, got {alphabet}" in capsys.readouterr().err
+    assert refused(["free-envelope", "--alphabet", alphabet], capsys) == (
+        f"tiltlab: argument --alphabet: must list one or more distinct generators, got {alphabet}\n")
 
 
 def test_reports_byte_identical_across_runs(capsys):

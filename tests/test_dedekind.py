@@ -8,12 +8,10 @@ from oracles import ext_oracle, hom_oracle, rand_fgz, tor_oracle, torsion_part
 from tiltlab import dedekind
 from tiltlab.dedekind import (
     FgZModule,
-    IdealPairReport,
     OreSet,
     PrimeSet,
     classify,
     classify_tilting,
-    essential_iff_finite,
     ext1,
     from_pieces,
     hom,
@@ -24,7 +22,7 @@ from tiltlab.dedekind import (
     u_set_of_ore,
     universal_localization_eq,
 )
-from tiltlab.errors import NotContained, NotPrime
+from tiltlab.errors import NotPrime
 from tiltlab.exactlin import IntMatrix
 
 
@@ -193,29 +191,6 @@ def test_is_divisible_by():
     assert not is_divisible_by(FgZModule(1, ()), PrimeSet.of(2))
     assert not is_divisible_by(FgZModule.cyclic(2), PrimeSet.of(2))
     assert is_divisible_by(FgZModule(1, ()), PrimeSet(()))
-
-
-def test_essential_iff_finite_examples():
-    rep = essential_iff_finite((2,), (6,))
-    assert rep == IdealPairReport(True, True, 3)
-    rep = essential_iff_finite((1,), (0,))
-    assert rep == IdealPairReport(False, False, None)
-    rep = essential_iff_finite((0,), (0,))
-    assert rep.essential and rep.finite_quotient
-
-
-def test_essential_iff_finite_containment_checked():
-    with pytest.raises(NotContained):
-        essential_iff_finite((4,), (6,))
-
-
-def test_essential_iff_finite_agreement_sampled():
-    rng = random.Random(33)
-    for _ in range(100):
-        gi = rng.randrange(1, 60)
-        gj = gi * rng.randrange(0, 40)
-        rep = essential_iff_finite((gi,), (gj,))
-        assert rep.essential == rep.finite_quotient
 
 
 def test_classify_tilting_two_primes():

@@ -935,3 +935,21 @@ def test_gf_factor_is_fast_at_the_largest_prime():
     factors = exactlin._gf_factor(field, gf_product(p, pieces))
     assert time.perf_counter() - start < 0.5
     assert factors == pieces
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Matrix(F5, [[1, 2]]) @ Matrix(F5, [[1, 2]]), ValueError, "shape mismatch (1, 2) @ (1, 2)"),
+    (lambda: Matrix(F5, [[1, 2]]).apply([1]), ValueError, "vector length mismatch"),
+    (lambda: Matrix(F5, [[1]]).hstack(Matrix(F5, [[1], [2]])), ValueError, "row count mismatch"),
+    (lambda: Matrix(F5, [[1]]).vstack(Matrix(F5, [[1, 2]])), ValueError, "column count mismatch"),
+    (lambda: Matrix(F5, [[1]]) + Matrix(F7, [[1]]), ValueError, "field mismatch"),
+    (lambda: Matrix(F5, [[1]]) + Matrix(F5, [[1, 2]]), ValueError, "shape mismatch (1, 1) vs (1, 2)"),
+    (lambda: IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]]), ValueError, "shape mismatch (1, 2) @ (1, 2)"),
+    (lambda: F5.inv(0), ZeroDivisionError, "inverse of zero"),
+    (lambda: QQ.inv(0), ZeroDivisionError, "inverse of zero"),
+], ids=["matmul-shape", "apply-length", "hstack-rows", "vstack-columns", "add-field", "add-shape",
+        "intmatrix-matmul-shape", "gf-inverse-of-zero", "qq-inverse-of-zero"])
+def test_bad_input_is_refused_by_name(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -361,3 +361,17 @@ def test_words_share_their_letter_objects():
 def test_xdiv_module_rejects_singular_action():
     with pytest.raises(ValueError):
         XDivModule(F7, ("x",), {"x": Matrix(F7, [[0]])})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: XDivModule(F7, AB, {"x": Matrix(F7, [[1]])}), "missing action for generator y"),
+    (lambda: XDivModule(F7, ("x",), {"x": Matrix(F7, [[1, 0]])}), "action of x is not square"),
+    (lambda: XDivModule(F7, AB, {"x": Matrix(F7, [[1]]), "y": Matrix.identity(F7, 2)}),
+     "actions must share one dimension"),
+    (lambda: flatness_witness(AB, "x", "z", F7), "generators must belong to the alphabet"),
+    (lambda: random_xdiv_module(AB, F7, -1), "module dimension must be >= 0, got -1"),
+], ids=["missing-action", "non-square-action", "mixed-dimensions", "witness-outside-alphabet", "negative-dimension"])
+def test_bad_input_is_refused_by_name(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

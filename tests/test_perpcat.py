@@ -10,6 +10,7 @@ from tiltlab.artheory import (
     build_extension,
     is_isomorphic,
     tau,
+    transpose,
     tube_catalog,
 )
 from tiltlab.errors import NotBound, QuiverMismatch
@@ -19,7 +20,6 @@ from tiltlab.perpcat import (
     divisible_radical,
     is_divisible,
     perp_conditions,
-    transpose_duality_check,
 )
 from tiltlab.quiverrep import (
     QuiverRep,
@@ -28,6 +28,7 @@ from tiltlab.quiverrep import (
     hom_dim,
     injective,
     kronecker,
+    proj_presentation,
     projective,
     quotient_by,
     random_rep,
@@ -116,16 +117,17 @@ def test_zero_module_is_divisible_and_torsionfree():
 
 
 def test_transpose_duality_zero_target():
-    u = KCAT.tubes[0][0]
+    pres = proj_presentation(KCAT.tubes[0][0])
     z = QuiverRep.zero(KRON.opposite(), F5)
-    assert transpose_duality_check(u, z) == (0, 0)
+    assert pres.tor_dims(z)[0] == hom_dim(transpose(pres), z) == 0
 
 
 def test_transpose_duality_self_pairing():
     u = KCAT.tubes[0][0]
+    pres = proj_presentation(u)
     x = u.dual()
-    tor1, hom = transpose_duality_check(u, x)
-    assert tor1 == hom
+    tor1 = pres.tor_dims(x)[0]
+    assert tor1 == hom_dim(transpose(pres), x)
     assert tor1 > 0
 
 
@@ -133,10 +135,9 @@ def test_transpose_duality_sampled():
     rng = random.Random(23)
     bound_pool = KCAT.members
     for _ in range(30):
-        U = bound_pool[rng.randrange(len(bound_pool))]
+        pres = proj_presentation(bound_pool[rng.randrange(len(bound_pool))])
         X = random_rep(KRON.opposite(), F5, rng, dim_cap=3)
-        tor1, hom = transpose_duality_check(U, X)
-        assert tor1 == hom
+        assert pres.tor_dims(X)[0] == hom_dim(transpose(pres), X)
 
 
 def test_class_compare_reflexive():

@@ -18,6 +18,7 @@ from tiltlab.quiverrep import (
     direct_sum,
     euler_form,
     ext1_dim,
+    extend_generators,
     hom_dim,
     hom_ext_dims,
     hom_space,
@@ -39,6 +40,7 @@ from tiltlab.quiverrep import (
 )
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 KRON = kronecker()
 A3 = affine_a3_cycle()
 
@@ -185,7 +187,6 @@ def test_top_matches_the_pivots_of_images_beside_the_basis(field):
     kernel's, lifted through the identity and the kernel bases, against
     the pivots of ``[images | B]``; and the kernel read by
     ``kernel_piece`` against the ``subrep`` its bases span."""
-    from tiltlab.quiverrep import extend_generators
 
     rng = random.Random(23)
     seen = {"zero dim": 0, "rank deficient": 0, "kernel top at several vertices": 0}
@@ -352,7 +353,7 @@ def test_hom_system_and_hom_space_match_the_entry_loop(q, field):
 def padded_presentation(pres: ProjPresentation, vertex: int) -> ProjPresentation:
     """A non-minimal presentation: add the identity of P(vertex) to both
     ends of the exact sequence."""
-    from tiltlab.quiverrep import extend_generators, generator_images
+    from tiltlab.quiverrep import generator_images
 
     q, field = pres.module.quiver, pres.module.field
     P2 = proj_sum(q, field, pres.P.summands + (vertex,))
@@ -374,7 +375,7 @@ def padded_presentation(pres: ProjPresentation, vertex: int) -> ProjPresentation
 def test_extend_generators_coerces_no_path_image(monkeypatch):
     """The image of each path label is read from the canonical image of its
     prefix, so rebuilding a cover coerces no entry and gives its maps."""
-    from tiltlab.quiverrep import extend_generators, generator_images
+    from tiltlab.quiverrep import generator_images
 
     rng = random.Random(12)
     coerced = []
@@ -610,3 +611,27 @@ def test_shared_proj_sums_survive_hom_and_ext_work():
             assert proj_sum(ps.quiver, F5, ps.summands) is ps
             fresh = proj_sum.__wrapped__(ps.quiver, F5, ps.summands)
             assert (ps.basis, ps.index, ps.rep) == (fresh.basis, fresh.index, fresh.rep)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Quiver(2, (Arrow("a", 0, 2),)), ValueError, "arrow a has out-of-range endpoints"),
+    (lambda: QuiverRep(KRON, F5, (1,), ()), ValueError, "bad dimension vector"),
+    (lambda: QuiverRep(KRON, F5, (1, -1), ()), ValueError, "bad dimension vector"),
+    (lambda: QuiverRep(KRON, F5, (1, 1), (Matrix(F5, [[1]]),)), ValueError, "one matrix per arrow required"),
+    (lambda: QuiverRep(KRON, F5, (1, 1), (Matrix(F5, [[1, 0]]), Matrix(F5, [[1]]))), ValueError,
+     "arrow a: matrix shape (1, 2) != (1, 1)"),
+    (lambda: subrep(projective(KRON, F5, 0), [Matrix.identity(F5, 2), Matrix.identity(F5, 2)]), ValueError,
+     "vertex 0: generators have wrong height"),
+    (lambda: projective(KRON, F5, 2), ValueError, "vertex out of range"),
+    (lambda: extend_generators(proj_sum(KRON, F5, (0,)), projective(KRON, F7, 0), [[1]]), QuiverMismatch,
+     "target lives over a different quiver or field"),
+    (lambda: extend_generators(proj_sum(KRON, F5, (0,)), projective(KRON, F5, 0), [[]]), ValueError,
+     "generator 0: image of length 0, expected 1"),
+    (lambda: euler_form(KRON, (1,), (1, 1)), ValueError, "dimension vectors must match the vertex count"),
+], ids=["arrow-out-of-range", "dims-wrong-length", "dims-negative", "matrix-missing", "matrix-wrong-shape",
+        "subrep-wrong-height", "projective-vertex-out-of-range", "extend-other-field", "extend-image-length",
+        "euler-form-wrong-length"])
+def test_bad_input_is_refused_by_name(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
