@@ -67,7 +67,7 @@ from .quiverrep import (
 )
 
 SEARCH_BUDGET = 200_000  # vertex subspaces one exhaustive submodule search may choose
-DIM_CAP = 12  # largest total dimension the submodule searches accept
+DIM_CAP = 12  # largest total dimension the submodule search accepts
 # most members a tube catalog builds, one per field element plus its
 # non-homogeneous tube: 1024 a31 members build in about 0.4 s
 MAX_TUBE_MEMBERS = 1024
@@ -668,41 +668,30 @@ class Filtration:
 
 
 def u_filtration(N: QuiverRep, members) -> Filtration | None:
-    """Search for a finite chain of submodules of ``N`` whose successive
-    factors are isomorphic to the given bound modules; ``None`` when the
-    exhaustive search finds no chain.  Each nonzero submodule isomorphic to
-    a member is taken as the bottom layer as the enumeration yields it, and
-    the search recurses on the quotient, so it ends at the first chain
-    found.  ``N`` may have total dimension at most :data:`DIM_CAP`, and
-    every submodule search stops at :data:`SEARCH_BUDGET`."""
+    """A chain of submodules of ``N`` whose successive factors are
+    isomorphic to members, or ``None`` when there is none.  The nonzero
+    members must be pairwise Hom-orthogonal bricks (else
+    :class:`ValueError`); the modules they filter form an exact abelian
+    category with the members as its simple objects (Ringel, J. Algebra 41,
+    1976), so the chain is built greedily.  Each layer adds the image of the
+    first basis map of ``Hom(u, N / layer)`` for the first member ``u`` that
+    has one, and there is no chain when no member maps in or that map is
+    not injective.  Zero members are skipped."""
     members = bound_members(members)
-    if N.total_dim() > DIM_CAP:
-        raise SearchBudgetExceeded(f"module dimension {N.total_dim()} exceeds cap {DIM_CAP}")
-
-    def search(X: QuiverRep) -> Filtration | None:
-        if X.is_zero():
-            return Filtration([], [])
-        for bases in all_submodules(X):
-            sdims = tuple(B.ncols for B in bases)
-            if sum(sdims) == 0:
-                continue
-            idx = next((i for i, U in enumerate(members)
-                        if sdims == U.dims and is_isomorphic(subrep(X, bases)[0], U)), None)
-            if idx is None:
-                continue
-            quo, proj = quotient_by(X, bases)
-            rest = search(quo)
-            if rest is not None:
-                return Filtration([bases] + [_preimage_bases(proj, c) for c in rest.chain], [idx] + rest.factors)
-        return None
-
-    return search(N)
-
-
-def _preimage_bases(proj: RepMap, sub_bases: list[Matrix]) -> list[Matrix]:
-    """Vertex-wise bases of the preimage of a subspace under a surjection:
-    the kernel of the subspace's equations pulled back along it."""
-    return [(B.span().equations @ pv).kernel_basis() for pv, B in zip(proj.maps, sub_bases)]
+    live = [(i, U) for i, U in enumerate(members) if not U.is_zero()]
+    if any(hom_dim(U, V) != (i == j) for i, U in live for j, V in live):
+        raise ValueError("u_filtration needs nonzero members that are pairwise Hom-orthogonal bricks")
+    layer = [Matrix.zeros(N.field, d, 0) for d in N.dims]
+    chain, factors = [], []
+    while sum(B.ncols for B in layer) < N.total_dim():
+        rest, _ = quotient_by(N, layer)
+        i, f = next(((i, basis[0]) for i, U in live if (basis := hom_space(U, rest))), (None, None))
+        if f is None or any(fv.rank() < fv.ncols for fv in f.maps):
+            return None
+        layer = [B.hstack(B.span().complement @ fv) for B, fv in zip(layer, f.maps)]
+        chain.append(layer)
+        factors.append(i)
+    return Filtration(chain, factors)
 
 
 # ---------------------------------------------------------------------------

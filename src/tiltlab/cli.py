@@ -383,16 +383,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"tiltlab: {message}\n")
 
 
+def _shown(text: str) -> str:
+    """A flag value as a refusal line echoes it: whole up to 20
+    characters, otherwise its first 20 and its length."""
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def _count(least: int, most: int):
     """The argparse type of a count flag: an integer from ``least`` to
-    ``most``, so a value past a cap is refused before anything is built."""
+    ``most``, so a value past a cap is refused before anything is built;
+    one with more digits than ``most`` is refused before ``int`` reads it."""
 
     def count(text: str) -> int:
-        if not (text.isdecimal() and least <= int(text) <= most):
-            raise argparse.ArgumentTypeError(f"must be an integer from {least} to {most}, got {text}")
+        if not (text.isdecimal() and len(text.lstrip("0")) <= len(str(most)) and least <= int(text) <= most):
+            raise argparse.ArgumentTypeError(f"must be an integer from {least} to {most}, got {_shown(text)}")
         return int(text)
 
     return count
+
+
+def _integer(text: str) -> int:
+    """The argparse type of ``--seed`` and ``--field``: an integer that
+    ``int`` reads, within the running Python's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {_shown(text)}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -400,7 +416,7 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text}") from None
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {_shown(text)}") from None
 
 
 def _alphabet(text: str) -> tuple[str, ...]:
@@ -408,7 +424,7 @@ def _alphabet(text: str) -> tuple[str, ...]:
 
     symbols = parse_alphabet(text)
     if symbols is None:
-        raise argparse.ArgumentTypeError(f"must list one or more distinct generators, got {text}")
+        raise argparse.ArgumentTypeError(f"must list one or more distinct generators, got {_shown(text)}")
     return symbols
 
 
@@ -421,13 +437,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_integer, default=0)
         p.add_argument("--out", default=None, help="also write the report to this path")
 
     p = sub.add_parser("tube-demo", help="rank-3 tube divisibility-class separation")
     common(p)
     p.add_argument("--family", default="a31")
-    p.add_argument("--field", type=int, default=5)
+    p.add_argument("--field", type=_integer, default=5)
     p.set_defaults(run=lambda a: run_tube_demo(family=a.family, field_char=a.field, seed=a.seed))
 
     p = sub.add_parser("dedekind", help="classify divisibility classes over a prime universe")
@@ -443,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("free-envelope", help="inductive extension along free-group words")
     common(p)
     p.add_argument("--alphabet", type=_alphabet, default="x,y")
-    p.add_argument("--field", type=int, default=7)
+    p.add_argument("--field", type=_integer, default=7)
     p.add_argument("--trials", type=_count(1, MAX_ENVELOPE_TRIALS), default=100)
     p.add_argument("--dim", type=_count(0, MAX_ENVELOPE_DIM), default=2)
     p.add_argument("--word", action="append", default=[], help="word to evaluate (repeatable)")
@@ -454,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perp-check", help="sampled agreement of perpendicular-membership conditions")
     common(p)
     p.add_argument("--family", default="kronecker")
-    p.add_argument("--field", type=int, default=5)
+    p.add_argument("--field", type=_integer, default=5)
     p.add_argument("--trials", type=_count(1, MAX_PERP_TRIALS), default=40)
     p.add_argument("--dim-cap", type=_count(0, MAX_DIM_CAP), default=4)
     p.set_defaults(run=lambda a: run_perp_check(

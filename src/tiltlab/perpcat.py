@@ -22,20 +22,25 @@ flips ``consistent``.
 
 Divisibility classes (vanishing of ``Ext^1(U, -)``) stand in for the
 tilting classes of the localizations attached to sets of bound modules,
-restricted to finite-dimensional modules.
+restricted to finite-dimensional modules.  Over a hereditary algebra
+``Ext^1(u, X) = D Hom(X, tau u)`` (Assem, Simson and Skowronski,
+*Elements*, IV.2.14), so the class is the torsion class of modules with no
+morphism into ``tau U``, and it is read that way, one ``tau`` per member.
 """
 
 from __future__ import annotations
 
-from .artheory import all_submodules, bound_members, is_bound, transpose
-from .errors import NotBound, QuiverMismatch
+from .artheory import bound_members, is_bound, tau, transpose
+from .errors import NotBound
 from .exactlin import Matrix
 from .quiverrep import (
     QuiverRep,
+    hom_dim,
+    hom_space,
     hom_system,
+    kernel_piece,
     presentation_tensor_terms,
     proj_presentation,
-    subrep,
     tor_dims,
 )
 
@@ -89,46 +94,35 @@ def perp_conditions(M: QuiverRep, U: QuiverRep) -> PerpReport:
 
 def is_divisible(M: QuiverRep, U) -> bool:
     """``Ext^1(member, M) = 0`` for every member (membership in the
-    divisibility class of the set)."""
-    return _is_divisible(M, map(proj_presentation, bound_members(U)))
-
-
-def _is_divisible(M: QuiverRep, presentations) -> bool:
-    """:func:`is_divisible` on the presentations of the members, so a
-    caller testing many modules presents each member once."""
-    DM = M.dual()
-    for pres in presentations:
-        if pres.module.quiver != M.quiver or pres.module.field != M.field:
-            raise QuiverMismatch("representations live over different quivers or fields")
-        if pres.tor_dims(DM)[0]:
-            return False
-    return True
+    divisibility class of the set), read as ``Hom(M, tau member) = 0``."""
+    return not any(hom_dim(M, tau(u)) for u in bound_members(U))
 
 
 def class_compare(U1, U2, testset) -> QuiverRep | None:
     """Compare divisibility classes on a list of test modules: ``None``
     when membership agrees everywhere, otherwise the first separating
-    module."""
-    pres1 = [proj_presentation(u) for u in bound_members(U1)]
-    pres2 = [proj_presentation(u) for u in bound_members(U2)]
+    module.  Each member is translated once per call."""
+    taus1 = [tau(u) for u in bound_members(U1)]
+    taus2 = [tau(u) for u in bound_members(U2)]
     for M in testset:
-        if _is_divisible(M, pres1) != _is_divisible(M, pres2):
+        if any(hom_dim(M, T) for T in taus1) != any(hom_dim(M, T) for T in taus2):
             return M
     return None
 
 
 def divisible_radical(M: QuiverRep, U) -> tuple[QuiverRep, list[Matrix]]:
     """Largest subrepresentation of ``M`` lying in the divisibility class
-    of ``U`` (the class is closed under images, sums and extensions, so the
-    sum of all such subrepresentations is again one).  Exhaustive over the
-    submodule lattice at desk scale."""
-    presentations = [proj_presentation(u) for u in bound_members(U)]
-    cols: list[list[list]] = [[] for _ in range(M.quiver.nvertices)]
-    for bases in all_submodules(M):
-        sub, _ = subrep(M, bases)
-        if _is_divisible(sub, presentations):
-            for v in range(M.quiver.nvertices):
-                cols[v].extend(bases[v].columns())
-    gens = [Matrix.from_columns(M.field, cols[v], M.dims[v]) for v in range(M.quiver.nvertices)]
-    sub, incl = subrep(M, gens)
-    return sub, list(incl.maps)
+    of ``U``, with its vertex-wise bases inside ``M``.  The class is the
+    torsion class of modules with no morphism into ``tau U``, so from ``K
+    = M`` each step replaces ``K`` by the joint kernel of every basis map
+    ``K -> tau u``, over all members: a submodule in the class lies in
+    every such kernel.  The steps stop when ``Hom(K, tau U) = 0``, after
+    at most ``dim M`` of them, since each one shrinks ``K``."""
+    taus = [tau(u) for u in bound_members(U)]
+    K, bases = M, [Matrix.identity(M.field, d) for d in M.dims]
+    while maps := [f for T in taus for f in hom_space(K, T)]:
+        kernels = [Matrix._of(K.field, [row[:] for f in maps for row in f.maps[v].rows], K.dims[v]).kernel_and_free()
+                   for v in range(K.quiver.nvertices)]
+        K = kernel_piece(K, kernels)
+        bases = [B @ Kv for B, (Kv, _) in zip(bases, kernels)]
+    return K, bases

@@ -19,8 +19,9 @@ reference for ``quiverrep._top``, the ``subrep`` of the joint kernels the
 reference for ``quiverrep.socle``, the decompose-then-search route the
 reference for ``artheory.is_simple_regular``, the split through ``subrep``
 of the kernel basis and of the powers the reference for
-``artheory._fitting``, and the per-entry loop the reference for
-``quiverrep.hom_system``."""
+``artheory._fitting``, the per-entry loop the reference for
+``quiverrep.hom_system``, and the exhaustive search over submodules the
+reference for ``artheory.u_filtration``."""
 
 import functools
 import itertools
@@ -28,11 +29,11 @@ import math
 from fractions import Fraction
 
 from tiltlab import artheory
-from tiltlab.artheory import _all_subspaces, all_submodules, decompose, defect
+from tiltlab.artheory import Filtration, _all_subspaces, all_submodules, decompose, defect, is_isomorphic
 from tiltlab.dedekind import FgZModule, classify, from_pieces
 from tiltlab.errors import SearchBudgetExceeded
 from tiltlab.exactlin import IntMatrix, Matrix, _pack, _slot_bytes, _unpack, snf
-from tiltlab.quiverrep import subrep
+from tiltlab.quiverrep import quotient_by, subrep
 
 
 def _int_kernel(A: IntMatrix) -> IntMatrix:
@@ -359,6 +360,38 @@ def simple_regular_reference(M, df) -> bool:
             if all(defect(df, rep.dims) == 0 for rep, _ in decompose(subrep(M, bases)[0])):
                 return False
     return True
+
+
+def u_filtration_reference(N, members):
+    """``artheory.u_filtration`` by exhaustive search: each nonzero
+    submodule of ``N`` isomorphic to a member is tried as the bottom layer,
+    in the order ``all_submodules`` yields them, and the search recurses on
+    the quotient; the later layers are pulled back along the projection.
+    ``None`` when no chain exists.  Raises :class:`SearchBudgetExceeded`
+    above ``artheory.DIM_CAP``, read at call time."""
+    if N.total_dim() > artheory.DIM_CAP:
+        raise SearchBudgetExceeded(f"module dimension {N.total_dim()} exceeds cap {artheory.DIM_CAP}")
+
+    def search(X):
+        if X.is_zero():
+            return Filtration([], [])
+        for bases in all_submodules(X):
+            sdims = tuple(B.ncols for B in bases)
+            if sum(sdims) == 0:
+                continue
+            idx = next((i for i, U in enumerate(members)
+                        if sdims == U.dims and is_isomorphic(subrep(X, bases)[0], U)), None)
+            if idx is None:
+                continue
+            quo, proj = quotient_by(X, bases)
+            rest = search(quo)
+            if rest is not None:
+                pulled = [[(B.span().equations @ pv).kernel_basis() for pv, B in zip(proj.maps, c)]
+                          for c in rest.chain]
+                return Filtration([bases] + pulled, [idx] + rest.factors)
+        return None
+
+    return search(N)
 
 
 def fitting_reference(X, g) -> tuple[int, list]:

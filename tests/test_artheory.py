@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import identity_map, random_basis_change
 from oracles import brute_force_submodules, gauss_jordan, min_poly_reference
-from oracles import fitting_reference, simple_regular_reference
+from oracles import fitting_reference, simple_regular_reference, u_filtration_reference
 
 from tiltlab import artheory
 
@@ -790,35 +790,6 @@ def test_filtration_length_one():
     assert filt.validate(trio[0], (trio[0],))
 
 
-def test_filtration_stops_enumerating_at_the_first_layer(monkeypatch):
-    # is_isomorphic sees only submodules of layer2 enumerated up to the
-    # bottom layer returned; the enumeration is not advanced past it
-    trio = tube_catalog("a31", F5).tubes[0]
-    s, tminus = trio[0], trio[2]
-    layer2 = build_extension(tminus, s)
-    everything = len(list(all_submodules(layer2)))
-    yielded, seen_at_iso = [], []
-    enumerate_submodules, iso = artheory.all_submodules, artheory.is_isomorphic
-
-    def spy_submodules(X):
-        for bases in enumerate_submodules(X):
-            if X is layer2:
-                yielded.append(bases)
-            yield bases
-
-    def spy_iso(A, B):
-        seen_at_iso.append(len(yielded))
-        return iso(A, B)
-
-    monkeypatch.setattr(artheory, "all_submodules", spy_submodules)
-    monkeypatch.setattr(artheory, "is_isomorphic", spy_iso)
-    filt = u_filtration(layer2, (s, tminus))
-    assert filt.factors == [0, 1]
-    assert yielded[-1] is filt.chain[0]
-    assert len(yielded) < everything
-    assert seen_at_iso and max(seen_at_iso) == len(yielded)
-
-
 def test_filtration_skips_a_zero_member():
     trio = tube_catalog("a31", F5).tubes[0]
     members = (QuiverRep.zero(A3, F5), trio[0])
@@ -860,11 +831,53 @@ def test_filtration_impossible_dims():
     assert u_filtration(s1, (QuiverRep.simple(KRON, F5, 1),)) is None
 
 
-def test_filtration_respects_dim_cap(monkeypatch):
-    monkeypatch.setattr(artheory, "DIM_CAP", 3)
-    big = direct_sum(projective(KRON, F5, 0), projective(KRON, F5, 0))
-    with pytest.raises(SearchBudgetExceeded):
-        u_filtration(big, (tube_simple(0),))
+@functools.lru_cache(maxsize=None)
+def _semibrick_cases() -> tuple:
+    """``(N, members)`` pairs over Kronecker and a31 at GF(2), GF(3) and
+    GF(5) whose nonzero members are pairwise Hom-orthogonal bricks: the
+    simples at a source and a sink (one injective, one projective), every
+    simple, and members of the catalogs' tubes.  Each ``N`` has total
+    dimension at most 5: tube members, their non-split extensions and
+    sums, simples, projectives, injectives and random representations."""
+    rng = random.Random(44)
+    cases = []
+    for family, q in (("kronecker", KRON), ("a31", A3)):
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            catalog = tube_catalog(family, field)
+            tube, homogeneous = catalog.tubes[0], [t[0] for t in catalog.tubes[1:]]
+            simples = [QuiverRep.simple(q, field, v) for v in range(q.nvertices)]
+            sets = [(simples[0], simples[-1]), tuple(simples), tube[::2], tube,
+                    (homogeneous[0], tube[0]), (QuiverRep.zero(q, field), homogeneous[-1])]
+            basics = [make(q, field, v) for make in (projective, injective) for v in range(q.nvertices)]
+            pool = catalog.members + simples + basics + [random_rep(q, field, rng, 2) for _ in range(4)]
+            pool += [build_extension(C, A) for C in catalog.members[:4] for A in catalog.members[:4] if ext1_dim(C, A)]
+            pool += [direct_sum(rng.choice(catalog.members), rng.choice(catalog.members)) for _ in range(2)]
+            cases += [(N, members) for N in pool if N.total_dim() <= 5 for members in sets]
+    return tuple(cases)
+
+
+def test_filtration_matches_the_exhaustive_search():
+    cases = _semibrick_cases()
+    filtered = 0
+    for N, members in cases:
+        filt = u_filtration(N, members)
+        assert (filt is None) == (u_filtration_reference(N, members) is None)
+        if filt is not None:
+            assert filt.validate(N, members)
+            filtered += 1
+    assert 0 < filtered < len(cases)
+
+
+@pytest.mark.parametrize("members", ["hom", "endo", "repeat"])
+def test_filtration_refuses_a_set_that_is_no_semibrick(members):
+    trio = tube_catalog("a31", F5).tubes[0]
+    s, tminus = trio[0], trio[2]
+    layer2 = build_extension(tminus, s)
+    members = {"hom": (s, layer2), "endo": (direct_sum(s, s),), "repeat": (s, tminus, s)}[members]
+    with pytest.raises(ValueError, match="^u_filtration needs nonzero members that are pairwise "
+                                         "Hom-orthogonal bricks$"):
+        u_filtration(layer2, members)
 
 
 def test_all_submodules_of_tube_simple():

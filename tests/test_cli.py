@@ -499,8 +499,7 @@ def test_no_subcommand_runs_the_submodule_search(capsys, monkeypatch):
     def search(*args):
         raise RuntimeError("the exhaustive submodule search ran")
 
-    for module in (artheory, perpcat):
-        monkeypatch.setattr(module, "all_submodules", search)
+    monkeypatch.setattr(artheory, "all_submodules", search)
     monkeypatch.setattr(artheory, "u_filtration", search)
     monkeypatch.chdir(REPO_ROOT)
     for command in sorted(GOLDEN_ARGS):
@@ -780,6 +779,49 @@ def test_values_past_a_cap_are_refused_in_one_line_before_anything_is_built(caps
         assert err == f"tiltlab: argument {argv[1]}: must be an integer from {least} to {cap}, got {value}\n"
     with pytest.raises(_Built):
         main([*argv, str(cap)])
+
+
+NINES = "9" * 5000  # past the 4,300 digits int() reads by default
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["perp-check", "--trials", NINES], f"must be an integer from 1 to {MAX_PERP_TRIALS}"),
+    (["perp-check", "--seed", NINES], "must be an integer"),
+    (["tube-demo", "--field", NINES], "must be an integer"),
+], ids=["trials", "seed", "field"])
+def test_a_value_of_5000_digits_is_refused_with_a_bounded_echo(argv, expected, capsys):
+    start = time.perf_counter()
+    err = refused(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert err == f"tiltlab: argument {argv[1]}: {expected}, got {'9' * 20}... (5000 characters)\n"
+
+
+def test_a_count_with_leading_zeros_is_read():
+    assert main(["perp-check", "--trials", "0001", "--dim-cap", "0001"]) == 0
+
+
+# every --field and --family value the library refuses, with its line;
+# each exits 2 before a catalog or module is built
+LIBRARY_REFUSALS = [
+    (["--field", "0"], "characteristic must be a prime < 2^31, got 0"),
+    (["--field", "-7"], "characteristic must be a prime < 2^31, got -7"),
+    (["--field", "4"], "4 is not prime"),
+    (["--field", "2147483648"], "characteristic must be a prime < 2^31, got 2147483648"),
+    (["--family", "bogus"], "no tube catalog for family 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=" ".join(argv)) for argv, message in [
+        *[([command, *flags], message) for command in ("tube-demo", "perp-check") for flags, message in LIBRARY_REFUSALS],
+        *[(["free-envelope", *flags], message) for flags, message in LIBRARY_REFUSALS[:4]],
+        (["tube-demo", "--family", "kronecker"], "family 'kronecker' has no tube of rank >= 3"),
+    ]])
+def test_field_and_family_are_refused_in_one_line_within_a_second(argv, message, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"tiltlab: {message}\n"
 
 
 def test_a_bad_word_is_refused_in_one_line_before_anything_is_built(capsys, monkeypatch):

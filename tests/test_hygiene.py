@@ -3,7 +3,8 @@ method of the library is reached by a use that binds to it, somewhere and
 outside tests too (but for a short list of kept names, and for dunders
 and overrides of a standard-library base class's hooks, which the runtime
 calls), every name that only the benchmark reaches is listed with the
-item that retires it, every parameter of a library function is read,
+item that retires it, only the listed definitions name the exhaustive
+submodule search, every parameter of a library function is read,
 sympy loads only inside the functions that call it, no library module
 imports ``dataclasses``, no library module reaches a private name of
 another (but for one kept name), and every field class in ``exactlin``
@@ -231,12 +232,12 @@ BENCH_ONLY_KEPT = {
     "Matrix.rref": "ROADMAP item 9: the exactlin.rref counters wrap the forward pass instead",
     "RepMap.is_valid": "ROADMAP item 16: moves into perfbench as a checker, or checks item 12's relations",
     "TubeCatalog.ranks": "ROADMAP item 16: item 5's sum of (r - 1) line",
-    "divisible_radical": "ROADMAP items 16 and 19: goes with the submodule search",
+    "divisible_radical": "ROADMAP item 16: a PASS line's caller, or it goes with its ar-search op; no search",
     "envelope_value_alg": "ROADMAP item 16: goes unless free-envelope gains a group-algebra line",
     "hom": "ROADMAP item 16: item 15's Hom(T1, T0) line",
     "is_simple_regular": "ROADMAP item 19: goes with the submodule search",
     "tor1": "ROADMAP item 16: item 15's Hom(T1, T0) line",
-    "u_filtration": "ROADMAP item 19: moves to tests/oracles.py with the submodule search",
+    "u_filtration": "ROADMAP item 16: a PASS line's caller, or it goes with its ar-search op; no search",
 }
 
 
@@ -245,6 +246,41 @@ def test_library_definitions_only_the_benchmark_reaches_are_listed():
     the benchmark, beside the names that only tests reach."""
     library = trees("src/tiltlab")
     assert sorted(set(unreferenced(library, library, [])) - set(TEST_ONLY_KEPT)) == sorted(BENCH_ONLY_KEPT)
+
+
+def naming(library: dict[str, ast.Module], name: str) -> list[str]:
+    """The top-level definitions, as ``module.definition``, and the
+    modules, for a statement outside every definition, whose code names
+    ``name``: as a name, an attribute or an imported name.  The definition
+    of ``name`` itself is left out."""
+    found = set()
+    for mod, tree in library.items():
+        for node in tree.body:
+            named = any(isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name
+                        or isinstance(n, ast.alias) and n.name == name for n in ast.walk(node))
+            if named and getattr(node, "name", None) != name:
+                found.add(f"{mod}.{node.name}" if isinstance(node, DEFINITIONS) else mod)
+    return sorted(found)
+
+
+def test_detector_flags_every_definition_naming_a_function():
+    lib = ast.parse(
+        "from other import search as found\n"
+        "def search(): return search()\n"
+        "def caller(): return [x for x in search()]\n"
+        "def by_attribute(m): return m.search\n"
+        "def unrelated(): return 'search'\n"
+    )
+    assert naming({"lib": lib}, "search") == ["lib", "lib.by_attribute", "lib.caller"]
+
+
+# Library definitions that run the exhaustive submodule search, each kept
+# until the ROADMAP item named here retires it.
+SEARCH_CALLERS = {"tiltlab.artheory.is_simple_regular": "ROADMAP item 19"}
+
+
+def test_only_the_listed_definitions_run_the_submodule_search():
+    assert naming(trees("src/tiltlab"), "all_submodules") == sorted(SEARCH_CALLERS)
 
 
 def unread_parameters(tree: ast.Module) -> list[str]:

@@ -2,11 +2,11 @@ import random
 
 import pytest
 from conftest import random_basis_change
+from oracles import brute_force_submodules
 
-from tiltlab import perpcat
+from tiltlab import artheory, perpcat
 from tiltlab.artheory import (
     BoundSet,
-    all_submodules,
     build_extension,
     is_isomorphic,
     tau,
@@ -14,7 +14,7 @@ from tiltlab.artheory import (
     tube_catalog,
 )
 from tiltlab.errors import NotBound, QuiverMismatch
-from tiltlab.exactlin import PrimeField
+from tiltlab.exactlin import Matrix, PrimeField
 from tiltlab.perpcat import (
     class_compare,
     divisible_radical,
@@ -23,8 +23,10 @@ from tiltlab.perpcat import (
 )
 from tiltlab.quiverrep import (
     QuiverRep,
+    RepMap,
     affine_a3_cycle,
     direct_sum,
+    ext1_dim,
     hom_dim,
     injective,
     kronecker,
@@ -32,6 +34,7 @@ from tiltlab.quiverrep import (
     projective,
     quotient_by,
     random_rep,
+    subrep,
 )
 
 F5 = PrimeField(5)
@@ -166,21 +169,24 @@ def test_class_compare_same_set_after_full_period():
 
 
 def test_each_member_is_presented_once_per_call(monkeypatch):
-    """``divisible_radical`` and ``class_compare`` present each member of
-    the set once, however many submodules or test modules they check."""
+    """``divisible_radical``, ``is_divisible`` and ``class_compare``
+    translate each member of the set once, however many kernel steps or
+    test modules they take."""
     calls = []
-    present = perpcat.proj_presentation
-    monkeypatch.setattr(perpcat, "proj_presentation", lambda u: calls.append(u) or present(u))
+    translate = perpcat.tau
+    monkeypatch.setattr(perpcat, "tau", lambda u: calls.append(u) or translate(u))
     s, tau_s, tau_minus_s, layer2, tau_layer2 = tube_pair_modules()
     triple = BoundSet((s, tau_s, tau_minus_s))
     M = direct_sum(layer2, s)
     divisible_radical(M, triple)
-    assert len(calls) == 3
-    assert sum(1 for _ in all_submodules(M)) > 3
+    assert calls == [s, tau_s, tau_minus_s]
+    calls.clear()
+    assert is_divisible(s, BoundSet((layer2, tau_layer2)))
+    assert calls == [layer2, tau_layer2]
     calls.clear()
     testset = [s, tau_s, tau_minus_s, layer2, tau_layer2]
     assert is_isomorphic(class_compare(BoundSet((layer2, tau_layer2)), triple, testset), s)
-    assert len(calls) == 2 + 3
+    assert calls == [layer2, tau_layer2, s, tau_s, tau_minus_s]
 
 
 @pytest.mark.parametrize("M", [QuiverRep.simple(A3, F5, 0), QuiverRep.simple(KRON, PrimeField(3), 0)],
@@ -212,3 +218,65 @@ def test_divisible_radical_quotient_has_no_radical():
         rad2, _ = divisible_radical(quo, u)
         assert rad2.is_zero()
         checked += 1
+
+
+def _member_pool(q, field) -> list:
+    """Catalog members, their non-split extensions, and every projective
+    and injective of ``q``: the members the differential tests draw."""
+    catalog = tube_catalog("kronecker" if q is KRON else "a31", field)
+    tube = catalog.tubes[0]
+    return (catalog.members[:4] + [build_extension(tube[-1], tube[0])]
+            + [make(q, field, v) for make in (projective, injective) for v in range(q.nvertices)])
+
+
+def _radical_reference(M, members) -> list:
+    """Vertex-wise spanning columns of the sum of the submodules ``S`` of
+    ``M``, from the brute-force enumeration, with ``Ext^1(u, S) = 0`` for
+    every member ``u``."""
+    cols = [[] for _ in M.dims]
+    for bases in brute_force_submodules(M):
+        sub = subrep(M, bases)[0]
+        if all(ext1_dim(u, sub) == 0 for u in members):
+            for v, B in enumerate(bases):
+                cols[v] += B.columns()
+    return [Matrix.from_columns(M.field, c, d) for c, d in zip(cols, M.dims)]
+
+
+@pytest.mark.parametrize("q", [KRON, A3], ids=["kronecker", "a31"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_divisibility_matches_ext1_and_the_brute_force_radical(q, p):
+    field = PrimeField(p)
+    rng = random.Random(100 + p)
+    pool = _member_pool(q, field)
+    proper = checked = 0
+    while checked < 20:
+        M = random_rep(q, field, rng, 3 if q is KRON else 2)
+        if M.total_dim() > 5:
+            continue
+        members = rng.sample(pool, rng.randrange(1, 3))
+        assert is_divisible(M, members) == all(ext1_dim(u, M) == 0 for u in members)
+        rad, bases = divisible_radical(M, members)
+        assert RepMap(rad, M, bases).is_valid()
+        for v, want in enumerate(_radical_reference(M, members)):
+            assert bases[v].ncols == rad.dims[v] == want.rank() == want.hstack(bases[v]).rank()
+        proper += 0 < rad.total_dim() < M.total_dim()
+        checked += 1
+    assert proper > 0
+
+
+def test_radical_and_filtration_run_no_submodule_search(monkeypatch):
+    # the answers are those of the search, taken before it is patched out
+    s, tau_s, tau_minus_s, layer2, tau_layer2 = tube_pair_modules()
+    M, members = direct_sum(layer2, tau_layer2), (tau_minus_s,)
+    want = _radical_reference(M, members)
+    assert 0 < sum(B.rank() for B in want) < M.total_dim()
+
+    def search(*args):
+        raise RuntimeError("the exhaustive submodule search ran")
+
+    monkeypatch.setattr(artheory, "all_submodules", search)
+    monkeypatch.setattr(artheory, "_all_subspaces", search)
+    rad, bases = divisible_radical(M, members)
+    assert [B.ncols for B in bases] == [W.rank() for W in want] == [W.hstack(B).rank() for W, B in zip(want, bases)]
+    filt = artheory.u_filtration(layer2, (s, tau_minus_s))
+    assert filt.factors == [0, 1] and filt.validate(layer2, (s, tau_minus_s))
