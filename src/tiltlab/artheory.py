@@ -3,7 +3,10 @@
 The transpose of a module with presentation ``0 -> P -> Q -> U -> 0`` is
 the cokernel of the dualized map ``Q* -> P*`` between projectives over the
 opposite quiver; combining it with the standard duality gives the
-translates ``tau = D Tr`` and ``tau^- = Tr D``.
+translates ``tau = D Tr`` and ``tau^- = Tr D``.  Duality turns that
+cokernel into a kernel, ``D Tr U = ker(D P* -> D Q*)`` (the Nakayama
+functor applied to the presentation), which ``kernel_piece`` reads, so no
+quotient or span is taken.
 
 The defect is the rank function obtained by pairing dimension vectors with
 the radical vector of the symmetrized Euler form, normalized so the path
@@ -48,7 +51,6 @@ from .quiverrep import (
     QuiverRep,
     RepMap,
     affine_a3_cycle,
-    cokernel,
     direct_sum,
     extend_generators,
     euler_form,
@@ -78,8 +80,9 @@ MAX_TUBE_MEMBERS = 1024
 
 def transpose(pres: ProjPresentation) -> QuiverRep:
     """Transpose of the presented module: the cokernel of the dualized
-    presentation map, a representation of the opposite quiver.  The
-    transpose of a projective is zero."""
+    presentation map ``alpha*: Q* -> P*``, a representation of the opposite
+    quiver, read as ``D ker(D alpha*)``.  The transpose of a projective is
+    zero."""
     field = pres.module.field
     qop = pres.module.quiver.opposite()
     q_star = proj_sum(qop, field, pres.Q.summands)
@@ -89,7 +92,8 @@ def transpose(pres: ProjPresentation) -> QuiverRep:
         vtx = pres.Q.summands[qi]
         pos = p_star.index[vtx][(pi, tuple(reversed(path)))]
         gen_images[qi][pos] = field.add(gen_images[qi][pos], coeff)
-    return cokernel(extend_generators(q_star, p_star.rep, gen_images))[0]
+    alpha_star = extend_generators(q_star, p_star.rep, gen_images)
+    return kernel_piece(p_star.rep.dual(), [m.transpose().kernel_and_free() for m in alpha_star.maps]).dual()
 
 
 def tau(M: QuiverRep) -> QuiverRep:

@@ -27,8 +27,8 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0) -> Re
     to a rank-three tube: the length-two layers (and their translates)
     admit the socle simple in their class, the three simples do not."""
     from .artheory import (
-        BoundSet, Filtration, build_extension, defect, defect_function, is_isomorphic, tube_catalog)
-    from .exactlin import Matrix, PrimeField
+        BoundSet, build_extension, defect, defect_function, is_isomorphic, tube_catalog, u_filtration)
+    from .exactlin import PrimeField
     from .perpcat import class_compare, is_divisible
     from .quiverrep import ext1_dim, injective, projective, socle
 
@@ -68,25 +68,23 @@ def run_tube_demo(family: str = "a31", field_char: int = 5, seed: int = 0) -> Re
     triple_set = BoundSet((simple, t_simple, tminus_simple))
     testset = [simple, t_simple, tminus_simple, layer2, t_layer2]
     witness = class_compare(pair_set, triple_set, testset)
+    in_pair = None if witness is None else is_divisible(witness, pair_set)
+    in_triple = None if witness is None else is_divisible(witness, triple_set)
     report.add(
         "divisibility classes separated exactly at the socle simple",
-        witness is not None and is_isomorphic(witness, simple),
+        witness is not None and is_isomorphic(witness, simple) and in_pair and not in_triple,
         values={
             "witness_dims": None if witness is None else witness.dims,
-            "witness_in_pair_class": None if witness is None else is_divisible(witness, pair_set),
-            "witness_in_triple_class": None if witness is None else is_divisible(witness, triple_set),
+            "witness_in_pair_class": in_pair,
+            "witness_in_triple_class": in_triple,
         },
     )
 
-    # build_extension lays the socle simple down on the first coordinates
-    # of layer2, so its chain is that submodule, then all of layer2
-    whole = [Matrix.identity(field, n) for n in layer2.dims]
-    filt = Filtration([[Matrix.from_columns(field, I.columns()[:d], I.nrows) for I, d in zip(whole, simple.dims)],
-                       whole], [0, 1])
+    filt = u_filtration(layer2, (simple, tminus_simple))
     report.add(
         "layer2 is filtered by the socle simple and its inverse translate",
-        filt.validate(layer2, (simple, tminus_simple)),
-        values={"factors": filt.factors},
+        filt is not None and filt.validate(layer2, (simple, tminus_simple)),
+        values={"factors": None if filt is None else filt.factors},
     )
     # normalized to one on the regular module, the defect is positive on
     # the indecomposable projectives and negative on the injectives
@@ -380,13 +378,25 @@ class _Parser(argparse.ArgumentParser):
     subparsers are built from the same class."""
 
     def error(self, message):
-        self.exit(2, f"tiltlab: {message}\n")
+        self.exit(2, _refusal(message))
 
 
 def _shown(text: str) -> str:
     """A flag value as a refusal line echoes it: whole up to 20
     characters, otherwise its first 20 and its length."""
     return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def _refusal(message: str) -> str:
+    """The one line a refusal writes.  A message of up to 160 characters is
+    written whole; in a longer one, which echoes some long value (a family,
+    a word, a path, a directive, a command or a flag), every word is
+    :func:`_shown`, and what is still past 160 characters is cut."""
+    if len(message) > 160:
+        message = " ".join(_shown(word) for word in message.split())
+        if len(message) > 160:
+            message = f"{message[:160]}... ({len(message)} characters)"
+    return f"tiltlab: {message}\n"
 
 
 def _count(least: int, most: int):
@@ -495,10 +505,10 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
     except ParseError as exc:
-        print(f"tiltlab: input error: {exc}", file=sys.stderr)
+        sys.stderr.write(_refusal(f"input error: {exc}"))
         return 2
     except (TiltlabError, ValueError, OSError) as exc:
-        print(f"tiltlab: {exc}", file=sys.stderr)
+        sys.stderr.write(_refusal(str(exc)))
         return 2
     except AssertionError as exc:
         # a broken internal invariant is a defect, not bad input; a bare
@@ -507,7 +517,7 @@ def main(argv=None) -> int:
 
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
-        print(f"tiltlab: internal check failed: {str(exc) or 'assert'} at {where}", file=sys.stderr)
+        sys.stderr.write(_refusal(f"internal check failed: {str(exc) or 'assert'} at {where}"))
         return 1
     return 0 if report.all_passed else 1
 

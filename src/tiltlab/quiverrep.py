@@ -328,10 +328,6 @@ def quotient_by(M: QuiverRep, sub_gens: list[Matrix]) -> tuple[QuiverRep, RepMap
     return Qr, RepMap(M, Qr, [sp.equations for sp in spans])
 
 
-def cokernel(f: RepMap) -> tuple[QuiverRep, RepMap]:
-    return quotient_by(f.target, list(f.maps))
-
-
 def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
     _require_parallel(M, N)
     field = M.field
@@ -346,14 +342,13 @@ def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
 
 def socle(M: QuiverRep) -> tuple[QuiverRep, RepMap]:
     """Largest semisimple subrepresentation: at each vertex, the joint
-    kernel of the outgoing arrow maps, on which every arrow acts by
-    zero."""
+    kernel of the outgoing arrow maps, read by :func:`kernel_piece` (so
+    every arrow acts on it by zero)."""
     field, q = M.field, M.quiver
-    bases = [Matrix._of(field, [row[:] for k in q.arrows_from(v) for row in M.maps[k].rows], M.dims[v]).kernel_basis()
-             for v in range(q.nvertices)]
-    S = QuiverRep(q, field, [B.ncols for B in bases],
-                  [Matrix.zeros(field, bases[a.target].ncols, bases[a.source].ncols) for a in q.arrows], check=False)
-    return S, RepMap(S, M, bases)
+    kernels = [Matrix._of(field, [row[:] for k in q.arrows_from(v) for row in M.maps[k].rows], M.dims[v])
+               .kernel_and_free() for v in range(q.nvertices)]
+    S = kernel_piece(M, kernels)
+    return S, RepMap(S, M, [K for K, _ in kernels])
 
 
 def kernel_piece(X: QuiverRep, kernels: list[tuple[Matrix, list[int]]]) -> QuiverRep:

@@ -20,8 +20,10 @@ reference for ``quiverrep.socle``, the decompose-then-search route the
 reference for ``artheory.is_simple_regular``, the split through ``subrep``
 of the kernel basis and of the powers the reference for
 ``artheory._fitting``, the per-entry loop the reference for
-``quiverrep.hom_system``, and the exhaustive search over submodules the
-reference for ``artheory.u_filtration``."""
+``quiverrep.hom_system``, the exhaustive search over submodules the
+reference for ``artheory.u_filtration``, and the quotient of ``P*`` by the
+image of the dualized presentation map the reference for
+``artheory.transpose``."""
 
 import functools
 import itertools
@@ -33,7 +35,7 @@ from tiltlab.artheory import Filtration, _all_subspaces, all_submodules, decompo
 from tiltlab.dedekind import FgZModule, classify, from_pieces
 from tiltlab.errors import SearchBudgetExceeded
 from tiltlab.exactlin import IntMatrix, Matrix, _pack, _slot_bytes, _unpack, snf
-from tiltlab.quiverrep import quotient_by, subrep
+from tiltlab.quiverrep import extend_generators, proj_sum, quotient_by, subrep
 
 
 def _int_kernel(A: IntMatrix) -> IntMatrix:
@@ -316,6 +318,22 @@ def socle_reference(M):
             stacked = stacked.vstack(M.maps[k])
         bases.append(stacked.kernel_basis())
     return subrep(M, bases)
+
+
+def transpose_reference(pres):
+    """``artheory.transpose`` as the cokernel of ``alpha*: Q* -> P*``: the
+    quotient of ``P*`` by the image of ``alpha*``, on the unit-vector
+    complement of that image."""
+    field = pres.module.field
+    qop = pres.module.quiver.opposite()
+    q_star = proj_sum(qop, field, pres.Q.summands)
+    p_star = proj_sum(qop, field, pres.P.summands)
+    gen_images = [[field.zero] * p_star.rep.dims[v] for v in pres.Q.summands]
+    for (qi, pi, path, coeff) in pres.path_matrix():
+        pos = p_star.index[pres.Q.summands[qi]][(pi, tuple(reversed(path)))]
+        gen_images[qi][pos] = field.add(gen_images[qi][pos], coeff)
+    alpha_star = extend_generators(q_star, p_star.rep, gen_images)
+    return quotient_by(alpha_star.target, list(alpha_star.maps))[0]
 
 
 def min_poly_reference(f, p=None) -> list:

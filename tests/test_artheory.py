@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import identity_map, random_basis_change
 from oracles import brute_force_submodules, gauss_jordan, min_poly_reference
-from oracles import fitting_reference, simple_regular_reference, u_filtration_reference
+from oracles import fitting_reference, simple_regular_reference, transpose_reference, u_filtration_reference
 
 from tiltlab import artheory
 
@@ -90,6 +90,54 @@ def test_transpose_involutive_on_bound_modules():
     for U in members:
         tr = transpose(proj_presentation(U))
         assert is_isomorphic(transpose(proj_presentation(tr)), U)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_transpose_matches_the_cokernel_route(p):
+    """The kernel of ``D alpha*``, dualized, is the cokernel of ``alpha*``
+    up to isomorphism, on random modules, every a31 catalog member and
+    their duals."""
+    field, rng = PrimeField(p), random.Random(45 + p)
+    modules = [random_rep(q, field, rng, 3) for q in (KRON, A3) for _ in range(25)]
+    modules += tube_catalog("a31", field).members
+    nonzero = 0
+    for M in modules:
+        for X in (M, M.dual()):
+            pres = proj_presentation(X)
+            tr, ref = transpose(pres), transpose_reference(pres)
+            assert tr.quiver == ref.quiver and tr.dims == ref.dims
+            assert is_isomorphic(tr, ref)
+            nonzero += not tr.is_zero()
+    assert nonzero >= 50
+
+
+def test_translates_and_divisibility_take_no_span_and_no_quotient(monkeypatch):
+    """tau, tau^-, Tr, the socle and the three divisibility predicates read
+    every kernel through ``kernel_piece``: none spans or takes a quotient."""
+    from tiltlab import perpcat, quiverrep
+
+    cat = tube_catalog("a31", PrimeField(3))
+    simple, t_simple, tminus = cat.tubes[0]
+    layer2 = build_extension(tminus, simple)
+    modules = [simple, t_simple, tminus, layer2, build_extension(simple, t_simple), cat.members[3]]
+    pair, triple = BoundSet(tuple(modules[3:5])), BoundSet((simple, t_simple, tminus))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a span or a quotient was taken")
+
+    monkeypatch.setattr(Matrix, "span", refuse)
+    monkeypatch.setattr(quiverrep, "quotient_by", refuse)
+    monkeypatch.setattr(artheory, "quotient_by", refuse)
+    trio = (simple, t_simple, tminus)
+    for i, M in enumerate(trio):
+        assert tau(M).dims == trio[(i + 1) % 3].dims and tau_minus(M).dims == trio[i - 1].dims
+    for M in modules:
+        assert transpose(proj_presentation(M)).dual().dims == tau(M).dims
+        assert socle(M)[0].total_dim() >= 1
+        assert perpcat.divisible_radical(M, pair)[0].dims == M.dims or not perpcat.is_divisible(M, pair)
+    assert perpcat.class_compare(pair, triple, modules) is simple
+    assert perpcat.is_divisible(simple, pair) and not perpcat.is_divisible(simple, triple)
+    assert perpcat.divisible_radical(layer2, triple)[0].is_zero()
 
 
 # -- translates --------------------------------------------------------------

@@ -15,6 +15,7 @@ from tiltlab.cli import (
     MAX_ENVELOPE_TRIALS,
     MAX_PERP_TRIALS,
     MAX_RANDOM_ORE,
+    _refusal,
     main,
     run_dedekind_classify,
     run_free_envelope,
@@ -500,7 +501,6 @@ def test_no_subcommand_runs_the_submodule_search(capsys, monkeypatch):
         raise RuntimeError("the exhaustive submodule search ran")
 
     monkeypatch.setattr(artheory, "all_submodules", search)
-    monkeypatch.setattr(artheory, "u_filtration", search)
     monkeypatch.chdir(REPO_ROOT)
     for command in sorted(GOLDEN_ARGS):
         for fmt, ext in (("text", "txt"), ("json", "json")):
@@ -533,6 +533,16 @@ def test_tube_defect_check_can_fail(monkeypatch):
     monkeypatch.setattr(artheory, "defect", lambda df, d: 0)
     report = run_tube_demo()
     assert [c.name for c in report.checks if not c.passed] == ["tube members have zero defect"]
+
+
+def test_tube_separation_check_can_fail(monkeypatch):
+    # a predicate that admits every module puts the witness in both classes,
+    # which separates nothing, whatever class_compare returned
+    monkeypatch.setattr(perpcat, "is_divisible", lambda M, U: True)
+    report = run_tube_demo()
+    assert [c.name for c in report.checks if not c.passed] == [
+        "divisibility classes separated exactly at the socle simple"]
+    assert len(report.checks) == 7
 
 
 def test_perp_membership_check_can_fail(capsys, monkeypatch):
@@ -794,6 +804,46 @@ def test_a_value_of_5000_digits_is_refused_with_a_bounded_echo(argv, expected, c
     err = refused(argv, capsys)
     assert time.perf_counter() - start < 1.0
     assert err == f"tiltlab: argument {argv[1]}: {expected}, got {'9' * 20}... (5000 characters)\n"
+
+
+LONG = "x" * 5000
+
+
+# every refusal that echoes a user value the parser's types do not read:
+# the library's, the file system's and argparse's own; "directive" names a
+# fixture the test writes
+@pytest.mark.parametrize("argv", [
+    pytest.param(["tube-demo", "--family", LONG], id="tube-demo-family"),
+    pytest.param(["perp-check", "--family", LONG], id="perp-check-family"),
+    pytest.param(["tube-demo", "--family", "x " * 2500], id="family-of-many-words"),
+    pytest.param(["free-envelope", "--word", "x " + "z" * 5000], id="word"),
+    pytest.param(["custom", "/tmp/" + LONG], id="custom-path"),
+    pytest.param(["custom", "directive"], id="custom-directive"),
+    pytest.param(["tube-demo", "--format", LONG], id="format-choice"),
+    pytest.param([LONG], id="command"),
+    pytest.param(["tube-demo", "--" + LONG], id="flag"),
+])
+def test_every_refusal_line_is_bounded(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "directive").write_text(LONG + " 1\n", encoding="utf-8")
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("tiltlab: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) <= 200
+    assert "characters)" in err
+
+
+def test_a_short_refusal_line_is_written_whole():
+    message = "argument command: invalid choice: 'x' (choose from 'tube-demo', 'dedekind')"
+    assert _refusal(message) == f"tiltlab: {message}\n"
+    assert _refusal("y" * 160) == f"tiltlab: {'y' * 160}\n"
+    assert _refusal("y" * 161) == f"tiltlab: {'y' * 20}... (161 characters)\n"
 
 
 def test_a_count_with_leading_zeros_is_read():

@@ -89,15 +89,22 @@ def uses(mod: str, tree: ast.Module, library: set[str]) -> set[tuple]:
     """The keys of :func:`definitions` that the module ``mod`` reaches:
     ``from lib import name``, ``alias.name`` with ``alias`` bound to a
     library module, a bare name read inside its own module, ``Class.name``
-    and ``cls.name`` (the enclosing class), and ``.name`` on anything.  A
-    use inside a definition of the same name is recursion, not a use."""
+    and ``cls.name`` (the enclosing class), and ``.name`` on anything, but
+    only in a library module or in one that imports the library's package
+    (``tiltlab``) somewhere: a module that imports none holds no library
+    object to read a method off.  A use inside a definition of the same
+    name is recursion, not a use."""
     package = mod.rpartition(".")[0]
+    roots = {m.split(".")[0] for m in library}
     modules: dict[str, str] = {}  # local name -> the library module it is bound to
     found = set()
+    holds_library = mod in library
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update((alias.asname or alias.name, alias.name) for alias in node.names if alias.name in library)
+            holds_library |= any(alias.name.split(".")[0] in roots for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
+            holds_library |= not node.level and (node.module or "").split(".")[0] in roots
             base = ".".join(filter(None, (package, node.module))) if node.level else node.module
             for alias in node.names:
                 if f"{base}.{alias.name}" in library:
@@ -114,7 +121,9 @@ def uses(mod: str, tree: ast.Module, library: set[str]) -> set[tuple]:
         elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
             value = node.value
             owner = cls if isinstance(value, ast.Name) and value.id == "cls" else getattr(value, "id", getattr(value, "attr", None))
-            found |= {("attr", node.attr), ("classmethod", owner, node.attr)}
+            found.add(("classmethod", owner, node.attr))
+            if holds_library:
+                found.add(("attr", node.attr))
             if isinstance(value, ast.Name) and value.id in modules:
                 found.add(("def", modules[value.id], node.attr))
         inner = node.name if isinstance(node, ast.ClassDef) else cls
@@ -182,6 +191,19 @@ def test_detector_resolves_uses_by_binding():
     assert unreferenced({"lib": lib}, users | {"bound": bound}, []) == []
 
 
+def test_detector_credits_a_method_read_only_where_the_library_is_imported():
+    # a module that imports no tiltlab holds no library object, so its
+    # ``rec.method`` reads some other object's attribute
+    lib = ast.parse("class Used:\n    def method(self): pass\n")
+    user = ast.parse("from tiltlab import lib\nlib.Used()\n")
+    stranger = ast.parse("import json\ndef f(rec): return rec.method\n")
+    reader = ast.parse("import tiltlab.lib\ndef f(rec): return rec.method\n")
+    assert unreferenced({"tiltlab.lib": lib}, {"user": user, "stranger": stranger}, []) == ["Used.method"]
+    assert unreferenced({"tiltlab.lib": lib}, {"user": user, "reader": reader}, []) == []
+    own = ast.parse("class Used:\n    def method(self): pass\ndef f(u): return u.method\n")
+    assert unreferenced({"tiltlab.lib": own}, {"tiltlab.lib": own}, []) == ["Used", "f"]
+
+
 def trees(d: str) -> dict[str, ast.Module]:
     """The modules under ``d`` by import name: ``tiltlab.<stem>`` in the
     package, the bare stem elsewhere."""
@@ -237,7 +259,6 @@ BENCH_ONLY_KEPT = {
     "hom": "ROADMAP item 16: item 15's Hom(T1, T0) line",
     "is_simple_regular": "ROADMAP item 19: goes with the submodule search",
     "tor1": "ROADMAP item 16: item 15's Hom(T1, T0) line",
-    "u_filtration": "ROADMAP item 16: a PASS line's caller, or it goes with its ar-search op; no search",
 }
 
 

@@ -14,7 +14,6 @@ from tiltlab.quiverrep import (
     Quiver,
     QuiverRep,
     affine_a3_cycle,
-    cokernel,
     direct_sum,
     euler_form,
     ext1_dim,
@@ -559,7 +558,7 @@ def test_spanning_columns_agree_with_pivot_basis():
                 im, im_incl = subrep(f.target, list(f.maps))
                 ref, ref_incl = subrep(M, pivot)
                 assert im == ref and im_incl.maps == ref_incl.maps
-                co, co_proj = cokernel(f)
+                co, co_proj = quotient_by(f.target, list(f.maps))
                 ref, ref_proj = quotient_by(M, pivot)
                 assert co == ref and co_proj.maps == ref_proj.maps
 
