@@ -5,8 +5,8 @@ the cokernel of the dualized map ``Q* -> P*`` between projectives over the
 opposite quiver; combining it with the standard duality gives the
 translates ``tau = D Tr`` and ``tau^- = Tr D``.  Duality turns that
 cokernel into a kernel, ``D Tr U = ker(D P* -> D Q*)`` (the Nakayama
-functor applied to the presentation), which ``kernel_piece`` reads, so no
-quotient or span is taken.
+functor applied to the presentation), which ``quotient_by`` reads through
+``kernel_piece``, as it reads every quotient.
 
 The defect is the rank function obtained by pairing dimension vectors with
 the radical vector of the symmetrized Euler form, normalized so the path
@@ -23,7 +23,7 @@ Fitting decompositions of endomorphisms, each is certified indecomposable by
 a local endomorphism ring, and the verdict compares the decompositions of
 ``M`` and ``N`` group by group.  A Fitting split ``X = ker g^e + im g^e``
 reads its rank and both pieces off one elimination of ``g^e`` per vertex,
-the kernel basis with its free columns, and builds no span.  The
+the kernel basis with its free columns, and solves no system.  The
 splitting factors minimal polynomials of endomorphisms: over ``GF(p)``
 with the library's own Berlekamp factorizer, over QQ with sympy, the one
 use of the optional ``qq`` extra.
@@ -44,7 +44,7 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedFamily,
 )
-from .exactlin import Matrix, PrimeField, QQ, _gf_factor
+from .exactlin import Matrix, PrimeField, QQ, _gf_factor, unit_complement
 from .quiverrep import (
     ProjPresentation,
     Quiver,
@@ -81,8 +81,8 @@ MAX_TUBE_MEMBERS = 1024
 def transpose(pres: ProjPresentation) -> QuiverRep:
     """Transpose of the presented module: the cokernel of the dualized
     presentation map ``alpha*: Q* -> P*``, a representation of the opposite
-    quiver, read as ``D ker(D alpha*)``.  The transpose of a projective is
-    zero."""
+    quiver, which :func:`quotient_by` reads as ``D ker(D alpha*)``.  The
+    transpose of a projective is zero."""
     field = pres.module.field
     qop = pres.module.quiver.opposite()
     q_star = proj_sum(qop, field, pres.Q.summands)
@@ -93,7 +93,7 @@ def transpose(pres: ProjPresentation) -> QuiverRep:
         pos = p_star.index[vtx][(pi, tuple(reversed(path)))]
         gen_images[qi][pos] = field.add(gen_images[qi][pos], coeff)
     alpha_star = extend_generators(q_star, p_star.rep, gen_images)
-    return kernel_piece(p_star.rep.dual(), [m.transpose().kernel_and_free() for m in alpha_star.maps]).dual()
+    return quotient_by(p_star.rep, list(alpha_star.maps))[0]
 
 
 def tau(M: QuiverRep) -> QuiverRep:
@@ -369,22 +369,21 @@ def _split_or_certify(X: QuiverRep, endos: list[RepMap]) -> list[QuiverRep]:
     pending = nilpotent_parts
     if degrees != {1}:
         pending += [a @ b - b @ a for a, b in itertools.combinations(endos, 2)]
-    ideal: list[list] = []
-    equations = Matrix.identity(field, length)  # zero exactly on the span of the ideal found so far
+    ideal: list[list] = []  # independent elements of the ideal found so far, flattened
     while pending:
         h = pending.pop()
-        if not any(equations.apply(_flat(h))):
+        flat = _flat(h)
+        if Matrix._of(field, [*ideal, flat], length).rank() == len(ideal):
             continue
         rank, pieces = _fitting(X, h)
         if pieces:
             return pieces
         if rank:  # invertible, so I = End X
             break
-        ideal.append(_flat(h))
-        equations = Matrix.from_columns(field, ideal, length).span().equations
+        ideal.append(flat)
         pending += [h @ f for f in endos] + [f @ h for f in endos]
     else:
-        if (equations @ Matrix.from_columns(field, [_flat(f) for f in endos], length)).rank() in degrees:
+        if Matrix._of(field, ideal + [_flat(f) for f in endos], length).rank() - len(ideal) in degrees:
             return []
     scalars = [field.coerce(c) for c in (range(2, field.p) if isinstance(field, PrimeField) else (-1, 2, -2, 3, -3))]
     products = (a @ b for a, b in itertools.permutations(endos, 2))
@@ -519,10 +518,11 @@ def _all_subspaces(field: PrimeField, dim: int):
 def all_submodules(M: QuiverRep):
     """Yield the vertex-wise bases of every subrepresentation of ``M``
     (including zero and ``M``), each once.  Vertices are taken in
-    topological order; the subspace at ``v`` is the span ``R`` of the images
-    along the arrows into ``v`` plus a subspace of a complement of ``R``, so
-    every choice extends to a submodule.  The subspaces of each complement
-    dimension are listed lazily, once per call, in a ``tee`` each read copies.
+    topological order; the subspace at ``v`` is the space ``R`` that the
+    images along the arrows into ``v`` span plus a subspace of its
+    :func:`unit_complement`, so every choice extends to a submodule.  The
+    subspaces of each complement dimension are listed lazily, once per
+    call, in a ``tee`` each read copies.
     Raises :class:`SearchBudgetExceeded` once more than
     :data:`SEARCH_BUDGET` subspaces have been chosen."""
     field = M.field
@@ -540,18 +540,19 @@ def all_submodules(M: QuiverRep):
             yield list(bases)
             return
         v = order[i]
-        images = Matrix.zeros(field, M.dims[v], 0)
-        for k in q.arrows_into(v):
-            images = images.hstack(M.maps[k] @ bases[q.arrows[k].source])
-        R = images.span()
-        d = R.complement.ncols
+        n = M.dims[v]
+        images = [col for k in q.arrows_into(v) for col in zip(*(M.maps[k] @ bases[q.arrows[k].source]).rows)]
+        spanned, outside = unit_complement(field, images, n)
+        R = Matrix._of(field, spanned, n).transpose()
+        units = Matrix._of(field, [[row[c] for c in outside] for row in Matrix.identity(field, n).rows], len(outside))
+        d = len(outside)
         if d not in listed:
             listed[d] = itertools.tee(_all_subspaces(field, d), 1)[0]
         for T in listed[d].__copy__():
             choices += 1
             if choices > SEARCH_BUDGET:
                 raise SearchBudgetExceeded(f"submodule search exceeds budget of {SEARCH_BUDGET} subspace choices")
-            bases[v] = R.basis.hstack(R.complement @ T)
+            bases[v] = R.hstack(units @ T)
             yield from extend(i + 1)
 
     yield from extend(0)
@@ -598,14 +599,15 @@ def is_simple_regular(M: QuiverRep, df: DefectFunction) -> bool:
 
 def build_extension(C: QuiverRep, A: QuiverRep) -> QuiverRep:
     """Middle term ``E`` of a non-split extension ``0 -> A -> E -> C -> 0``.
-    The first column of ``hom_system(C, A)[0].span().complement``, a basis of
-    ``Ext^1(C, A)``, gives blocks ``g_a: C_i -> A_j``; then ``E_v = A_v +
-    C_v`` and ``E_a = [[A_a, g_a], [0, C_a]]``, with inclusion ``[I; 0]``
-    and projection ``[0 I]``."""
-    classes = hom_system(C, A)[0].span().complement
-    if classes.ncols == 0:
+    The :func:`unit_complement` of the columns of ``hom_system(C, A)[0]``
+    is a basis of ``Ext^1(C, A)``; its first unit vector gives blocks
+    ``g_a: C_i -> A_j``, and then ``E_v = A_v + C_v`` and ``E_a = [[A_a,
+    g_a], [0, C_a]]``, with inclusion ``[I; 0]`` and projection ``[0 I]``."""
+    system, field = hom_system(C, A)[0], A.field
+    classes = unit_complement(field, list(zip(*system.rows)), system.nrows)[1]
+    if not classes:
         raise NoExtension("Ext^1 is zero, so every extension splits")
-    g = iter(classes.column(0))
+    g = iter([field.one if i == classes[0] else field.zero for i in range(system.nrows)])
     middle = direct_sum(A, C)
     for k, a in enumerate(A.quiver.arrows):
         for row in middle.maps[k].rows[: A.dims[a.target]]:
@@ -661,10 +663,10 @@ class Filtration:
         prev_bases = [Matrix.zeros(N.field, d, 0) for d in N.dims]
         for gens, fidx in zip(self.chain, self.factors):
             layer, incl = subrep(N, gens)
-            spans = [G.span() for G in gens]
-            if not all((sp.equations @ P).is_zero() for sp, P in zip(spans, prev_bases)):
+            below = [B.solve(P) for B, P in zip(incl.maps, prev_bases)]  # the layer before, in the layer's basis
+            if any(X is None for X in below):
                 return False
-            quo, _ = quotient_by(layer, [sp.coords @ P for sp, P in zip(spans, prev_bases)])
+            quo, _ = quotient_by(layer, below)
             if not is_isomorphic(quo, members[fidx]):
                 return False
             prev_bases = list(incl.maps)
@@ -677,23 +679,25 @@ def u_filtration(N: QuiverRep, members) -> Filtration | None:
     members must be pairwise Hom-orthogonal bricks (else
     :class:`ValueError`); the modules they filter form an exact abelian
     category with the members as its simple objects (Ringel, J. Algebra 41,
-    1976), so the chain is built greedily.  Each layer adds the image of the
-    first basis map of ``Hom(u, N / layer)`` for the first member ``u`` that
-    has one, and there is no chain when no member maps in or that map is
-    not injective.  Zero members are skipped."""
+    1976), so the chain is built greedily.  Each step divides what is left,
+    ``N / layer``, by the image of the first basis map of ``Hom(u, N /
+    layer)`` for the first member ``u`` that has one, and there is no chain
+    when no member maps in or that map is not injective.  The projection
+    ``N -> N / layer`` is tracked, and each layer is its kernel.  Zero
+    members are skipped."""
     members = bound_members(members)
     live = [(i, U) for i, U in enumerate(members) if not U.is_zero()]
     if any(hom_dim(U, V) != (i == j) for i, U in live for j, V in live):
         raise ValueError("u_filtration needs nonzero members that are pairwise Hom-orthogonal bricks")
-    layer = [Matrix.zeros(N.field, d, 0) for d in N.dims]
+    rest, proj = N, RepMap(N, N, [Matrix.identity(N.field, d) for d in N.dims])
     chain, factors = [], []
-    while sum(B.ncols for B in layer) < N.total_dim():
-        rest, _ = quotient_by(N, layer)
+    while not rest.is_zero():
         i, f = next(((i, basis[0]) for i, U in live if (basis := hom_space(U, rest))), (None, None))
         if f is None or any(fv.rank() < fv.ncols for fv in f.maps):
             return None
-        layer = [B.hstack(B.span().complement @ fv) for B, fv in zip(layer, f.maps)]
-        chain.append(layer)
+        rest, step = quotient_by(rest, list(f.maps))
+        proj = step @ proj
+        chain.append([m.kernel_basis() for m in proj.maps])
         factors.append(i)
     return Filtration(chain, factors)
 

@@ -3,9 +3,10 @@ Smith normal form over the integers.
 
 Everything upstream (morphism spaces, Ext/Tor, subrepresentations,
 quotients, minimal polynomials, module classification) reduces to the
-kernels in this module: ``kernel_basis``, ``span`` (basis, coordinates,
-defining equations and a unit-vector complement of a column space, from one
-elimination; ``inverse`` reads its coordinates) and ``snf``.  Scalars are
+kernels in this module: ``kernel_basis``, ``Matrix.solve`` (the unique
+``X`` with ``A X = Y`` for ``A`` of independent columns; ``inverse`` solves
+against ``I``), ``unit_complement`` (the unit vectors that complete a
+column space, and a basis of it) and ``snf``.  Scalars are
 exact throughout: prime fields use canonical integer representatives in
 ``[0, p)``, the rationals use :class:`fractions.Fraction`.  Matrices with
 zero rows or zero columns are legal everywhere and behave as the unique
@@ -30,8 +31,10 @@ only the columns a reader needs.  The forward pass gives the pivots and one
 normalised echelon row per pivot; ``pivots`` and ``rank`` stop there.
 ``kernel_basis`` back-substitutes over the free columns (not at all when
 there is none; ``kernel_and_free`` also returns those columns, at which the
-basis is the identity), ``span`` over the identity columns of ``[A | I]``, and
-``rref`` over every column (``_back_substitute``).
+basis is the identity), ``solve`` over the columns of ``Y`` in ``[A | Y]``,
+and ``rref`` over every column (``_back_substitute``).
+``unit_complement`` reads the forward pass alone, on the columns with their
+entries reversed.
 
 The forward pass has three loops, one per representation of a row, and
 the field alone picks the loop, at every size:
@@ -356,16 +359,6 @@ class Matrix:
         return cls._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @classmethod
-    def from_columns(cls, field, cols, nrows: int) -> "Matrix":
-        m = cls.zeros(field, nrows, len(cols))
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise ValueError(f"column {j} has length {len(col)}, expected {nrows}")
-            for i, x in enumerate(col):
-                m.rows[i][j] = field.coerce(x)
-        return m
-
-    @classmethod
     def block_sum(cls, field, nrows: int, ncols: int, terms) -> "Matrix":
         """The ``nrows x ncols`` sum of ``coeff * block`` over the terms
         ``(row, col, coeff, block)``, each block with its top-left entry
@@ -574,40 +567,43 @@ class Matrix:
 
     def inverse(self) -> "Matrix | None":
         """``A^-1``, or ``None`` unless ``A`` is square of full rank: the
-        rref of ``[A | I]`` is then ``[I | A^-1]``, so ``A^-1`` is the
-        coordinate matrix of the span."""
-        if self.nrows != self.ncols:
-            return None
-        coords = self.span().coords
-        return coords if coords.nrows == self.nrows else None
+        :meth:`solve` of ``A X = I``, which exists exactly then."""
+        return self.solve(Matrix.identity(self.field, self.nrows))
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
-    def span(self) -> "Span":
-        """Column space of ``A`` from the forward pass of ``[A | I]``.  Its
-        rref is ``[E A | E]`` with ``E`` invertible, and the first
-        ``rank(A)`` of its ``n`` pivots lie in ``A``, the rest in ``I``; so
-        back substitution runs over the ``n`` columns of ``I`` alone, and
-        the rows it gives are ``E``."""
-        field, n, m = self.field, self.nrows, self.ncols
-        identity = Matrix.identity(field, n)
-        AI = self.hstack(identity)
-        echelon, pivots = AI._forward()
-        E = _back_substitute(field, echelon, pivots, range(m, m + n))
-        r = sum(1 for c in pivots if c < m)
-        return Span(
-            basis=Matrix._of(field, [[row[c] for c in pivots[:r]] for row in self.rows], r),
-            coords=Matrix._of(field, E[:r], n),
-            equations=Matrix._of(field, E[r:], n),
-            complement=Matrix._of(field, [[identity.rows[i][c - m] for c in pivots[r:]] for i in range(n)], n - r),
-        )
+    def solve(self, Y: "Matrix") -> "Matrix | None":
+        """The ``X`` with ``A X = Y``, or ``None`` unless the pivots of ``[A
+        | Y]`` are exactly the columns of ``A``: its columns are then
+        independent and span every column of ``Y``, so ``X`` is unique and
+        the rref of ``[A | Y]`` is ``[I | X]`` above zero rows.  Back
+        substitution runs over the columns of ``Y`` alone."""
+        m = self.ncols
+        echelon, pivots = self.hstack(Y)._forward()
+        if pivots != list(range(m)):
+            return None
+        return Matrix._of(self.field, _back_substitute(self.field, echelon, pivots, range(m, m + Y.ncols)), Y.ncols)
 
     def _compat(self, other: "Matrix", same_shape: bool = False):
         if self.field != other.field:
             raise ValueError("field mismatch")
         if same_shape and self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+
+
+def unit_complement(field, cols, n: int) -> tuple[list[list], list[int]]:
+    """A basis of the span ``S`` of ``cols``, vectors of length ``n``, and
+    the ``c``, ascending, whose unit vectors ``e_c`` lie outside ``S`` plus
+    the ``e_0, ..., e_{c-1}``: those ``e_c`` complete the basis to one of
+    ``field^n``.  ``e_c`` lies inside exactly when some vector of ``S`` has
+    its last nonzero entry at ``c``, so when ``n - 1 - c`` is a pivot of
+    ``cols`` with their entries reversed, taken as rows.  One forward pass
+    over them gives both; its pivot rows, put back in order, are the
+    basis."""
+    echelon, pivots = Matrix._of(field, [list(reversed(col)) for col in cols], n)._forward()
+    lead = {n - 1 - c for c in pivots}
+    return [row[::-1] for row in echelon], [c for c in range(n) if c not in lead]
 
 
 def _fitting_terms(field, nrows: int, ncols: int, terms) -> list:
@@ -774,25 +770,6 @@ def _unpack(row: int, n: int, nbytes: int, p: int) -> list[int]:
         vals = [hi << 64 | lo for hi, lo in zip(vals[::2], vals[1::2])]
     inv = pow(vals[0] % p, -1, p)
     return [x * inv % p for x in vals]
-
-
-class Span:
-    """A subspace ``S`` of ``field^n`` given by spanning columns ``A``.
-
-    * ``basis``: the pivot columns of ``A``, a basis of ``S`` (``n x r``);
-    * ``coords``: ``r x n`` with ``coords @ basis = I``, so ``coords @ v``
-      is the coordinate vector in ``basis`` of any ``v`` in ``S``;
-    * ``equations``: ``(n - r) x n``, zero exactly on ``S``; it sends a
-      vector to its coordinates in ``complement`` modulo ``S``, so
-      ``equations @ complement = I``;
-    * ``complement``: ``n x (n - r)``, the unit vectors ``e_i`` that lie
-      outside the span of ``S`` and ``e_0, ..., e_{i-1}``, ascending.
-    """
-
-    __slots__ = ("basis", "coords", "equations", "complement")
-
-    def __init__(self, basis: Matrix, coords: Matrix, equations: Matrix, complement: Matrix):
-        self.basis, self.coords, self.equations, self.complement = basis, coords, equations, complement
 
 
 class IntMatrix:

@@ -22,7 +22,7 @@ import functools
 import itertools
 
 from .errors import NotInvariant, QuiverMismatch
-from .exactlin import QQ, Matrix
+from .exactlin import QQ, Matrix, unit_complement
 
 Path = tuple[int, ...]  # arrow indices, traversal order
 
@@ -293,39 +293,39 @@ class RepMap:
 def subrep(M: QuiverRep, gens: list[Matrix]) -> tuple[QuiverRep, RepMap]:
     """Subrepresentation spanned by the given vertex-wise columns, which
     need not be independent; the inclusion uses the pivot columns as the
-    basis at each vertex.
+    basis ``B_v`` at each vertex, and arrow ``a: s -> t`` acts by the
+    :meth:`Matrix.solve` of ``B_t X = M_a B_s``.
 
-    Raises :class:`NotInvariant` when the spans are not stable under the
-    arrow maps.
+    Raises :class:`NotInvariant` when some arrow has no such ``X``: the
+    subspaces are not stable under it.
     """
-    spans = []
+    bases = []
     for v, G in enumerate(gens):
         if G.nrows != M.dims[v]:
             raise ValueError(f"vertex {v}: generators have wrong height")
-        spans.append(G.span())
+        pivots = G.pivots()
+        bases.append(Matrix._of(M.field, [[row[c] for c in pivots] for row in G.rows], len(pivots)))
     maps = []
     for k, a in enumerate(M.quiver.arrows):
-        pushed = M.maps[k] @ spans[a.source].basis
-        if not (spans[a.target].equations @ pushed).is_zero():
+        X = bases[a.target].solve(M.maps[k] @ bases[a.source])
+        if X is None:
             raise NotInvariant(f"subspaces not stable under arrow {a.name}")
-        maps.append(spans[a.target].coords @ pushed)
-    bases = [sp.basis for sp in spans]
+        maps.append(X)
     S = QuiverRep(M.quiver, M.field, [B.ncols for B in bases], maps, check=False)
     return S, RepMap(S, M, bases)
 
 
 def quotient_by(M: QuiverRep, sub_gens: list[Matrix]) -> tuple[QuiverRep, RepMap]:
-    """Quotient of ``M`` by the subrepresentation spanned by the given
-    vertex-wise columns (which need not be independent); returns the
-    quotient and the projection.  The quotient's basis at each vertex is
-    the unit-vector complement of the subspace."""
-    spans = [G.span() for G in sub_gens]
-    maps = [
-        spans[a.target].equations @ M.maps[k] @ spans[a.source].complement
-        for k, a in enumerate(M.quiver.arrows)
-    ]
-    Qr = QuiverRep(M.quiver, M.field, [sp.complement.ncols for sp in spans], maps, check=False)
-    return Qr, RepMap(M, Qr, [sp.equations for sp in spans])
+    """Quotient of ``M`` by the subrepresentation ``S`` spanned by the
+    given vertex-wise columns ``G_v`` (which need not be independent), and
+    the projection.  ``D(M / S)`` is the subrepresentation of ``DM`` of the
+    functionals that vanish on ``S``, the kernel of ``G_v^T`` at each
+    vertex, so the quotient is ``D ker(G^T)``, read by :func:`kernel_piece`
+    as ``tau`` is; the projection at ``v`` is ``K_v^T``, and the quotient's
+    coordinates are those of the kernel, at its free rows."""
+    kernels = [G.transpose().kernel_and_free() for G in sub_gens]
+    Qr = kernel_piece(M.dual(), kernels).dual()
+    return Qr, RepMap(M, Qr, [K.transpose() for K, _ in kernels])
 
 
 def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
@@ -369,19 +369,15 @@ def kernel_piece(X: QuiverRep, kernels: list[tuple[Matrix, list[int]]]) -> Quive
 
 def _top(X: QuiverRep) -> list[tuple[int, int]]:
     """The ``(vertex, index)`` pairs of the unit vectors of ``X`` that lift
-    a basis of ``X / rad X``.  Unit vector ``e_c`` at ``v`` is kept when it
-    lies outside ``rad X + span(e_0, ..., e_{c-1})``, where ``rad X`` is
-    spanned by the arrow images into ``v``.  That holds exactly when no
-    vector of ``rad X`` has its last nonzero entry at ``c``, so when ``c``
-    is not a pivot of the images with their entries reversed: one forward
-    pass over the images, with no basis vector in it."""
+    a basis of ``X / rad X``: at each vertex ``v``, the
+    :func:`unit_complement` of the arrow images into ``v``, which span
+    ``rad X`` there, from one forward pass over the images with no basis
+    vector in it."""
     q = X.quiver
     top = []
     for v in range(q.nvertices):
-        n = X.dims[v]
-        rows = [list(col) for k in q.arrows_into(v) for col in zip(*reversed(X.maps[k].rows))]
-        lead = {n - 1 - c for c in Matrix._of(X.field, rows, n).pivots()}
-        top += [(v, c) for c in range(n) if c not in lead]
+        images = [col for k in q.arrows_into(v) for col in zip(*X.maps[k].rows)]
+        top += [(v, c) for c in unit_complement(X.field, images, X.dims[v])[1]]
     return top
 
 

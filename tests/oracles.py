@@ -7,9 +7,11 @@ but not ``snf`` itself.  ``invariant_factors`` is the reference for
 ``snf``'s ``D``: it reads the invariant factors off determinantal divisors
 (gcds of minors, through ``Fraction`` determinants) and shares no code
 with ``snf``.  The greedy basis completion is the reference for
-``Matrix.span``'s complement, the brute-force submodule search the
+``exactlin.unit_complement``, the brute-force submodule search the
 reference for ``all_submodules``, the plain Gauss-Jordan elimination the
-reference for ``Matrix.rref`` and ``Matrix.inverse``, the lead-tracking
+reference for ``Matrix.rref``, ``Matrix.solve`` and ``Matrix.inverse``,
+the quotient on the Gauss-Jordan form of ``[G | I]`` the reference for
+``quiverrep.quotient_by``, the lead-tracking
 packed loop the reference for ``exactlin._forward_packed``, the sum entry
 by entry in the scalar ``add`` and ``mul``, with no row kernel, the
 reference for ``Matrix.block_sum`` and
@@ -22,8 +24,8 @@ of the kernel basis and of the powers the reference for
 ``artheory._fitting``, the per-entry loop the reference for
 ``quiverrep.hom_system``, the exhaustive search over submodules the
 reference for ``artheory.u_filtration``, and the quotient of ``P*`` by the
-image of the dualized presentation map the reference for
-``artheory.transpose``."""
+image of the dualized presentation map, on that ``[G | I]`` route, the
+reference for ``artheory.transpose``."""
 
 import functools
 import itertools
@@ -34,8 +36,8 @@ from tiltlab import artheory
 from tiltlab.artheory import Filtration, _all_subspaces, all_submodules, decompose, defect, is_isomorphic
 from tiltlab.dedekind import FgZModule, classify, from_pieces
 from tiltlab.errors import SearchBudgetExceeded
-from tiltlab.exactlin import IntMatrix, Matrix, _pack, _slot_bytes, _unpack, snf
-from tiltlab.quiverrep import extend_generators, proj_sum, quotient_by, subrep
+from tiltlab.exactlin import QQ, IntMatrix, Matrix, _pack, _slot_bytes, _unpack, snf
+from tiltlab.quiverrep import QuiverRep, RepMap, extend_generators, proj_sum, subrep
 
 
 def _int_kernel(A: IntMatrix) -> IntMatrix:
@@ -167,11 +169,11 @@ def greedy_basis_completion(field, cols, dim: int) -> list[list]:
     """Walk the unit vectors ``e_0, e_1, ...`` in order and keep each one
     that raises the rank of the columns kept so far."""
     kept = [list(c) for c in cols]
-    rank = Matrix.from_columns(field, kept, dim).rank()
+    rank = Matrix(field, kept, dim).rank()  # the columns as rows: the same rank
     added = []
     for i in range(dim):
         e = [field.one if j == i else field.zero for j in range(dim)]
-        if Matrix.from_columns(field, kept + [e], dim).rank() > rank:
+        if Matrix(field, kept + [e], dim).rank() > rank:
             kept.append(e)
             added.append(e)
             rank += 1
@@ -220,6 +222,32 @@ def gauss_jordan(rows, p=None) -> tuple[list[list], list[int]]:
                     R[i][j] = norm(R[i][j] - f * R[r][j])
         pivots.append(c)
     return R, pivots
+
+
+def span_equations_reference(G: Matrix) -> tuple[Matrix, Matrix]:
+    """The equations of the column space ``S`` of ``G``, zero exactly on
+    ``S``, and its unit-vector complement, from the Gauss-Jordan form of
+    ``[G | I]``, which is ``[E G | E]`` with ``E`` invertible.  Its first
+    ``rank G`` pivots lie in ``G``; the rest pick the unit vectors outside
+    ``S`` and the unit vectors before them, and the rows of ``E`` below
+    ``rank G`` are the equations, which send the complement to ``I``."""
+    field, n, m = G.field, G.nrows, G.ncols
+    R, pivots = gauss_jordan([row + [int(i == j) for j in range(n)] for i, row in enumerate(G.rows)],
+                             None if field == QQ else field.p)
+    r = sum(1 for c in pivots if c < m)
+    return (Matrix(field, [row[m:] for row in R[r:]], n),
+            Matrix(field, [[int(i == c - m) for c in pivots[r:]] for i in range(n)], n - r))
+
+
+def quotient_reference(M, gens):
+    """``quiverrep.quotient_by`` on the unit-vector complements of the
+    spans of ``gens``: arrow ``a: s -> t`` acts by ``E_t M_a C_s``, for the
+    equations ``E`` and complements ``C`` of :func:`span_equations_reference`,
+    and the projection is ``E``."""
+    equations, complements = zip(*(span_equations_reference(G) for G in gens))
+    maps = [equations[a.target] @ M.maps[k] @ complements[a.source] for k, a in enumerate(M.quiver.arrows)]
+    Q = QuiverRep(M.quiver, M.field, [C.ncols for C in complements], maps)
+    return Q, RepMap(M, Q, equations)
 
 
 def forward_packed_reference(p: int, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -333,7 +361,7 @@ def transpose_reference(pres):
         pos = p_star.index[pres.Q.summands[qi]][(pi, tuple(reversed(path)))]
         gen_images[qi][pos] = field.add(gen_images[qi][pos], coeff)
     alpha_star = extend_generators(q_star, p_star.rep, gen_images)
-    return quotient_by(alpha_star.target, list(alpha_star.maps))[0]
+    return quotient_reference(alpha_star.target, list(alpha_star.maps))[0]
 
 
 def min_poly_reference(f, p=None) -> list:
@@ -401,10 +429,10 @@ def u_filtration_reference(N, members):
                         if sdims == U.dims and is_isomorphic(subrep(X, bases)[0], U)), None)
             if idx is None:
                 continue
-            quo, proj = quotient_by(X, bases)
+            quo, proj = quotient_reference(X, bases)
             rest = search(quo)
             if rest is not None:
-                pulled = [[(B.span().equations @ pv).kernel_basis() for pv, B in zip(proj.maps, c)]
+                pulled = [[(span_equations_reference(B)[0] @ pv).kernel_basis() for pv, B in zip(proj.maps, c)]
                           for c in rest.chain]
                 return Filtration([bases] + pulled, [idx] + rest.factors)
         return None
@@ -416,7 +444,7 @@ def fitting_reference(X, g) -> tuple[int, list]:
     """``artheory._fitting`` through ``subrep``: the rank of ``A = g^e``
     from ``Matrix.rank``, then the kernel piece as the submodule spanned by
     ``kernel_basis`` and the image piece as the one spanned by the columns
-    of ``A``, each read off ``Matrix.span``."""
+    of ``A``."""
     powers = list(g.maps)
     e = 1
     while e < max(X.dims):

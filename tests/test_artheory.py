@@ -111,9 +111,10 @@ def test_transpose_matches_the_cokernel_route(p):
     assert nonzero >= 50
 
 
-def test_translates_and_divisibility_take_no_span_and_no_quotient(monkeypatch):
+def test_translates_and_divisibility_take_no_solve_and_no_subrep(monkeypatch):
     """tau, tau^-, Tr, the socle and the three divisibility predicates read
-    every kernel through ``kernel_piece``: none spans or takes a quotient."""
+    every kernel through ``kernel_piece``, Tr's cokernel too, as
+    ``quotient_by`` reads it: none solves a system or builds a subrep."""
     from tiltlab import perpcat, quiverrep
 
     cat = tube_catalog("a31", PrimeField(3))
@@ -123,11 +124,11 @@ def test_translates_and_divisibility_take_no_span_and_no_quotient(monkeypatch):
     pair, triple = BoundSet(tuple(modules[3:5])), BoundSet((simple, t_simple, tminus))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a span or a quotient was taken")
+        raise AssertionError("a system was solved or a subrep built")
 
-    monkeypatch.setattr(Matrix, "span", refuse)
-    monkeypatch.setattr(quiverrep, "quotient_by", refuse)
-    monkeypatch.setattr(artheory, "quotient_by", refuse)
+    monkeypatch.setattr(Matrix, "solve", refuse)
+    monkeypatch.setattr(quiverrep, "subrep", refuse)
+    monkeypatch.setattr(artheory, "subrep", refuse)
     trio = (simple, t_simple, tminus)
     for i, M in enumerate(trio):
         assert tau(M).dims == trio[(i + 1) % 3].dims and tau_minus(M).dims == trio[i - 1].dims
@@ -558,11 +559,11 @@ def test_fitting_runs_one_elimination_per_vertex_and_no_span(monkeypatch):
         return forward(self)
 
     def refuse(*args):
-        raise AssertionError("_fitting built a span")
+        raise AssertionError("_fitting solved a system or built a subrep")
 
     cases = fitting_cases(A3, PrimeField(3), 47)[:9]
     monkeypatch.setattr(Matrix, "_forward", counted)
-    monkeypatch.setattr(Matrix, "span", refuse)
+    monkeypatch.setattr(Matrix, "solve", refuse)
     monkeypatch.setattr(artheory, "subrep", refuse)
     splits = 0
     for X, g in cases:

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import u_filtration_reference
 
 from tiltlab import artheory, dedekind, exactlin, freegrp, perpcat, quiverrep
 from tiltlab.cli import (
@@ -205,14 +206,17 @@ def test_help_still_prints_the_usage(capsys):
 
 
 # golden report name -> argv; the GF(2) reports pin the XOR forward pass,
-# which no default report reaches
+# which no default report reaches, and perp-check on a31 checks members
+# that its catalog builds with tau
 GOLDEN_ARGS = {
     "tube-demo": ["tube-demo"],
     "tube-demo-gf2": ["tube-demo", "--field", "2"],
+    "tube-demo-gf3": ["tube-demo", "--field", "3"],
     "dedekind": ["dedekind"],
     "free-envelope": ["free-envelope"],
     "perp-check": ["perp-check"],
     "perp-check-gf2": ["perp-check", "--field", "2"],
+    "perp-check-a31-gf3": ["perp-check", "--family", "a31", "--field", "3"],
     "custom": ["custom", "tests/fixtures/kronecker.txt"],
 }
 
@@ -220,9 +224,9 @@ GOLDEN_ARGS = {
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
 def test_report_matches_golden(command, fmt, capsys, monkeypatch):
-    # golden files hold each subcommand's report at default flags, and two
-    # at --field 2; the custom report names its fixture path, so run from
-    # the repo root
+    # golden files hold each subcommand's report at default flags, two at
+    # --field 2 and two at --field 3; the custom report names its fixture
+    # path, so run from the repo root
     monkeypatch.chdir(REPO_ROOT)
     assert main([*GOLDEN_ARGS[command], "--format", fmt]) == 0
     golden = fixture(os.path.join("golden", f"{command}.{'txt' if fmt == 'text' else 'json'}"))
@@ -485,15 +489,19 @@ def test_tube_filtration_check_can_fail(capsys, monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_tube_filtration_validates_the_chain_the_search_finds(p, monkeypatch):
-    # the chain build_extension lays down is, entry for entry, the first
-    # one the exhaustive search finds
+    # the chain tube-demo records, which u_filtration builds greedily, is a
+    # filtration of layer2, and its factors are those of the first chain
+    # the exhaustive search finds
     simple, _, tminus = artheory.tube_catalog("a31", exactlin.PrimeField(p)).tubes[0]
-    found = artheory.u_filtration(artheory.build_extension(tminus, simple), (simple, tminus))
+    layer2 = artheory.build_extension(tminus, simple)
+    found = u_filtration_reference(layer2, (simple, tminus))
     built, chains = artheory.Filtration, []
     monkeypatch.setattr(artheory, "Filtration",
-                        lambda chain, factors: chains.append((chain, factors)) or built(chain, factors))
+                        lambda chain, factors: chains.append(built(chain, factors)) or chains[-1])
     assert run_tube_demo(field_char=p).all_passed
-    assert chains == [(found.chain, found.factors)]
+    [filt] = chains
+    assert filt.validate(layer2, (simple, tminus))
+    assert filt.factors == found.factors == [0, 1]
 
 
 def test_no_subcommand_runs_the_submodule_search(capsys, monkeypatch):
@@ -526,6 +534,42 @@ def test_gf2_reports_eliminate_by_xor_alone(capsys, monkeypatch):
         assert main(GOLDEN_ARGS[command]) == 0
         assert capsys.readouterr().out.endswith(" passed, 0 failed\n")
         assert xor_calls
+
+
+def _tube_demo_failures(capsys) -> list[str]:
+    """The lines a tube-demo run prints FAIL, after it completes with exit
+    1."""
+    assert main(["tube-demo"]) == 1
+    return [line[7:] for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL] ")]
+
+
+def test_tube_ext1_vanishing_checks_can_fail(capsys, monkeypatch):
+    # a presentation that reads Ext^1 one too high sees extensions of the
+    # socle simple by both length-two layers
+    tor_dims = quiverrep.ProjPresentation.tor_dims
+
+    def one_too_high(self, X):
+        tor1, tensor = tor_dims(self, X)
+        return tor1 + 1, tensor
+
+    monkeypatch.setattr(quiverrep.ProjPresentation, "tor_dims", one_too_high)
+    assert _tube_demo_failures(capsys) == [
+        "ext1(layer2, socle_simple) == 0", "ext1(translated_layer2, socle_simple) == 0"]
+
+
+def test_tube_ext1_nonvanishing_check_can_fail(capsys, monkeypatch):
+    # a presentation that reads Ext^1 as zero loses the extension that
+    # builds layer2
+    tor_dims = quiverrep.ProjPresentation.tor_dims
+    monkeypatch.setattr(quiverrep.ProjPresentation, "tor_dims", lambda self, X: (0, tor_dims(self, X)[1]))
+    assert _tube_demo_failures(capsys) == ["ext1(inverse_translate, socle_simple) != 0"]
+
+
+def test_tube_socle_check_can_fail(capsys, monkeypatch):
+    # a socle that returns the whole module is layer2, not the socle simple
+    monkeypatch.setattr(quiverrep, "socle", lambda M: (M, quiverrep.RepMap(
+        M, M, [exactlin.Matrix.identity(M.field, d) for d in M.dims])))
+    assert _tube_demo_failures(capsys) == ["socle of layer2 is the socle simple"]
 
 
 def test_tube_defect_check_can_fail(monkeypatch):

@@ -12,7 +12,7 @@ from oracles import (block_sum_reference, det, forward_packed_reference, gauss_j
 
 from tiltlab import exactlin
 from tiltlab.dedekind import FgZModule, classify
-from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, _forward_gf2, _forward_packed, snf
+from tiltlab.exactlin import QQ, IntMatrix, Matrix, PrimeField, _forward_gf2, _forward_packed, snf, unit_complement
 from tiltlab.quiverrep import (QuiverRep, affine_a3_cycle, hom_space, hom_system, kronecker, presentation_tensor_terms,
                                proj_presentation)
 
@@ -42,23 +42,26 @@ def test_kernel_over_f2_matches_enumeration():
     assert K.column(0) == [1, 1]
 
 
-def test_from_columns_rejects_a_column_of_wrong_length():
-    with pytest.raises(ValueError, match="length"):
-        Matrix.from_columns(F5, [[1, 2], [3]], 2)
+def column(field, b: list) -> Matrix:
+    return Matrix(field, [[x] for x in b], 1)
 
 
 def in_image(A: Matrix, b: list) -> bool:
-    """``b`` lies in the column space of ``A``: the span's equations kill it."""
-    return all(x == 0 for x in A.span().equations.apply(b))
+    """``b`` lies in the column space of ``A``: beside it, ``b`` raises no
+    rank."""
+    return A.hstack(column(A.field, b)).rank() == A.rank()
 
 
 def test_empty_matrices_behave_as_zero_space_maps():
     A = Matrix.zeros(F5, 0, 3)
     assert A.kernel_basis().rank() == 3
-    assert A.span().equations.shape == (0, 0) and in_image(A, [])
+    assert unit_complement(F5, A.columns(), 0) == ([], []) and in_image(A, [])
+    assert A.solve(Matrix.zeros(F5, 0, 2)) is None  # three columns, none independent
     B = Matrix.zeros(F5, 3, 0)
     assert B.kernel_basis().shape == (0, 0)
-    assert B.span().equations == Matrix.identity(F5, 3)
+    assert unit_complement(F5, B.columns(), 3) == ([], [0, 1, 2])
+    assert B.solve(Matrix.zeros(F5, 3, 2)) == Matrix.zeros(F5, 0, 2)
+    assert B.solve(column(F5, [1, 0, 0])) is None
     assert in_image(B, [0, 0, 0])
     assert not in_image(B, [1, 0, 0])
     assert (A @ B.transpose().transpose()).shape == (0, 0)
@@ -74,20 +77,24 @@ def test_rank_nullity_on_random_matrices():
 
 
 def test_kernel_then_solve_consistency():
-    """``Ax = b`` is solvable for every ``b = Ay`` and for no complement
-    column, and the kernel and the span's equations agree on the rank."""
+    """``B x = b``, for ``B`` the basis ``unit_complement`` gives of the
+    column space of ``A``, is solvable for every ``b = Ay`` and for no
+    complement column, and the kernel and the complement agree on the
+    rank."""
     rng = random.Random(1)
     for _ in range(50):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         A = Matrix(F5, [[rng.randrange(5) for _ in range(c)] for _ in range(r)], c)
         K = A.kernel_basis()
         assert (A @ K).is_zero()
-        sp = A.span()
-        assert c - K.ncols == r - sp.equations.nrows
+        basis, outside = unit_complement(F5, A.columns(), r)
+        assert c - K.ncols == len(basis) == r - len(outside)
+        B = Matrix(F5, basis, r).transpose()
         for _ in range(5):
-            assert in_image(A, A.apply([rng.randrange(5) for _ in range(c)]))
-        for col in sp.complement.columns():
-            assert not in_image(A, col)
+            b = column(F5, A.apply([rng.randrange(5) for _ in range(c)]))
+            assert B @ B.solve(b) == b
+        for i in outside:
+            assert B.solve(column(F5, [int(j == i) for j in range(r)])) is None
 
 
 def test_inverse_round_trip():
@@ -310,19 +317,24 @@ def _random_matrix(field, rng, nrows, ncols):
 
 @pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
 def test_span_matches_greedy_reference(field):
+    """``unit_complement`` gives a basis of the column space of ``A`` and
+    the unit vectors that the greedy walk adds to it; ``solve`` reads the
+    columns of ``A`` in that basis off the Gauss-Jordan form of ``[B |
+    A]``."""
     rng = random.Random(11)
+    p = None if field == QQ else field.p
     shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randrange(0, 7), rng.randrange(0, 8)) for _ in range(60)]
     for nrows, ncols in shapes:
         A = _random_matrix(field, rng, nrows, ncols)
-        sp = A.span()
+        basis, outside = unit_complement(field, A.columns(), nrows)
         r = A.rank()
-        assert sp.basis.shape == (nrows, r) and sp.coords.shape == (r, nrows)
-        assert sp.equations.shape == (nrows - r, nrows) and sp.complement.shape == (nrows, nrows - r)
-        assert sp.basis.rank() == r and all(c in A.columns() for c in sp.basis.columns())
-        assert sp.complement.columns() == greedy_basis_completion(field, sp.basis.columns(), nrows)
-        assert sp.coords @ sp.basis == Matrix.identity(field, r)
-        assert (sp.equations @ A).is_zero()
-        assert sp.equations @ sp.complement == Matrix.identity(field, nrows - r)
+        B = Matrix(field, basis, nrows).transpose()
+        assert B.shape == (nrows, r) and B.rank() == r
+        assert [[int(i == c) for i in range(nrows)] for c in outside] == greedy_basis_completion(field, basis, nrows)
+        X = B.solve(A)
+        R, pivots = gauss_jordan([b + a for b, a in zip(B.rows, A.rows)], p)
+        assert pivots == list(range(r)) and X.rows == [row[r:] for row in R[:r]]
+        assert B @ X == A
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), QQ], ids=repr)
@@ -452,15 +464,15 @@ def test_packed_span_and_kernel_match_reference():
     K = A.kernel_basis()
     assert r == 25 and K.shape == (m, m - r) and (A @ K).is_zero()
     assert K.columns() == _kernel_from_rref(R, pivots, field, m)
-    sp = A.span()
+    # the unit vectors outside the column space are the pivots of [A | I]
+    # past A's, and the pivot columns of A reach A through its rref
+    basis, outside = unit_complement(field, A.columns(), n)
     RI, pivots_i = gauss_jordan([row + [int(i == j) for j in range(n)] for i, row in enumerate(A.rows)], 101)
-    assert pivots_i[:r] == pivots
-    assert sp.basis.columns() == [A.column(c) for c in pivots]
-    assert sp.coords.rows == [row[m:] for row in RI[:r]]
-    assert sp.equations.rows == [row[m:] for row in RI[r:]]
-    assert sp.complement.columns() == [[int(i == c - m) for i in range(n)] for c in pivots_i[r:]]
-    assert sp.coords @ sp.basis == Matrix.identity(field, r)
-    assert (sp.equations @ A).is_zero() and sp.equations @ sp.complement == Matrix.identity(field, n - r)
+    assert pivots_i[:r] == pivots and outside == [c - m for c in pivots_i[r:]]
+    assert Matrix(field, basis, n).rank() == r
+    B = Matrix(field, [[row[c] for c in pivots] for row in A.rows], r)
+    assert B.solve(A).rows == R[:r]
+    assert B.solve(Matrix.identity(field, n)) is None
 
 
 def _forward_pass_cases(field, rng):
@@ -563,11 +575,12 @@ def test_rank_and_kernel_skip_the_full_back_substitution(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(101), QQ], ids=repr)
-def test_span_back_substitutes_over_the_identity_columns_only(field, monkeypatch):
-    """``span`` is the forward pass of ``[A | I]`` and back substitution
-    over the ``n`` columns of ``I`` alone, never ``rref``; its basis,
-    coordinates, equations and complement are the ones read off the
-    Gauss-Jordan form of ``[A | I]``."""
+def test_solve_back_substitutes_over_the_columns_of_y_only(field, monkeypatch):
+    """``solve`` is the forward pass of ``[A | Y]`` and back substitution
+    over the columns of ``Y`` alone, never ``rref``, and none when the
+    pivots are not exactly the columns of ``A``; its solution is the one
+    read off the Gauss-Jordan form of ``[A | Y]``.  ``inverse`` is the
+    solve against ``I``."""
     rref_calls, back_cols = [], []
     back = exactlin._back_substitute
     monkeypatch.setattr(Matrix, "rref", lambda self: rref_calls.append(self.shape))
@@ -575,18 +588,21 @@ def test_span_back_substitutes_over_the_identity_columns_only(field, monkeypatch
                         lambda f, e, piv, cols: back_cols.append(list(cols)) or back(f, e, piv, cols))
     rng = random.Random(47)
     p = None if field == QQ else field.p
+    solved = 0
     for A in _forward_pass_cases(field, rng):
         n, m = A.shape
-        R, pivots = gauss_jordan([row + [int(i == j) for j in range(n)] for i, row in enumerate(A.rows)], p)
-        r = sum(1 for c in pivots if c < m)
-        sp = A.span()
-        assert back_cols == [list(range(m, m + n))]
-        back_cols.clear()
-        assert sp.basis.columns() == [A.column(c) for c in pivots[:r]]
-        assert sp.coords.rows == [row[m:] for row in R[:r]]
-        assert sp.equations.rows == [row[m:] for row in R[r:]]
-        assert sp.complement.columns() == [[int(i == c - m) for i in range(n)] for c in pivots[r:]]
-    assert rref_calls == []
+        for Y in (A @ _random_matrix(field, rng, m, 3), _random_matrix(field, rng, n, 2), Matrix.identity(field, n)):
+            k = Y.ncols
+            R, pivots = gauss_jordan([a + y for a, y in zip(A.rows, Y.rows)], p)
+            X = A.inverse() if Y == Matrix.identity(field, n) else A.solve(Y)
+            if pivots == list(range(m)):
+                assert back_cols == [list(range(m, m + k))]
+                assert X.rows == [row[m:] for row in R[:m]] and A @ X == Y
+                solved += 1
+            else:
+                assert back_cols == [] and X is None
+            back_cols.clear()
+    assert rref_calls == [] and solved >= 8
 
 
 @pytest.mark.parametrize("field", [F7, QQ], ids=repr)
@@ -600,11 +616,12 @@ def test_internal_results_are_canonical(field):
     rng = random.Random(23)
     A, B = _random_matrix(field, rng, 4, 6), _random_matrix(field, rng, 4, 6)
     C = _random_matrix(field, rng, 6, 3) @ _random_matrix(field, rng, 3, 5)  # rank 3 of 6
-    sp = C.span()
+    basis = Matrix._of(field, unit_complement(field, C.columns(), 6)[0], 6)
+    D = C.transpose().vstack(Matrix.identity(field, 6))  # independent columns
     results = [
         A.rref()[0], A @ C, C.kernel_basis(), A.transpose(), A.hstack(B), A.vstack(B),
         A + B, -A, A.scale(-3), Matrix.zeros(field, 2, 3), Matrix.identity(field, 3),
-        sp.basis, sp.coords, sp.equations, sp.complement,
+        basis, basis.transpose().solve(C), D.solve(D @ A.transpose()), Matrix(field, [[1, 2], [3, 4]]).inverse(),
     ]
     Q = kronecker()
     M = QuiverRep(Q, field, [2, 3], [_random_matrix(field, rng, 3, 2) for _ in Q.arrows])

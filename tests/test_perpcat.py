@@ -239,7 +239,7 @@ def _radical_reference(M, members) -> list:
         if all(ext1_dim(u, sub) == 0 for u in members):
             for v, B in enumerate(bases):
                 cols[v] += B.columns()
-    return [Matrix.from_columns(M.field, c, d) for c, d in zip(cols, M.dims)]
+    return [Matrix(M.field, c, d).transpose() for c, d in zip(cols, M.dims)]
 
 
 @pytest.mark.parametrize("q", [KRON, A3], ids=["kronecker", "a31"])

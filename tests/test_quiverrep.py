@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import hom_system_reference, presentation_tensor_reference, socle_reference, top_reference
+from oracles import (hom_system_reference, presentation_tensor_reference, quotient_reference, socle_reference,
+                     span_equations_reference, top_reference)
 
 from tiltlab import quiverrep
 from tiltlab.artheory import all_submodules, transpose
@@ -523,7 +525,7 @@ def test_subrep_and_quotient_shapes():
 
 def _pivot_basis(G):
     _, pivots = G.rref()
-    return Matrix.from_columns(G.field, [G.column(j) for j in pivots], G.nrows)
+    return Matrix(G.field, [G.column(j) for j in pivots], G.nrows).transpose()
 
 
 def _redundant(B, rng):
@@ -534,7 +536,7 @@ def _redundant(B, rng):
     combos = [B @ Matrix(field, [[rng.randrange(field.p)] for _ in range(B.ncols)], 1) for _ in range(2)]
     cols = [c.column(0) for c in combos] + B.columns() + B.columns()[:1] + [[field.zero] * B.nrows]
     rng.shuffle(cols)
-    return Matrix.from_columns(field, cols, B.nrows)
+    return Matrix(field, cols, B.nrows).transpose()
 
 
 def test_spanning_columns_agree_with_pivot_basis():
@@ -561,6 +563,47 @@ def test_spanning_columns_agree_with_pivot_basis():
                 co, co_proj = quotient_by(f.target, list(f.maps))
                 ref, ref_proj = quotient_by(M, pivot)
                 assert co == ref and co_proj.maps == ref_proj.maps
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ], ids=repr)
+def test_quotient_matches_the_unit_complement_route(field):
+    """``quotient_by`` against the quotient on the unit-vector complement
+    of ``[G | I]``: the projections have the same kernel, the span of the
+    generators, and ``proj = phi o proj_ref`` for the isomorphism ``phi_v =
+    proj_v C_v``, with ``C_v`` the complement that ``proj_ref`` sends to
+    the identity."""
+    rng = random.Random(9)
+    checked = 0
+    for q in (KRON, A3):
+        for _ in range(8):
+            M = random_rep(q, PrimeField(3), rng, 3 if q is KRON else 2)
+            if field != M.field:
+                M = QuiverRep(q, field, M.dims, [Matrix(field, m.rows, m.ncols) for m in M.maps])
+            for bases in itertools.islice(_submodules(M), 6):
+                # each basis beside combinations of its columns, zero ones included
+                gens = [B.hstack(B @ Matrix(field, [[rng.randrange(3) for _ in range(2)] for _ in range(B.ncols)], 2))
+                        for B in bases]
+                quo, proj = quotient_by(M, gens)
+                ref, ref_proj = quotient_reference(M, gens)
+                assert quo.dims == ref.dims and proj.is_valid()
+                for pv, G in zip(proj.maps, gens):
+                    assert (pv @ G).is_zero() and pv.rank() == pv.nrows
+                phi = quiverrep.RepMap(ref, quo, [pv @ span_equations_reference(G)[1] for pv, G in zip(proj.maps, gens)])
+                assert phi.is_valid() and all(m.is_invertible() for m in phi.maps)
+                assert (phi @ ref_proj).maps == proj.maps
+                checked += 1
+    assert checked >= 40
+
+
+def _submodules(M):
+    """Submodules of ``M`` without the search over a finite field: zero,
+    ``M``, and the images of the basis maps of ``Hom(N, M)`` for a few
+    small ``N``."""
+    yield [Matrix.zeros(M.field, d, 0) for d in M.dims]
+    yield [Matrix.identity(M.field, d) for d in M.dims]
+    for v in range(M.quiver.nvertices):
+        for f in hom_space(projective(M.quiver, M.field, v), M):
+            yield list(f.maps)
 
 
 def test_socle_of_projective_cover_example():
